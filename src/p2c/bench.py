@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -126,7 +125,6 @@ def bench_dataset(
     seed: int = 0,
     k: int = 20,
     norms: Sequence[int] = (0, 1, 2),
-    workers: int = 1,
     timing_repeats: int = 1,
 ) -> dict:
     """Benchmark one dataset bundle; returns a JSON-ready row."""
@@ -135,14 +133,10 @@ def bench_dataset(
     sampled = sample_decision_positive(sampling_space, instances, seed)
     raws = [expand_placeholders(sampling_space.config, s) for s in sampled]
 
-    def job(raw):
-        return run_instance(full, raw, k=k, norms=norms, timing_repeats=timing_repeats)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, raws))
-    else:
-        results = [job(raw) for raw in raws]
+    results = [
+        run_instance(full, raw, k=k, norms=norms, timing_repeats=timing_repeats)
+        for raw in raws
+    ]
 
     ok = [r for r in results if r["error"] is None]
     row: dict = {
@@ -187,7 +181,6 @@ def run_benchmark(
     seed: int = 0,
     k: int = 20,
     norms: Sequence[int] = (0, 1, 2),
-    workers: int = 1,
     timing_repeats: int = 1,
 ) -> dict:
     rows = [
@@ -197,7 +190,6 @@ def run_benchmark(
             seed=seed,
             k=k,
             norms=norms,
-            workers=workers,
             timing_repeats=timing_repeats,
         )
         for p in paths

@@ -50,6 +50,7 @@ SEARCH_ERRORS = (
 )
 
 NORMS = {"l0": 0, "l1": 1, "l2": 2}
+NORM_NAMES = {p: name for name, p in NORMS.items()}
 
 
 def _parse_instance(pairs: list[str]) -> dict[str, str]:
@@ -83,6 +84,13 @@ def _load(args):
     decision_text = Path(args.rules).read_text(encoding="utf-8") if args.rules else None
     causal_text = Path(args.causal).read_text(encoding="utf-8") if args.causal else None
     return load_dataset(args.config, decision_text=decision_text, causal_text=causal_text)
+
+
+def _load_for_search(args):
+    dataset = _load(args)
+    if args.norm is None:  # no --norm: the config's norm applies
+        args.norm = NORM_NAMES[dataset.config.norm_p]
+    return dataset
 
 
 def _emit(report: dict, text: str, output: str) -> None:
@@ -148,7 +156,7 @@ def _base_report(args, dataset, raw_instance) -> dict:
 
 def cmd_mincf(args) -> int:
     t0 = time.perf_counter()
-    dataset = _load(args)
+    dataset = _load_for_search(args)
     raw, instance = _resolve_instance(dataset, args)
     report = _base_report(args, dataset, raw)
     report["timing_ms"]["load"] = (time.perf_counter() - t0) * 1000.0
@@ -184,7 +192,7 @@ def cmd_mincf(args) -> int:
 
 def cmd_path(args) -> int:
     t0 = time.perf_counter()
-    dataset = _load(args)
+    dataset = _load_for_search(args)
     raw, instance = _resolve_instance(dataset, args)
     report = _base_report(args, dataset, raw)
     report["timing_ms"]["load"] = (time.perf_counter() - t0) * 1000.0
@@ -231,7 +239,6 @@ def cmd_bench(args) -> int:
         instances=args.instances,
         seed=args.seed,
         k=args.k,
-        workers=args.workers,
         timing_repeats=args.timing_repeats,
     )
     summary["command"] = " ".join(sys.argv)
@@ -289,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--instances", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--k", type=int, default=20)
-    p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--timing-repeats", type=int, default=1)
     p_bench.add_argument("--per-instance", action="store_true", help="keep per-instance rows")
     p_bench.add_argument("--output", choices=["json", "text"], default="text")
@@ -300,13 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "norm", None) is None and hasattr(args, "norm"):
-        # fall back to the config's norm once it is loaded
-        try:
-            dataset_norm = load_dataset(args.config).config.norm_p
-            args.norm = {0: "l0", 1: "l1", 2: "l2"}[dataset_norm]
-        except P2CError:
-            args.norm = "l1"
     try:
         return args.func(args)
     except VALIDATION_ERRORS as exc:

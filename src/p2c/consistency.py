@@ -4,16 +4,23 @@ Causal rules are grouped per head feature; each group is read under program
 completion, i.e. the "if" rules become "if and only if": a head value is
 satisfied exactly when one of its bodies fires.  A fired alternative entails
 its head value; an alternative whose bodies all fail excludes it.
+
+The tests run on the one-hot bit masks of :class:`p2c.masks.CompiledRules`:
+one bit per feature value, one forbidden mask per rule body, one head mask
+per causal alternative.  A ``Dataset`` compiles its programs once, on its
+first query; the free-standing functions here compile the rules they are
+given on each call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .domain import DatasetConfig, FeatureSpec, State, Value
-from .errors import CausalProgramError, ConfigError
-from .rules import Rule, RuleProgram, program_decides, rule_fires, unparse_rule
+from .domain import DatasetConfig, FeatureSpec, State, Value, search_space_size
+from .errors import ConfigError, SpaceTooLargeError
+from .rules import Rule, RuleProgram, program_decides
 
 
 @dataclass(frozen=True)
@@ -41,13 +48,14 @@ class Entailment:
 
     ``required`` is the fired head value (None when no alternative fired);
     ``excluded`` lists head values whose bodies all failed and which the
-    feature must therefore not satisfy.
+    feature must therefore not satisfy.  ``provenance`` is the text of the
+    fired rules.
     """
 
     feature: str
     required: Value | None
     excluded: tuple[Value, ...] = ()
-    provenance: tuple[str, ...] = ()
+    provenance: Sequence[str] = ()
 
     @property
     def unconstrained(self) -> bool:
@@ -96,35 +104,9 @@ def build_causal_groups(
     return tuple(groups)
 
 
-def _entailment_for_group(
-    config: DatasetConfig,
-    group: CausalGroup,
-    state_map: Mapping[str, Value],
-    causal: RuleProgram,
-) -> Entailment:
-    fired: list[CausalAlternative] = []
-    fired_rules: list[Rule] = []
-    excluded: list[Value] = []
-    for alt in group.alternatives:
-        firing = [r for r in alt.rules if rule_fires(r, state_map, causal)]
-        if firing:
-            fired.append(alt)
-            fired_rules.extend(firing)
-        else:
-            excluded.append(alt.value)
-    if len(fired) > 1:
-        offending = "; ".join(unparse_rule(r) for r in fired_rules)
-        raise CausalProgramError(
-            f"two alternatives for feature {group.feature!r} fired simultaneously: "
-            f"{offending}"
-        )
-    required = fired[0].value if fired else None
-    return Entailment(
-        feature=group.feature,
-        required=required,
-        excluded=tuple(excluded),
-        provenance=tuple(unparse_rule(r) for r in fired_rules),
-    )
+# ---------------------------------------------------------------------------
+# Free-standing tests
+# ---------------------------------------------------------------------------
 
 
 def entailed_assignments(
@@ -138,10 +120,10 @@ def entailed_assignments(
     Bodies never read their own head feature (enforced at load), so each
     group is decided by the state's other features alone.
     """
-    state_map = config.state_dict(state)
-    return tuple(
-        _entailment_for_group(config, g, state_map, causal) for g in groups
-    )
+    from .masks import CompiledRules
+
+    compiled = CompiledRules(config, groups, causal)
+    return compiled.entailments(compiled.bits(state))
 
 
 def entailment_satisfied(spec: FeatureSpec, value: Value, ent: Entailment) -> bool:
@@ -157,15 +139,14 @@ def causally_consistent(
     state: State,
 ) -> bool:
     """Membership test for the causally consistent subspace."""
-    for ent in entailed_assignments(config, groups, causal, state):
-        spec = config.feature(ent.feature)
-        if not entailment_satisfied(spec, state.values[config.feature_index(ent.feature)], ent):
-            return False
-    return True
+    from .masks import CompiledRules
+
+    compiled = CompiledRules(config, groups, causal)
+    return compiled.consistent(compiled.bits(state))
 
 
 def decision_positive(decision: RuleProgram, state_map: Mapping[str, Value]) -> bool:
-    """True iff the state carries the undesired outcome.
+    """True iff the name->value assignment carries the undesired outcome.
 
     For rule sets written in terms of the desired label (German 'good'),
     the polarity flips: undesired means no rule fires.
@@ -182,9 +163,10 @@ def is_counterfactual(
     state: State,
 ) -> bool:
     """Goal-set membership: satisfies all causal rules and escapes the decision."""
-    if not causally_consistent(config, groups, causal, state):
-        return False
-    return not decision_positive(decision, config.state_dict(state))
+    from .masks import CompiledRules
+
+    compiled = CompiledRules(config, groups, causal, decision)
+    return compiled.is_goal(compiled.bits(state))
 
 
 def causal_repair_values(
@@ -200,33 +182,24 @@ def causal_repair_values(
     A fired alternative's own head value (the declared representative) comes
     first; remaining group-consistent values follow in domain order.
     """
-    spec = config.feature(feature)
-    state_map = config.state_dict(state)
-    for group in groups:
-        if group.feature != feature:
-            continue
-        ent = _entailment_for_group(config, group, state_map, causal)
-        ok = [v for v in spec.domain if entailment_satisfied(spec, v, ent)]
-        if ent.required is not None and ent.required in ok:
-            ok.remove(ent.required)
-            ok.insert(0, ent.required)
-        return tuple(ok)
-    return ()
+    from .masks import CompiledRules
+
+    compiled = CompiledRules(config, groups, causal)
+    return compiled.repair_values(compiled.bits(state), feature)
 
 
 def group_is_exhaustive(
     config: DatasetConfig, group: CausalGroup, causal: RuleProgram, cap: int = 100000
 ) -> bool:
     """Measure whether the group's bodies cover every state (small spaces)."""
-    from .domain import enumerate_states, search_space_size
-    from .errors import SpaceTooLargeError
-
     if search_space_size(config) > cap:
         raise SpaceTooLargeError("state space too large to decide exhaustiveness")
-    for state in enumerate_states(config):
-        state_map = config.state_dict(state)
-        if not any(
-            rule_fires(r, state_map, causal) for alt in group.alternatives for r in alt.rules
-        ):
-            return False
-    return True
+    from .masks import CompiledRules
+
+    compiled = CompiledRules(config, (group,), causal)
+    one_hot = [
+        tuple(1 << (off + j) for j in range(len(spec.domain)))
+        for off, spec in zip(compiled.offsets, config.features)
+    ]
+    covers = compiled.groups[0].covers
+    return all(covers(sum(combo)) for combo in itertools.product(*one_hot))

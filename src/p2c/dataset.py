@@ -4,6 +4,11 @@ The JSON config declares categorical domains outright; numeric features only
 declare range and step, and their finite domains are derived here from every
 comparison bound or causal head the programs apply to them, plus the factual
 instance's value.
+
+A :class:`Dataset` answers its per-state tests (goal, causal consistency,
+decision, entailments) on the bit masks of :class:`masks.CompiledRules`.
+It compiles them on its first query and keeps them, so a dataset built only
+to read its size or norm never compiles.
 """
 
 from __future__ import annotations
@@ -11,28 +16,27 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .consistency import (
-    CausalGroup,
-    build_causal_groups,
-    causally_consistent,
-    decision_positive,
-    is_counterfactual,
-)
+from .consistency import CausalGroup, Entailment, build_causal_groups
 from .domain import (
     CATEGORICAL,
     NUMERIC,
     DatasetConfig,
     FeatureSpec,
     State,
+    Value,
     build_numeric_domain,
     consolidate_placeholders,
     validate_state,
 )
 from .errors import ConfigError
 from .rules import RuleProgram, is_aux_predicate, mentioned_values, parse_rule_program
+
+if TYPE_CHECKING:
+    from .masks import CompiledRules
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,16 @@ class Dataset:
     warnings: tuple[str, ...] = ()
     digest: str = ""
 
-    @property
+    @cached_property
     def causal_head_features(self) -> frozenset[str]:
         return frozenset(g.feature for g in self.groups)
+
+    @cached_property
+    def compiled(self) -> CompiledRules:
+        """Both rule programs as bit masks over this config's domains."""
+        from .masks import CompiledRules
+
+        return CompiledRules(self.config, self.groups, self.causal, self.decision)
 
     def frozen_features(self) -> frozenset[str]:
         """Features pinned during search: immutable, or unactionable with no
@@ -68,16 +79,30 @@ class Dataset:
             return None
         return validate_state(self.config, self.config.instance_defaults)
 
-    # thin wrappers so callers don't have to thread groups/programs around
+    # per-state tests on the compiled masks
 
     def consistent(self, state: State) -> bool:
-        return causally_consistent(self.config, self.groups, self.causal, state)
+        compiled = self.compiled
+        return compiled.consistent(compiled.bits(state))
 
     def decision_positive(self, state: State) -> bool:
-        return decision_positive(self.decision, self.config.state_dict(state))
+        compiled = self.compiled
+        return compiled.decision_positive(compiled.bits(state))
 
     def is_goal(self, state: State) -> bool:
-        return is_counterfactual(self.config, self.groups, self.causal, self.decision, state)
+        compiled = self.compiled
+        return compiled.is_goal(compiled.bits(state))
+
+    def entailments(self, state: State) -> tuple[Entailment, ...]:
+        """One entailment per causal group, as ``entailed_assignments`` gives."""
+        compiled = self.compiled
+        return compiled.entailments(compiled.bits(state))
+
+    def repair_values(self, state: State, feature: str) -> tuple[Value, ...]:
+        """Values that make ``feature``'s group consistent, as
+        ``causal_repair_values`` gives."""
+        compiled = self.compiled
+        return compiled.repair_values(compiled.bits(state), feature)
 
 
 def _feature_from_json(
@@ -173,7 +198,8 @@ def build_dataset(
     _cross_validate(config, decision, causal)
     label = decision.head_label
     describes_undesired = label is None or label.value == config.undesired_decision
-    decision = replace(decision, describes_undesired=describes_undesired)
+    if decision.describes_undesired != describes_undesired:
+        decision = replace(decision, describes_undesired=describes_undesired)
     groups = build_causal_groups(config, causal)
 
     warnings = []

@@ -18,7 +18,7 @@ import collections
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .consistency import causal_repair_values, entailed_assignments, entailment_satisfied
+from .consistency import entailment_satisfied
 from .dataset import Dataset
 from .domain import DatasetConfig, FeatureSpec, State, Value
 from .errors import InconsistentInitialStateError, P2CError, SearchExhaustedError
@@ -33,7 +33,7 @@ class Action:
     kind: str
     feature: str
     new_value: Value
-    provenance: tuple[str, ...] = field(default=(), compare=False)
+    provenance: Sequence[str] = field(default=(), compare=False)
 
     def describe(self) -> str:
         return f"{self.kind}({self.feature} -> {self.new_value!r})"
@@ -131,17 +131,14 @@ def available_causal_actions(dataset: Dataset, state: State) -> list[Action]:
     """
     config = dataset.config
     actions: list[Action] = []
-    ents = entailed_assignments(config, dataset.groups, dataset.causal, state)
-    by_feature = {e.feature: e for e in ents}
+    by_feature = {e.feature: e for e in dataset.entailments(state)}
     for spec, current in zip(config.features, state.values):
         ent = by_feature.get(spec.name)
         if ent is None or not spec.mutable:
             continue
         if entailment_satisfied(spec, current, ent):
             continue
-        for value in causal_repair_values(
-            config, dataset.groups, dataset.causal, state, spec.name
-        ):
+        for value in dataset.repair_values(state, spec.name):
             if value != current:
                 actions.append(
                     Action(CAUSAL, spec.name, value, provenance=ent.provenance)
@@ -491,9 +488,7 @@ def path_is_legal(dataset: Dataset, path: PlanPath) -> tuple[bool, list[str]]:
                 if problem:
                     violations.append(f"step {step_no}: {action.describe()}: {problem}")
             elif action.kind == CAUSAL:
-                allowed = causal_repair_values(
-                    config, dataset.groups, dataset.causal, current, action.feature
-                )
+                allowed = dataset.repair_values(current, action.feature)
                 if action.new_value not in allowed:
                     violations.append(
                         f"step {step_no}: {action.describe()}: value is not entailed "

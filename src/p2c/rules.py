@@ -1,4 +1,4 @@
-"""Parser, printer and evaluator for the rule language.
+"""Parser, printer and dict-level evaluator for the rule language.
 
 Both decision programs (which characterise one classification label) and
 causal programs (feature -> feature dependencies) share one clause syntax::
@@ -10,12 +10,17 @@ heads, conjunction-only bodies, negation as failure, and ``=<`` as the only
 comparator.  Anything outside it is rejected with a positioned syntax error.
 Exception predicates (``ab1``, ``ab2``, ...) form an acyclic aux layer
 beneath the main rules.
+
+``rule_fires``/``program_decides`` evaluate rules on a name->value mapping;
+the per-state tests of a dataset run on the bit masks that
+``masks.CompiledRules`` builds from the same programs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .errors import EvaluationError, RuleProgramError, RuleSyntaxError
@@ -80,11 +85,11 @@ class RuleProgram:
     describes_undesired: bool = True
     verified: bool = False
 
-    @property
+    @cached_property
     def rules(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.clauses if not r.is_aux)
 
-    @property
+    @cached_property
     def aux_rules(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.clauses if r.is_aux)
 

@@ -7,7 +7,9 @@ changes the world would make on its own.
 
 min_cf streams candidates from the plausibility-restricted product space in
 nondecreasing order of a per-feature lower bound, so it can stop as soon as
-the bound passes the best verified counterfactual.
+the bound passes the best verified counterfactual.  Candidates stay index
+vectors and one-hot bits (see ``masks.CompiledRules``) until one passes
+the goal test; only goals become a ``State``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .consistency import entailed_assignments
 from .dataset import Dataset
 from .domain import (
     NUMERIC,
@@ -105,8 +106,7 @@ def adjust_weights(
         raise P2CError("adjust_weights target must be causally consistent")
     adjusted = dict(weights)
     free: set[str] = set()
-    ents = entailed_assignments(config, dataset.groups, dataset.causal, target)
-    for ent in ents:
+    for ent in dataset.entailments(target):
         if ent.required is None:
             continue
         i = config.feature_index(ent.feature)
@@ -205,39 +205,56 @@ def _per_feature_costs(
     return out
 
 
-def _stream_candidates(per_feature) -> "itertools.chain":
-    """Yield (bound, lex_key, state) in nondecreasing bound order.
+def _stream_candidates(
+    dataset: Dataset, per_feature
+) -> Iterator[tuple[float, int, State | None]]:
+    """Yield (bound, lex_rank, state) in nondecreasing bound order; ``state``
+    is None unless the candidate is a goal.
 
     Best-first walk over the product of per-feature sorted value lists; the
     bound of an index vector is the sum of per-feature contributions, which
-    under-estimates (p2c) or equals (all_changes) the true cost.
+    under-estimates (p2c) or equals (all_changes) the true cost.  Ties go by
+    ``lex_rank``, the candidate's domain indices read as one mixed-radix
+    number, which orders states exactly as ``DatasetConfig.lex_key`` does.
+    A candidate is goal-tested on its one-hot bits (see
+    ``masks.CompiledRules``) and becomes a ``State`` only if it is a goal.
+    A vector is pushed only by the vector one step lower in its last nonzero
+    position, so each is pushed once and no seen-set is kept.
     """
+    compiled = dataset.compiled
+    is_goal = compiled.is_goal
     n = len(per_feature)
+    costs = [tuple(c for c, _, _ in entries) for _, entries in per_feature]
+    values = [tuple(v for _, _, v in entries) for _, entries in per_feature]
+    one_hot = [
+        tuple(1 << (off + j) for _, j, _ in entries)
+        for off, (_, entries) in zip(compiled.offsets, per_feature)
+    ]
+    place = [1] * n  # weight of feature i's domain index in the rank
+    for i in range(n - 2, -1, -1):
+        place[i] = place[i + 1] * len(per_feature[i + 1][0].domain)
+    rank_step = [
+        tuple((b[1] - a[1]) * place[i] for a, b in zip(entries, entries[1:]))
+        for i, (_, entries) in enumerate(per_feature)
+    ]
+    last = [len(c) - 1 for c in costs]
+    at = tuple.__getitem__
     start = (0,) * n
-
-    def make(idx_vec):
-        bound = sum(per_feature[i][1][idx_vec[i]][0] for i in range(n))
-        lex = tuple(per_feature[i][1][idx_vec[i]][1] for i in range(n))
-        return bound, lex, idx_vec
-
-    heap = [make(start)]
-    seen = {start}
-
-    def gen():
-        while heap:
-            bound, lex, idx_vec = heapq.heappop(heap)
-            state = State(
-                tuple(per_feature[i][1][idx_vec[i]][2] for i in range(n))
-            )
-            yield bound, lex, state
-            for i in range(n):
-                if idx_vec[i] + 1 < len(per_feature[i][1]):
-                    nxt = idx_vec[:i] + (idx_vec[i] + 1,) + idx_vec[i + 1 :]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        heapq.heappush(heap, make(nxt))
-
-    return gen()
+    rank = sum(place[i] * entries[0][1] for i, (_, entries) in enumerate(per_feature))
+    # entries: (bound, rank, idx_vec, lowest position a successor may raise)
+    heap = [(sum(map(at, costs, start)), rank, start, 0)]
+    while heap:
+        bound, rank, idx_vec, low = heapq.heappop(heap)
+        # one bit per feature, so the sum is their OR
+        if is_goal(sum(map(at, one_hot, idx_vec))):
+            yield bound, rank, State(tuple(map(at, values, idx_vec)))
+        else:
+            yield bound, rank, None
+        for i in range(low, n):
+            j = idx_vec[i]
+            if j < last[i]:
+                nxt = idx_vec[:i] + (j + 1,) + idx_vec[i + 1 :]
+                heapq.heappush(heap, (sum(map(at, costs, nxt)), rank + rank_step[i][j], nxt, i))
 
 
 def _price(
@@ -300,11 +317,11 @@ def min_cf(
     per_feature = _per_feature_costs(dataset, instance, weights, p, mode)
     # bounds accumulate in pre-sqrt space for L2, so compare costs there too
     acc = (lambda c: c * c) if p == 2 else (lambda c: c)
-    best: tuple[float, tuple[int, ...], CostReport] | None = None
-    for bound, lex, state in _stream_candidates(per_feature):
+    best: tuple[float, int, CostReport] | None = None
+    for bound, lex, state in _stream_candidates(dataset, per_feature):
         if best is not None and bound > acc(best[0]) + 1e-12:
             break
-        if not dataset.is_goal(state):
+        if state is None:
             continue
         report = _price(dataset, instance, state, weights, p, mode)
         key = (report.cost, lex)
@@ -426,11 +443,11 @@ def goal_knearest(
 
     per_feature = _per_feature_costs(dataset, instance, weights, p, mode)
     acc = (lambda c: c * c) if p == 2 else (lambda c: c)
-    found: list[tuple[float, tuple[int, ...], CostReport]] = []
-    for bound, lex, state in _stream_candidates(per_feature):
+    found: list[tuple[float, int, CostReport]] = []
+    for bound, lex, state in _stream_candidates(dataset, per_feature):
         if len(found) >= k and bound > acc(found[-1][0]) + 1e-12:
             break
-        if not dataset.is_goal(state):
+        if state is None:
             continue
         report = _price(dataset, instance, state, weights, p, mode)
         found.append((report.cost, lex, report))

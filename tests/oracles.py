@@ -10,10 +10,84 @@ from __future__ import annotations
 
 import itertools
 
-from p2c.consistency import causal_repair_values
+from p2c.consistency import Entailment, causal_repair_values, entailment_satisfied
 from p2c.domain import State, enumerate_states
+from p2c.errors import CausalProgramError
 from p2c.planner import CAUSAL, DIRECT, PlanPath, direct_action_problem
+from p2c.rules import program_decides, rule_fires, unparse_rule
 from p2c.search import adjust_weights, compute_weighted_lp
+
+
+# ---------------------------------------------------------------------------
+# Interpreted rule semantics: the reference for the compiled bit masks
+# ---------------------------------------------------------------------------
+
+
+def interpreted_entailment(dataset, group, state):
+    """Completion semantics for one causal group, walking every literal of
+    its rules on the state's name->value dict with ``rules.rule_fires``."""
+    state_map = dataset.config.state_dict(state)
+    fired, fired_rules, excluded = [], [], []
+    for alt in group.alternatives:
+        firing = [r for r in alt.rules if rule_fires(r, state_map, dataset.causal)]
+        if firing:
+            fired.append(alt)
+            fired_rules.extend(firing)
+        else:
+            excluded.append(alt.value)
+    if len(fired) > 1:
+        offending = "; ".join(unparse_rule(r) for r in fired_rules)
+        raise CausalProgramError(
+            f"two alternatives for feature {group.feature!r} fired simultaneously: "
+            f"{offending}"
+        )
+    return Entailment(
+        feature=group.feature,
+        required=fired[0].value if fired else None,
+        excluded=tuple(excluded),
+        provenance=tuple(unparse_rule(r) for r in fired_rules),
+    )
+
+
+def interpreted_entailments(dataset, state):
+    return tuple(interpreted_entailment(dataset, g, state) for g in dataset.groups)
+
+
+def interpreted_consistent(dataset, state) -> bool:
+    config = dataset.config
+    return all(
+        entailment_satisfied(
+            config.feature(ent.feature), state.values[config.feature_index(ent.feature)], ent
+        )
+        for ent in interpreted_entailments(dataset, state)
+    )
+
+
+def interpreted_decision_positive(dataset, state) -> bool:
+    decided = program_decides(dataset.decision, dataset.config.state_dict(state))
+    return decided if dataset.decision.describes_undesired else not decided
+
+
+def interpreted_is_goal(dataset, state) -> bool:
+    return interpreted_consistent(dataset, state) and not interpreted_decision_positive(
+        dataset, state
+    )
+
+
+def interpreted_repair_values(dataset, state, feature):
+    """Values of ``feature`` that satisfy its own group's interpreted
+    entailment, the fired head value first."""
+    spec = dataset.config.feature(feature)
+    for group in dataset.groups:
+        if group.feature != feature:
+            continue
+        ent = interpreted_entailment(dataset, group, state)
+        ok = [v for v in spec.domain if entailment_satisfied(spec, v, ent)]
+        if ent.required is not None and ent.required in ok:
+            ok.remove(ent.required)
+            ok.insert(0, ent.required)
+        return tuple(ok)
+    return ()
 
 
 def exhaustive_min_cf(dataset, instance, *, weights=None, p=None, mode="p2c"):

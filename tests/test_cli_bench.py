@@ -276,13 +276,3 @@ def test_bench_text_output_renders(capsys, data_dir):
     assert code == 0
     assert "dataset" in out and "cars" in out
     assert "report (json)" in out
-
-
-def test_bench_workers_parallel_matches_sequential(data_dir):
-    seq = bench_dataset(data_dir / "cars", instances=6, seed=2, k=3, workers=1)
-    par = bench_dataset(data_dir / "cars", instances=6, seed=2, k=3, workers=4)
-    assert [r["instance"] for r in seq["per_instance"]] == [
-        r["instance"] for r in par["per_instance"]
-    ]
-    assert seq["paths_legal"] == par["paths_legal"]
-    assert seq["distances_mean"] == par["distances_mean"]
