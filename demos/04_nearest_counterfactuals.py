@@ -10,7 +10,8 @@ where the two cost modes start to disagree.
 from pathlib import Path
 
 from p2c import (
-    brute_force_knearest,
+    compute_weighted_lp,
+    enumerate_states,
     goal_knearest,
     knearest_trimmed,
     load_dataset,
@@ -20,14 +21,20 @@ from p2c import (
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 german = load_dataset(DATA / "german")
+config = german.config
 q = german.default_instance()
+weights = config.weights()
 
 for p in (0, 1, 2):
-    trimmed = knearest_trimmed(german.config, q, 5, p)
-    brute = brute_force_knearest(german.config, q, 5, p)
-    assert trimmed == brute
+    trimmed = knearest_trimmed(config, q, 5, p)
+    # the exhaustive answer: the whole space sorted by distance, then lexicographically
+    scan = sorted(
+        (compute_weighted_lp(config, q, s, weights, p), config.lex_key(s), s)
+        for s in enumerate_states(config)
+    )
+    assert trimmed == [(s, d) for d, _, s in scan[:5]]
     print(f"L{p}: 5 nearest states at distances "
-          f"{[round(d, 4) for _, d in trimmed]} (trimmed == brute force)")
+          f"{[round(d, 4) for _, d in trimmed]} (trimmed == exhaustive scan of {len(scan)})")
 
 # a record whose employment field contradicts its job field: every goal state
 # must repair it, and only p2c mode prices that repair at zero

@@ -6,14 +6,7 @@ consistent counterfactual and a provably sound sequence of direct and causal
 actions that reaches it.
 """
 
-from .consistency import (
-    CausalGroup,
-    Entailment,
-    build_causal_groups,
-    causally_consistent,
-    entailed_assignments,
-    is_counterfactual,
-)
+from .consistency import CausalGroup, Entailment, build_causal_groups
 from .dataset import Dataset, build_dataset, consolidate_dataset, load_dataset
 from .domain import (
     DatasetConfig,
@@ -64,7 +57,6 @@ from .rules import (
 from .search import (
     CostReport,
     adjust_weights,
-    brute_force_knearest,
     compute_weighted_lp,
     goal_knearest,
     knearest_trimmed,

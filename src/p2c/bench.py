@@ -24,6 +24,7 @@ from .planner import find_path, naive_find_path, path_is_legal
 from .search import goal_knearest, min_cf
 
 NORM_NAMES = {0: "l0", 1: "l1", 2: "l2"}
+NORMS = (0, 1, 2)
 
 
 def sample_decision_positive(
@@ -59,7 +60,6 @@ def run_instance(
     instance_raw: Mapping,
     *,
     k: int = 20,
-    norms: Sequence[int] = (0, 1, 2),
     timing_repeats: int = 1,
 ) -> dict:
     """All measurements for one instance; failures are recorded, not raised."""
@@ -81,7 +81,7 @@ def run_instance(
         out["cost_preserved"] = abs(r_full.cost - r_red.cost) < 1e-12
 
         distances: dict = {}
-        for p in norms:
+        for p in NORMS:
             for mode in ("p2c", "all_changes"):
                 reports = goal_knearest(
                     reduced, instance_red, k, p=p, mode=mode, on_inconsistent="allow"
@@ -124,7 +124,6 @@ def bench_dataset(
     instances: int = 20,
     seed: int = 0,
     k: int = 20,
-    norms: Sequence[int] = (0, 1, 2),
     timing_repeats: int = 1,
 ) -> dict:
     """Benchmark one dataset bundle; returns a JSON-ready row."""
@@ -133,10 +132,7 @@ def bench_dataset(
     sampled = sample_decision_positive(sampling_space, instances, seed)
     raws = [expand_placeholders(sampling_space.config, s) for s in sampled]
 
-    results = [
-        run_instance(full, raw, k=k, norms=norms, timing_repeats=timing_repeats)
-        for raw in raws
-    ]
+    results = [run_instance(full, raw, k=k, timing_repeats=timing_repeats) for raw in raws]
 
     ok = [r for r in results if r["error"] is None]
     row: dict = {
@@ -180,25 +176,17 @@ def run_benchmark(
     instances: int = 20,
     seed: int = 0,
     k: int = 20,
-    norms: Sequence[int] = (0, 1, 2),
     timing_repeats: int = 1,
 ) -> dict:
     rows = [
-        bench_dataset(
-            p,
-            instances=instances,
-            seed=seed,
-            k=k,
-            norms=norms,
-            timing_repeats=timing_repeats,
-        )
+        bench_dataset(p, instances=instances, seed=seed, k=k, timing_repeats=timing_repeats)
         for p in paths
     ]
     return {
         "instances": instances,
         "seed": seed,
         "k": k,
-        "norms": [NORM_NAMES[p] for p in norms],
+        "norms": [NORM_NAMES[p] for p in NORMS],
         "rows": rows,
     }
 

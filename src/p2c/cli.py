@@ -10,11 +10,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .dataset import consolidate_dataset, load_dataset
-from .domain import search_space_size, validate_state
+# consolidate_dataset stays importable from here for the benchmark's tracer
+from .dataset import consolidate_dataset, load_dataset  # noqa: F401
+from .domain import consolidate_placeholders, search_space_size, validate_state
 from .errors import (
     AlreadyCounterfactualError,
     CausalProgramError,
@@ -140,7 +142,9 @@ def cmd_validate(args) -> int:
 
 
 def _base_report(args, dataset, raw_instance) -> dict:
-    reduced = consolidate_dataset(dataset, raw_instance)
+    # only the consolidated space's size is reported, so no Dataset is built for it
+    config = replace(dataset.config, instance_defaults=dict(raw_instance))
+    reduced = consolidate_placeholders(config, (dataset.decision, dataset.causal))
     return {
         "command": " ".join(sys.argv),
         "dataset": dataset.config.name,
@@ -148,7 +152,7 @@ def _base_report(args, dataset, raw_instance) -> dict:
         "instance": raw_instance,
         "search_space": {
             "full": search_space_size(dataset.config),
-            "consolidated": search_space_size(reduced.config),
+            "consolidated": search_space_size(reduced),
         },
         "timing_ms": {},
     }

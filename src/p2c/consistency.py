@@ -8,19 +8,19 @@ its head value; an alternative whose bodies all fail excludes it.
 The tests run on the one-hot bit masks of :class:`p2c.masks.CompiledRules`:
 one bit per feature value, one forbidden mask per rule body, one head mask
 per causal alternative.  A ``Dataset`` compiles its programs once, on its
-first query; the free-standing functions here compile the rules they are
-given on each call.
+first query, and its methods (``consistent``, ``is_goal``, ``entailments``,
+``repair_values``) are the per-state API.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .domain import DatasetConfig, FeatureSpec, State, Value, search_space_size
+from .domain import DatasetConfig, Value, search_space_size
 from .errors import ConfigError, SpaceTooLargeError
-from .rules import Rule, RuleProgram, program_decides
+from .rules import Rule, RuleProgram
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,6 @@ class Entailment:
     required: Value | None
     excluded: tuple[Value, ...] = ()
     provenance: Sequence[str] = ()
-
-    @property
-    def unconstrained(self) -> bool:
-        return self.required is None and not self.excluded
 
 
 def build_causal_groups(
@@ -102,90 +98,6 @@ def build_causal_groups(
         )
         groups.append(CausalGroup(feature=name, alternatives=alts))
     return tuple(groups)
-
-
-# ---------------------------------------------------------------------------
-# Free-standing tests
-# ---------------------------------------------------------------------------
-
-
-def entailed_assignments(
-    config: DatasetConfig,
-    groups: Sequence[CausalGroup],
-    causal: RuleProgram,
-    state: State,
-) -> tuple[Entailment, ...]:
-    """One entailment per causally governed feature, evaluated on ``state``.
-
-    Bodies never read their own head feature (enforced at load), so each
-    group is decided by the state's other features alone.
-    """
-    from .masks import CompiledRules
-
-    compiled = CompiledRules(config, groups, causal)
-    return compiled.entailments(compiled.bits(state))
-
-
-def entailment_satisfied(spec: FeatureSpec, value: Value, ent: Entailment) -> bool:
-    if ent.required is not None and not spec.satisfies(value, ent.required):
-        return False
-    return all(not spec.satisfies(value, ex) for ex in ent.excluded)
-
-
-def causally_consistent(
-    config: DatasetConfig,
-    groups: Sequence[CausalGroup],
-    causal: RuleProgram,
-    state: State,
-) -> bool:
-    """Membership test for the causally consistent subspace."""
-    from .masks import CompiledRules
-
-    compiled = CompiledRules(config, groups, causal)
-    return compiled.consistent(compiled.bits(state))
-
-
-def decision_positive(decision: RuleProgram, state_map: Mapping[str, Value]) -> bool:
-    """True iff the name->value assignment carries the undesired outcome.
-
-    For rule sets written in terms of the desired label (German 'good'),
-    the polarity flips: undesired means no rule fires.
-    """
-    decided = program_decides(decision, state_map)
-    return decided if decision.describes_undesired else not decided
-
-
-def is_counterfactual(
-    config: DatasetConfig,
-    groups: Sequence[CausalGroup],
-    causal: RuleProgram,
-    decision: RuleProgram,
-    state: State,
-) -> bool:
-    """Goal-set membership: satisfies all causal rules and escapes the decision."""
-    from .masks import CompiledRules
-
-    compiled = CompiledRules(config, groups, causal, decision)
-    return compiled.is_goal(compiled.bits(state))
-
-
-def causal_repair_values(
-    config: DatasetConfig,
-    groups: Sequence[CausalGroup],
-    causal: RuleProgram,
-    state: State,
-    feature: str,
-) -> tuple[Value, ...]:
-    """Domain values that would make ``feature``'s causal group consistent,
-    holding the other features of ``state`` fixed.
-
-    A fired alternative's own head value (the declared representative) comes
-    first; remaining group-consistent values follow in domain order.
-    """
-    from .masks import CompiledRules
-
-    compiled = CompiledRules(config, groups, causal)
-    return compiled.repair_values(compiled.bits(state), feature)
 
 
 def group_is_exhaustive(

@@ -62,18 +62,6 @@ class Dataset:
 
         return CompiledRules(self.config, self.groups, self.causal, self.decision)
 
-    def frozen_features(self) -> frozenset[str]:
-        """Features pinned during search: immutable, or unactionable with no
-        causal rule able to move them."""
-        frozen = set()
-        heads = self.causal_head_features
-        for f in self.config.features:
-            if not f.mutable:
-                frozen.add(f.name)
-            elif not f.directly_actionable and f.name not in heads:
-                frozen.add(f.name)
-        return frozenset(frozen)
-
     def default_instance(self) -> State | None:
         if self.config.instance_defaults is None:
             return None
@@ -94,13 +82,18 @@ class Dataset:
         return compiled.is_goal(compiled.bits(state))
 
     def entailments(self, state: State) -> tuple[Entailment, ...]:
-        """One entailment per causal group, as ``entailed_assignments`` gives."""
+        """One entailment per causal group, in group order.
+
+        Bodies never read their own head feature (enforced at load), so each
+        group is decided by the state's other features alone.
+        """
         compiled = self.compiled
         return compiled.entailments(compiled.bits(state))
 
     def repair_values(self, state: State, feature: str) -> tuple[Value, ...]:
-        """Values that make ``feature``'s group consistent, as
-        ``causal_repair_values`` gives."""
+        """Domain values that would make ``feature``'s causal group consistent,
+        holding the other features of ``state`` fixed; the fired head value
+        comes first, the rest follow in domain order."""
         compiled = self.compiled
         return compiled.repair_values(compiled.bits(state), feature)
 

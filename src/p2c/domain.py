@@ -151,9 +151,6 @@ class DatasetConfig:
     def state_dict(self, state: State) -> dict[str, Value]:
         return {f.name: v for f, v in zip(self.features, state.values)}
 
-    def state_from_dict(self, assignment: Mapping[str, Value]) -> State:
-        return State(tuple(assignment[f.name] for f in self.features))
-
     def lex_key(self, state: State) -> tuple[int, ...]:
         """Lexicographic position: feature order then domain index."""
         return tuple(f.index_of(v) for f, v in zip(self.features, state.values))

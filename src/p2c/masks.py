@@ -327,6 +327,11 @@ class CompiledRules:
     def is_goal(self, bits: int) -> bool:
         return self.consistent(bits) and _any_fires(bits, self.decision) != self.undesired
 
+    def _provenance(self, g: _CompiledGroup, bits: int, fired: int):
+        if fired < 0:
+            return ()
+        return RuleText(g.group.alternatives[fired].rules, g.bodies[fired], bits)
+
     def _entailment(self, g: _CompiledGroup, bits: int) -> Entailment:
         fired = g.fired(bits)
         alts = g.group.alternatives
@@ -334,17 +339,16 @@ class CompiledRules:
             feature=g.group.feature,
             required=alts[fired].value if fired >= 0 else None,
             excluded=tuple(alt.value for a, alt in enumerate(alts) if a != fired),
-            provenance=RuleText(alts[fired].rules, g.bodies[fired], bits) if fired >= 0 else (),
+            provenance=self._provenance(g, bits, fired),
         )
 
     def entailments(self, bits: int) -> tuple[Entailment, ...]:
         return tuple(self._entailment(g, bits) for g in self.groups)
 
-    def repair_values(self, bits: int, feature: str) -> tuple[Value, ...]:
-        g = next((g for g in self.groups if g.group.feature == feature), None)
-        if g is None:
-            return ()
-        fired = g.fired(bits)
+    def _allowed(self, g: _CompiledGroup, fired: int) -> tuple[Value, ...]:
+        """Values of ``g``'s feature that satisfy the group, given which
+        alternative fired; the fired head value (the declared representative)
+        comes first, the rest follow in domain order."""
         if fired >= 0:
             allowed = g.heads[fired] & ~g.others[fired]
         else:
@@ -357,3 +361,24 @@ class CompiledRules:
                 ok.remove(required)
                 ok.insert(0, required)
         return tuple(ok)
+
+    def repair_values(self, bits: int, feature: str) -> tuple[Value, ...]:
+        g = next((g for g in self.groups if g.group.feature == feature), None)
+        if g is None:
+            return ()
+        return self._allowed(g, g.fired(bits))
+
+    def violations(self, bits: int) -> list[tuple[int, tuple[Value, ...], Sequence[str]]]:
+        """``(feature index, repair values, provenance)`` of every violated
+        group, in feature order.
+
+        Every group is evaluated, so two co-firing alternatives raise as in
+        :meth:`entailments`, whether or not their group is violated.
+        """
+        out = []
+        for g in self.groups:
+            fired = g.fired(bits)
+            if not g.satisfied(bits, fired):
+                out.append((g.fi, self._allowed(g, fired), self._provenance(g, bits, fired)))
+        out.sort(key=lambda v: v[0])
+        return out

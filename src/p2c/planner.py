@@ -18,7 +18,6 @@ import collections
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .consistency import entailment_satisfied
 from .dataset import Dataset
 from .domain import DatasetConfig, FeatureSpec, State, Value
 from .errors import InconsistentInitialStateError, P2CError, SearchExhaustedError
@@ -130,19 +129,18 @@ def available_causal_actions(dataset: Dataset, state: State) -> list[Action]:
     candidates; immutable features are never repaired.
     """
     config = dataset.config
+    compiled = dataset.compiled
     actions: list[Action] = []
-    by_feature = {e.feature: e for e in dataset.entailments(state)}
-    for spec, current in zip(config.features, state.values):
-        ent = by_feature.get(spec.name)
-        if ent is None or not spec.mutable:
+    for fi, values, provenance in compiled.violations(compiled.bits(state)):
+        spec = config.features[fi]
+        if not spec.mutable:
             continue
-        if entailment_satisfied(spec, current, ent):
-            continue
-        for value in dataset.repair_values(state, spec.name):
-            if value != current:
-                actions.append(
-                    Action(CAUSAL, spec.name, value, provenance=ent.provenance)
-                )
+        current = state.values[fi]
+        actions.extend(
+            Action(CAUSAL, spec.name, value, provenance=provenance)
+            for value in values
+            if value != current
+        )
     return actions
 
 

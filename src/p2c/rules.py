@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import EvaluationError, RuleProgramError, RuleSyntaxError
 
@@ -98,15 +98,6 @@ class RuleProgram:
         """The shared (predicate, value) head of the non-aux rules, if any."""
         main = self.rules
         return main[0].head if main else None
-
-    def predicates_used(self) -> set[str]:
-        """All body predicates that are neither aux nor the head predicate."""
-        used: set[str] = set()
-        for rule in self.clauses:
-            for lit in rule.body:
-                if lit.predicate is not None and not is_aux_predicate(lit.predicate):
-                    used.add(lit.predicate)
-        return used
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +523,3 @@ def mentioned_values(program: RuleProgram, feature: str) -> set[str | float]:
                 out.add(lit.bound)  # type: ignore[arg-type]
     return out
 
-
-def iter_referenced_features(program: RuleProgram) -> Iterator[str]:
-    """Feature names the program reads or (for causal programs) constrains."""
-    seen: set[str] = set()
-    for rule in program.clauses:
-        names = []
-        if program.kind == "causal" and not rule.is_aux:
-            names.append(rule.head.predicate)
-        for lit in rule.body:
-            if lit.predicate is not None and not is_aux_predicate(lit.predicate):
-                names.append(lit.predicate)
-        for name in names:
-            if name not in seen:
-                seen.add(name)
-                yield name

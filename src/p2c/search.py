@@ -5,11 +5,12 @@ causal rules compel (given the target's other features) gets weight zero.
 ``all_changes`` mode is the comparator that prices everything, including
 changes the world would make on its own.
 
-min_cf streams candidates from the plausibility-restricted product space in
-nondecreasing order of a per-feature lower bound, so it can stop as soon as
-the bound passes the best verified counterfactual.  Candidates stay index
-vectors and one-hot bits (see ``masks.CompiledRules``) until one passes
-the goal test; only goals become a ``State``.
+goal_knearest streams candidates from the plausibility-restricted product
+space in nondecreasing order of a per-feature lower bound, so it can stop as
+soon as the bound passes the k-th best verified counterfactual; min_cf is its
+``k = 1`` case.  Candidates stay index vectors and one-hot bits (see
+``masks.CompiledRules``) until one passes the goal test; only goals become a
+``State``.
 """
 
 from __future__ import annotations
@@ -17,32 +18,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .dataset import Dataset
-from .domain import (
-    NUMERIC,
-    DatasetConfig,
-    FeatureSpec,
-    State,
-    Value,
-    enumerate_states,
-    search_space_size,
-)
+from .domain import NUMERIC, DatasetConfig, FeatureSpec, State, Value
 from .errors import (
     AlreadyCounterfactualError,
     InconsistentInitialStateError,
     NoCounterfactualError,
     P2CError,
-    SpaceTooLargeError,
 )
 
 MODES = ("p2c", "all_changes")
-
-def oracle_cap() -> int:
-    return int(os.environ.get("P2C_ORACLE_CAP", "100000"))
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +46,16 @@ def feature_distance(spec: FeatureSpec, a: Value, b: Value) -> float:
             return 0.0 if a == b else 1.0
         return abs(float(a) - float(b)) / width  # type: ignore[arg-type]
     return 0.0 if a == b else 1.0
+
+
+def lp_term(spec: FeatureSpec, w: float, a: Value, b: Value, p: int) -> float:
+    """One feature's share of the weighted Lp sum (before the square root for L2)."""
+    d = feature_distance(spec, a, b)
+    if p == 0:
+        return 1.0 if w > 0 and d > 0 else 0.0
+    if p == 1:
+        return w * d
+    return w * d * d
 
 
 def compute_weighted_lp(
@@ -78,14 +76,7 @@ def compute_weighted_lp(
         raise P2CError("states do not match the config's feature tuple")
     total = 0.0
     for spec, va, vb in zip(config.features, a.values, b.values):
-        w = weights[spec.name]
-        d = feature_distance(spec, va, vb)
-        if p == 0:
-            total += 1.0 if w > 0 and d > 0 else 0.0
-        elif p == 1:
-            total += w * d
-        else:
-            total += w * d * d
+        total += lp_term(spec, weights[spec.name], va, vb, p)
     return math.sqrt(total) if p == 2 else total
 
 
@@ -164,13 +155,6 @@ def plausible_values(dataset: Dataset, spec: FeatureSpec, current: Value) -> tup
     return spec.domain
 
 
-def candidate_space_size(dataset: Dataset, instance: State) -> int:
-    return math.prod(
-        len(plausible_values(dataset, spec, v))
-        for spec, v in zip(dataset.config.features, instance.values)
-    )
-
-
 def _per_feature_costs(
     dataset: Dataset,
     instance: State,
@@ -191,14 +175,7 @@ def _per_feature_costs(
             if mode == "p2c" and spec.name in heads:
                 contrib = 0.0
             else:
-                d = feature_distance(spec, cur, v)
-                w = weights[spec.name]
-                if p == 0:
-                    contrib = 1.0 if w > 0 and d > 0 else 0.0
-                elif p == 1:
-                    contrib = w * d
-                else:
-                    contrib = w * d * d
+                contrib = lp_term(spec, weights[spec.name], cur, v, p)
             entries.append((contrib, spec.index_of(v), v))
         entries.sort()
         out.append((spec, entries))
@@ -294,21 +271,24 @@ def _check_initial(dataset: Dataset, instance: State, on_inconsistent: str) -> N
         )
 
 
-def min_cf(
+def _nearest(
     dataset: Dataset,
     instance: State,
-    *,
-    weights: Mapping[str, float] | None = None,
-    p: int | None = None,
-    mode: str = "p2c",
-    on_inconsistent: str = "error",
-) -> CostReport:
-    """The minimal causally compliant counterfactual for ``instance``.
+    k: int,
+    weights: Mapping[str, float] | None,
+    p: int | None,
+    mode: str,
+    on_inconsistent: str,
+) -> list[CostReport]:
+    """The k cheapest goals, ties by lexicographic position.
 
-    Ties in cost break lexicographically (feature order, then domain index).
+    Walks the bound-ordered candidate stream and stops once the bound passes
+    the k-th best cost found.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     config = dataset.config
     weights = dict(weights) if weights is not None else config.weights()
     p = config.norm_p if p is None else p
@@ -316,132 +296,6 @@ def min_cf(
 
     per_feature = _per_feature_costs(dataset, instance, weights, p, mode)
     # bounds accumulate in pre-sqrt space for L2, so compare costs there too
-    acc = (lambda c: c * c) if p == 2 else (lambda c: c)
-    best: tuple[float, int, CostReport] | None = None
-    for bound, lex, state in _stream_candidates(dataset, per_feature):
-        if best is not None and bound > acc(best[0]) + 1e-12:
-            break
-        if state is None:
-            continue
-        report = _price(dataset, instance, state, weights, p, mode)
-        key = (report.cost, lex)
-        if best is None or key < (best[0], best[1]):
-            best = (report.cost, lex, report)
-    if best is None:
-        raise NoCounterfactualError(
-            "no causally consistent counterfactual exists in the admissible space"
-        )
-    return best[2]
-
-
-# ---------------------------------------------------------------------------
-# k-nearest machinery
-# ---------------------------------------------------------------------------
-
-
-def _sorted_knearest(
-    config: DatasetConfig,
-    states,
-    q: State,
-    k: int,
-    p: int,
-    weights: Mapping[str, float],
-) -> list[tuple[State, float]]:
-    scored = [
-        (compute_weighted_lp(config, q, s, weights, p), config.lex_key(s), s)
-        for s in states
-    ]
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [(s, d) for d, _, s in scored[:k]]
-
-
-def brute_force_knearest(
-    config: DatasetConfig,
-    q: State,
-    k: int,
-    p: int,
-    weights: Mapping[str, float] | None = None,
-) -> list[tuple[State, float]]:
-    """Exhaustive k-nearest over the full product space (test oracle).
-
-    Refuses spaces above P2C_ORACLE_CAP (default 100000).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    size = search_space_size(config)
-    if size > oracle_cap():
-        raise SpaceTooLargeError(
-            f"space of {size} states exceeds the oracle cap {oracle_cap()}"
-        )
-    weights = dict(weights) if weights is not None else config.weights()
-    return _sorted_knearest(config, enumerate_states(config), q, k, p, weights)
-
-
-def _contribution(spec: FeatureSpec, w: float, qv: Value, v: Value, p: int) -> float:
-    d = feature_distance(spec, qv, v)
-    if p == 0:
-        return 1.0 if w > 0 and d > 0 else 0.0
-    if p == 1:
-        return w * d
-    return w * d * d
-
-
-def knearest_trimmed(
-    config: DatasetConfig,
-    q: State,
-    k: int,
-    p: int,
-    weights: Mapping[str, float] | None = None,
-) -> list[tuple[State, float]]:
-    """k nearest states via per-dimension trimming.
-
-    Keeps, in every dimension, the k values with the smallest per-feature
-    cost contribution under the chosen norm (ties by domain index, matching
-    the global lexicographic tie-break), forms the candidate product, and
-    picks the k best overall.  The k nearest of the full space always
-    survive such a trim, so this equals brute force.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    weights = dict(weights) if weights is not None else config.weights()
-    trimmed: list[list[Value]] = []
-    for spec, qv in zip(config.features, q.values):
-        ranked = sorted(
-            spec.domain,
-            key=lambda v: (_contribution(spec, weights[spec.name], qv, v, p), spec.index_of(v)),
-        )
-        trimmed.append(ranked[:k])
-    candidates = (State(combo) for combo in itertools.product(*trimmed))
-    return _sorted_knearest(config, candidates, q, k, p, weights)
-
-
-def goal_knearest(
-    dataset: Dataset,
-    instance: State,
-    k: int,
-    *,
-    p: int | None = None,
-    mode: str = "p2c",
-    weights: Mapping[str, float] | None = None,
-    on_inconsistent: str = "error",
-) -> list[CostReport]:
-    """The k cheapest counterfactuals for ``instance`` under the given mode.
-
-    Dimension trimming is unsound once candidates are filtered to the goal
-    set, so this scans the plausibility-restricted space with the same
-    bound-ordered stream as min_cf, stopping when the bound passes the k-th
-    best cost.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    config = dataset.config
-    weights = dict(weights) if weights is not None else config.weights()
-    p = config.norm_p if p is None else p
-    _check_initial(dataset, instance, on_inconsistent)
-
-    per_feature = _per_feature_costs(dataset, instance, weights, p, mode)
     acc = (lambda c: c * c) if p == 2 else (lambda c: c)
     found: list[tuple[float, int, CostReport]] = []
     for bound, lex, state in _stream_candidates(dataset, per_feature):
@@ -458,3 +312,80 @@ def goal_knearest(
             "no causally consistent counterfactual exists in the admissible space"
         )
     return [r for _, _, r in found]
+
+
+def min_cf(
+    dataset: Dataset,
+    instance: State,
+    *,
+    weights: Mapping[str, float] | None = None,
+    p: int | None = None,
+    mode: str = "p2c",
+    on_inconsistent: str = "error",
+) -> CostReport:
+    """The minimal causally compliant counterfactual for ``instance``: the
+    ``k = 1`` case of :func:`goal_knearest`.
+
+    Ties in cost break lexicographically (feature order, then domain index).
+    """
+    return _nearest(dataset, instance, 1, weights, p, mode, on_inconsistent)[0]
+
+
+# ---------------------------------------------------------------------------
+# k-nearest machinery
+# ---------------------------------------------------------------------------
+
+
+def knearest_trimmed(
+    config: DatasetConfig,
+    q: State,
+    k: int,
+    p: int,
+    weights: Mapping[str, float] | None = None,
+) -> list[tuple[State, float]]:
+    """k nearest states via per-dimension trimming.
+
+    Keeps, in every dimension, the k values with the smallest per-feature
+    cost contribution under the chosen norm (ties by domain index, matching
+    the global lexicographic tie-break), forms the candidate product, and
+    picks the k best overall.  The k nearest of the full space always
+    survive such a trim, so this equals an exhaustive sort of the space.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    weights = dict(weights) if weights is not None else config.weights()
+    trimmed: list[list[Value]] = []
+    for spec, qv in zip(config.features, q.values):
+        w = weights[spec.name]
+        ranked = sorted(
+            spec.domain, key=lambda v: (lp_term(spec, w, qv, v, p), spec.index_of(v))
+        )
+        trimmed.append(ranked[:k])
+    scored = sorted(
+        (
+            (compute_weighted_lp(config, q, s, weights, p), config.lex_key(s), s)
+            for s in map(State, itertools.product(*trimmed))
+        ),
+        key=lambda t: (t[0], t[1]),
+    )
+    return [(s, d) for d, _, s in scored[:k]]
+
+
+def goal_knearest(
+    dataset: Dataset,
+    instance: State,
+    k: int,
+    *,
+    p: int | None = None,
+    mode: str = "p2c",
+    weights: Mapping[str, float] | None = None,
+    on_inconsistent: str = "error",
+) -> list[CostReport]:
+    """The k cheapest counterfactuals for ``instance`` under the given mode.
+
+    Dimension trimming is unsound once candidates are filtered to the goal
+    set, so this scans the plausibility-restricted space with the
+    bound-ordered candidate stream, stopping when the bound passes the k-th
+    best cost.
+    """
+    return _nearest(dataset, instance, k, weights, p, mode, on_inconsistent)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from p2c.consistency import Entailment, causal_repair_values, entailment_satisfied
+from p2c.consistency import Entailment
 from p2c.domain import State, enumerate_states
 from p2c.errors import CausalProgramError
 from p2c.planner import CAUSAL, DIRECT, PlanPath, direct_action_problem
@@ -21,6 +21,14 @@ from p2c.search import adjust_weights, compute_weighted_lp
 # ---------------------------------------------------------------------------
 # Interpreted rule semantics: the reference for the compiled bit masks
 # ---------------------------------------------------------------------------
+
+
+def entailment_satisfied(spec, value, ent) -> bool:
+    """Whether ``value`` meets the entailment: it satisfies the required head
+    value, if any, and none of the excluded ones."""
+    if ent.required is not None and not spec.satisfies(value, ent.required):
+        return False
+    return all(not spec.satisfies(value, ex) for ex in ent.excluded)
 
 
 def interpreted_entailment(dataset, group, state):
@@ -161,9 +169,7 @@ def replay_transition(dataset, before: State, actions, after: State) -> list[str
             if why:
                 problems.append(f"direct action {idx}: {why}")
         elif action.kind == CAUSAL:
-            allowed = causal_repair_values(
-                config, dataset.groups, dataset.causal, current, action.feature
-            )
+            allowed = interpreted_repair_values(dataset, current, action.feature)
             if action.new_value not in allowed:
                 problems.append(f"causal action {idx}: value not compelled here")
         else:

@@ -11,14 +11,14 @@ import time
 from contextlib import contextmanager
 
 from conftest import random_dataset
-from oracles import exhaustive_min_cf, verify_solution_path
+from oracles import exhaustive_knearest, exhaustive_min_cf, verify_solution_path
 from p2c.bench import bench_dataset
 from p2c.dataset import consolidate_dataset
 from p2c.domain import FeatureSpec, State, ingest_csv, search_space_size
 from p2c.errors import NoCounterfactualError, SearchExhaustedError
 from p2c.planner import find_path
 from p2c.rules import canonicalize, program_decides
-from p2c.search import brute_force_knearest, knearest_trimmed, min_cf
+from p2c.search import knearest_trimmed, min_cf
 
 
 @contextmanager
@@ -85,7 +85,7 @@ def test_criterion_03_soundness_suite():
 
 
 def test_criterion_04_trimming_theorem():
-    with budget(10.0, "criterion 4: dimension-trimmed k-nearest equals brute force"):
+    with budget(10.0, "criterion 4: dimension-trimmed k-nearest equals an exhaustive sort"):
         from p2c.domain import DatasetConfig
 
         rng = random.Random(2024)
@@ -115,7 +115,7 @@ def test_criterion_04_trimming_theorem():
             k = rng.randint(1, 4)
             for p in (0, 1, 2):
                 got = knearest_trimmed(config, q, k, p)
-                want = brute_force_knearest(config, q, k, p)
+                want = exhaustive_knearest(config, q, k, p)
                 assert [(s, round(d, 10)) for s, d in got] == [
                     (s, round(d, 10)) for s, d in want
                 ], (trials, p)

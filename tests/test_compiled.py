@@ -3,9 +3,9 @@
 The reference (``oracles.interpreted_*``) walks every literal with
 ``rules.rule_fires`` on the state's name->value dict; the dataset answers on
 its compiled masks.  They must agree on goal membership, causal consistency,
-the decision, entailments (required, excluded and provenance), repair values
-and the text of a two-alternatives error, on every state of every bundle and
-of many random rule programs.
+the decision, entailments (required, excluded and provenance), repair values,
+the planner's causal actions and the text of a two-alternatives error, on
+every state of every bundle and of many random rule programs.
 """
 
 from __future__ import annotations
@@ -16,16 +16,17 @@ import pytest
 
 from conftest import DATA, make_dataset, random_dataset
 from oracles import (
+    entailment_satisfied,
     interpreted_consistent,
     interpreted_decision_positive,
     interpreted_entailments,
     interpreted_is_goal,
     interpreted_repair_values,
 )
-from p2c.consistency import causally_consistent, entailed_assignments, is_counterfactual
 from p2c.dataset import build_dataset, consolidate_dataset, load_dataset
 from p2c.domain import DatasetConfig, FeatureSpec, enumerate_states, validate_state
 from p2c.errors import CausalProgramError
+from p2c.planner import available_causal_actions
 from p2c.rules import parse_rule_program
 
 BUNDLES = ("cars", "german", "adult", "example1", "example2")
@@ -43,7 +44,24 @@ def plain(ents):
     return tuple((e.feature, e.required, e.excluded, tuple(e.provenance)) for e in ents)
 
 
-def disagreements(dataset, state, *, free_functions=False) -> list[str]:
+def interpreted_causal_actions(dataset, state):
+    """The planner's causal repairs, from the interpreted entailments: every
+    value of a violated, mutable group but the current one, in feature order."""
+    ents = {e.feature: e for e in interpreted_entailments(dataset, state)}
+    out = []
+    for spec, current in zip(dataset.config.features, state.values):
+        ent = ents.get(spec.name)
+        if ent is None or not spec.mutable or entailment_satisfied(spec, current, ent):
+            continue
+        out += [
+            (spec.name, value, tuple(ent.provenance))
+            for value in interpreted_repair_values(dataset, state, spec.name)
+            if value != current
+        ]
+    return out
+
+
+def disagreements(dataset, state) -> list[str]:
     """Every test on which the compiled and the interpreted forms differ."""
     pairs = [
         ("is_goal", dataset.is_goal, interpreted_is_goal),
@@ -51,17 +69,11 @@ def disagreements(dataset, state, *, free_functions=False) -> list[str]:
         ("decision_positive", dataset.decision_positive, interpreted_decision_positive),
         ("entailments", lambda s: plain(dataset.entailments(s)),
          lambda d, s: plain(interpreted_entailments(d, s))),
+        ("causal_actions",
+         lambda s: [(a.feature, a.new_value, tuple(a.provenance))
+                    for a in available_causal_actions(dataset, s)],
+         interpreted_causal_actions),
     ]
-    if free_functions:
-        c, g, k = dataset.config, dataset.groups, dataset.causal
-        pairs += [
-            ("entailed_assignments", lambda s: plain(entailed_assignments(c, g, k, s)),
-             lambda d, s: plain(interpreted_entailments(d, s))),
-            ("causally_consistent", lambda s: causally_consistent(c, g, k, s),
-             interpreted_consistent),
-            ("is_counterfactual", lambda s: is_counterfactual(c, g, k, dataset.decision, s),
-             interpreted_is_goal),
-        ]
     for group in dataset.groups:
         pairs.append((
             f"repair_values[{group.feature}]",
@@ -76,11 +88,11 @@ def disagreements(dataset, state, *, free_functions=False) -> list[str]:
     return out
 
 
-def assert_agrees_everywhere(dataset, **kwargs) -> int:
+def assert_agrees_everywhere(dataset) -> int:
     """Check every state of the dataset's space; return how many raised."""
     raised = 0
     for state in enumerate_states(dataset.config):
-        problems = disagreements(dataset, state, **kwargs)
+        problems = disagreements(dataset, state)
         assert not problems, problems[:3]
         raised += outcome(dataset.consistent, state)[0] == "error"
     return raised
@@ -89,7 +101,7 @@ def assert_agrees_everywhere(dataset, **kwargs) -> int:
 @pytest.mark.parametrize("bundle", BUNDLES)
 def test_compiled_agrees_on_every_bundle_state(bundle):
     full = load_dataset(DATA / bundle)
-    assert assert_agrees_everywhere(full, free_functions=True) == 0
+    assert assert_agrees_everywhere(full) == 0
     assert assert_agrees_everywhere(consolidate_dataset(full)) == 0
 
 
@@ -189,7 +201,7 @@ def test_compiled_agrees_on_random_programs_with_exceptions_and_overlaps():
         dataset = rich_dataset(seed)
         if dataset is None:
             continue
-        raised += assert_agrees_everywhere(dataset, free_functions=seed % 10 == 0)
+        raised += assert_agrees_everywhere(dataset)
         with_aux += any(
             lit.kind in ("aux_call", "negated_aux_call")
             for rule in dataset.decision.rules + dataset.causal.rules
@@ -258,7 +270,8 @@ def test_two_firing_alternatives_keep_their_rule_text():
     text = "f(X,'a') :- g(X,'x').; f(X,'b') :- h(X,'p')."
     message = ("error", f"two alternatives for feature 'f' fired simultaneously: {text}")
     for test in (ds.consistent, ds.is_goal, ds.entailments,
-                 lambda s: ds.repair_values(s, "f")):
+                 lambda s: ds.repair_values(s, "f"),
+                 lambda s: available_causal_actions(ds, s)):
         assert outcome(test, state) == message
     assert outcome(interpreted_consistent, ds, state) == message
     # states where only one alternative fires answer normally

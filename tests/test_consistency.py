@@ -3,23 +3,17 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_dataset
-from p2c.consistency import (
-    causal_repair_values,
-    entailed_assignments,
-    group_is_exhaustive,
-    is_counterfactual,
-)
+from p2c.consistency import group_is_exhaustive
 from p2c.domain import enumerate_states, validate_state
 from p2c.errors import CausalProgramError
 
 
 def ents_by_feature(dataset, state):
-    ents = entailed_assignments(dataset.config, dataset.groups, dataset.causal, state)
-    return {e.feature: e for e in ents}
+    return {e.feature: e for e in dataset.entailments(state)}
 
 
 # ---------------------------------------------------------------------------
-# entailed_assignments
+# entailments
 # ---------------------------------------------------------------------------
 
 
@@ -60,7 +54,7 @@ def test_two_firing_alternatives_is_a_program_error():
     )
     state = validate_state(ds.config, {"f": "a", "g": "x", "h": "p"})
     with pytest.raises(CausalProgramError, match="two alternatives.*'f'"):
-        entailed_assignments(ds.config, ds.groups, ds.causal, state)
+        ds.entailments(state)
     # same head value through two rules is not a conflict
     ds2 = make_dataset(
         {"f": ("a", "b"), "g": ("x", "y"), "h": ("p", "q")},
@@ -68,7 +62,7 @@ def test_two_firing_alternatives_is_a_program_error():
         "f(X,'a') :- g(X,'x').\nf(X,'a') :- h(X,'p').",
     )
     state2 = validate_state(ds2.config, {"f": "a", "g": "x", "h": "p"})
-    ents = entailed_assignments(ds2.config, ds2.groups, ds2.causal, state2)
+    ents = ds2.entailments(state2)
     assert ents[0].required == "a"
 
 
@@ -84,7 +78,7 @@ def test_self_referential_causal_rule_rejected():
 
 
 # ---------------------------------------------------------------------------
-# causally_consistent
+# causal consistency
 # ---------------------------------------------------------------------------
 
 
@@ -127,7 +121,7 @@ def test_directional_satisfaction(example2):
 
 
 # ---------------------------------------------------------------------------
-# is_counterfactual / goal membership
+# goal membership
 # ---------------------------------------------------------------------------
 
 
@@ -186,11 +180,7 @@ def test_filter_composition_order_insensitive(example2):
     a = [s for s in a if not example2.decision_positive(s)]
     b = [s for s in space if not example2.decision_positive(s)]
     b = [s for s in b if example2.consistent(s)]
-    combined = [
-        s for s in space
-        if is_counterfactual(example2.config, example2.groups, example2.causal,
-                             example2.decision, s)
-    ]
+    combined = [s for s in space if example2.is_goal(s)]
     assert a == b == combined
 
 
@@ -210,9 +200,7 @@ def test_causal_repair_values_prefers_fired_head(example2):
         "age": 31, "debt": 0, "loan_duration": 12,
         "bank_balance": 40000, "credit_score": 599,
     })
-    values = causal_repair_values(
-        example2.config, example2.groups, example2.causal, broken, "credit_score"
-    )
+    values = example2.repair_values(broken, "credit_score")
     assert values[0] == 620.0
     assert set(values) == {620.0, 621.0}
 
@@ -222,9 +210,7 @@ def test_causal_repair_values_for_excluded_violation(example2):
         "age": 31, "debt": 5000, "loan_duration": 12,
         "bank_balance": 40000, "credit_score": 620,
     })
-    values = causal_repair_values(
-        example2.config, example2.groups, example2.causal, broken, "credit_score"
-    )
+    values = example2.repair_values(broken, "credit_score")
     assert set(values) == {599.0, 619.0}
 
 
@@ -240,4 +226,4 @@ def test_adult_marital_group_partition(adult):
     marital = next(g for g in adult.groups if g.feature == "marital_status")
     assert group_is_exhaustive(adult.config, marital, adult.causal) is True
     for state in enumerate_states(adult.config):
-        entailed_assignments(adult.config, adult.groups, adult.causal, state)  # no error
+        adult.entailments(state)  # no error

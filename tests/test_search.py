@@ -13,11 +13,9 @@ from p2c.errors import (
     AlreadyCounterfactualError,
     InconsistentInitialStateError,
     NoCounterfactualError,
-    SpaceTooLargeError,
 )
 from p2c.search import (
     adjust_weights,
-    brute_force_knearest,
     compute_weighted_lp,
     goal_knearest,
     knearest_trimmed,
@@ -292,27 +290,22 @@ def test_knearest_trimmed_equals_brute_force_randomised():
         k = rng.randint(1, 4)
         p = rng.choice((0, 1, 2))
         got = knearest_trimmed(config, q, k, p)
-        want = brute_force_knearest(config, q, k, p)
+        want = exhaustive_knearest(config, q, k, p)
         assert [(s, round(d, 9)) for s, d in got] == [(s, round(d, 9)) for s, d in want]
 
 
-def test_brute_force_edges(cars):
-    q = cars.default_instance()
-    (only,) = brute_force_knearest(
+def test_knearest_edges():
+    (only,) = knearest_trimmed(
         make_dataset({"f": ("a",)}, "").config, State(("a",)), 1, 1
     )
     assert only[0] == State(("a",))
     # k = space size returns the whole space sorted
     ds = make_dataset({"f": ("a", "b"), "g": ("x", "y")}, "")
-    out = brute_force_knearest(ds.config, State(("a", "x")), 4, 1)
+    out = knearest_trimmed(ds.config, State(("a", "x")), 4, 1)
     assert len(out) == 4
     assert [d for _, d in out] == sorted(d for _, d in out)
-
-
-def test_brute_force_cap(monkeypatch, german):
-    monkeypatch.setenv("P2C_ORACLE_CAP", "10")
-    with pytest.raises(SpaceTooLargeError):
-        brute_force_knearest(german.config, german.default_instance(), 3, 1)
+    with pytest.raises(ValueError):
+        knearest_trimmed(ds.config, State(("a", "x")), 0, 1)
 
 
 # ---------------------------------------------------------------------------
