@@ -49,7 +49,10 @@ class NoCounterfactualError(P2CError):
 
 
 class SearchExhaustedError(P2CError):
-    """Backtracking search emptied its ledger without reaching a goal."""
+    """Backtracking search emptied its ledger without reaching a goal.
+
+    ``diagnostics`` holds the abandoned entry, ``((state, actions tried),)``.
+    """
 
     def __init__(self, message: str, diagnostics=None):
         super().__init__(message)

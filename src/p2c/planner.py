@@ -9,19 +9,21 @@ causal rules, backtracking by popping the ledger when a branch dies.
 
 An iterative-deepening budget caps the number of direct actions live on the
 ledger; causal actions ride free.  The budget starts at one direct change and
-grows until a plan appears or the cap is hit.
+grows until a plan appears or the cap is hit.  Each state's consistency and
+moves are computed once per ``find_path`` call and shared across budgets.
 """
 
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .dataset import Dataset
 from .domain import DatasetConfig, FeatureSpec, State, Value
 from .errors import InconsistentInitialStateError, P2CError, SearchExhaustedError
-from .search import compute_weighted_lp
+from .search import lp_term
 
 DIRECT = "direct"
 CAUSAL = "causal"
@@ -54,6 +56,8 @@ class Ledger:
     def __init__(self):
         self.entries: list[LedgerEntry] = []
         self.seen: set[State] = set()
+        # find_path's memo, shared by all its budgets; a bare ledger has none
+        self.moves: _Moves | None = None
 
     def push(self, state: State, taken: list[Action] | None = None) -> None:
         self.entries.append(LedgerEntry(state, taken if taken is not None else []))
@@ -79,9 +83,6 @@ class Ledger:
             if act is not None and act.kind == DIRECT:
                 n += 1
         return n
-
-    def snapshot(self) -> tuple[tuple[State, tuple[Action, ...]], ...]:
-        return tuple((e.state, tuple(e.taken)) for e in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -122,60 +123,120 @@ def direct_action_problem(spec: FeatureSpec, old: Value, new: Value) -> str | No
     return None
 
 
-def available_causal_actions(dataset: Dataset, state: State) -> list[Action]:
-    """Repairs for currently violated causal groups, in feature order.
+class _Moves:
+    """Memo of each state's consistency, causal repairs and ranked direct
+    changes (each paired with the state it leads to) toward one target.
 
-    The fired head value (the declared representative) leads each group's
-    candidates; immutable features are never repaired.
+    These depend only on the state, the target, the weights and ``p``; the
+    budget, the actions tried and the seen-set apply when a move is selected,
+    so one memo serves every budget of a ``find_path`` call.
     """
-    config = dataset.config
-    compiled = dataset.compiled
-    actions: list[Action] = []
-    for fi, values, provenance in compiled.violations(compiled.bits(state)):
-        spec = config.features[fi]
-        if not spec.mutable:
-            continue
-        current = state.values[fi]
-        actions.extend(
-            Action(CAUSAL, spec.name, value, provenance=provenance)
-            for value in values
-            if value != current
-        )
-    return actions
+
+    def __init__(self, dataset: Dataset, target: State | None,
+                 weights: Mapping[str, float] | None = None, p: int | None = None):
+        config = dataset.config
+        self.dataset = dataset
+        self.p = config.norm_p if p is None else p
+        self.terms: tuple[tuple[float, ...], ...] | None = None
+        if target is not None:
+            if self.p not in (0, 1, 2):
+                raise ValueError(f"p must be 0, 1 or 2, got {self.p}")
+            if len(target.values) != len(config.features):
+                raise P2CError("states do not match the config's feature tuple")
+            weights = config.weights() if weights is None else weights
+            # terms[i][j]: feature i's share of the Lp sum at its j-th value
+            self.terms = tuple(
+                tuple(lp_term(spec, weights[spec.name], v, t, self.p) for v in spec.domain)
+                for spec, t in zip(config.features, target.values)
+            )
+        self._consistent: dict[State, bool] = {}
+        self._causal: dict[State, list[tuple[Action, State]]] = {}
+        self._direct: dict[State, list[tuple[Action, State]]] = {}
+
+    def consistent(self, state: State) -> bool:
+        known = self._consistent.get(state)
+        if known is None:
+            known = self._consistent[state] = self.dataset.consistent(state)
+        return known
+
+    def causal(self, state: State) -> list[tuple[Action, State]]:
+        """Repairs for currently violated causal groups, in feature order.
+
+        The fired head value (the declared representative) leads each group's
+        candidates; immutable features are never repaired.
+        """
+        moves = self._causal.get(state)
+        if moves is None:
+            config = self.dataset.config
+            compiled = self.dataset.compiled
+            moves = self._causal[state] = []
+            for fi, values, provenance in compiled.violations(compiled.bits(state)):
+                spec = config.features[fi]
+                if not spec.mutable:
+                    continue
+                moves.extend(
+                    (Action(CAUSAL, spec.name, value, provenance=provenance),
+                     state.replace_value(fi, value))
+                    for value in values
+                    if value != state.values[fi]
+                )
+        return moves
+
+    def direct(self, state: State) -> list[tuple[Action, State]]:
+        moves = self._direct.get(state)
+        if moves is None:
+            moves = self._direct[state] = [(a, nxt) for *_, a, nxt in self.ranked(state)]
+        return moves
+
+    def ranked(self, state: State) -> list[tuple[float, int, int, Action, State]]:
+        """Plausible single-feature changes as ``(h, feature index, domain
+        index, action, next state)``, cheapest-looking first, so the planner
+        walks greedily toward the target.  ``h`` is the weighted-Lp distance
+        from the next state to the target (0.0 without one), summed from the
+        table with the float operations of ``compute_weighted_lp``, in order.
+        """
+        config = self.dataset.config
+        terms = self.terms
+        if terms is not None:
+            row = [terms[i][spec.index_of(v)]
+                   for i, (spec, v) in enumerate(zip(config.features, state.values))]
+            # prefix[i]: the running sum before feature i, shared by its changes
+            prefix = [0.0]
+            for t in row:
+                prefix.append(prefix[-1] + t)
+        ranked = []
+        for fi, (spec, current) in enumerate(zip(config.features, state.values)):
+            if not spec.mutable or not spec.directly_actionable:
+                continue
+            for j, value in enumerate(spec.domain):
+                if value == current or direct_action_problem(spec, current, value):
+                    continue
+                h = 0.0
+                if terms is not None:
+                    h = prefix[fi] + terms[fi][j]
+                    for t in row[fi + 1:]:
+                        h += t
+                    if self.p == 2:
+                        h = math.sqrt(h)
+                ranked.append(
+                    (h, fi, j, Action(DIRECT, spec.name, value), state.replace_value(fi, value))
+                )
+        ranked.sort(key=lambda t: t[:3])
+        return ranked
+
+
+def available_causal_actions(dataset: Dataset, state: State) -> list[Action]:
+    """Repairs for currently violated causal groups (see ``_Moves.causal``)."""
+    return [a for a, _ in _Moves(dataset, None).causal(state)]
 
 
 def available_direct_actions(
-    dataset: Dataset,
-    state: State,
-    target: State | None,
-    weights: Mapping[str, float],
-    p: int,
+    dataset: Dataset, state: State, target: State | None, weights: Mapping[str, float], p: int
 ) -> list[Action]:
-    """Plausible single-feature changes, cheapest-looking first.
-
-    Ordered by the weighted-Lp distance from the post-action state to the
-    target, ties by feature order then domain index, so the planner walks
-    greedily toward the counterfactual it is asked to reach.
-    """
-    config = dataset.config
-    ranked: list[tuple[float, int, int, Action]] = []
-    for fi, (spec, current) in enumerate(zip(config.features, state.values)):
-        if not spec.mutable or not spec.directly_actionable:
-            continue
-        for value in spec.domain:
-            if value == current:
-                continue
-            if direct_action_problem(spec, current, value):
-                continue
-            nxt = state.replace_value(fi, value)
-            h = (
-                compute_weighted_lp(config, nxt, target, weights, p)
-                if target is not None
-                else 0.0
-            )
-            ranked.append((h, fi, spec.index_of(value), Action(DIRECT, spec.name, value)))
-    ranked.sort(key=lambda t: t[:3])
-    return [a for _, _, _, a in ranked]
+    """Plausible single-feature changes, cheapest-looking first: by the
+    weighted-Lp distance from the post-action state to the target, ties by
+    feature order then domain index."""
+    return [a for a, _ in _Moves(dataset, target, weights, p).direct(state)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,25 +244,39 @@ def available_direct_actions(
 # ---------------------------------------------------------------------------
 
 
-def _update(
-    ledger: Ledger, state: State, taken: list[Action], action: Action, config: DatasetConfig
-) -> tuple[State, list[Action]]:
-    """Record the action against the current state, push it, and move on."""
-    taken.append(action)
-    ledger.push(state, taken)
-    return apply_action(config, state, action), []
-
-
 def _select(
-    actions: Iterable[Action], taken: Sequence[Action], ledger: Ledger, state: State, config
-) -> Action | None:
-    for action in actions:
-        if action in taken:
+    moves: Iterable[tuple[Action, State]], taken: Sequence[Action], ledger: Ledger
+) -> tuple[Action, State] | None:
+    for action, nxt in moves:
+        if action in taken or nxt in ledger.seen:
             continue
-        if apply_action(config, state, action, enforce=False) in ledger.seen:
-            continue
-        return action
+        return action, nxt
     return None
+
+
+def _step(
+    moves: _Moves,
+    ledger: Ledger,
+    state: State,
+    taken: list[Action],
+    budget: int | None,
+    exhausted: str,
+) -> tuple[State, list[Action]]:
+    """Take an untried move to an unseen state (a causal repair if there is
+    one, else a direct change while the budget allows) and push the state it
+    leaves; with none, backtrack by popping one entry.  Raises
+    SearchExhausted with ``exhausted`` when the ledger is empty."""
+    pick = _select(moves.causal(state), taken, ledger)
+    if pick is None and (budget is None or ledger.live_direct_count() < budget):
+        pick = _select(moves.direct(state), taken, ledger)
+    if pick is not None:
+        taken.append(pick[0])
+        ledger.push(state, taken)
+        return pick[1], []
+    if not ledger:
+        raise SearchExhaustedError(exhausted, diagnostics=((state, tuple(taken)),))
+    entry = ledger.pop()
+    return entry.state, entry.taken
 
 
 def make_consistent(
@@ -219,33 +294,15 @@ def make_consistent(
 
     Prefers an untried causal action, falls back to an untried direct action
     (budget permitting), and pops the ledger to backtrack when neither
-    exists.  Raises SearchExhausted when the ledger empties.
+    exists.  Raises SearchExhausted when the ledger empties.  Moves come from
+    the ledger's memo, or from one built for this call.
     """
-    config = dataset.config
-    weights = dict(weights) if weights is not None else config.weights()
-    p = config.norm_p if p is None else p
-    while not dataset.consistent(state):
-        action = _select(
-            available_causal_actions(dataset, state), taken, ledger, state, config
+    moves = ledger.moves or _Moves(dataset, target, weights, p)
+    while not moves.consistent(state):
+        state, taken = _step(
+            moves, ledger, state, taken, budget,
+            "no action sequence reaches a causally consistent state",
         )
-        if action is None and (budget is None or ledger.live_direct_count() < budget):
-            action = _select(
-                available_direct_actions(dataset, state, target, weights, p),
-                taken,
-                ledger,
-                state,
-                config,
-            )
-        if action is not None:
-            state, taken = _update(ledger, state, taken, action, config)
-        else:
-            if not ledger:
-                raise SearchExhaustedError(
-                    "no action sequence reaches a causally consistent state",
-                    diagnostics=ledger.snapshot(),
-                )
-            entry = ledger.pop()
-            state, taken = entry.state, entry.taken
     return state, taken
 
 
@@ -263,32 +320,17 @@ def intervene(
 
     Selects an untried action whose result is unvisited, applies it, routes
     the result through make_consistent, and appends the consistent state.
-    With no action left it backtracks by one entry.
+    With no action left it backtracks by one entry.  Moves come from the
+    ledger's memo, or from one built for this call.
     """
-    config = dataset.config
-    weights = dict(weights) if weights is not None else config.weights()
-    p = config.norm_p if p is None else p
     if not ledger:
         raise SearchExhaustedError("intervene on an empty ledger")
+    moves = ledger.moves or _Moves(dataset, target, weights, p)
     entry = ledger.pop()
-    state, taken = entry.state, entry.taken
-
-    candidates = available_causal_actions(dataset, state)
-    if budget is None or ledger.live_direct_count() < budget:
-        candidates = candidates + available_direct_actions(
-            dataset, state, target, weights, p
-        )
-    action = _select(candidates, taken, ledger, state, config)
-    if action is not None:
-        state, taken = _update(ledger, state, taken, action, config)
-    else:
-        if not ledger:
-            raise SearchExhaustedError(
-                "search space exhausted before reaching the goal",
-                diagnostics=ledger.snapshot(),
-            )
-        entry = ledger.pop()
-        state, taken = entry.state, entry.taken
+    state, taken = _step(
+        moves, ledger, entry.state, entry.taken, budget,
+        "search space exhausted before reaching the goal",
+    )
     state, taken = make_consistent(
         dataset, ledger, state, taken, budget=budget, target=target, weights=weights, p=p
     )
@@ -346,11 +388,12 @@ class PlanPath:
 def drop_inconsistent(dataset: Dataset, ledger: Ledger) -> PlanPath:
     """The candidate path: ledger entries with causally inconsistent states
     removed, each surviving step carrying the actions since the previous one."""
+    consistent = ledger.moves.consistent if ledger.moves else dataset.consistent
     steps: list[PathStep] = []
     incoming: list[Action] = []
     entries = ledger.entries
     for j, entry in enumerate(entries):
-        if dataset.consistent(entry.state):
+        if consistent(entry.state):
             # actions before the first surviving state describe a dropped
             # prefix (an inconsistent start being repaired); they are not
             # part of the candidate path
@@ -377,16 +420,15 @@ def find_path(
     the goal set, aimed at ``s_star``.
 
     Planning stops at the first goal state reached (interior states must not
-    be goals); the action ordering steers toward ``s_star``, so on the
-    shipped configurations the two coincide.  The direct-action budget starts
-    at 1 and deepens on exhaustion, up to ``max_dpl`` (default: the number of
-    features).
+    be goals); the action ordering steers toward ``s_star``, but the two can
+    differ: on sampled ``german`` and ``adult`` starts some plans end at a
+    goal costlier than ``s_star`` (ROADMAP item 4).  The direct-action budget
+    starts at 1 and deepens on exhaustion, up to ``max_dpl`` (default: the
+    number of features).  One memo of each state's moves serves every budget.
     """
     if on_inconsistent not in ("error", "repair"):
         raise ValueError("on_inconsistent must be 'error' or 'repair'")
     config = dataset.config
-    weights = dict(weights) if weights is not None else config.weights()
-    p = config.norm_p if p is None else p
     if on_inconsistent == "error" and not dataset.consistent(instance):
         raise InconsistentInitialStateError(
             "initial state violates the causal rules; pass on_inconsistent='repair' "
@@ -396,20 +438,15 @@ def find_path(
         return PlanPath((PathStep(instance, ()),))
 
     cap = max_dpl or dataset.config.max_dpl or len(config.features)
+    moves = _Moves(dataset, s_star, weights, p)
     last_exhaustion: SearchExhaustedError | None = None
     for budget in range(1, cap + 1):
         ledger = Ledger()
+        ledger.moves = moves
         ledger.push(instance)
         try:
             while not dataset.is_goal(ledger.last().state):
-                intervene(
-                    dataset,
-                    ledger,
-                    target=s_star,
-                    budget=budget,
-                    weights=weights,
-                    p=p,
-                )
+                intervene(dataset, ledger, budget=budget)
             return drop_inconsistent(dataset, ledger)
         except SearchExhaustedError as exc:
             last_exhaustion = exc

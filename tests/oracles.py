@@ -148,6 +148,23 @@ def exhaustive_knearest(config, q, k, p, weights=None):
     return [(s, d) for d, _, s in scored[:k]]
 
 
+def reference_direct_ranking(dataset, state, target, weights, p):
+    """Plausible single-feature changes as ``(h, feature index, domain index,
+    next state)``, each next state priced in full by ``compute_weighted_lp``
+    (0.0 without a target) and sorted by the first three fields."""
+    config = dataset.config
+    ranked = []
+    for fi, (spec, current) in enumerate(zip(config.features, state.values)):
+        for j, value in enumerate(spec.domain):
+            if value == current or direct_action_problem(spec, current, value):
+                continue
+            nxt = state.replace_value(fi, value)
+            h = 0.0 if target is None else compute_weighted_lp(config, nxt, target, weights, p)
+            ranked.append((h, fi, j, nxt))
+    ranked.sort(key=lambda t: t[:3])
+    return ranked
+
+
 def replay_transition(dataset, before: State, actions, after: State) -> list[str]:
     """Check one consecutive path pair against the transition semantics.
 

@@ -1,19 +1,30 @@
 from __future__ import annotations
 
+import gc
+import random
+from collections import Counter
+
 import pytest
 
 from conftest import make_dataset, random_dataset
-from oracles import one_direct_action_reaches_goal, verify_solution_path
+from oracles import (
+    one_direct_action_reaches_goal,
+    reference_direct_ranking,
+    verify_solution_path,
+)
 from p2c.domain import FeatureSpec, State, validate_state
 from p2c.errors import (
     InconsistentInitialStateError,
     P2CError,
     SearchExhaustedError,
 )
+from p2c.masks import CompiledRules
 from p2c.planner import (
     Action,
     Ledger,
+    _Moves,
     apply_action,
+    available_direct_actions,
     drop_inconsistent,
     find_path,
     intervene,
@@ -107,8 +118,9 @@ def test_make_consistent_exhausts_when_only_repair_is_visited():
     repaired = State(("a", "x"))
     ledger = Ledger()
     ledger.seen.add(repaired)
-    with pytest.raises(SearchExhaustedError):
+    with pytest.raises(SearchExhaustedError) as excinfo:
         make_consistent(ds, ledger, broken, [])
+    assert excinfo.value.diagnostics == ((broken, ()),)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +255,105 @@ def test_find_path_unreachable_target_exhausts():
     assert ds.is_goal(goal)
     with pytest.raises(SearchExhaustedError):
         find_path(ds, instance, goal)
+
+
+def deepening_cases(seeds):
+    """Random datasets whose plan needs a direct-action budget of 2 or more."""
+    for seed in seeds:
+        made = random_dataset(seed)
+        if made is None:
+            continue
+        ds, instance = made
+        try:
+            target = min_cf(ds, instance).target
+            find_path(ds, instance, target, max_dpl=1)
+        except SearchExhaustedError:
+            yield seed, ds, instance, target
+        except P2CError:
+            continue
+
+
+def test_exhaustion_diagnostics_name_the_abandoned_start():
+    checked = 0
+    for seed, ds, instance, target in deepening_cases(range(200)):
+        with pytest.raises(SearchExhaustedError) as excinfo:
+            find_path(ds, instance, target, max_dpl=1)
+        diagnostics = excinfo.value.diagnostics
+        assert diagnostics and diagnostics[0][0] == instance, seed
+        checked += 1
+    assert checked >= 5
+
+
+def test_find_path_computes_each_state_once_across_budgets(monkeypatch):
+    violations, ranked = Counter(), Counter()
+    real_violations, real_ranked = CompiledRules.violations, _Moves.ranked
+
+    def counted_violations(self, bits):
+        violations[bits] += 1
+        return real_violations(self, bits)
+
+    def counted_ranked(self, state):
+        ranked[state] += 1
+        return real_ranked(self, state)
+
+    checked = 0
+    for seed, ds, instance, target in deepening_cases(range(120, 220)):
+        attrs = dict(vars(ds))
+        violations.clear()
+        ranked.clear()
+        with monkeypatch.context() as m:
+            m.setattr(CompiledRules, "violations", counted_violations)
+            m.setattr(_Moves, "ranked", counted_ranked)
+            path = find_path(ds, instance, target)
+        assert path.direct_action_count() >= 2, seed
+        assert ranked and max(ranked.values()) == 1, (seed, ranked)
+        assert violations and max(violations.values()) == 1, (seed, violations)
+        assert vars(ds) == attrs, seed
+        checked += 1
+    assert checked >= 5
+    gc.collect()
+    assert not any(isinstance(o, _Moves) for o in gc.get_objects())
+
+
+def pricing_cases(example1, example2, cars, german, adult):
+    """(dataset, state, target, weights) on sampled bundle states, where
+    numeric features give non-integer terms, and on random datasets with
+    random weights; every fourth case has no target."""
+    rng = random.Random(5)
+    datasets = [example1, example2, cars, german, adult]
+    for seed in range(60):
+        made = random_dataset(seed)
+        if made is not None:
+            datasets.append(made[0])
+    n = 0
+    for ds in datasets:
+        features = ds.config.features
+        weights = ds.config.weights() if ds in (german, adult) else {
+            f.name: rng.choice((0.0, 0.3, 1.0, 2.7)) for f in features
+        }
+        for _ in range(12):
+            state, target = (State(tuple(rng.choice(f.domain) for f in features))
+                             for _ in range(2))
+            n += 1
+            yield ds, state, None if n % 4 == 0 else target, weights
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_direct_ranking_equals_full_pricing(p, example1, example2, cars, german, adult):
+    for ds, state, target, weights in pricing_cases(example1, example2, cars, german, adult):
+        want = reference_direct_ranking(ds, state, target, weights, p)
+        got = _Moves(ds, target, weights, p).ranked(state)
+        assert [(h, fi, j, nxt) for h, fi, j, _, nxt in got] == want
+        features = ds.config.features
+        assert available_direct_actions(ds, state, target, weights, p) == [
+            Action("direct", features[fi].name, features[fi].domain[j]) for _, fi, j, _ in want
+        ]
+
+
+def test_direct_ranking_rejects_unknown_norm(example1):
+    john = example1.default_instance()
+    with pytest.raises(ValueError, match="p must be 0, 1 or 2"):
+        available_direct_actions(example1, john, john, example1.config.weights(), 3)
 
 
 # ---------------------------------------------------------------------------
