@@ -13,6 +13,12 @@ that satisfy it, direction-aware (``at_least``/``at_most``), so the
 completion semantics of :mod:`p2c.consistency` become a few integer ANDs per
 group.  Rule text for provenance and errors is rendered only when read.
 
+The groups also get a *head order*, fixed at compile time: a group comes
+after every group whose head feature its bodies read (through ``ab`` calls
+too), so a search can derive each head from the features assigned before
+it.  Groups on a cycle of such reads come last, and a group that reads a
+head not yet derived at its place is marked undecidable there.
+
 The package imports this module on a dataset's first query, not at import.
 """
 
@@ -110,6 +116,21 @@ def _fires(bits: int, body: tuple) -> bool:
 
 def _forbidden_of(body) -> int:
     return body if body.__class__ is int else body[0]
+
+
+def _support(bodies) -> int:
+    """The OR of the forbidden masks of ``bodies`` and of the exception bodies
+    they call: a bit set in every feature the bodies read."""
+    mask = 0
+    for body in bodies:
+        if body.__class__ is int:
+            mask |= body
+        else:
+            forbidden, positive, negated = body
+            mask |= forbidden
+            for call in positive + negated:
+                mask |= _support(call)
+    return mask
 
 
 class _ProgramCompiler:
@@ -224,6 +245,13 @@ class _CompiledGroup:
         """Whether some body of some alternative fires."""
         return any(_any_fires(bits, bodies) for bodies in self.bodies)
 
+    def allowed(self, fired: int) -> int:
+        """The head values that satisfy the group, given which alternative
+        fired; bits of other features are set too when none fired."""
+        if fired >= 0:
+            return self.heads[fired] & ~self.others[fired]
+        return ~self.all_heads
+
     def satisfied(self, bits: int, fired: int) -> bool:
         if fired < 0:
             return not bits & self.all_heads
@@ -242,6 +270,32 @@ class _CompiledGroup:
         )
 
 
+def _head_order(groups, feature_masks) -> tuple[tuple[_CompiledGroup, bool], ...]:
+    """The groups, each after the groups whose heads it reads, paired with
+    whether it is decidable at its place: whether every head its bodies read
+    is derived before it.  Groups that no such order can place (on or behind
+    a cycle) follow in group order."""
+    reads = {}
+    for g in groups:
+        support = _support(body for bodies in g.bodies for body in bodies)
+        reads[g.fi] = {h.fi for h in groups if support & feature_masks[h.fi]}
+    order: list[_CompiledGroup] = []
+    placed: set[int] = set()
+    pending = list(groups)
+    while ready := [g for g in pending if reads[g.fi] <= placed]:
+        for g in ready:
+            order.append(g)
+            placed.add(g.fi)
+            pending.remove(g)
+    order += pending
+    out = []
+    derived: set[int] = set()
+    for g in order:
+        out.append((g, reads[g.fi] <= derived))
+        derived.add(g.fi)
+    return tuple(out)
+
+
 class CompiledRules:
     """A config's causal groups (and optionally its decision program) as bit masks.
 
@@ -249,8 +303,8 @@ class CompiledRules:
     :meth:`bits` encodes a state.  Every test below takes such bits.
     """
 
-    __slots__ = ("config", "offsets", "domains", "groups", "last_overlap", "decision",
-                 "undesired")
+    __slots__ = ("config", "offsets", "domains", "groups", "last_overlap", "head_order",
+                 "decision", "undesired")
 
     def __init__(
         self,
@@ -292,6 +346,7 @@ class CompiledRules:
         self.last_overlap = max(
             (k for k, g in enumerate(self.groups) if g.may_overlap), default=-1
         )
+        self.head_order = _head_order(self.groups, feature_masks)
         if decision is not None:
             dc = _ProgramCompiler(config, self.offsets, decision)
             self.decision = tuple(dc.body(r) for r in decision.rules)
@@ -349,10 +404,7 @@ class CompiledRules:
         """Values of ``g``'s feature that satisfy the group, given which
         alternative fired; the fired head value (the declared representative)
         comes first, the rest follow in domain order."""
-        if fired >= 0:
-            allowed = g.heads[fired] & ~g.others[fired]
-        else:
-            allowed = ~g.all_heads
+        allowed = g.allowed(fired)
         off = self.offsets[g.fi]
         ok = [v for j, v in enumerate(self.domains[g.fi]) if allowed >> (off + j) & 1]
         if fired >= 0:

@@ -5,12 +5,16 @@ causal rules compel (given the target's other features) gets weight zero.
 ``all_changes`` mode is the comparator that prices everything, including
 changes the world would make on its own.
 
-goal_knearest streams candidates from the plausibility-restricted product
-space in nondecreasing order of a per-feature lower bound, so it can stop as
-soon as the bound passes the k-th best verified counterfactual; min_cf is its
-``k = 1`` case.  Candidates stay index vectors and one-hot bits (see
-``masks.CompiledRules``) until one passes the goal test; only goals become a
-``State``.
+goal_knearest streams candidates from the plausibility-restricted space in
+nondecreasing order of a lower bound on their cost, so it can stop as soon as
+the bound passes the k-th best verified counterfactual; min_cf is its
+``k = 1`` case.  The stream walks only the features no causal rule sets.
+The causal heads of each such vector are derived from their groups, the way
+goal-directed evaluation derives a head from its body, in the compile-time
+head order of ``masks.CompiledRules``.  Only completions the groups allow
+are priced and goal-tested, so on an acyclic causal program every tested
+candidate is causally consistent.  Candidates stay index vectors and one-hot
+bits until one passes the goal test; only goals become a ``State``.
 """
 
 from __future__ import annotations
@@ -160,78 +164,120 @@ def _per_feature_costs(
     instance: State,
     weights: Mapping[str, float],
     p: int,
-    mode: str,
 ) -> list[tuple[FeatureSpec, list[tuple[float, int, Value]]]]:
-    """For each feature: admissible values with their bound contribution.
-
-    In p2c mode a causally movable feature may end up free, so its bound
-    contribution is 0 (a valid lower bound); all_changes bounds are exact.
-    """
+    """For each feature: its plausible values as ``(lp_term, domain index,
+    value)``, cheapest first."""
     out = []
-    heads = dataset.causal_head_features
     for spec, cur in zip(dataset.config.features, instance.values):
-        entries = []
-        for v in plausible_values(dataset, spec, cur):
-            if mode == "p2c" and spec.name in heads:
-                contrib = 0.0
-            else:
-                contrib = lp_term(spec, weights[spec.name], cur, v, p)
-            entries.append((contrib, spec.index_of(v), v))
-        entries.sort()
+        w = weights[spec.name]
+        entries = sorted(
+            (lp_term(spec, w, cur, v, p), spec.index_of(v), v)
+            for v in plausible_values(dataset, spec, cur)
+        )
         out.append((spec, entries))
     return out
 
 
 def _stream_candidates(
-    dataset: Dataset, per_feature
+    dataset: Dataset, per_feature, mode: str
 ) -> Iterator[tuple[float, int, State | None]]:
     """Yield (bound, lex_rank, state) in nondecreasing bound order; ``state``
-    is None unless the candidate is a goal.
+    is None unless the entry is a goal.
 
-    Best-first walk over the product of per-feature sorted value lists; the
-    bound of an index vector is the sum of per-feature contributions, which
-    under-estimates (p2c) or equals (all_changes) the true cost.  Ties go by
-    ``lex_rank``, the candidate's domain indices read as one mixed-radix
-    number, which orders states exactly as ``DatasetConfig.lex_key`` does.
-    A candidate is goal-tested on its one-hot bits (see
-    ``masks.CompiledRules``) and becomes a ``State`` only if it is a goal.
-    A vector is pushed only by the vector one step lower in its last nonzero
-    position, so each is pushed once and no seen-set is kept.
+    The walk is best-first over the product of the non-head features' sorted
+    value lists, and a vector's bound is the sum of their terms.  Popping a
+    vector completes its causal heads group by group, in
+    ``CompiledRules.head_order``: each head takes only the plausible values
+    its group allows given the features already assigned (those of the fired
+    alternative's head, or no head value when none fires), so the other
+    states with this vector, all causally inconsistent, are never built.
+    Each completion is priced exactly and goes back on the heap as a leaf: a
+    head is free in ``p2c`` mode when its group fires (the change is compelled
+    and satisfied) and costs its ``lp_term`` otherwise.  Bounds therefore
+    never decrease, and in ``all_changes`` mode a leaf's bound is its cost.
+    A group that is undecidable at its place (it reads a head derived after
+    it, on a causal cycle) takes every plausible value, free in ``p2c`` mode,
+    which keeps the bound a lower bound.  Every leaf is goal-tested on its
+    one-hot bits by the full ``CompiledRules.is_goal``, and only goals become
+    a ``State``.
+
+    Ties go by ``lex_rank``, the candidate's domain indices read as one
+    mixed-radix number, which orders states exactly as
+    ``DatasetConfig.lex_key`` does.  A vector is pushed only by the vector
+    one step lower in its last nonzero position, so each is pushed once and
+    no seen-set is kept.
     """
     compiled = dataset.compiled
     is_goal = compiled.is_goal
+    offsets = compiled.offsets
+    heads = dataset.causal_head_features
     n = len(per_feature)
-    costs = [tuple(c for c, _, _ in entries) for _, entries in per_feature]
-    values = [tuple(v for _, _, v in entries) for _, entries in per_feature]
-    one_hot = [
-        tuple(1 << (off + j) for _, j, _ in entries)
-        for off, (_, entries) in zip(compiled.offsets, per_feature)
-    ]
     place = [1] * n  # weight of feature i's domain index in the rank
     for i in range(n - 2, -1, -1):
         place[i] = place[i + 1] * len(per_feature[i + 1][0].domain)
+    walk = [(i, entries) for i, (spec, entries) in enumerate(per_feature) if spec.name not in heads]
+    costs = [tuple(c for c, _, _ in entries) for _, entries in walk]
+    values = [tuple(v for _, _, v in entries) for _, entries in walk]
+    one_hot = [tuple(1 << (offsets[i] + j) for _, j, _ in entries) for i, entries in walk]
     rank_step = [
         tuple((b[1] - a[1]) * place[i] for a, b in zip(entries, entries[1:]))
-        for i, (_, entries) in enumerate(per_feature)
+        for i, entries in walk
     ]
     last = [len(c) - 1 for c in costs]
+    # per group, in head order: (bit, lp_term, rank part, value) of each plausible head value
+    derive = [
+        (g, decidable, tuple(
+            (1 << (offsets[g.fi] + j), c, place[g.fi] * j, v) for c, j, v in per_feature[g.fi][1]
+        ))
+        for g, decidable in compiled.head_order
+    ]
+    free_when_fired = mode == "p2c"
     at = tuple.__getitem__
-    start = (0,) * n
-    rank = sum(place[i] * entries[0][1] for i, (_, entries) in enumerate(per_feature))
-    # entries: (bound, rank, idx_vec, lowest position a successor may raise)
-    heap = [(sum(map(at, costs, start)), rank, start, 0)]
+
+    def state(idx_vec: tuple[int, ...], chosen: tuple[Value, ...]) -> State:
+        vals: list = [None] * n
+        for (i, _), v in zip(walk, map(at, values, idx_vec)):
+            vals[i] = v
+        for (g, _, _), v in zip(derive, chosen):
+            vals[g.fi] = v
+        return State(tuple(vals))
+
+    start = (0,) * len(walk)
+    rank = sum(place[i] * entries[0][1] for i, entries in walk)
+    # nodes: (bound, rank, lowest position a successor may raise, idx_vec, None);
+    # leaves: (bound, rank, -1, idx_vec, (bits, head values))
+    heap = [(sum(map(at, costs, start)), rank, 0, start, None)]
     while heap:
-        bound, rank, idx_vec, low = heapq.heappop(heap)
+        bound, rank, low, idx_vec, leaf = heapq.heappop(heap)
+        if leaf is not None:
+            bits, chosen = leaf
+            yield bound, rank, state(idx_vec, chosen) if is_goal(bits) else None
+            continue
+        yield bound, rank, None
         # one bit per feature, so the sum is their OR
-        if is_goal(sum(map(at, one_hot, idx_vec))):
-            yield bound, rank, State(tuple(map(at, values, idx_vec)))
-        else:
-            yield bound, rank, None
-        for i in range(low, n):
+        partial = [(sum(map(at, one_hot, idx_vec)), bound, rank, ())]
+        for g, decidable, options in derive:
+            grown = []
+            for bits, b, r, chosen in partial:
+                if decidable:
+                    fired = g.fired(bits)
+                    allowed = g.allowed(fired)
+                    free = free_when_fired and fired >= 0
+                else:
+                    allowed, free = -1, free_when_fired
+                for bit, price, dr, v in options:
+                    if allowed & bit:
+                        grown.append((bits | bit, b if free else b + price, r + dr, chosen + (v,)))
+            partial = grown
+        for bits, b, r, chosen in partial:
+            heapq.heappush(heap, (b, r, -1, idx_vec, (bits, chosen)))
+        for i in range(low, len(walk)):
             j = idx_vec[i]
             if j < last[i]:
                 nxt = idx_vec[:i] + (j + 1,) + idx_vec[i + 1 :]
-                heapq.heappush(heap, (sum(map(at, costs, nxt)), rank + rank_step[i][j], nxt, i))
+                heapq.heappush(
+                    heap, (sum(map(at, costs, nxt)), rank + rank_step[i][j], i, nxt, None)
+                )
 
 
 def _price(
@@ -294,11 +340,11 @@ def _nearest(
     p = config.norm_p if p is None else p
     _check_initial(dataset, instance, on_inconsistent)
 
-    per_feature = _per_feature_costs(dataset, instance, weights, p, mode)
+    per_feature = _per_feature_costs(dataset, instance, weights, p)
     # bounds accumulate in pre-sqrt space for L2, so compare costs there too
     acc = (lambda c: c * c) if p == 2 else (lambda c: c)
     found: list[tuple[float, int, CostReport]] = []
-    for bound, lex, state in _stream_candidates(dataset, per_feature):
+    for bound, lex, state in _stream_candidates(dataset, per_feature, mode):
         if len(found) >= k and bound > acc(found[-1][0]) + 1e-12:
             break
         if state is None:

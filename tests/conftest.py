@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,16 @@ from p2c import load_dataset  # noqa: E402
 from p2c.dataset import build_dataset  # noqa: E402
 from p2c.domain import DatasetConfig, FeatureSpec  # noqa: E402
 from p2c.rules import parse_rule_program  # noqa: E402
+
+
+@contextmanager
+def budget(seconds: float, label: str):
+    """Fail the test if the block takes ``seconds`` or more; print its time."""
+    t0 = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - t0
+    assert elapsed < seconds, f"{label}: took {elapsed:.2f}s, budget {seconds}s"
+    print(f"PASS {label} ({elapsed:.2f}s)")
 
 
 @pytest.fixture(scope="session")
@@ -165,3 +177,66 @@ def random_dataset(seed: int, *, max_features=5, max_values=6, with_causal=True,
     if not starts:
         return None
     return dataset, starts[rng.randrange(len(starts))]
+
+
+def chained_ladder(seed: int, n: int, *, chain: int = 3):
+    """A causal chain inside a ladder of n features x 4 values.
+
+    ``chain`` consecutive features are causal heads, none directly
+    actionable, each set by an exhaustive two-alternative group on the
+    feature before it, so the heads form one chain.  The decision has n + 2
+    width-2 rules, each with one literal that fails on a witness state
+    built here, so every start has a counterfactual.  Returns the dataset and
+    a decision-positive, causally consistent start, or None when no start is
+    found.
+    """
+    rng = random.Random(f"chained-ladder:{seed}:{n}")
+    vals = ("a", "b", "c", "d")
+    names = [f"x{i}" for i in range(n)]
+    chain = min(chain, n - 1)
+    first = rng.randrange(n - chain)
+    heads = names[first + 1 : first + 1 + chain]
+    causal_rules, law = [], {}
+    for parent, head in zip(names[first:], heads):
+        guard = rng.choice(vals)
+        on, off = rng.sample(vals, 2)
+        causal_rules.append(f"{head}(X,'{on}') :- {parent}(X,'{guard}').")
+        causal_rules.append(f"{head}(X,'{off}') :- not {parent}(X,'{guard}').")
+        law[head] = (parent, guard, on, off)
+
+    def follow_chain(state):
+        for head in heads:
+            parent, guard, on, off = law[head]
+            state[head] = on if state[parent] == guard else off
+        return state
+
+    witness = follow_chain({f: rng.choice(vals) for f in names})
+    decision_rules = []
+    for _ in range(n + 2):
+        a, b = rng.sample(names, 2)
+        miss = rng.choice([v for v in vals if v != witness[a]])
+        fails = f"{a}(X,'{miss}')" if rng.random() < 0.5 else f"not {a}(X,'{witness[a]}')"
+        other = f"{'not ' if rng.random() < 0.5 else ''}{b}(X,'{rng.choice(vals)}')"
+        decision_rules.append(f"label(X,'bad') :- {fails}, {other}.")
+    config = DatasetConfig(
+        name=f"chained{seed}_{n}",
+        features=tuple(
+            FeatureSpec(name=f, kind="categorical", domain=vals, directly_actionable=f not in heads)
+            for f in names
+        ),
+        undesired_decision="bad",
+        norm_p=1,
+    )
+    dataset = build_dataset(
+        config,
+        parse_rule_program("\n".join(decision_rules), "decision"),
+        parse_rule_program("\n".join(causal_rules), "causal"),
+    )
+    from p2c.domain import State
+
+    for _ in range(200):
+        drawn = follow_chain({f: rng.choice(vals) for f in names})
+        start = State(tuple(drawn[f] for f in names))
+        if dataset.decision_positive(start):
+            return dataset, start
+    return None

@@ -98,8 +98,9 @@ def interpreted_repair_values(dataset, state, feature):
     return ()
 
 
-def exhaustive_min_cf(dataset, instance, *, weights=None, p=None, mode="p2c"):
-    """Plain double-loop minimum over the goal set (no streaming, no bounds)."""
+def _priced_goals(dataset, instance, weights, p, mode):
+    """``(cost, lex key, state)`` of every goal in the plausibility-restricted
+    space, each priced in full (no streaming, no bounds)."""
     config = dataset.config
     weights = dict(weights) if weights is not None else config.weights()
     p = config.norm_p if p is None else p
@@ -119,7 +120,6 @@ def exhaustive_min_cf(dataset, instance, *, weights=None, p=None, mode="p2c"):
         else:
             vals = spec.domain
         per_feature.append(vals)
-    best = None
     for combo in itertools.product(*per_feature):
         state = State(combo)
         if not dataset.is_goal(state):
@@ -129,10 +129,25 @@ def exhaustive_min_cf(dataset, instance, *, weights=None, p=None, mode="p2c"):
         else:
             adj = weights
         cost = compute_weighted_lp(config, instance, state, adj, p)
-        key = (cost, config.lex_key(state))
-        if best is None or key < best[0]:
-            best = (key, state, cost)
+        yield cost, config.lex_key(state), state
+
+
+def exhaustive_min_cf(dataset, instance, *, weights=None, p=None, mode="p2c"):
+    """Plain double-loop minimum over the goal set (no streaming, no bounds)."""
+    best = None
+    for cost, key, state in _priced_goals(dataset, instance, weights, p, mode):
+        if best is None or (cost, key) < best[0]:
+            best = ((cost, key), state, cost)
     return best  # None, or ((cost, lexkey), state, cost)
+
+
+def exhaustive_goal_knearest(dataset, instance, k, *, weights=None, p=None, mode="p2c"):
+    """The k cheapest goals as ``(state, cost)``, by a plain sort of every
+    priced goal on (cost, lexicographic position)."""
+    goals = sorted(
+        _priced_goals(dataset, instance, weights, p, mode), key=lambda t: (t[0], t[1])
+    )
+    return [(s, c) for c, _, s in goals[:k]]
 
 
 def exhaustive_knearest(config, q, k, p, weights=None):

@@ -7,10 +7,8 @@ lines and timings.
 from __future__ import annotations
 
 import random
-import time
-from contextlib import contextmanager
 
-from conftest import random_dataset
+from conftest import budget, random_dataset
 from oracles import exhaustive_knearest, exhaustive_min_cf, verify_solution_path
 from p2c.bench import bench_dataset
 from p2c.dataset import consolidate_dataset
@@ -19,15 +17,6 @@ from p2c.errors import NoCounterfactualError, SearchExhaustedError
 from p2c.planner import find_path
 from p2c.rules import canonicalize, program_decides
 from p2c.search import knearest_trimmed, min_cf
-
-
-@contextmanager
-def budget(seconds: float, label: str):
-    t0 = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - t0
-    assert elapsed < seconds, f"{label}: took {elapsed:.2f}s, budget {seconds}s"
-    print(f"PASS {label} ({elapsed:.2f}s)")
 
 
 def test_criterion_01_example1_reproduction(example1):

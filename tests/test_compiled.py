@@ -286,3 +286,32 @@ def test_provenance_is_the_fired_rule_text(example2):
     (ent,) = example2.entailments(state)
     assert list(ent.provenance) == ["credit_score(X,620.0) :- debt(X,N1), N1=<0.0."]
     assert ent.provenance == ("credit_score(X,620.0) :- debt(X,N1), N1=<0.0.",)
+
+
+def head_order(ds):
+    return [(g.group.feature, decidable) for g, decidable in ds.compiled.head_order]
+
+
+def test_head_order_derives_adult_relationship_before_marital_status(adult):
+    # marital_status's bodies read relationship, so it is derived second
+    assert [g.feature for g in adult.groups] == ["marital_status", "relationship"]
+    assert head_order(adult) == [("relationship", True), ("marital_status", True)]
+
+
+def test_head_order_follows_exception_calls_and_flags_cycles():
+    causal = "\n".join((
+        "g(X,'x') :- ab1(X,'True').",  # g reads h through ab1
+        "ab1(X,'True') :- h(X,'p').",
+        "n(X,'a') :- k(X,'a').",  # n reads k, which is on the k <-> m cycle
+        "k(X,'a') :- m(X,'a').",
+        "m(X,'a') :- k(X,'a').",
+        "h(X,'p') :- z(X,'a').",
+    ))
+    ds = make_dataset(
+        {f: ("a", "b", "p", "x") for f in "gnkmhz"}, "label(X,'bad') :- z(X,'b').", causal
+    )
+    # groups no order can place follow in group order; each is decidable only
+    # if every head it reads comes before it
+    assert head_order(ds) == [
+        ("h", True), ("g", True), ("n", False), ("k", False), ("m", True),
+    ]

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_dataset
-from oracles import exhaustive_knearest, exhaustive_min_cf
+from conftest import budget, chained_ladder, make_dataset, random_dataset
+from oracles import exhaustive_goal_knearest, exhaustive_knearest, exhaustive_min_cf
+from p2c.dataset import consolidate_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
 from p2c.errors import (
     AlreadyCounterfactualError,
     InconsistentInitialStateError,
     NoCounterfactualError,
 )
+from p2c.masks import CompiledRules
 from p2c.search import (
     adjust_weights,
     compute_weighted_lp,
@@ -174,16 +176,34 @@ def test_min_cf_errors(example2, cars):
         min_cf(ds, state)
 
 
+def spread_starts(ds, count):
+    """The configured instance, then ``count`` decision-positive, causally
+    consistent states spread evenly over the space's enumeration order."""
+    pool = [s for s in enumerate_states(ds.config) if ds.decision_positive(s) and ds.consistent(s)]
+    return [ds.default_instance()] + pool[:: max(1, len(pool) // count)][:count]
+
+
+@pytest.fixture(scope="module")
+def shipped_starts(example1, example2, adult, german):
+    """example1 and example2 at their configured instances; consolidated adult
+    (chained heads) and german at theirs and at three more rejected starts."""
+    out = [(ds, [ds.default_instance()]) for ds in (example1, example2)]
+    for full in (adult, german):
+        ds = consolidate_dataset(full)
+        out.append((ds, spread_starts(ds, 3)))
+    return out
+
+
 @pytest.mark.parametrize("mode", ["p2c", "all_changes"])
 @pytest.mark.parametrize("p", [0, 1, 2])
-def test_min_cf_matches_exhaustive_oracle_shipped(example1, example2, mode, p):
-    for ds in (example1, example2):
-        instance = ds.default_instance()
-        got = min_cf(ds, instance, p=p, mode=mode)
-        best = exhaustive_min_cf(ds, instance, p=p, mode=mode)
-        assert best is not None
-        assert got.cost == pytest.approx(best[2], abs=1e-12)
-        assert got.target == best[1]
+def test_min_cf_matches_exhaustive_oracle_shipped(shipped_starts, mode, p):
+    for ds, starts in shipped_starts:
+        for instance in starts:
+            got = min_cf(ds, instance, p=p, mode=mode)
+            best = exhaustive_min_cf(ds, instance, p=p, mode=mode)
+            assert best is not None
+            assert got.cost == pytest.approx(best[2], abs=1e-12)
+            assert got.target == best[1], (ds.config.name, instance)
 
 
 def test_min_cf_matches_exhaustive_oracle_random():
@@ -350,3 +370,115 @@ def test_goal_knearest_exhaustive_cross_check(example2):
     all_goals.sort(key=lambda t: (t[0], t[1]))
     want = [(s, c) for c, _, s in all_goals[:10]]
     assert [(r.target, pytest.approx(r.cost)) for r in got] == want
+
+
+# ---------------------------------------------------------------------------
+# derived causal heads
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_oracle(ds, instance, *, k=5, on_inconsistent="error"):
+    """min_cf and goal_knearest(k) equal the exhaustive oracle in both modes
+    for p in {0, 1, 2}, including when no counterfactual exists."""
+    for mode in ("p2c", "all_changes"):
+        for p in (0, 1, 2):
+            want = exhaustive_goal_knearest(ds, instance, k, p=p, mode=mode)
+            kw = dict(p=p, mode=mode, on_inconsistent=on_inconsistent)
+            if not want:
+                with pytest.raises(NoCounterfactualError):
+                    min_cf(ds, instance, **kw)
+                with pytest.raises(NoCounterfactualError):
+                    goal_knearest(ds, instance, k, **kw)
+                continue
+            best = min_cf(ds, instance, **kw)
+            assert (best.target, best.cost) == (want[0][0], pytest.approx(want[0][1], abs=1e-12))
+            got = goal_knearest(ds, instance, k, **kw)
+            assert [(r.target, pytest.approx(r.cost, abs=1e-12)) for r in got] == want
+
+
+def test_chained_ladder_matches_exhaustive_oracle():
+    checked = 0
+    for seed in range(16):
+        made = chained_ladder(seed, 3 + seed % 4)
+        if made is None:
+            continue
+        assert_matches_oracle(*made)
+        checked += 1
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chained_ladder_knearest_budget(seed):
+    ds, start = chained_ladder(seed, 14)
+    with budget(2.0, f"goal_knearest(k=20) on a 14-feature chained ladder, seed {seed}"):
+        got = goal_knearest(ds, start, 20)
+    assert len(got) == 20
+    assert [r.cost for r in got] == sorted(r.cost for r in got)
+
+
+def test_stream_goal_tests_only_consistent_candidates(
+    monkeypatch, example1, example2, cars, german, adult
+):
+    """On acyclic programs every head is derived from its group, so no
+    causally inconsistent candidate reaches the goal test."""
+    tested = []
+    is_goal = CompiledRules.is_goal
+
+    def counting(self, bits):
+        tested.append(self.consistent(bits))
+        return is_goal(self, bits)
+
+    monkeypatch.setattr(CompiledRules, "is_goal", counting)
+    cases = [
+        (ds, start)
+        for full in (example1, example2, cars, german, adult)
+        for ds in [consolidate_dataset(full)]
+        for start in spread_starts(ds, 4)
+    ]
+    cases += [made for made in (chained_ladder(seed, 7) for seed in range(4)) if made]
+    for ds, start in cases:
+        for mode in ("p2c", "all_changes"):
+            min_cf(ds, start, mode=mode)
+            goal_knearest(ds, start, 5, mode=mode)
+    assert len(tested) > 1000
+    assert all(tested)
+
+
+CYCLE_NO_CONSISTENT_STATE = """\
+x(X,'a') :- y(X,'b').
+x(X,'b') :- y(X,'a').
+y(X,'a') :- x(X,'a').
+y(X,'b') :- x(X,'b').
+"""
+
+
+def test_cycle_without_consistent_state_has_no_counterfactual():
+    ds = make_dataset({"x": ("a", "b"), "y": ("a", "b")}, "label(X,'bad') :- x(X,'a').",
+                      CYCLE_NO_CONSISTENT_STATE)
+    assert not any(ds.consistent(s) for s in enumerate_states(ds.config))
+    start = State(("a", "a"))
+    for mode in ("p2c", "all_changes"):
+        with pytest.raises(NoCounterfactualError):
+            min_cf(ds, start, mode=mode, on_inconsistent="allow")
+        with pytest.raises(NoCounterfactualError):
+            goal_knearest(ds, start, 3, mode=mode, on_inconsistent="allow")
+
+
+def test_cycle_with_consistent_goals_matches_exhaustive_oracle():
+    # x and y hold each other at 'a' or leave it together; z says where x goes
+    causal = """\
+x(X,'a') :- y(X,'a').
+x(X,'b') :- not y(X,'a'), z(X,'p').
+y(X,'a') :- x(X,'a').
+y(X,'c') :- not x(X,'a').
+"""
+    decision = "label(X,'bad') :- x(X,'a'), not w(X,'r').\nlabel(X,'bad') :- z(X,'q'), w(X,'s')."
+    ds = make_dataset(
+        {"x": ("a", "b", "c"), "y": ("a", "b", "c"), "z": ("p", "q"), "w": ("r", "s", "t")},
+        decision, causal,
+    )
+    starts = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
+    assert any(ds.consistent(s) for s in starts)
+    assert any(not ds.consistent(s) for s in starts)
+    for start in starts:
+        assert_matches_oracle(ds, start, on_inconsistent="allow")
