@@ -35,13 +35,9 @@ from .errors import (
 )
 from .planner import (
     Action,
-    Ledger,
     PlanPath,
     apply_action,
-    drop_inconsistent,
     find_path,
-    intervene,
-    make_consistent,
     naive_find_path,
     path_is_legal,
 )

@@ -232,7 +232,7 @@ def cmd_path(args) -> int:
         for v in violations:
             lines.append(f"    violation: {v}")
     if not report["path_ends_at_target"]:
-        lines.append("  note: path ends at a nearer goal state, not the cost-minimal one")
+        lines.append("  note: path ends at a goal state of the same cost as s*, not at s* itself")
     _emit(report, "\n".join(lines), args.output)
     return 0
 

@@ -49,9 +49,10 @@ class NoCounterfactualError(P2CError):
 
 
 class SearchExhaustedError(P2CError):
-    """Backtracking search emptied its ledger without reaching a goal.
+    """The planner found no plan within its direct-action cap.
 
-    ``diagnostics`` holds the abandoned entry, ``((state, actions tried),)``.
+    ``diagnostics`` names each feature whose direct move to s*'s value was
+    refused, as ``((feature, s* value, reason), ...)`` in feature order.
     """
 
     def __init__(self, message: str, diagnostics=None):

@@ -17,7 +17,10 @@ The groups also get a *head order*, fixed at compile time: a group comes
 after every group whose head feature its bodies read (through ``ab`` calls
 too), so a search can derive each head from the features assigned before
 it.  Groups on a cycle of such reads come last, and a group that reads a
-head not yet derived at its place is marked undecidable there.
+head not yet derived at its place is marked undecidable there.  The same
+order gives the causal closure of a state (:meth:`CompiledRules.closure`):
+one pass repairs every violated group, because each group reads only heads
+repaired before it.
 
 The package imports this module on a dataset's first query, not at import.
 """
@@ -303,8 +306,8 @@ class CompiledRules:
     :meth:`bits` encodes a state.  Every test below takes such bits.
     """
 
-    __slots__ = ("config", "offsets", "domains", "groups", "last_overlap", "head_order",
-                 "decision", "undesired")
+    __slots__ = ("config", "offsets", "domains", "feature_masks", "groups", "last_overlap",
+                 "head_order", "cyclic", "decision", "undesired")
 
     def __init__(
         self,
@@ -321,7 +324,7 @@ class CompiledRules:
         self.config = config
         self.offsets = tuple(offsets)
         self.domains = tuple(spec.domain for spec in config.features)
-        feature_masks = tuple(
+        self.feature_masks = feature_masks = tuple(
             ((1 << len(spec.domain)) - 1) << o for o, spec in zip(offsets, config.features)
         )
 
@@ -347,6 +350,7 @@ class CompiledRules:
             (k for k, g in enumerate(self.groups) if g.may_overlap), default=-1
         )
         self.head_order = _head_order(self.groups, feature_masks)
+        self.cyclic = not all(decidable for _, decidable in self.head_order)
         if decision is not None:
             dc = _ProgramCompiler(config, self.offsets, decision)
             self.decision = tuple(dc.body(r) for r in decision.rules)
@@ -434,3 +438,44 @@ class CompiledRules:
                 out.append((g.fi, self._allowed(g, fired), self._provenance(g, bits, fired)))
         out.sort(key=lambda v: v[0])
         return out
+
+    def closure(
+        self, bits: int, prefer: int
+    ) -> tuple[int, list[tuple[int, Value, Sequence[str]]]] | None:
+        """The causally consistent state that repairs ``bits``, with its
+        repairs as ``(feature index, value, provenance)`` in the order made.
+
+        One pass over the groups in :attr:`head_order`: each violated group
+        takes the value that ``prefer`` (one-hot bits, as a state's) gives
+        its head when the group allows it, else the first of
+        :meth:`_allowed` (the fired head value first).  Every repair value
+        is allowed on the bits it is made on.  In head order
+        each group reads only heads already repaired, so one pass makes the
+        state consistent; on a causal cycle passes repeat, at most one more
+        than there are groups, until one repairs nothing.  None when a
+        violated head is immutable or no value satisfies its group.
+        """
+        features = self.config.features
+        repairs = []
+        for _ in range(len(self.groups) + 1 if self.cyclic else 1):
+            repaired = False
+            for g, _ in self.head_order:
+                fired = g.fired(bits)
+                if g.satisfied(bits, fired):
+                    continue
+                fmask = self.feature_masks[g.fi]
+                allowed = g.allowed(fired) & fmask
+                if not allowed or not features[g.fi].mutable:
+                    return None
+                pick = allowed & prefer
+                if pick:
+                    value = self.domains[g.fi][pick.bit_length() - 1 - self.offsets[g.fi]]
+                else:
+                    value = self._allowed(g, fired)[0]
+                    pick = 1 << (self.offsets[g.fi] + self.domains[g.fi].index(value))
+                repairs.append((g.fi, value, self._provenance(g, bits, fired)))
+                bits = bits & ~fmask | pick
+                repaired = True
+            if not repaired or not self.cyclic:
+                return bits, repairs
+        return None

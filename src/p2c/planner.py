@@ -1,29 +1,26 @@
-"""Backtracking planner over causally consistent states.
+"""Planner: ordered, causally compliant intervention paths toward s*.
 
-The planner keeps a ledger: a stack of (state, actions tried from it), plus a
-monotone set of every state ever pushed so nothing is revisited.  One
-``intervene`` transition picks an untried action, applies it, and hands the
-result to ``make_consistent``, which repairs causal violations (preferring
-causal actions, falling back to direct ones) until the state satisfies the
-causal rules, backtracking by popping the ledger when a branch dies.
-
-An iterative-deepening budget caps the number of direct actions live on the
-ledger; causal actions ride free.  The budget starts at one direct change and
-grows until a plan appears or the cap is hit.  Each state's consistency and
-moves are computed once per ``find_path`` call and shared across budgets.
+``find_path`` searches breadth-first over causally consistent states.  A
+move sets one feature that is off s* to its s* value by a direct action, and
+the compiled causal closure (``CompiledRules.closure``) follows: every
+violated causal group is repaired in head order, by the value s* gives its
+head when the group allows it.  So each state of a plan is consistent, and
+each causal action sets a value the rules allow where it is made.  The
+search counts direct actions, up to ``max_dpl``, and stops at the first goal
+whose cost from the instance is at most s*'s; a costlier goal is a dead end.
+s* is the cheapest goal, so the plan ends at s* or at a goal of equal cost.
 """
 
 from __future__ import annotations
 
 import collections
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .dataset import Dataset
 from .domain import DatasetConfig, FeatureSpec, State, Value
 from .errors import InconsistentInitialStateError, P2CError, SearchExhaustedError
-from .search import lp_term
+from .search import adjust_weights, compute_weighted_lp
 
 DIRECT = "direct"
 CAUSAL = "causal"
@@ -38,51 +35,6 @@ class Action:
 
     def describe(self) -> str:
         return f"{self.kind}({self.feature} -> {self.new_value!r})"
-
-
-@dataclass
-class LedgerEntry:
-    state: State
-    taken: list[Action]
-
-    def live_action(self) -> Action | None:
-        return self.taken[-1] if self.taken else None
-
-
-class Ledger:
-    """The planner's visited structure: a backtrackable stack of entries plus
-    a monotone seen-set ensuring no state is ever pushed twice."""
-
-    def __init__(self):
-        self.entries: list[LedgerEntry] = []
-        self.seen: set[State] = set()
-        # find_path's memo, shared by all its budgets; a bare ledger has none
-        self.moves: _Moves | None = None
-
-    def push(self, state: State, taken: list[Action] | None = None) -> None:
-        self.entries.append(LedgerEntry(state, taken if taken is not None else []))
-        self.seen.add(state)
-
-    def pop(self) -> LedgerEntry:
-        return self.entries.pop()
-
-    def last(self) -> LedgerEntry:
-        return self.entries[-1]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def live_direct_count(self) -> int:
-        """Direct actions currently committed on the chain."""
-        n = 0
-        for entry in self.entries:
-            act = entry.live_action()
-            if act is not None and act.kind == DIRECT:
-                n += 1
-        return n
 
 
 # ---------------------------------------------------------------------------
@@ -121,220 +73,6 @@ def direct_action_problem(spec: FeatureSpec, old: Value, new: Value) -> str | No
         if spec.monotone == "nonincreasing" and hi > lo:
             return "nonincreasing feature cannot increase"
     return None
-
-
-class _Moves:
-    """Memo of each state's consistency, causal repairs and ranked direct
-    changes (each paired with the state it leads to) toward one target.
-
-    These depend only on the state, the target, the weights and ``p``; the
-    budget, the actions tried and the seen-set apply when a move is selected,
-    so one memo serves every budget of a ``find_path`` call.
-    """
-
-    def __init__(self, dataset: Dataset, target: State | None,
-                 weights: Mapping[str, float] | None = None, p: int | None = None):
-        config = dataset.config
-        self.dataset = dataset
-        self.p = config.norm_p if p is None else p
-        self.terms: tuple[tuple[float, ...], ...] | None = None
-        if target is not None:
-            if self.p not in (0, 1, 2):
-                raise ValueError(f"p must be 0, 1 or 2, got {self.p}")
-            if len(target.values) != len(config.features):
-                raise P2CError("states do not match the config's feature tuple")
-            weights = config.weights() if weights is None else weights
-            # terms[i][j]: feature i's share of the Lp sum at its j-th value
-            self.terms = tuple(
-                tuple(lp_term(spec, weights[spec.name], v, t, self.p) for v in spec.domain)
-                for spec, t in zip(config.features, target.values)
-            )
-        self._consistent: dict[State, bool] = {}
-        self._causal: dict[State, list[tuple[Action, State]]] = {}
-        self._direct: dict[State, list[tuple[Action, State]]] = {}
-
-    def consistent(self, state: State) -> bool:
-        known = self._consistent.get(state)
-        if known is None:
-            known = self._consistent[state] = self.dataset.consistent(state)
-        return known
-
-    def causal(self, state: State) -> list[tuple[Action, State]]:
-        """Repairs for currently violated causal groups, in feature order.
-
-        The fired head value (the declared representative) leads each group's
-        candidates; immutable features are never repaired.
-        """
-        moves = self._causal.get(state)
-        if moves is None:
-            config = self.dataset.config
-            compiled = self.dataset.compiled
-            moves = self._causal[state] = []
-            for fi, values, provenance in compiled.violations(compiled.bits(state)):
-                spec = config.features[fi]
-                if not spec.mutable:
-                    continue
-                moves.extend(
-                    (Action(CAUSAL, spec.name, value, provenance=provenance),
-                     state.replace_value(fi, value))
-                    for value in values
-                    if value != state.values[fi]
-                )
-        return moves
-
-    def direct(self, state: State) -> list[tuple[Action, State]]:
-        moves = self._direct.get(state)
-        if moves is None:
-            moves = self._direct[state] = [(a, nxt) for *_, a, nxt in self.ranked(state)]
-        return moves
-
-    def ranked(self, state: State) -> list[tuple[float, int, int, Action, State]]:
-        """Plausible single-feature changes as ``(h, feature index, domain
-        index, action, next state)``, cheapest-looking first, so the planner
-        walks greedily toward the target.  ``h`` is the weighted-Lp distance
-        from the next state to the target (0.0 without one), summed from the
-        table with the float operations of ``compute_weighted_lp``, in order.
-        """
-        config = self.dataset.config
-        terms = self.terms
-        if terms is not None:
-            row = [terms[i][spec.index_of(v)]
-                   for i, (spec, v) in enumerate(zip(config.features, state.values))]
-            # prefix[i]: the running sum before feature i, shared by its changes
-            prefix = [0.0]
-            for t in row:
-                prefix.append(prefix[-1] + t)
-        ranked = []
-        for fi, (spec, current) in enumerate(zip(config.features, state.values)):
-            if not spec.mutable or not spec.directly_actionable:
-                continue
-            for j, value in enumerate(spec.domain):
-                if value == current or direct_action_problem(spec, current, value):
-                    continue
-                h = 0.0
-                if terms is not None:
-                    h = prefix[fi] + terms[fi][j]
-                    for t in row[fi + 1:]:
-                        h += t
-                    if self.p == 2:
-                        h = math.sqrt(h)
-                ranked.append(
-                    (h, fi, j, Action(DIRECT, spec.name, value), state.replace_value(fi, value))
-                )
-        ranked.sort(key=lambda t: t[:3])
-        return ranked
-
-
-def available_causal_actions(dataset: Dataset, state: State) -> list[Action]:
-    """Repairs for currently violated causal groups (see ``_Moves.causal``)."""
-    return [a for a, _ in _Moves(dataset, None).causal(state)]
-
-
-def available_direct_actions(
-    dataset: Dataset, state: State, target: State | None, weights: Mapping[str, float], p: int
-) -> list[Action]:
-    """Plausible single-feature changes, cheapest-looking first: by the
-    weighted-Lp distance from the post-action state to the target, ties by
-    feature order then domain index."""
-    return [a for a, _ in _Moves(dataset, target, weights, p).direct(state)]
-
-
-# ---------------------------------------------------------------------------
-# Supplement machinery: update / make_consistent / intervene
-# ---------------------------------------------------------------------------
-
-
-def _select(
-    moves: Iterable[tuple[Action, State]], taken: Sequence[Action], ledger: Ledger
-) -> tuple[Action, State] | None:
-    for action, nxt in moves:
-        if action in taken or nxt in ledger.seen:
-            continue
-        return action, nxt
-    return None
-
-
-def _step(
-    moves: _Moves,
-    ledger: Ledger,
-    state: State,
-    taken: list[Action],
-    budget: int | None,
-    exhausted: str,
-) -> tuple[State, list[Action]]:
-    """Take an untried move to an unseen state (a causal repair if there is
-    one, else a direct change while the budget allows) and push the state it
-    leaves; with none, backtrack by popping one entry.  Raises
-    SearchExhausted with ``exhausted`` when the ledger is empty."""
-    pick = _select(moves.causal(state), taken, ledger)
-    if pick is None and (budget is None or ledger.live_direct_count() < budget):
-        pick = _select(moves.direct(state), taken, ledger)
-    if pick is not None:
-        taken.append(pick[0])
-        ledger.push(state, taken)
-        return pick[1], []
-    if not ledger:
-        raise SearchExhaustedError(exhausted, diagnostics=((state, tuple(taken)),))
-    entry = ledger.pop()
-    return entry.state, entry.taken
-
-
-def make_consistent(
-    dataset: Dataset,
-    ledger: Ledger,
-    state: State,
-    taken: list[Action],
-    *,
-    budget: int | None = None,
-    target: State | None = None,
-    weights: Mapping[str, float] | None = None,
-    p: int | None = None,
-) -> tuple[State, list[Action]]:
-    """Drive ``state`` to causal consistency, recording intermediates.
-
-    Prefers an untried causal action, falls back to an untried direct action
-    (budget permitting), and pops the ledger to backtrack when neither
-    exists.  Raises SearchExhausted when the ledger empties.  Moves come from
-    the ledger's memo, or from one built for this call.
-    """
-    moves = ledger.moves or _Moves(dataset, target, weights, p)
-    while not moves.consistent(state):
-        state, taken = _step(
-            moves, ledger, state, taken, budget,
-            "no action sequence reaches a causally consistent state",
-        )
-    return state, taken
-
-
-def intervene(
-    dataset: Dataset,
-    ledger: Ledger,
-    *,
-    target: State | None = None,
-    budget: int | None = None,
-    weights: Mapping[str, float] | None = None,
-    p: int | None = None,
-) -> None:
-    """One transition of the plan: from the ledger's last (consistent or
-    repairable) state to the next causally consistent state.
-
-    Selects an untried action whose result is unvisited, applies it, routes
-    the result through make_consistent, and appends the consistent state.
-    With no action left it backtracks by one entry.  Moves come from the
-    ledger's memo, or from one built for this call.
-    """
-    if not ledger:
-        raise SearchExhaustedError("intervene on an empty ledger")
-    moves = ledger.moves or _Moves(dataset, target, weights, p)
-    entry = ledger.pop()
-    state, taken = _step(
-        moves, ledger, entry.state, entry.taken, budget,
-        "search space exhausted before reaching the goal",
-    )
-    state, taken = make_consistent(
-        dataset, ledger, state, taken, budget=budget, target=target, weights=weights, p=p
-    )
-    ledger.push(state, taken)
 
 
 # ---------------------------------------------------------------------------
@@ -385,27 +123,6 @@ class PlanPath:
         return out
 
 
-def drop_inconsistent(dataset: Dataset, ledger: Ledger) -> PlanPath:
-    """The candidate path: ledger entries with causally inconsistent states
-    removed, each surviving step carrying the actions since the previous one."""
-    consistent = ledger.moves.consistent if ledger.moves else dataset.consistent
-    steps: list[PathStep] = []
-    incoming: list[Action] = []
-    entries = ledger.entries
-    for j, entry in enumerate(entries):
-        if consistent(entry.state):
-            # actions before the first surviving state describe a dropped
-            # prefix (an inconsistent start being repaired); they are not
-            # part of the candidate path
-            steps.append(PathStep(entry.state, tuple(incoming) if steps else ()))
-            incoming = []
-        if j < len(entries) - 1:
-            live = entry.live_action()
-            if live is not None:
-                incoming.append(live)
-    return PlanPath(tuple(steps))
-
-
 def find_path(
     dataset: Dataset,
     instance: State,
@@ -416,15 +133,19 @@ def find_path(
     max_dpl: int | None = None,
     on_inconsistent: str = "error",
 ) -> PlanPath:
-    """An ordered, causally compliant intervention path from ``instance`` into
-    the goal set, aimed at ``s_star``.
+    """An ordered, causally compliant intervention path from ``instance`` to
+    ``s_star`` or to a goal of equal cost.
 
-    Planning stops at the first goal state reached (interior states must not
-    be goals); the action ordering steers toward ``s_star``, but the two can
-    differ: on sampled ``german`` and ``adult`` starts some plans end at a
-    goal costlier than ``s_star`` (ROADMAP item 4).  The direct-action budget
-    starts at 1 and deepens on exhaustion, up to ``max_dpl`` (default: the
-    number of features).  One memo of each state's moves serves every budget.
+    Breadth-first by number of direct actions, up to ``max_dpl`` (default:
+    the number of features).  The root is the causal closure of the
+    instance; when the instance cannot be closed, the search starts from it
+    as it is and the plan starts at the first consistent state reached.  A
+    move sets one feature that is off ``s_star`` to its value there, when
+    that direct change is plausible, and the closure (preferring
+    ``s_star``'s head values) follows.  The first goal whose p2c cost from
+    the instance is at most ``s_star``'s ends the plan; a costlier goal is a
+    dead end.  On exhaustion, the error and its ``diagnostics`` name each
+    feature whose move to ``s_star``'s value was refused, and why.
     """
     if on_inconsistent not in ("error", "repair"):
         raise ValueError("on_inconsistent must be 'error' or 'repair'")
@@ -437,24 +158,99 @@ def find_path(
     if dataset.is_goal(instance):
         return PlanPath((PathStep(instance, ()),))
 
-    cap = max_dpl or dataset.config.max_dpl or len(config.features)
-    moves = _Moves(dataset, s_star, weights, p)
-    last_exhaustion: SearchExhaustedError | None = None
-    for budget in range(1, cap + 1):
-        ledger = Ledger()
-        ledger.moves = moves
-        ledger.push(instance)
-        try:
-            while not dataset.is_goal(ledger.last().state):
-                intervene(dataset, ledger, budget=budget)
-            return drop_inconsistent(dataset, ledger)
-        except SearchExhaustedError as exc:
-            last_exhaustion = exc
-    raise SearchExhaustedError(
-        f"no plan within {cap} direct action(s); the target may be unreachable "
-        f"under the plausibility constraints",
-        diagnostics=last_exhaustion.diagnostics if last_exhaustion else None,
-    )
+    cap = max_dpl or config.max_dpl or len(config.features)
+    weights = config.weights() if weights is None else weights
+    p = config.norm_p if p is None else p
+    compiled = dataset.compiled
+    specs = config.features
+    masks = compiled.feature_masks
+    star = compiled.bits(s_star)
+
+    def value(fi: int, bits: int) -> Value:
+        return specs[fi].domain[(bits & masks[fi]).bit_length() - 1 - compiled.offsets[fi]]
+
+    def state(bits: int) -> State:
+        return State(tuple(value(fi, bits) for fi in range(len(specs))))
+
+    def cost(bits: int) -> float:
+        goal = state(bits)
+        adjusted, _ = adjust_weights(dataset, instance, goal, weights)
+        return compute_weighted_lp(config, instance, goal, adjusted, p)
+
+    ceiling = cost(star) + 1e-9
+    # how each consistent state was reached: (previous state, feature moved,
+    # its repairs), or None where the plan starts
+    parents: dict[int, tuple[int, int, list] | None] = {}
+    refused: dict[int, str | None] = {}  # a value's bit -> why it cannot move to s*'s
+    blocked: dict[int, str] = {}
+
+    def search() -> int | None:
+        """The bits of the goal that ends the plan, or None."""
+        start = compiled.bits(instance)
+        root = compiled.closure(start, star)
+        if root is None:
+            frontier = [start]  # inconsistent: its successors start the plan
+        else:
+            frontier = [root[0]]
+            parents[root[0]] = None
+            if not compiled.decision_positive(root[0]):
+                return root[0] if cost(root[0]) <= ceiling else None
+        seen = {start, *parents}
+        for _ in range(cap):
+            grown = []
+            for bits in frontier:
+                came_from = bits if bits in parents else None
+                for fi, mask in enumerate(masks):
+                    if bits & star & mask:
+                        continue
+                    now = bits & mask
+                    if now not in refused:
+                        refused[now] = direct_action_problem(
+                            specs[fi], value(fi, now), value(fi, star)
+                        )
+                    if refused[now]:
+                        blocked.setdefault(fi, refused[now])
+                        continue
+                    moved = bits & ~mask | star & mask
+                    if moved in seen:
+                        continue
+                    seen.add(moved)
+                    closed = compiled.closure(moved, star)
+                    if closed is None or closed[0] != moved and closed[0] in seen:
+                        continue
+                    reached, repairs = closed
+                    seen.add(reached)
+                    parents[reached] = None if came_from is None else (came_from, fi, repairs)
+                    if compiled.decision_positive(reached):
+                        grown.append(reached)
+                    elif cost(reached) <= ceiling:
+                        return reached
+            frontier = grown
+        return None
+
+    goal = search()
+    if goal is None:
+        diagnostics = tuple(
+            (specs[fi].name, value(fi, star), reason) for fi, reason in sorted(blocked.items())
+        )
+        refusals = "; ".join(f"{name} -> {v!r}: {reason}" for name, v, reason in diagnostics)
+        raise SearchExhaustedError(
+            f"no plan within {cap} direct action(s); "
+            + (f"refused moves to s*'s values: {refusals}" if refusals
+               else "no move to s*'s values was refused"),
+            diagnostics=diagnostics,
+        )
+    steps = []
+    link = parents[goal]
+    while link is not None:
+        previous, fi, repairs = link
+        actions = (Action(DIRECT, specs[fi].name, value(fi, star)),) + tuple(
+            Action(CAUSAL, specs[ri].name, v, provenance=why) for ri, v, why in repairs
+        )
+        steps.append(PathStep(state(goal), actions))
+        goal, link = previous, parents[previous]
+    steps.append(PathStep(state(goal), ()))
+    return PlanPath(tuple(reversed(steps)))
 
 
 def naive_find_path(dataset: Dataset, instance: State, s_star: State) -> PlanPath:

@@ -179,6 +179,22 @@ def random_dataset(seed: int, *, max_features=5, max_values=6, with_causal=True,
     return dataset, starts[rng.randrange(len(starts))]
 
 
+def cyclic_dataset():
+    """A causal cycle with consistent goals: x and y hold each other at 'a'
+    or leave it together, and z says where x goes."""
+    causal = """\
+x(X,'a') :- y(X,'a').
+x(X,'b') :- not y(X,'a'), z(X,'p').
+y(X,'a') :- x(X,'a').
+y(X,'c') :- not x(X,'a').
+"""
+    decision = "label(X,'bad') :- x(X,'a'), not w(X,'r').\nlabel(X,'bad') :- z(X,'q'), w(X,'s')."
+    return make_dataset(
+        {"x": ("a", "b", "c"), "y": ("a", "b", "c"), "z": ("p", "q"), "w": ("r", "s", "t")},
+        decision, causal,
+    )
+
+
 def chained_ladder(seed: int, n: int, *, chain: int = 3):
     """A causal chain inside a ladder of n features x 4 values.
 

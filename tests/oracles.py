@@ -2,8 +2,8 @@
 
 Everything here recomputes results through a different code path than the
 implementation under test: plain nested loops, no pruning, no shared
-bookkeeping, so a bug in the streaming search or the planner's ledger cannot
-hide itself.
+bookkeeping, so a bug in the streaming search, the causal closure or the
+planner cannot hide itself.
 """
 
 from __future__ import annotations
@@ -98,6 +98,38 @@ def interpreted_repair_values(dataset, state, feature):
     return ()
 
 
+def interpreted_closure(dataset, state, prefer=None):
+    """Repair the first violated group in head order until the state is
+    consistent, on the interpreted semantics.  Each repair takes
+    ``prefer``'s value when the group allows it, else the group's first
+    repair value.  Returns ``(state, [(feature, value, provenance)])``, or
+    None when a violated head is immutable or has no repair value.  Meant
+    for acyclic programs, where each group is repaired at most once.
+    """
+    config = dataset.config
+    order = [g.group.feature for g, _ in dataset.compiled.head_order]
+    repairs = []
+    for _ in range(len(order) + 1):
+        ents = {e.feature: e for e in interpreted_entailments(dataset, state)}
+        violated = [
+            f for f in order
+            if not entailment_satisfied(
+                config.feature(f), state.values[config.feature_index(f)], ents[f]
+            )
+        ]
+        if not violated:
+            return state, repairs
+        spec = config.feature(violated[0])
+        i = config.feature_index(spec.name)
+        values = interpreted_repair_values(dataset, state, spec.name)
+        if not spec.mutable or not values:
+            return None
+        value = prefer.values[i] if prefer is not None and prefer.values[i] in values else values[0]
+        repairs.append((spec.name, value, tuple(ents[spec.name].provenance)))
+        state = state.replace_value(i, value)
+    return None
+
+
 def _priced_goals(dataset, instance, weights, p, mode):
     """``(cost, lex key, state)`` of every goal in the plausibility-restricted
     space, each priced in full (no streaming, no bounds)."""
@@ -161,23 +193,6 @@ def exhaustive_knearest(config, q, k, p, weights=None):
         key=lambda t: (t[0], t[1]),
     )
     return [(s, d) for d, _, s in scored[:k]]
-
-
-def reference_direct_ranking(dataset, state, target, weights, p):
-    """Plausible single-feature changes as ``(h, feature index, domain index,
-    next state)``, each next state priced in full by ``compute_weighted_lp``
-    (0.0 without a target) and sorted by the first three fields."""
-    config = dataset.config
-    ranked = []
-    for fi, (spec, current) in enumerate(zip(config.features, state.values)):
-        for j, value in enumerate(spec.domain):
-            if value == current or direct_action_problem(spec, current, value):
-                continue
-            nxt = state.replace_value(fi, value)
-            h = 0.0 if target is None else compute_weighted_lp(config, nxt, target, weights, p)
-            ranked.append((h, fi, j, nxt))
-    ranked.sort(key=lambda t: t[:3])
-    return ranked
 
 
 def replay_transition(dataset, before: State, actions, after: State) -> list[str]:

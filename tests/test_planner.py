@@ -1,38 +1,30 @@
 from __future__ import annotations
 
-import gc
-import random
 from collections import Counter
 
 import pytest
 
-from conftest import make_dataset, random_dataset
-from oracles import (
-    one_direct_action_reaches_goal,
-    reference_direct_ranking,
-    verify_solution_path,
-)
-from p2c.domain import FeatureSpec, State, validate_state
+from conftest import DATA, cyclic_dataset, make_dataset, random_dataset
+from oracles import one_direct_action_reaches_goal, verify_solution_path
+from p2c.dataset import consolidate_dataset, load_dataset
+from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
 from p2c.errors import (
     InconsistentInitialStateError,
+    NoCounterfactualError,
     P2CError,
     SearchExhaustedError,
 )
 from p2c.masks import CompiledRules
 from p2c.planner import (
     Action,
-    Ledger,
-    _Moves,
+    PlanPath,
     apply_action,
-    available_direct_actions,
-    drop_inconsistent,
+    direct_action_problem,
     find_path,
-    intervene,
-    make_consistent,
     naive_find_path,
     path_is_legal,
 )
-from p2c.search import min_cf
+from p2c.search import adjust_weights, compute_weighted_lp, min_cf
 
 
 def state_of(dataset, **raw):
@@ -79,97 +71,13 @@ def test_apply_unenforced_allows_anything(example2):
 
 
 # ---------------------------------------------------------------------------
-# make_consistent
+# find_path
 # ---------------------------------------------------------------------------
-
-
-def test_make_consistent_repairs_example2_intermediate(example2):
-    broken = state_of(example2, age=31, debt=0, loan_duration=12,
-                      bank_balance=40000, credit_score=599)
-    ledger = Ledger()
-    state, taken = make_consistent(example2, ledger, broken, [])
-    assert state.values[4] == 620.0
-    assert example2.consistent(state)
-    # the broken intermediate was recorded on the ledger
-    assert ledger.entries[-1].state == broken
-    assert ledger.entries[-1].taken[-1].kind == "causal"
-
-
-def test_make_consistent_noop_when_consistent(example2):
-    john = example2.default_instance()
-    ledger = Ledger()
-    state, taken = make_consistent(example2, ledger, john, [])
-    assert state == john
-    assert len(ledger) == 0
-
-
-def test_make_consistent_exhausts_when_only_repair_is_visited():
-    ds = make_dataset(
-        {
-            "f": FeatureSpec(name="f", kind="categorical", domain=("a", "b"),
-                             directly_actionable=False, mutable=True),
-            "g": FeatureSpec(name="g", kind="categorical", domain=("x", "y"),
-                             directly_actionable=False, mutable=True),
-        },
-        "label(X,'bad') :- g(X,'x').",
-        "f(X,'a') :- g(X,'x').\nf(X,'b') :- not g(X,'x').",
-    )
-    broken = State(("b", "x"))  # needs f=a, but that state is already visited
-    repaired = State(("a", "x"))
-    ledger = Ledger()
-    ledger.seen.add(repaired)
-    with pytest.raises(SearchExhaustedError) as excinfo:
-        make_consistent(ds, ledger, broken, [])
-    assert excinfo.value.diagnostics == ((broken, ()),)
-
-
-# ---------------------------------------------------------------------------
-# intervene
-# ---------------------------------------------------------------------------
-
-
-def test_intervene_example1_first_step_reaches_goal_state(example1):
-    john = example1.default_instance()
-    target = min_cf(example1, john).target
-    ledger = Ledger()
-    ledger.push(john)
-    intervene(example1, ledger, target=target, budget=1)
-    assert ledger.last().state == target
-    assert len(ledger) == 2
-
-
-def test_intervene_backtracks_by_popping_one(example1):
-    from p2c.planner import available_direct_actions
-
-    john = example1.default_instance()
-    dead_end = john.replace_value(1, 5001.0)
-    ledger = Ledger()
-    ledger.push(john)
-    ledger.push(dead_end)
-    # every successor of the dead end is already visited
-    for action in available_direct_actions(example1, dead_end, None,
-                                           example1.config.weights(), 1):
-        ledger.seen.add(apply_action(example1.config, dead_end, action))
-    intervene(example1, ledger, target=None, budget=5)
-    assert [e.state for e in ledger.entries] == [john]  # shrank by exactly one
-
-
-def test_intervene_on_fully_visited_start_exhausts(example1):
-    from p2c.planner import available_direct_actions
-
-    john = example1.default_instance()
-    ledger = Ledger()
-    ledger.push(john)
-    for action in available_direct_actions(example1, john, None,
-                                           example1.config.weights(), 1):
-        ledger.seen.add(apply_action(example1.config, john, action))
-    with pytest.raises(SearchExhaustedError):
-        intervene(example1, ledger, target=None, budget=5)
 
 
 def test_intervene_transitions_satisfy_delta_randomised():
-    """Every consecutive consistent pair in a successful ledger replays as a
-    valid transition (the planner's bookkeeping is not trusted)."""
+    """Every consecutive pair of states in a plan replays as a valid
+    transition (the planner's bookkeeping is not trusted)."""
     checked = 0
     for seed in range(120):
         made = random_dataset(seed, max_features=4, max_values=4)
@@ -185,11 +93,6 @@ def test_intervene_transitions_satisfy_delta_randomised():
         assert not problems, (seed, problems)
         checked += 1
     assert checked >= 40
-
-
-# ---------------------------------------------------------------------------
-# find_path
-# ---------------------------------------------------------------------------
 
 
 def test_find_path_example1_two_states_one_direct(example1):
@@ -257,136 +160,133 @@ def test_find_path_unreachable_target_exhausts():
         find_path(ds, instance, goal)
 
 
-def deepening_cases(seeds):
-    """Random datasets whose plan needs a direct-action budget of 2 or more."""
-    for seed in seeds:
+def test_find_path_rejects_unknown_norm(example1):
+    john = example1.default_instance()
+    target = min_cf(example1, john).target
+    with pytest.raises(ValueError, match="p must be 0, 1 or 2"):
+        find_path(example1, john, target, p=3)
+
+
+@pytest.mark.parametrize("seed, feature, value, reason", [
+    (15, "f1", "v2", "nonincreasing feature cannot increase"),
+    (275, "f0", "v4", "feature is not directly actionable"),
+], ids=["seed15", "seed275"])
+def test_exhaustion_names_the_refused_moves(seed, feature, value, reason):
+    # s* sets a causal head that no action can: at seed 15 a nonincreasing
+    # head must increase, at seed 275 a head that no rule fires must move
+    ds, instance = random_dataset(seed)
+    assert feature in ds.causal_head_features
+    for p in (0, 1, 2):
+        target = min_cf(ds, instance, p=p).target
+        assert target.values[ds.config.feature_index(feature)] == value
+        with pytest.raises(SearchExhaustedError) as excinfo:
+            find_path(ds, instance, target, p=p)
+        message = str(excinfo.value)
+        assert message.startswith(f"no plan within {len(ds.config.features)} direct action(s)")
+        assert f"{feature} -> {value!r}: {reason}" in message
+        assert excinfo.value.diagnostics == ((feature, value, reason),)
+
+
+def plan_to_s_star_cost(ds, start, p):
+    """The plan toward ``min_cf``'s s*, checked; None when no counterfactual
+    exists, the SearchExhaustedError when no plan is found.
+
+    The plan must be legal, sound step by step (``verify_solution_path``
+    from its first state) and start at the instance, or, for an inconsistent
+    instance, at a state that differs from it only in mutable causal heads
+    and plausible direct changes.  It must end at a goal of s*'s p2c cost.
+    """
+    try:
+        best = min_cf(ds, start, p=p, on_inconsistent="allow")
+    except NoCounterfactualError:
+        return None
+    try:
+        path = find_path(ds, start, best.target, p=p, on_inconsistent="repair")
+    except SearchExhaustedError as exc:
+        return exc
+    legal, violations = path_is_legal(ds, path)
+    assert legal, violations
+    assert verify_solution_path(ds, path.start, path) == []
+    if ds.consistent(start):
+        assert path.start == start
+    for spec, was, now in zip(ds.config.features, start.values, path.start.values):
+        assert was == now or spec.mutable and spec.name in ds.causal_head_features or (
+            not direct_action_problem(spec, was, now)
+        )
+    adjusted, _ = adjust_weights(ds, start, path.end, ds.config.weights())
+    cost = compute_weighted_lp(ds.config, start, path.end, adjusted, p)
+    assert abs(cost - best.cost) <= 1e-9
+    return path
+
+
+def test_plans_end_at_s_star_cost_on_random_datasets():
+    """Each random dataset at its consistent start and at its first
+    inconsistent decision-positive start, for p = 0, 1, 2.  Only the starts
+    whose s* needs a move that no direct action may make raise, and the
+    error names that move."""
+    plans, raised = 0, set()
+    for seed in range(300):
         made = random_dataset(seed)
         if made is None:
             continue
         ds, instance = made
-        try:
-            target = min_cf(ds, instance).target
-            find_path(ds, instance, target, max_dpl=1)
-        except SearchExhaustedError:
-            yield seed, ds, instance, target
-        except P2CError:
-            continue
+        inconsistent = next((s for s in enumerate_states(ds.config)
+                             if ds.decision_positive(s) and not ds.consistent(s)), None)
+        for kind, start in (("consistent", instance), ("inconsistent", inconsistent)):
+            if start is None:
+                continue
+            for p in (0, 1, 2):
+                got = plan_to_s_star_cost(ds, start, p)
+                if isinstance(got, SearchExhaustedError):
+                    assert got.diagnostics, (seed, kind, p)
+                    raised.add((seed, kind))
+                else:
+                    plans += got is not None
+    assert plans >= 1000
+    assert raised == {(0, "inconsistent"), (15, "consistent"), (275, "consistent")}
 
 
-def test_exhaustion_diagnostics_name_the_abandoned_start():
-    checked = 0
-    for seed, ds, instance, target in deepening_cases(range(200)):
-        with pytest.raises(SearchExhaustedError) as excinfo:
-            find_path(ds, instance, target, max_dpl=1)
-        diagnostics = excinfo.value.diagnostics
-        assert diagnostics and diagnostics[0][0] == instance, seed
-        checked += 1
-    assert checked >= 5
+@pytest.mark.parametrize("bundle", ("example1", "example2", "cars", "german", "adult"))
+def test_plans_end_at_s_star_cost_on_bundle_populations(bundle):
+    ds = consolidate_dataset(load_dataset(DATA / bundle))
+    starts = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
+    for start in starts:
+        assert isinstance(plan_to_s_star_cost(ds, start, ds.config.norm_p), PlanPath), start
 
 
-def test_find_path_computes_each_state_once_across_budgets(monkeypatch):
-    violations, ranked = Counter(), Counter()
-    real_violations, real_ranked = CompiledRules.violations, _Moves.ranked
-
-    def counted_violations(self, bits):
-        violations[bits] += 1
-        return real_violations(self, bits)
-
-    def counted_ranked(self, state):
-        ranked[state] += 1
-        return real_ranked(self, state)
-
-    checked = 0
-    for seed, ds, instance, target in deepening_cases(range(120, 220)):
-        attrs = dict(vars(ds))
-        violations.clear()
-        ranked.clear()
-        with monkeypatch.context() as m:
-            m.setattr(CompiledRules, "violations", counted_violations)
-            m.setattr(_Moves, "ranked", counted_ranked)
-            path = find_path(ds, instance, target)
-        assert path.direct_action_count() >= 2, seed
-        assert ranked and max(ranked.values()) == 1, (seed, ranked)
-        assert violations and max(violations.values()) == 1, (seed, violations)
-        assert vars(ds) == attrs, seed
-        checked += 1
-    assert checked >= 5
-    gc.collect()
-    assert not any(isinstance(o, _Moves) for o in gc.get_objects())
+def test_plans_end_at_s_star_cost_on_a_causal_cycle():
+    ds = cyclic_dataset()
+    starts = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
+    assert any(not ds.consistent(s) for s in starts)
+    for start in starts:
+        for p in (0, 1, 2):
+            assert isinstance(plan_to_s_star_cost(ds, start, p), PlanPath), (start, p)
 
 
-def pricing_cases(example1, example2, cars, german, adult):
-    """(dataset, state, target, weights) on sampled bundle states, where
-    numeric features give non-integer terms, and on random datasets with
-    random weights; every fourth case has no target."""
-    rng = random.Random(5)
-    datasets = [example1, example2, cars, german, adult]
-    for seed in range(60):
-        made = random_dataset(seed)
-        if made is not None:
-            datasets.append(made[0])
-    n = 0
-    for ds in datasets:
-        features = ds.config.features
-        weights = ds.config.weights() if ds in (german, adult) else {
-            f.name: rng.choice((0.0, 0.3, 1.0, 2.7)) for f in features
-        }
-        for _ in range(12):
-            state, target = (State(tuple(rng.choice(f.domain) for f in features))
-                             for _ in range(2))
-            n += 1
-            yield ds, state, None if n % 4 == 0 else target, weights
+def test_find_path_closes_each_moved_state_once(monkeypatch, german, adult):
+    """A deterministic work gate: within one find_path call no state is
+    closed twice.  The bits closed are a state with one feature moved to
+    s*'s value, so this also holds per (state, feature) pair."""
+    closed = Counter()
+    real = CompiledRules.closure
 
+    def counted(self, bits, prefer):
+        closed[bits] += 1
+        return real(self, bits, prefer)
 
-@pytest.mark.parametrize("p", [0, 1, 2])
-def test_direct_ranking_equals_full_pricing(p, example1, example2, cars, german, adult):
-    for ds, state, target, weights in pricing_cases(example1, example2, cars, german, adult):
-        want = reference_direct_ranking(ds, state, target, weights, p)
-        got = _Moves(ds, target, weights, p).ranked(state)
-        assert [(h, fi, j, nxt) for h, fi, j, _, nxt in got] == want
-        features = ds.config.features
-        assert available_direct_actions(ds, state, target, weights, p) == [
-            Action("direct", features[fi].name, features[fi].domain[j]) for _, fi, j, _ in want
-        ]
-
-
-def test_direct_ranking_rejects_unknown_norm(example1):
-    john = example1.default_instance()
-    with pytest.raises(ValueError, match="p must be 0, 1 or 2"):
-        available_direct_actions(example1, john, john, example1.config.weights(), 3)
-
-
-# ---------------------------------------------------------------------------
-# drop_inconsistent
-# ---------------------------------------------------------------------------
-
-
-def test_drop_inconsistent_identity_on_consistent_ledger(example1):
-    john = example1.default_instance()
-    ledger = Ledger()
-    ledger.push(john)
-    goal = john.replace_value(3, 60000.0)
-    ledger.entries[-1].taken.append(Action("direct", "bank_balance", 60000.0))
-    ledger.push(goal)
-    path = drop_inconsistent(example1, ledger)
-    assert path.states() == (john, goal)
-    assert path.steps[1].actions[0].feature == "bank_balance"
-
-
-def test_drop_inconsistent_removes_example2_interim(example2):
-    john = example2.default_instance()
-    target = min_cf(example2, john).target
-    # run an un-dropped search by hand to observe the interim in the ledger
-    ledger = Ledger()
-    ledger.push(john)
-    while not example2.is_goal(ledger.last().state):
-        intervene(example2, ledger, target=target, budget=2)
-    raw_states = [e.state for e in ledger.entries]
-    assert any(not example2.consistent(s) for s in raw_states)
-    path = drop_inconsistent(example2, ledger)
-    assert all(example2.consistent(s) for s in path.states())
-    assert len(path.states()) == len(raw_states) - 1
-
+    monkeypatch.setattr(CompiledRules, "closure", counted)
+    starts = 0
+    for full in (german, adult):
+        ds = consolidate_dataset(full)
+        for start in enumerate_states(ds.config):
+            if not ds.decision_positive(start):
+                continue
+            target = min_cf(ds, start, on_inconsistent="allow").target
+            closed.clear()
+            find_path(ds, start, target, on_inconsistent="repair")
+            assert closed and max(closed.values()) == 1, start
+            starts += 1
+    assert starts == 768 + 704
 
 # ---------------------------------------------------------------------------
 # naive planner and legality
@@ -455,8 +355,9 @@ def test_dpl_minimality_example1(example1):
 
 
 def test_dpl_minimality_randomised_causal_free():
-    """Without causal rules the deepening search is complete per budget, so a
-    one-direct-action plan exists iff the returned plan uses one."""
+    """Without causal rules, on unit-weight categorical features, a goal's
+    cost counts its changes, so the plan to s* uses one direct action iff
+    one plausible change reaches a goal."""
     checked = 0
     for seed in range(2000, 2120):
         made = random_dataset(seed, max_features=4, max_values=4, with_causal=False)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import budget, chained_ladder, make_dataset, random_dataset
+from conftest import budget, chained_ladder, cyclic_dataset, make_dataset, random_dataset
 from oracles import exhaustive_goal_knearest, exhaustive_knearest, exhaustive_min_cf
 from p2c.dataset import consolidate_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
@@ -465,18 +465,7 @@ def test_cycle_without_consistent_state_has_no_counterfactual():
 
 
 def test_cycle_with_consistent_goals_matches_exhaustive_oracle():
-    # x and y hold each other at 'a' or leave it together; z says where x goes
-    causal = """\
-x(X,'a') :- y(X,'a').
-x(X,'b') :- not y(X,'a'), z(X,'p').
-y(X,'a') :- x(X,'a').
-y(X,'c') :- not x(X,'a').
-"""
-    decision = "label(X,'bad') :- x(X,'a'), not w(X,'r').\nlabel(X,'bad') :- z(X,'q'), w(X,'s')."
-    ds = make_dataset(
-        {"x": ("a", "b", "c"), "y": ("a", "b", "c"), "z": ("p", "q"), "w": ("r", "s", "t")},
-        decision, causal,
-    )
+    ds = cyclic_dataset()
     starts = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
     assert any(ds.consistent(s) for s in starts)
     assert any(not ds.consistent(s) for s in starts)
