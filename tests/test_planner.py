@@ -71,8 +71,75 @@ def test_apply_unenforced_allows_anything(example2):
 
 
 # ---------------------------------------------------------------------------
+# making a state consistent: CompiledRules.closure
+# ---------------------------------------------------------------------------
+
+
+def test_make_consistent_repairs_example2_intermediate(example2):
+    """The closure repairs the inconsistent example2 intermediate (debt
+    paid, score still 599) by one causal action that carries its rule."""
+    broken = state_of(example2, age=31, debt=0, loan_duration=12,
+                      bank_balance=40000, credit_score=599)
+    compiled = example2.compiled
+    assert not example2.consistent(broken)
+    bits, repairs = compiled.closure(compiled.bits(broken), compiled.bits(broken))
+    repaired = broken.replace_value(4, 620.0)
+    assert bits == compiled.bits(repaired)
+    assert example2.consistent(repaired)
+    assert [(fi, value) for fi, value, _ in repairs] == [(4, 620.0)]
+    assert "credit_score" in repairs[0][2][0]
+
+
+def test_make_consistent_noop_when_consistent(example2):
+    john = example2.default_instance()
+    compiled = example2.compiled
+    bits = compiled.bits(john)
+    assert compiled.closure(bits, bits) == (bits, [])
+
+
+# ---------------------------------------------------------------------------
 # find_path
 # ---------------------------------------------------------------------------
+
+
+def test_intervene_example1_first_step_reaches_goal_state(example1):
+    """In example1 the first move toward s* already reaches the goal."""
+    john = example1.default_instance()
+    target = min_cf(example1, john).target
+    path = find_path(example1, john, target)
+    first = path.steps[1]
+    assert first.state == target and example1.is_goal(first.state)
+    assert [a.kind for a in first.actions] == ["direct"]
+
+
+def test_drop_inconsistent_identity_on_consistent_ledger(example1):
+    """From a consistent start nothing is dropped: the plan begins at the
+    instance itself and every state on it is consistent."""
+    john = example1.default_instance()
+    goal = john.replace_value(3, 60000.0)
+    path = find_path(example1, john, goal)
+    assert path.states() == (john, goal)
+    assert path.steps[0].actions == ()
+    assert path.steps[1].actions == (Action("direct", "bank_balance", 60000.0),)
+    assert all(example1.consistent(s) for s in path.states())
+
+
+def test_drop_inconsistent_removes_example2_interim(example2):
+    """Paying the debt alone leaves example2 inconsistent (score 599); that
+    interim never appears on the plan, whose debt step carries the causal
+    credit-score repair instead."""
+    john = example2.default_instance()
+    target = min_cf(example2, john).target
+    path = find_path(example2, john, target)
+    interim = john.replace_value(1, 0.0)
+    assert not example2.consistent(interim)
+    assert interim not in path.states()
+    assert all(example2.consistent(s) for s in path.states())
+    debt_step = next(s for s in path.steps if s.actions and s.actions[0].feature == "debt")
+    assert [(a.kind, a.feature) for a in debt_step.actions] == [
+        ("direct", "debt"), ("causal", "credit_score"),
+    ]
+
 
 
 def test_intervene_transitions_satisfy_delta_randomised():
