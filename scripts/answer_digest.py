@@ -1,0 +1,201 @@
+"""Print one SHA-256 over p2c's answers on a fixed set of inputs.
+
+    python scripts/answer_digest.py                      # this checkout's src/
+    python scripts/answer_digest.py --src OTHER/src      # another tree's p2c
+
+The inputs come from this checkout's ``tests/conftest.py`` generators and
+``perfbench/inputs.py``, so running it twice, once with ``--src`` pointing at
+another tree, compares two versions of the program on the same inputs.  An
+answer is the target, cost and causal-free features of each report, the
+states and actions (with provenance) of each plan and its ``path_is_legal``
+verdict, or the type and message of the raised error.
+
+Searches: ``min_cf`` and ``goal_knearest(k=20)`` in both modes for p in
+{0, 1, 2}, on ``random_dataset(0..299)`` at its consistent start and at its
+first inconsistent decision-positive start; the five consolidated bundles at
+their configured instance, 12 consistent and 4 inconsistent decision-positive
+starts; ``chained_ladder(0, n)`` for n = 3..12; ``deep_ladder(n)`` for
+n = 2..8; every decision-positive start of ``cyclic_dataset()``; and 4
+decision-positive starts of each ``rich_dataset(0..299)`` program whose
+causal alternatives cannot fire together (exception calls, numeric heads,
+favourable and rejecting labels).
+
+Plans: ``find_path`` toward ``min_cf``'s target on ``random_dataset(0..299)``
+at the consistent start for p in {0, 1, 2}, with the default budget and with
+``max_dpl=1``; on each bundle start toward each of its 5 nearest goals for p
+in {0, 1, 2}; and perfbench's ``ladder`` and ``plan`` queries at seeds
+101-103.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def answer(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the error is the answer
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def report_answer(r) -> tuple:
+    return (r.target.values, repr(r.cost), tuple(sorted(r.causal_free_features)))
+
+
+def plan_answer(ds, plan) -> tuple:
+    from p2c.planner import path_is_legal
+
+    if isinstance(plan, tuple):
+        return plan
+    steps = tuple(
+        (step.state.values,
+         tuple((a.kind, a.feature, a.new_value, tuple(a.provenance)) for a in step.actions))
+        for step in plan.steps
+    )
+    return steps, path_is_legal(ds, plan)
+
+
+def spread(pool, count):
+    return pool[:: max(1, len(pool) // count)][:count]
+
+
+def search_inputs():
+    """(dataset, start, on_inconsistent) triples for the search answers."""
+    from conftest import (
+        DATA, chained_ladder, cyclic_dataset, deep_ladder, random_dataset, rich_dataset,
+    )
+    from p2c import load_dataset
+    from p2c.dataset import consolidate_dataset
+    from p2c.domain import enumerate_states
+
+    for seed in range(300):
+        made = random_dataset(seed)
+        if made is None:
+            continue
+        ds, start = made
+        yield ds, start, "error"
+        bad = next((s for s in enumerate_states(ds.config)
+                    if ds.decision_positive(s) and not ds.consistent(s)), None)
+        if bad is not None:
+            yield ds, bad, "allow"
+    for name in ("example1", "example2", "cars", "german", "adult"):
+        ds = consolidate_dataset(load_dataset(DATA / name))
+        positive = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
+        starts = [(ds.default_instance(), "allow")]
+        starts += [(s, "error") for s in spread([s for s in positive if ds.consistent(s)], 12)]
+        starts += [(s, "allow") for s in spread([s for s in positive if not ds.consistent(s)], 4)]
+        for start, on_inconsistent in starts:
+            yield ds, start, on_inconsistent
+    for n in range(3, 13):
+        made = chained_ladder(0, n)
+        if made is not None:
+            yield made[0], made[1], "error"
+    for n in range(2, 9):
+        ds, start = deep_ladder(n)
+        yield ds, start, "error"
+    ds = cyclic_dataset()
+    for start in enumerate_states(ds.config):
+        if ds.decision_positive(start):
+            yield ds, start, "allow"
+    for ds in map(rich_dataset, range(300)):
+        if ds is None or any(g.may_overlap for g in ds.compiled.groups):
+            continue
+        positive = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
+        for start in spread(positive, 4):
+            yield ds, start, "allow"
+
+
+def search_answers():
+    from p2c import goal_knearest, min_cf
+
+    for ds, start, on_inc in search_inputs():
+        for mode in ("p2c", "all_changes"):
+            for p in (0, 1, 2):
+                kw = dict(p=p, mode=mode, on_inconsistent=on_inc)
+                best = answer(min_cf, ds, start, **kw)
+                yield best if isinstance(best, tuple) else report_answer(best)
+                near = answer(goal_knearest, ds, start, 20, **kw)
+                yield near if isinstance(near, tuple) else tuple(map(report_answer, near))
+
+
+def plan_answers():
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import inputs
+    from conftest import DATA, random_dataset
+    from p2c import find_path, goal_knearest, load_dataset, min_cf
+    from p2c.dataset import build_dataset, consolidate_dataset
+    from p2c.domain import DatasetConfig, FeatureSpec, State, enumerate_states
+    from p2c.rules import parse_rule_program
+
+    for seed in range(300):
+        made = random_dataset(seed)
+        if made is None:
+            continue
+        ds, start = made
+        for p in (0, 1, 2):
+            best = answer(min_cf, ds, start, p=p)
+            if isinstance(best, tuple):
+                yield best
+                continue
+            for max_dpl in (None, 1):
+                yield plan_answer(ds, answer(find_path, ds, start, best.target, max_dpl=max_dpl))
+    for name in ("example1", "example2", "cars", "german", "adult"):
+        ds = consolidate_dataset(load_dataset(DATA / name))
+        positive = [s for s in enumerate_states(ds.config)
+                    if ds.decision_positive(s) and ds.consistent(s)]
+        for start in [ds.default_instance()] + spread(positive, 12):
+            for p in (0, 1, 2):
+                near = answer(goal_knearest, ds, start, 5, p=p, on_inconsistent="allow")
+                if isinstance(near, tuple):
+                    yield near
+                    continue
+                for r in near:
+                    yield plan_answer(ds, answer(find_path, ds, start, r.target,
+                                                 on_inconsistent="repair"))
+    for seed in (101, 102, 103):
+        for space in inputs.ladder_spaces(seed) + inputs.plan_spaces(seed):
+            features = tuple(
+                FeatureSpec(name=f.name, kind="categorical", domain=f.domain, weight=f.weight,
+                            mutable=f.mutable, monotone=f.monotone,
+                            directly_actionable=f.actionable)
+                for f in space.model.features
+            )
+            config = DatasetConfig(name=space.name, features=features,
+                                   undesired_decision="bad", norm_p=1)
+            ds = build_dataset(config, parse_rule_program(space.decision_text, "decision"),
+                               parse_rule_program(space.causal_text, "causal"))
+            for inst in space.instances:
+                start = State(inst)
+                best = answer(min_cf, ds, start, on_inconsistent="allow")
+                if isinstance(best, tuple):
+                    yield best
+                    continue
+                yield report_answer(best)
+                yield plan_answer(ds, answer(find_path, ds, start, best.target,
+                                             on_inconsistent="repair"))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(REPO / "src"), help="directory holding p2c")
+    args = parser.parse_args()
+    sys.path.insert(0, str(REPO / "tests"))
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    digest = hashlib.sha256()
+    count = 0
+    for part in (search_answers(), plan_answers()):
+        for item in part:
+            digest.update(repr(item).encode())
+            digest.update(b"\n")
+            count += 1
+    print(f"{digest.hexdigest()}  {count} answers")
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,10 @@ it.  Groups on a cycle of such reads come last, and a group that reads a
 head not yet derived at its place is marked undecidable there.  The same
 order gives the causal closure of a state (:meth:`CompiledRules.closure`):
 one pass repairs every violated group, because each group reads only heads
-repaired before it.
+repaired before it.  Each decision body also gets its box over the features
+no causal rule sets (:attr:`CompiledRules.decision_boxes`): its forbidden
+mask, and the features whose values decide through ``ab`` calls or derived
+heads whether it fires, which a search cutting that box away must hold fixed.
 
 The package imports this module on a dataset's first query, not at import.
 """
@@ -299,6 +302,33 @@ def _head_order(groups, feature_masks) -> tuple[tuple[_CompiledGroup, bool], ...
     return tuple(out)
 
 
+def _decision_boxes(decision, head_order, feature_masks) -> tuple[tuple[int, int], ...]:
+    """Per decision body, ``(forbidden, fixed)``: its literals' forbidden
+    mask, and a bit in every non-head feature that decides, beyond those
+    literals, whether it fires on a derived state.  These are the features
+    read through an ``ab`` call and those that the heads it reads are
+    derived from, transitively in head order.  A head of an undecidable
+    group takes every value whatever the other features hold, so it is
+    derived from none."""
+    head_bits = reduce(operator.or_, (feature_masks[g.fi] for g, _ in head_order), 0)
+    derived_from: dict[int, int] = {}  # head feature -> bits of the features it is derived from
+
+    def through_heads(reads: int) -> int:
+        return reduce(operator.or_, (
+            support for h, support in derived_from.items() if reads & feature_masks[h]
+        ), 0)
+
+    for g, decidable in head_order:
+        reads = _support(body for bodies in g.bodies for body in bodies)
+        derived_from[g.fi] = (reads & ~head_bits | through_heads(reads)) if decidable else 0
+    out = []
+    for body in decision:
+        calls = () if body.__class__ is int else body[1] + body[2]
+        fixed = reduce(operator.or_, (_support(call) for call in calls), 0) & ~head_bits
+        out.append((_forbidden_of(body), fixed | through_heads(_support((body,)))))
+    return tuple(out)
+
+
 class CompiledRules:
     """A config's causal groups (and optionally its decision program) as bit masks.
 
@@ -307,7 +337,7 @@ class CompiledRules:
     """
 
     __slots__ = ("config", "offsets", "domains", "feature_masks", "groups", "last_overlap",
-                 "head_order", "cyclic", "decision", "undesired")
+                 "head_order", "cyclic", "decision", "undesired", "decision_boxes")
 
     def __init__(
         self,
@@ -355,6 +385,7 @@ class CompiledRules:
             dc = _ProgramCompiler(config, self.offsets, decision)
             self.decision = tuple(dc.body(r) for r in decision.rules)
             self.undesired = decision.describes_undesired
+            self.decision_boxes = _decision_boxes(self.decision, self.head_order, feature_masks)
 
     def bits(self, state: State) -> int:
         if len(state.values) != len(self.domains):
@@ -385,6 +416,14 @@ class CompiledRules:
 
     def is_goal(self, bits: int) -> bool:
         return self.consistent(bits) and _any_fires(bits, self.decision) != self.undesired
+
+    def common_body(self, states: Sequence[int]) -> int:
+        """Index of the first decision body that fires on every one of
+        ``states`` (bits), or -1."""
+        for b, body in enumerate(self.decision):
+            if all(_any_fires(bits, (body,)) for bits in states):
+                return b
+        return -1
 
     def _provenance(self, g: _CompiledGroup, bits: int, fired: int):
         if fired < 0:
@@ -423,21 +462,6 @@ class CompiledRules:
         if g is None:
             return ()
         return self._allowed(g, g.fired(bits))
-
-    def violations(self, bits: int) -> list[tuple[int, tuple[Value, ...], Sequence[str]]]:
-        """``(feature index, repair values, provenance)`` of every violated
-        group, in feature order.
-
-        Every group is evaluated, so two co-firing alternatives raise as in
-        :meth:`entailments`, whether or not their group is violated.
-        """
-        out = []
-        for g in self.groups:
-            fired = g.fired(bits)
-            if not g.satisfied(bits, fired):
-                out.append((g.fi, self._allowed(g, fired), self._provenance(g, bits, fired)))
-        out.sort(key=lambda v: v[0])
-        return out
 
     def closure(
         self, bits: int, prefer: int

@@ -13,7 +13,6 @@ s* is the cheapest goal, so the plan ends at s* or at a goal of equal cost.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -254,46 +253,21 @@ def find_path(
 
 
 def naive_find_path(dataset: Dataset, instance: State, s_star: State) -> PlanPath:
-    """Causally blind baseline: BFS over single-feature direct edits.
+    """Causally blind baseline: one direct edit per differing feature.
 
-    Ignores the causal rules and every plausibility flag, so its shortest
-    path simply rewrites each differing feature; the legality checker then
-    gets to complain.
+    Ignores the causal rules and every plausibility flag and rewrites each
+    feature that differs from s* in feature order, which is the shortest
+    path of single-feature edits; the legality checker then gets to
+    complain.
     """
-    config = dataset.config
-    if instance == s_star:
-        return PlanPath((PathStep(instance, ()),))
-    parent: dict[State, tuple[State, Action]] = {}
-    queue = collections.deque([instance])
-    seen = {instance}
-    found = False
-    while queue and not found:
-        current = queue.popleft()
-        for fi, spec in enumerate(config.features):
-            for value in spec.domain:
-                if value == current.values[fi]:
-                    continue
-                nxt = current.replace_value(fi, value)
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                parent[nxt] = (current, Action(DIRECT, spec.name, value))
-                if nxt == s_star:
-                    found = True
-                    break
-                queue.append(nxt)
-            if found:
-                break
-    if not found:
-        raise SearchExhaustedError("naive planner could not reach the target")
-    steps: list[PathStep] = []
-    cursor = s_star
-    while cursor != instance:
-        prev, action = parent[cursor]
-        steps.append(PathStep(cursor, (action,)))
-        cursor = prev
-    steps.append(PathStep(instance, ()))
-    steps.reverse()
+    steps = [PathStep(instance, ())]
+    current = instance
+    for fi, (spec, value) in enumerate(zip(dataset.config.features, s_star.values)):
+        if value not in spec.domain:
+            raise SearchExhaustedError("naive planner could not reach the target")
+        if value != current.values[fi]:
+            current = current.replace_value(fi, value)
+            steps.append(PathStep(current, (Action(DIRECT, spec.name, value),)))
     return PlanPath(tuple(steps))
 
 

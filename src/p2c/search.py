@@ -8,13 +8,22 @@ changes the world would make on its own.
 goal_knearest streams candidates from the plausibility-restricted space in
 nondecreasing order of a lower bound on their cost, so it can stop as soon as
 the bound passes the k-th best verified counterfactual; min_cf is its
-``k = 1`` case.  The stream walks only the features no causal rule sets.
-The causal heads of each such vector are derived from their groups, the way
+``k = 1`` case.  The stream is a best-first search over boxes of the
+features no causal rule sets: one mask of allowed values per feature,
+bounded by the sum of each feature's cheapest allowed term.  Expanding a box
+derives the causal heads of its cheapest vector from their groups, the way
 goal-directed evaluation derives a head from its body, in the compile-time
-head order of ``masks.CompiledRules``.  Only completions the groups allow
-are priced and goal-tested, so on an acyclic causal program every tested
-candidate is causally consistent.  Candidates stay index vectors and one-hot
-bits until one passes the goal test; only goals become a ``State``.
+head order of ``masks.CompiledRules``; only completions the groups allow are
+priced and goal-tested, so on an acyclic causal program every tested
+candidate is causally consistent.  The box then loses a cut that holds no
+goal, and the rest is split by Lawler's partitioning (Management Science,
+1972), which keeps k-best one loop.  When a rejecting decision body fires on
+every completion, the cut is that body's whole box: escaping the rule means
+moving at least one feature it tests out of its box, the constructive
+reading s(CASP) gives ``not label(X, ...)``.  Otherwise the cut is the
+vector alone, which is a plain best-first walk over vectors.  Candidates
+stay index vectors and one-hot bits until one passes the goal test; only
+goals become a ``State``.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -184,28 +194,42 @@ def _stream_candidates(
     """Yield (bound, lex_rank, state) in nondecreasing bound order; ``state``
     is None unless the entry is a goal.
 
-    The walk is best-first over the product of the non-head features' sorted
-    value lists, and a vector's bound is the sum of their terms.  Popping a
-    vector completes its causal heads group by group, in
+    The search is best-first over boxes of the non-head features.  A box
+    gives each such feature one mask over its sorted plausible values; its
+    bound is the sum of each feature's cheapest allowed term, and its rank
+    that of the cheapest values, so (bound, rank) is a lower bound on
+    (cost, rank) of every goal in the box.  Expanding a box takes its
+    cheapest vector and completes the causal heads group by group, in
     ``CompiledRules.head_order``: each head takes only the plausible values
     its group allows given the features already assigned (those of the fired
     alternative's head, or no head value when none fires), so the other
     states with this vector, all causally inconsistent, are never built.
-    Each completion is priced exactly and goes back on the heap as a leaf: a
-    head is free in ``p2c`` mode when its group fires (the change is compelled
-    and satisfied) and costs its ``lp_term`` otherwise.  Bounds therefore
-    never decrease, and in ``all_changes`` mode a leaf's bound is its cost.
-    A group that is undecidable at its place (it reads a head derived after
-    it, on a causal cycle) takes every plausible value, free in ``p2c`` mode,
-    which keeps the bound a lower bound.  Every leaf is goal-tested on its
-    one-hot bits by the full ``CompiledRules.is_goal``, and only goals become
-    a ``State``.
+    Each completion that passes the full ``CompiledRules.is_goal`` goes on
+    the heap as a leaf, priced exactly: a head is free in ``p2c`` mode when
+    its group fires (the change is compelled and satisfied) and costs its
+    ``lp_term`` otherwise.  Bounds therefore never decrease, and in
+    ``all_changes`` mode a leaf's bound is its cost.  A group that is
+    undecidable at its place (it reads a head derived after it, on a causal
+    cycle) takes every plausible value, free in ``p2c`` mode, which keeps the
+    bound a lower bound.  Only goals become a ``State``.
+
+    Then the box loses a *cut* that holds no goal.  When no completion is a
+    goal and one rejecting decision body fires on all of them, the cut is
+    that body's box: its literals restrict the features they test, and the
+    features it reads through an ``ab`` call or through a head's derivation
+    (``CompiledRules.decision_boxes``) keep the vector's values, so the body
+    fires on every completion of every vector in the cut.  Otherwise the cut
+    is the vector alone.  The rest of the box is pushed as Lawler's
+    partition: child i keeps the cut's values on the features before i and
+    the box minus the cut on feature i.  When the decision rules name the
+    favourable label, every goal lies in some body's box (restricted by its
+    literals), so the search starts from disjoint pieces of those boxes
+    instead of the whole space.
 
     Ties go by ``lex_rank``, the candidate's domain indices read as one
     mixed-radix number, which orders states exactly as
-    ``DatasetConfig.lex_key`` does.  A vector is pushed only by the vector
-    one step lower in its last nonzero position, so each is pushed once and
-    no seen-set is kept.
+    ``DatasetConfig.lex_key`` does.  Boxes are disjoint, so each goal is
+    pushed once and no seen-set is kept.
     """
     compiled = dataset.compiled
     is_goal = compiled.is_goal
@@ -219,11 +243,8 @@ def _stream_candidates(
     costs = [tuple(c for c, _, _ in entries) for _, entries in walk]
     values = [tuple(v for _, _, v in entries) for _, entries in walk]
     one_hot = [tuple(1 << (offsets[i] + j) for _, j, _ in entries) for i, entries in walk]
-    rank_step = [
-        tuple((b[1] - a[1]) * place[i] for a, b in zip(entries, entries[1:]))
-        for i, entries in walk
-    ]
-    last = [len(c) - 1 for c in costs]
+    rank_part = [tuple(place[i] * j for _, j, _ in entries) for i, entries in walk]
+    walk_masks = [compiled.feature_masks[i] for i, _ in walk]
     # per group, in head order: (bit, lp_term, rank part, value) of each plausible head value
     derive = [
         (g, decidable, tuple(
@@ -232,6 +253,7 @@ def _stream_candidates(
         for g, decidable in compiled.head_order
     ]
     free_when_fired = mode == "p2c"
+    undesired = compiled.undesired
     at = tuple.__getitem__
 
     def state(idx_vec: tuple[int, ...], chosen: tuple[Value, ...]) -> State:
@@ -242,17 +264,57 @@ def _stream_candidates(
             vals[g.fi] = v
         return State(tuple(vals))
 
-    start = (0,) * len(walk)
-    rank = sum(place[i] * entries[0][1] for i, entries in walk)
-    # nodes: (bound, rank, lowest position a successor may raise, idx_vec, None);
-    # leaves: (bound, rank, -1, idx_vec, (bits, head values))
-    heap = [(sum(map(at, costs, start)), rank, 0, start, None)]
+    literal: dict[int, tuple[int, ...]] = {}
+
+    def literal_box(b: int) -> tuple[int, ...]:
+        """Per walk feature, the entries that decision body b's literals allow."""
+        if b not in literal:
+            forbidden = compiled.decision_boxes[b][0]
+            literal[b] = tuple(
+                sum(1 << k for k, bit in enumerate(bits) if not bit & forbidden)
+                for bits in one_hot
+            )
+        return literal[b]
+
+    def lawler(box: tuple[int, ...], cut: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """Lawler's partition of ``box`` minus ``cut`` (a sub-box of it), as
+        disjoint ``(i, child)``: child i holds the cut's values on the
+        features before i and the rest of the box on feature i."""
+        return [(i, cut[:i] + (m & ~c,) + box[i + 1 :])
+                for i, (m, c) in enumerate(zip(box, cut)) if m & ~c]
+
+    # nodes: (bound, rank, 0, cheapest idx_vec, box); leaves: (bound, rank, -1, goal)
+    heap: list = []
+
+    def push(box: tuple[int, ...]) -> None:
+        idx_vec = tuple((m & -m).bit_length() - 1 for m in box)
+        heapq.heappush(heap, (
+            sum(map(at, costs, idx_vec)), sum(map(at, rank_part, idx_vec)), 0, idx_vec, box
+        ))
+
+    def minus(box: tuple[int, ...], other: tuple[int, ...]) -> list[tuple[int, ...]]:
+        meet = tuple(map(operator.and_, box, other))
+        return [child for _, child in lawler(box, meet)] if all(meet) else [box]
+
+    space = tuple((1 << len(c)) - 1 for c in costs)
+    if undesired:
+        push(space)
+    else:
+        pieces: list[tuple[int, ...]] = []
+        for b in range(len(compiled.decision)):
+            box = tuple(map(operator.and_, space, literal_box(b)))
+            fresh = [box] if all(box) else []
+            for old in pieces:
+                fresh = [piece for part in fresh for piece in minus(part, old)]
+            pieces += fresh
+        for box in pieces:
+            push(box)
     while heap:
-        bound, rank, low, idx_vec, leaf = heapq.heappop(heap)
-        if leaf is not None:
-            bits, chosen = leaf
-            yield bound, rank, state(idx_vec, chosen) if is_goal(bits) else None
+        entry = heapq.heappop(heap)
+        if entry[2] < 0:
+            yield entry[0], entry[1], entry[3]
             continue
+        bound, rank, _, idx_vec, box = entry
         yield bound, rank, None
         # one bit per feature, so the sum is their OR
         partial = [(sum(map(at, one_hot, idx_vec)), bound, rank, ())]
@@ -269,15 +331,29 @@ def _stream_candidates(
                     if allowed & bit:
                         grown.append((bits | bit, b if free else b + price, r + dr, chosen + (v,)))
             partial = grown
+        goal = False
         for bits, b, r, chosen in partial:
-            heapq.heappush(heap, (b, r, -1, idx_vec, (bits, chosen)))
-        for i in range(low, len(walk)):
-            j = idx_vec[i]
-            if j < last[i]:
-                nxt = idx_vec[:i] + (j + 1,) + idx_vec[i + 1 :]
-                heapq.heappush(
-                    heap, (sum(map(at, costs, nxt)), rank + rank_step[i][j], i, nxt, None)
-                )
+            if is_goal(bits):
+                heapq.heappush(heap, (b, r, -1, state(idx_vec, chosen)))
+                goal = True
+        body = -1
+        if undesired and partial and not goal:
+            body = compiled.common_body([bits for bits, _, _, _ in partial])
+        if body >= 0:
+            fixed = compiled.decision_boxes[body][1]
+            cut = tuple(
+                1 << k if fm & fixed else m & allowed
+                for k, m, fm, allowed in zip(idx_vec, box, walk_masks, literal_box(body))
+            )
+        else:
+            cut = tuple(1 << k for k in idx_vec)
+        for i, child in lawler(box, cut):
+            k = (child[i] & -child[i]).bit_length() - 1
+            nxt = idx_vec[:i] + (k,) + idx_vec[i + 1 :]
+            heapq.heappush(heap, (
+                sum(map(at, costs, nxt)), rank + rank_part[i][k] - rank_part[i][idx_vec[i]],
+                0, nxt, child,
+            ))
 
 
 def _price(

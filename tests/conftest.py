@@ -179,6 +179,22 @@ def random_dataset(seed: int, *, max_features=5, max_values=6, with_causal=True,
     return dataset, starts[rng.randrange(len(starts))]
 
 
+def deep_ladder(n: int):
+    """n features x 4 values, each change costing 1, and r = n // 2 rejecting
+    rules ``label(X,'bad') :- xi(X,'a').`` on the first r features, with an
+    all-'a' start.  Every goal moves those r features off 'a', so the
+    optimum is r, and a search that pops cheap vectors one at a time sees
+    every vector of cost below r first.  Returns the dataset and the start.
+    """
+    from p2c.domain import State
+
+    names = [f"x{i}" for i in range(n)]
+    decision = "\n".join(f"label(X,'bad') :- {f}(X,'a')." for f in names[: n // 2])
+    dataset = make_dataset({f: ("a", "b", "c", "d") for f in names}, decision,
+                           name=f"deep{n}")
+    return dataset, State(("a",) * n)
+
+
 def cyclic_dataset():
     """A causal cycle with consistent goals: x and y hold each other at 'a'
     or leave it together, and z says where x goes."""
@@ -256,3 +272,82 @@ def chained_ladder(seed: int, n: int, *, chain: int = 3):
         if dataset.decision_positive(start):
             return dataset, start
     return None
+
+
+def rich_dataset(seed: int):
+    """A random program over mixed categorical and numeric features, with
+    exception predicates (called plainly, negated and from one another),
+    numeric ``=<`` and ``not(=<)`` tests, direction-aware numeric causal
+    heads, and causal alternatives free to fire together."""
+    rng = random.Random(seed)
+    features = []
+    for i in range(rng.randint(2, 4)):
+        if rng.random() < 0.45:
+            domain = tuple(float(v) for v in sorted(rng.sample(range(21), rng.randint(2, 4))))
+            features.append(FeatureSpec(
+                name=f"n{i}", kind="numeric", domain=domain, numeric_range=(0.0, 20.0),
+                causal_direction=rng.choice(("exact", "at_least", "at_most")),
+            ))
+        else:
+            domain = tuple(f"v{j}" for j in range(rng.randint(2, 4)))
+            features.append(FeatureSpec(name=f"c{i}", kind="categorical", domain=domain))
+    names = [f.name for f in features]
+
+    def literals(allowed, aux_names):
+        out, var = [], 0
+        for name in rng.sample(allowed, rng.randint(1, min(2, len(allowed)))):
+            spec = next(f for f in features if f.name == name)
+            neg = "not " if rng.random() < 0.4 else ""
+            if spec.kind == "numeric" and rng.random() < 0.8:
+                var += 1
+                bound = rng.choice((rng.randint(0, 20) + 0.0, rng.randint(0, 19) + 0.5))
+                test = f"N{var}=<{bound}" if not neg else f"not(N{var}=<{bound})"
+                out += [f"{name}(X,N{var})", test]
+            elif spec.kind == "numeric":
+                out.append(f"{neg}{name}(X,{rng.choice(spec.domain)})")
+            else:
+                out.append(f"{neg}{name}(X,'{rng.choice(spec.domain + ('zz',))}')")
+        for aux in aux_names:
+            if rng.random() < 0.35:
+                out.append(f"{'not ' if rng.random() < 0.6 else ''}{aux}(X,'True')")
+        return out
+
+    def aux_layer(allowed):
+        rules = []
+        for k in (1, 2):
+            for _ in range(rng.randint(1, 2)):
+                body = literals(allowed, [f"ab{j}" for j in range(1, k)])
+                rules.append(f"ab{k}(X,'True') :- {', '.join(body)}.")
+        return rules
+
+    head = rng.choice(("bad", "good"))
+    decision = aux_layer(names) + [
+        f"label(X,'{head}') :- {', '.join(literals(names, ['ab1', 'ab2']))}."
+        for _ in range(rng.randint(1, 3))
+    ]
+    causal = []
+    heads = rng.sample(names, rng.randint(0, min(2, len(names) - 1)))
+    readable = [n for n in names if n not in heads] or names[:1]
+    if heads:
+        causal += aux_layer(readable)
+    for h in heads:
+        spec = next(f for f in features if f.name == h)
+        values = list(spec.domain) if spec.kind == "categorical" else [
+            rng.choice(spec.domain + (7.0,)) for _ in range(3)
+        ]
+        for value in rng.sample(values, min(len(values), rng.randint(1, 3))):
+            shown = f"'{value}'" if spec.kind == "categorical" else value
+            for _ in range(rng.randint(1, 2)):
+                body = literals([n for n in readable if n != h] or readable, ["ab1", "ab2"])
+                causal.append(f"{h}(X,{shown}) :- {', '.join(body)}.")
+    config = DatasetConfig(
+        name=f"rich{seed}", features=tuple(features), undesired_decision="bad",
+    )
+    try:
+        return build_dataset(
+            config,
+            parse_rule_program("\n".join(decision), "decision"),
+            parse_rule_program("\n".join(causal), "causal"),
+        )
+    except Exception:
+        return None

@@ -8,12 +8,13 @@ planner cannot hide itself.
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 from p2c.consistency import Entailment
 from p2c.domain import State, enumerate_states
-from p2c.errors import CausalProgramError
-from p2c.planner import CAUSAL, DIRECT, PlanPath, direct_action_problem
+from p2c.errors import CausalProgramError, SearchExhaustedError
+from p2c.planner import CAUSAL, DIRECT, Action, PathStep, PlanPath, direct_action_problem
 from p2c.rules import program_decides, rule_fires, unparse_rule
 from p2c.search import adjust_weights, compute_weighted_lp
 
@@ -270,3 +271,43 @@ def one_direct_action_reaches_goal(dataset, instance: State) -> bool:
             if dataset.is_goal(instance.replace_value(fi, value)):
                 return True
     return False
+
+
+def bfs_naive_path(dataset, instance: State, s_star: State) -> PlanPath:
+    """The causally blind baseline by breadth-first search over single-feature
+    direct edits, ignoring the causal rules and every plausibility flag."""
+    config = dataset.config
+    if instance == s_star:
+        return PlanPath((PathStep(instance, ()),))
+    parent: dict[State, tuple[State, Action]] = {}
+    queue = collections.deque([instance])
+    seen = {instance}
+    found = False
+    while queue and not found:
+        current = queue.popleft()
+        for fi, spec in enumerate(config.features):
+            for value in spec.domain:
+                if value == current.values[fi]:
+                    continue
+                nxt = current.replace_value(fi, value)
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                parent[nxt] = (current, Action(DIRECT, spec.name, value))
+                if nxt == s_star:
+                    found = True
+                    break
+                queue.append(nxt)
+            if found:
+                break
+    if not found:
+        raise SearchExhaustedError("naive planner could not reach the target")
+    steps: list[PathStep] = []
+    cursor = s_star
+    while cursor != instance:
+        prev, action = parent[cursor]
+        steps.append(PathStep(cursor, (action,)))
+        cursor = prev
+    steps.append(PathStep(instance, ()))
+    steps.reverse()
+    return PlanPath(tuple(steps))

@@ -120,6 +120,28 @@ def test_mincf_instance_flag_and_k(capsys, data_dir):
     assert costs == sorted(costs)
 
 
+def test_mincf_k_searches_once(capsys, monkeypatch, data_dir):
+    """s* is the first of the k nearest, so --k runs one search and reports
+    s* as that first goal."""
+    import p2c.search
+
+    calls = []
+    nearest = p2c.search._nearest
+
+    def counting(*args):
+        calls.append(args[2])
+        return nearest(*args)
+
+    monkeypatch.setattr(p2c.search, "_nearest", counting)
+    code, out, _ = run_cli(
+        capsys, "mincf", "--config", str(data_dir / "german"), "--k", "4", "--output", "json"
+    )
+    assert code == 0 and calls == [4]
+    report = json.loads(out)
+    assert report["s_star"] == report["knearest"][0]
+    assert report["timing_ms"]["mincf"] >= 0
+
+
 def test_mincf_already_goal_exit_code_2(capsys, data_dir):
     code, out, err = run_cli(
         capsys, "mincf", "--config", str(data_dir / "example1"),

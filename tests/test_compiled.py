@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from conftest import DATA, make_dataset, random_dataset
+from conftest import DATA, make_dataset, random_dataset, rich_dataset
 from oracles import (
     entailment_satisfied,
     interpreted_consistent,
@@ -25,10 +25,9 @@ from oracles import (
     interpreted_is_goal,
     interpreted_repair_values,
 )
-from p2c.dataset import build_dataset, consolidate_dataset, load_dataset
-from p2c.domain import DatasetConfig, FeatureSpec, State, enumerate_states, validate_state
+from p2c.dataset import consolidate_dataset, load_dataset
+from p2c.domain import State, enumerate_states, validate_state
 from p2c.errors import CausalProgramError
-from p2c.rules import parse_rule_program
 
 BUNDLES = ("cars", "german", "adult", "example1", "example2")
 
@@ -47,16 +46,20 @@ def plain(ents):
 
 def causal_actions(dataset, state):
     """Every repair of a violated, mutable group but the current value, in
-    feature order, from ``CompiledRules.violations``."""
-    compiled = dataset.compiled
-    features = dataset.config.features
-    return [
-        (features[fi].name, value, tuple(provenance))
-        for fi, values, provenance in compiled.violations(compiled.bits(state))
-        if features[fi].mutable
-        for value in values
-        if value != state.values[fi]
-    ]
+    feature order, from the compiled entailments and repair values (the
+    entailments raise when two alternatives fire together)."""
+    config = dataset.config
+    out = []
+    ents = dataset.entailments(state)
+    if dataset.consistent(state):
+        return out
+    for ent in sorted(ents, key=lambda e: config.feature_index(e.feature)):
+        i = config.feature_index(ent.feature)
+        values = dataset.repair_values(state, ent.feature)
+        if not config.features[i].mutable or state.values[i] in values:
+            continue
+        out += [(ent.feature, v, tuple(ent.provenance)) for v in values if v != state.values[i]]
+    return out
 
 
 def interpreted_causal_actions(dataset, state):
@@ -169,85 +172,6 @@ def test_closure_agrees_on_bundles_and_random_datasets():
         if made is not None and not made[0].compiled.cyclic:
             repaired += assert_closure_agrees_everywhere(made[0], rng)
     assert repaired > 1000
-
-
-def rich_dataset(seed: int):
-    """A random program over mixed categorical and numeric features, with
-    exception predicates (called plainly, negated and from one another),
-    numeric ``=<`` and ``not(=<)`` tests, direction-aware numeric causal
-    heads, and causal alternatives free to fire together."""
-    rng = random.Random(seed)
-    features = []
-    for i in range(rng.randint(2, 4)):
-        if rng.random() < 0.45:
-            domain = tuple(float(v) for v in sorted(rng.sample(range(21), rng.randint(2, 4))))
-            features.append(FeatureSpec(
-                name=f"n{i}", kind="numeric", domain=domain, numeric_range=(0.0, 20.0),
-                causal_direction=rng.choice(("exact", "at_least", "at_most")),
-            ))
-        else:
-            domain = tuple(f"v{j}" for j in range(rng.randint(2, 4)))
-            features.append(FeatureSpec(name=f"c{i}", kind="categorical", domain=domain))
-    names = [f.name for f in features]
-
-    def literals(allowed, aux_names):
-        out, var = [], 0
-        for name in rng.sample(allowed, rng.randint(1, min(2, len(allowed)))):
-            spec = next(f for f in features if f.name == name)
-            neg = "not " if rng.random() < 0.4 else ""
-            if spec.kind == "numeric" and rng.random() < 0.8:
-                var += 1
-                bound = rng.choice((rng.randint(0, 20) + 0.0, rng.randint(0, 19) + 0.5))
-                test = f"N{var}=<{bound}" if not neg else f"not(N{var}=<{bound})"
-                out += [f"{name}(X,N{var})", test]
-            elif spec.kind == "numeric":
-                out.append(f"{neg}{name}(X,{rng.choice(spec.domain)})")
-            else:
-                out.append(f"{neg}{name}(X,'{rng.choice(spec.domain + ('zz',))}')")
-        for aux in aux_names:
-            if rng.random() < 0.35:
-                out.append(f"{'not ' if rng.random() < 0.6 else ''}{aux}(X,'True')")
-        return out
-
-    def aux_layer(allowed):
-        rules = []
-        for k in (1, 2):
-            for _ in range(rng.randint(1, 2)):
-                body = literals(allowed, [f"ab{j}" for j in range(1, k)])
-                rules.append(f"ab{k}(X,'True') :- {', '.join(body)}.")
-        return rules
-
-    head = rng.choice(("bad", "good"))
-    decision = aux_layer(names) + [
-        f"label(X,'{head}') :- {', '.join(literals(names, ['ab1', 'ab2']))}."
-        for _ in range(rng.randint(1, 3))
-    ]
-    causal = []
-    heads = rng.sample(names, rng.randint(0, min(2, len(names) - 1)))
-    readable = [n for n in names if n not in heads] or names[:1]
-    if heads:
-        causal += aux_layer(readable)
-    for h in heads:
-        spec = next(f for f in features if f.name == h)
-        values = list(spec.domain) if spec.kind == "categorical" else [
-            rng.choice(spec.domain + (7.0,)) for _ in range(3)
-        ]
-        for value in rng.sample(values, min(len(values), rng.randint(1, 3))):
-            shown = f"'{value}'" if spec.kind == "categorical" else value
-            for _ in range(rng.randint(1, 2)):
-                body = literals([n for n in readable if n != h] or readable, ["ab1", "ab2"])
-                causal.append(f"{h}(X,{shown}) :- {', '.join(body)}.")
-    config = DatasetConfig(
-        name=f"rich{seed}", features=tuple(features), undesired_decision="bad",
-    )
-    try:
-        return build_dataset(
-            config,
-            parse_rule_program("\n".join(decision), "decision"),
-            parse_rule_program("\n".join(causal), "causal"),
-        )
-    except Exception:
-        return None
 
 
 def test_compiled_agrees_on_random_programs_with_exceptions_and_overlaps():

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
 
 from conftest import DATA, cyclic_dataset, make_dataset, random_dataset
-from oracles import one_direct_action_reaches_goal, verify_solution_path
+from oracles import bfs_naive_path, one_direct_action_reaches_goal, verify_solution_path
 from p2c.dataset import consolidate_dataset, load_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
 from p2c.errors import (
@@ -389,6 +390,35 @@ def test_naive_path_cars_legal(cars):
     causal = find_path(cars, instance, target)
     assert path_is_legal(cars, naive)[0] is True
     assert path_is_legal(cars, causal)[0] is True
+
+
+def test_naive_path_equals_breadth_first_reference():
+    """The naive plan, one edit per differing feature in feature order, is
+    the plan the breadth-first search over single-feature edits finds: on
+    random datasets toward s* and a random target, and on the bundle
+    populations toward s* and a random target."""
+    rng = random.Random(7)
+    cases = []
+
+    def add(ds, start, states):
+        cases.append((ds, start, rng.choice(states)))
+        try:
+            cases.append((ds, start, min_cf(ds, start).target))
+        except NoCounterfactualError:
+            pass
+
+    for made in map(random_dataset, range(300)):
+        if made is not None:
+            add(*made, list(enumerate_states(made[0].config)))
+    for bundle in ("example1", "example2", "cars", "german", "adult"):
+        ds = consolidate_dataset(load_dataset(DATA / bundle))
+        states = list(enumerate_states(ds.config))
+        starts = [s for s in states if ds.decision_positive(s) and ds.consistent(s)]
+        for start in starts[:: max(1, len(starts) // 20)]:
+            add(ds, start, states)
+    for ds, start, target in cases:
+        assert naive_find_path(ds, start, target) == bfs_naive_path(ds, start, target)
+    assert len(cases) > 600
 
 
 def test_path_is_legal_empty_path():

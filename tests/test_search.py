@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import budget, chained_ladder, cyclic_dataset, make_dataset, random_dataset
+from conftest import (
+    budget,
+    chained_ladder,
+    cyclic_dataset,
+    deep_ladder,
+    make_dataset,
+    random_dataset,
+    rich_dataset,
+)
 from oracles import exhaustive_goal_knearest, exhaustive_knearest, exhaustive_min_cf
 from p2c.dataset import consolidate_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
@@ -471,3 +479,108 @@ def test_cycle_with_consistent_goals_matches_exhaustive_oracle():
     assert any(not ds.consistent(s) for s in starts)
     for start in starts:
         assert_matches_oracle(ds, start, on_inconsistent="allow")
+
+
+# ---------------------------------------------------------------------------
+# Best-first over boxes: the cuts
+# ---------------------------------------------------------------------------
+
+
+def test_deep_ladder_matches_exhaustive_oracle():
+    for n in range(2, 9):
+        ds, start = deep_ladder(n)
+        want = exhaustive_goal_knearest(ds, start, 5, p=1)
+        assert want[0][1] == n // 2
+        assert [(r.target, r.cost) for r in goal_knearest(ds, start, 5, p=1)] == want
+        if n <= 6:
+            assert_matches_oracle(ds, start)
+
+
+def test_deep_ladder_min_cf_budget():
+    ds, start = deep_ladder(12)
+    ds.compiled  # compile outside the budget, as a loaded dataset's first query would
+    with budget(0.5, "min_cf on the 12-feature deep ladder"):
+        best = min_cf(ds, start)
+    assert best.cost == 6.0
+    assert best.target.values == ("b",) * 6 + ("a",) * 6
+
+
+def test_deep_ladder_goal_tests_stay_few(monkeypatch):
+    """A fired rule cuts away its whole box, so the search goal-tests about
+    the 3^5 cheapest goals at n = 10, not every vector cheaper than them."""
+    calls = []
+    is_goal = CompiledRules.is_goal
+
+    def counting(self, bits):
+        calls.append(bits)
+        return is_goal(self, bits)
+
+    monkeypatch.setattr(CompiledRules, "is_goal", counting)
+    ds, start = deep_ladder(10)
+    assert min_cf(ds, start).cost == 5.0
+    assert len(calls) < 1000
+
+
+def _decision_reads(ds, b):
+    """Whether decision rule b calls an exception predicate, and whether it
+    tests a causal head."""
+    body = ds.decision.rules[b].body
+    return (
+        any(lit.kind in ("aux_call", "negated_aux_call") for lit in body),
+        any(lit.predicate in ds.causal_head_features for lit in body),
+    )
+
+
+CUT_CASES = {
+    # the only cut is the vector, but the search starts from the bodies' boxes
+    "favourable_label": lambda ds, cuts: not ds.decision.describes_undesired,
+    "exception_calls": lambda ds, cuts: any(_decision_reads(ds, b)[0] for b in cuts if b >= 0),
+    "causal_heads": lambda ds, cuts: any(_decision_reads(ds, b)[1] for b in cuts if b >= 0),
+}
+
+
+@pytest.fixture(scope="module")
+def cut_programs():
+    """``rich_dataset(0..299)`` with every decision-positive start, skipping
+    programs whose causal alternatives can fire together, and
+    ``random_dataset(0..299)`` with its start."""
+    out = []
+    for ds in map(rich_dataset, range(300)):
+        if ds is not None and not any(g.may_overlap for g in ds.compiled.groups):
+            out.append((ds, [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]))
+    out += [(made[0], [made[1]]) for made in map(random_dataset, range(300)) if made]
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CUT_CASES))
+def test_box_cuts_match_exhaustive_oracle(monkeypatch, cut_programs, case):
+    """Random programs with exception calls, causal heads the decision
+    reads, and favourable or rejecting labels: from up to three starts per
+    program whose search takes a cut of this case, min_cf and goal_knearest
+    equal the exhaustive oracle."""
+    cuts = []
+    common_body = CompiledRules.common_body
+
+    def recording(self, states):
+        b = common_body(self, states)
+        cuts.append(b)
+        return b
+
+    monkeypatch.setattr(CompiledRules, "common_body", recording)
+    checked = 0
+    for ds, starts in cut_programs:
+        taken = 0
+        for start in starts:
+            if taken == 3:
+                break
+            cuts.clear()
+            try:
+                goal_knearest(ds, start, 5, on_inconsistent="allow")
+            except NoCounterfactualError:
+                pass
+            if not CUT_CASES[case](ds, cuts):
+                continue
+            assert_matches_oracle(ds, start, on_inconsistent="allow")
+            taken += 1
+            checked += 1
+    assert checked >= 50
