@@ -3,44 +3,57 @@
 Rules are '.'-terminated clauses over one implicit subject, with quoted or
 bare constants, numeric variable bindings, `=<` comparisons (optionally
 negated), negation as failure, and `ab`-prefixed exception predicates.
+
+The german bundle's decision rules describe the favourable label 'good', so
+a profile is rejected when none of them fires.  Full states of the loaded
+bundle are evaluated through its ``Dataset``, which compiles the rules to
+bit masks over the config's domains.
 """
 
-from p2c import canonicalize, mentioned_values, parse_rule_program, program_decides
-from p2c.rules import rule_fires
+from pathlib import Path
 
-TEXT = """
-% favourable credit risk
-label(X,'good') :- checking_account_status(X,'no_checking_account').
-label(X,'good') :- not checking_account_status(X,'no_checking_account'),
-                   duration_months(X,N1), N1=<21.0,
-                   credit_amount(X,N2), not(N2=<428.0),
-                   not ab1(X,'True').
-ab1(X,'True') :- property(X,'car or other'), credit_amount(X,N2), N2=<1345.0.
-"""
+from p2c import canonicalize, load_dataset, mentioned_values, validate_state
 
-program = parse_rule_program(TEXT, kind="decision")
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+german = load_dataset(DATA / "german")
+program = german.decision
 print(f"{len(program.rules)} main rule(s), {len(program.aux_rules)} exception rule(s)")
+print("rules describe the undesired label:", program.describes_undesired)
 
-profile = {
-    "checking_account_status": "lt_0",
-    "duration_months": 18.0,
-    "credit_amount": 2000.0,
-    "property": "real_estate",
-}
-print("profile:", profile)
-print("some rule fires:", program_decides(program, profile))
-for i, rule in enumerate(program.rules):
-    print(f"  rule {i} fires:", rule_fires(rule, profile, program))
 
-# drop the credit amount under the exception threshold and watch ab1 block rule 1
-cheap = dict(profile, property="car or other", credit_amount=900.0)
-print("with a small 'car or other' loan:", program_decides(program, cheap))
+def changed(state, **values):
+    return validate_state(german.config, {**german.config.state_dict(state), **values})
 
-# every constant or bound the program applies to one feature
+
+profile = german.default_instance()
+print("profile:", german.config.state_dict(profile))
+print("rejected:", german.decision_positive(profile))
+assert german.decision_positive(profile)
+
+# a 21-month loan meets rule 2's duration test, but ab1 blocks rule 2 for a
+# 'car or other' loan of at most 1345
+short = changed(profile, duration_months=21)
+print("with a 21-month loan, rejected:", german.decision_positive(short))
+assert german.decision_positive(short)
+
+# borrowing past the exception's bound unblocks rule 2
+larger = changed(short, credit_amount=1346)
+print("and 1346 borrowed, rejected:", german.decision_positive(larger))
+assert not german.decision_positive(larger)
+
+# rule 1: no checking account is a good credit whatever else holds
+no_account = changed(profile, checking_account_status="no_checking_account")
+print("with no checking account, rejected:", german.decision_positive(no_account))
+assert not german.decision_positive(no_account)
+
+# every constant or bound the program applies to one feature; the numeric
+# domains of the config are built from these
 print("values mentioned for credit_amount:", mentioned_values(program, "credit_amount"))
+print("credit_amount domain:", german.config.feature("credit_amount").domain)
 
 # the canonical form is stable: parse . print is a fixpoint
-once = canonicalize(TEXT)
+once = canonicalize((DATA / "german" / "decision.rules").read_text(encoding="utf-8"))
 print("canonical form:")
 print(once)
 assert canonicalize(once) == once

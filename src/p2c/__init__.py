@@ -46,8 +46,6 @@ from .rules import (
     canonicalize,
     mentioned_values,
     parse_rule_program,
-    program_decides,
-    rule_fires,
     unparse_program,
 )
 from .search import (

@@ -1,25 +1,26 @@
-"""Causal and decision consistency tests over total states.
+"""Causal rules grouped per head feature, and what they entail of a state.
 
 Causal rules are grouped per head feature; each group is read under program
 completion, i.e. the "if" rules become "if and only if": a head value is
 satisfied exactly when one of its bodies fires.  A fired alternative entails
 its head value; an alternative whose bodies all fail excludes it.
 
-The tests run on the one-hot bit masks of :class:`p2c.masks.CompiledRules`:
-one bit per feature value, one forbidden mask per rule body, one head mask
-per causal alternative.  A ``Dataset`` compiles its programs once, on its
-first query, and its methods (``consistent``, ``is_goal``, ``entailments``,
-``repair_values``) are the per-state API.
+This module holds only the groups and the :class:`Entailment` record.  The
+tests themselves run on the one-hot bit masks of
+:class:`p2c.masks.CompiledRules`: one bit per feature value, one forbidden
+mask per rule body, one head mask per causal alternative.  A ``Dataset``
+compiles its programs once, on its first query, and its methods
+(``consistent``, ``is_goal``, ``entailments``, ``repair_values``) are the
+per-state API.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .domain import DatasetConfig, Value, search_space_size
-from .errors import ConfigError, SpaceTooLargeError
+from .domain import DatasetConfig, Value
+from .errors import ConfigError
 from .rules import Rule, RuleProgram
 
 
@@ -31,15 +32,10 @@ class CausalAlternative:
 
 @dataclass(frozen=True)
 class CausalGroup:
-    """All causal rules sharing one head feature, keyed by head value.
-
-    ``exhaustive`` is not decidable from syntax alone; it is left None here
-    and can be measured on small spaces with :func:`group_is_exhaustive`.
-    """
+    """All causal rules sharing one head feature, keyed by head value."""
 
     feature: str
     alternatives: tuple[CausalAlternative, ...]
-    exhaustive: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -98,20 +94,3 @@ def build_causal_groups(
         )
         groups.append(CausalGroup(feature=name, alternatives=alts))
     return tuple(groups)
-
-
-def group_is_exhaustive(
-    config: DatasetConfig, group: CausalGroup, causal: RuleProgram, cap: int = 100000
-) -> bool:
-    """Measure whether the group's bodies cover every state (small spaces)."""
-    if search_space_size(config) > cap:
-        raise SpaceTooLargeError("state space too large to decide exhaustiveness")
-    from .masks import CompiledRules
-
-    compiled = CompiledRules(config, (group,), causal)
-    one_hot = [
-        tuple(1 << (off + j) for j in range(len(spec.domain)))
-        for off, spec in zip(compiled.offsets, config.features)
-    ]
-    covers = compiled.groups[0].covers
-    return all(covers(sum(combo)) for combo in itertools.product(*one_hot))

@@ -61,7 +61,7 @@ class SearchExhaustedError(P2CError):
 
 
 class SpaceTooLargeError(P2CError):
-    """Brute-force oracle refused to enumerate a space above its cap."""
+    """``bench.sample_decision_positive`` refused to enumerate a space above its cap."""
 
 
 class PredictorError(P2CError):

@@ -247,10 +247,6 @@ class _CompiledGroup:
                     return a
         return fired
 
-    def covers(self, bits: int) -> bool:
-        """Whether some body of some alternative fires."""
-        return any(_any_fires(bits, bodies) for bodies in self.bodies)
-
     def allowed(self, fired: int) -> int:
         """The head values that satisfy the group, given which alternative
         fired; bits of other features are set too when none fired."""

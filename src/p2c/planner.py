@@ -41,18 +41,16 @@ class Action:
 # ---------------------------------------------------------------------------
 
 
-def apply_action(
-    config: DatasetConfig, state: State, action: Action, *, enforce: bool = True
-) -> State:
-    """Rebind exactly one feature; with ``enforce`` the plausibility rules
-    (actionability, mutability, monotone direction, domain membership) apply."""
+def apply_action(config: DatasetConfig, state: State, action: Action) -> State:
+    """Rebind exactly one feature under the plausibility rules (actionability,
+    mutability, monotone direction, domain membership)."""
     i = config.feature_index(action.feature)
     spec = config.features[i]
     if action.new_value not in spec.domain:
         raise P2CError(
             f"{action.describe()}: value not in the domain of {spec.name!r}"
         )
-    if enforce and action.kind == DIRECT:
+    if action.kind == DIRECT:
         problem = direct_action_problem(spec, state.values[i], action.new_value)
         if problem:
             raise P2CError(f"{action.describe()}: {problem}")
@@ -274,7 +272,8 @@ def naive_find_path(dataset: Dataset, instance: State, s_star: State) -> PlanPat
 def path_is_legal(dataset: Dataset, path: PlanPath) -> tuple[bool, list[str]]:
     """Replay every action: direct ones must respect actionability,
     mutability and monotonicity; causal ones must set a value the causal
-    rules actually compel at that point."""
+    rules actually compel at that point.  An action on an unknown feature or
+    to a value outside its domain is reported and not replayed."""
     config = dataset.config
     violations: list[str] = []
     if not path.steps:
@@ -282,13 +281,17 @@ def path_is_legal(dataset: Dataset, path: PlanPath) -> tuple[bool, list[str]]:
     current = path.start
     for step_no, step in enumerate(path.steps):
         for action in step.actions:
+            if not config.has_feature(action.feature):
+                violations.append(f"step {step_no}: {action.describe()}: unknown feature")
+                continue
             i = config.feature_index(action.feature)
             spec = config.features[i]
             if action.new_value not in spec.domain:
                 violations.append(
                     f"step {step_no}: {action.describe()}: value outside domain"
                 )
-            elif action.kind == DIRECT:
+                continue
+            if action.kind == DIRECT:
                 problem = direct_action_problem(spec, current.values[i], action.new_value)
                 if problem:
                     violations.append(f"step {step_no}: {action.describe()}: {problem}")
@@ -301,10 +304,11 @@ def path_is_legal(dataset: Dataset, path: PlanPath) -> tuple[bool, list[str]]:
                     )
             else:
                 violations.append(f"step {step_no}: unknown action kind {action.kind!r}")
-            current = apply_action(config, current, action, enforce=False)
+            current = current.replace_value(i, action.new_value)
         if current != step.state:
             violations.append(
                 f"step {step_no}: recorded state does not match the replayed actions"
             )
-            current = step.state
+            if all(v in f.domain for f, v in zip(config.features, step.state.values)):
+                current = step.state
     return not violations, violations

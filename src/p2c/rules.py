@@ -1,4 +1,4 @@
-"""Parser, printer and dict-level evaluator for the rule language.
+"""Parser and printer for the rule language.
 
 Both decision programs (which characterise one classification label) and
 causal programs (feature -> feature dependencies) share one clause syntax::
@@ -11,9 +11,9 @@ comparator.  Anything outside it is rejected with a positioned syntax error.
 Exception predicates (``ab1``, ``ab2``, ...) form an acyclic aux layer
 beneath the main rules.
 
-``rule_fires``/``program_decides`` evaluate rules on a name->value mapping;
-the per-state tests of a dataset run on the bit masks that
-``masks.CompiledRules`` builds from the same programs.
+Programs are evaluated in one place only: ``masks.CompiledRules`` compiles
+them to bit masks over a config's finite domains, and every per-state test
+(search, planner, CLI, the surrogate model) runs on those masks.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
-from .errors import EvaluationError, RuleProgramError, RuleSyntaxError
+from .errors import RuleProgramError, RuleSyntaxError
 
 AUX_RE = re.compile(r"^ab\d*$")
 
@@ -437,71 +436,6 @@ def unparse_program(program: RuleProgram) -> str:
 def canonicalize(text: str, kind: str = "decision") -> str:
     """The canonical form of rule text: parse it and print it back."""
     return unparse_program(parse_rule_program(text, kind))
-
-
-# ---------------------------------------------------------------------------
-# Evaluation over total states
-# ---------------------------------------------------------------------------
-
-
-def _lookup(state: Mapping[str, object], feature: str) -> object:
-    try:
-        return state[feature]
-    except KeyError:
-        raise EvaluationError(f"state does not assign feature {feature!r}") from None
-
-
-def _aux_holds(program: RuleProgram, state: Mapping[str, object], pred: str, value) -> bool:
-    for rule in program.aux_rules:
-        if rule.head.predicate == pred and rule.head.value == value and rule_fires(
-            rule, state, program
-        ):
-            return True
-    return False
-
-
-def _literal_holds(
-    lit: BodyLiteral,
-    state: Mapping[str, object],
-    program: RuleProgram,
-    bindings: dict[str, float],
-) -> bool:
-    if lit.kind == FEATURE_TEST:
-        return _lookup(state, lit.predicate) == lit.value
-    if lit.kind == NEG_FEATURE_TEST:
-        return _lookup(state, lit.predicate) != lit.value
-    if lit.kind == NUMERIC_BINDING:
-        raw = _lookup(state, lit.predicate)
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise EvaluationError(
-                f"numeric binding on non-numeric feature {lit.predicate!r}"
-            )
-        bindings[lit.variable] = float(raw)
-        return True
-    if lit.kind == COMPARISON:
-        return bindings[lit.variable] <= lit.bound
-    if lit.kind == NEG_COMPARISON:
-        return not bindings[lit.variable] <= lit.bound
-    if lit.kind == AUX_CALL:
-        return _aux_holds(program, state, lit.predicate, lit.value)
-    if lit.kind == NEG_AUX_CALL:
-        return not _aux_holds(program, state, lit.predicate, lit.value)
-    raise ValueError(f"unknown literal kind {lit.kind!r}")
-
-
-def rule_fires(rule: Rule, state: Mapping[str, object], program: RuleProgram) -> bool:
-    """True iff every body literal holds in the (total) state.
-
-    Negation is negation-as-failure, which over total states reduces to a
-    complement test; an empty body fires vacuously.
-    """
-    bindings: dict[str, float] = {}
-    return all(_literal_holds(lit, state, program, bindings) for lit in rule.body)
-
-
-def program_decides(program: RuleProgram, state: Mapping[str, object]) -> bool:
-    """Disjunctive reading: at least one non-aux rule fires."""
-    return any(rule_fires(rule, state, program) for rule in program.rules)
 
 
 def mentioned_values(program: RuleProgram, feature: str) -> set[str | float]:

@@ -13,13 +13,17 @@ from __future__ import annotations
 import csv
 import io
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .domain import DatasetConfig, State
 from .errors import P2CError, PredictorError
-from .rules import RuleProgram, parse_rule_program, program_decides
+from .rules import RuleProgram, parse_rule_program
+
+if TYPE_CHECKING:
+    from .masks import CompiledRules
 
 
 class Predictor(Protocol):
@@ -61,16 +65,26 @@ class TableModel:
 class RuleBackedModel:
     """A predictor that answers with a rule program's verdict.
 
-    Fires -> the program's head label; otherwise ``other_label``.
+    Fires -> the program's head label; otherwise ``other_label``.  The
+    program is compiled against ``config`` on the first call.
     """
 
     config: DatasetConfig
     program: RuleProgram
     other_label: str
 
+    @cached_property
+    def _compiled(self) -> CompiledRules:
+        from .masks import CompiledRules
+
+        # The raw firing of the rules, whichever label they describe.
+        decision = replace(self.program, describes_undesired=True)
+        return CompiledRules(self.config, (), RuleProgram((), "causal"), decision)
+
     def __call__(self, state: State) -> str:
         head = self.program.head_label
-        if head is not None and program_decides(self.program, self.config.state_dict(state)):
+        compiled = self._compiled
+        if head is not None and compiled.decision_positive(compiled.bits(state)):
             return str(head.value)
         return self.other_label
 

@@ -2,8 +2,10 @@
 
 Everything here recomputes results through a different code path than the
 implementation under test: plain nested loops, no pruning, no shared
-bookkeeping, so a bug in the streaming search, the causal closure or the
-planner cannot hide itself.
+bookkeeping, so a bug in the compiled masks, the streaming search, the
+causal closure or the planner cannot hide itself.  The rule interpreter
+(:func:`rule_fires`, :func:`program_decides`) walks every literal on a
+name->value dict; ``p2c`` itself evaluates rules only on compiled masks.
 """
 
 from __future__ import annotations
@@ -13,15 +15,78 @@ import itertools
 
 from p2c.consistency import Entailment
 from p2c.domain import State, enumerate_states
-from p2c.errors import CausalProgramError, SearchExhaustedError
+from p2c.errors import CausalProgramError, EvaluationError, SearchExhaustedError
 from p2c.planner import CAUSAL, DIRECT, Action, PathStep, PlanPath, direct_action_problem
-from p2c.rules import program_decides, rule_fires, unparse_rule
+from p2c.rules import (
+    AUX_CALL,
+    COMPARISON,
+    FEATURE_TEST,
+    NEG_AUX_CALL,
+    NEG_COMPARISON,
+    NEG_FEATURE_TEST,
+    NUMERIC_BINDING,
+    unparse_rule,
+)
 from p2c.search import adjust_weights, compute_weighted_lp
 
 
 # ---------------------------------------------------------------------------
 # Interpreted rule semantics: the reference for the compiled bit masks
 # ---------------------------------------------------------------------------
+
+
+def _lookup(state, feature):
+    try:
+        return state[feature]
+    except KeyError:
+        raise EvaluationError(f"state does not assign feature {feature!r}") from None
+
+
+def _aux_holds(program, state, pred, value) -> bool:
+    return any(
+        rule.head.predicate == pred and rule.head.value == value
+        and rule_fires(rule, state, program)
+        for rule in program.aux_rules
+    )
+
+
+def _literal_holds(lit, state, program, bindings: dict) -> bool:
+    if lit.kind == FEATURE_TEST:
+        return _lookup(state, lit.predicate) == lit.value
+    if lit.kind == NEG_FEATURE_TEST:
+        return _lookup(state, lit.predicate) != lit.value
+    if lit.kind == NUMERIC_BINDING:
+        raw = _lookup(state, lit.predicate)
+        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+            raise EvaluationError(
+                f"numeric binding on non-numeric feature {lit.predicate!r}"
+            )
+        bindings[lit.variable] = float(raw)
+        return True
+    if lit.kind == COMPARISON:
+        return bindings[lit.variable] <= lit.bound
+    if lit.kind == NEG_COMPARISON:
+        return not bindings[lit.variable] <= lit.bound
+    if lit.kind == AUX_CALL:
+        return _aux_holds(program, state, lit.predicate, lit.value)
+    if lit.kind == NEG_AUX_CALL:
+        return not _aux_holds(program, state, lit.predicate, lit.value)
+    raise ValueError(f"unknown literal kind {lit.kind!r}")
+
+
+def rule_fires(rule, state, program) -> bool:
+    """True iff every body literal holds in the (total) name->value state.
+
+    Negation is negation-as-failure, which over total states reduces to a
+    complement test; an empty body fires vacuously.
+    """
+    bindings: dict[str, float] = {}
+    return all(_literal_holds(lit, state, program, bindings) for lit in rule.body)
+
+
+def program_decides(program, state) -> bool:
+    """Disjunctive reading: at least one non-aux rule fires."""
+    return any(rule_fires(rule, state, program) for rule in program.rules)
 
 
 def entailment_satisfied(spec, value, ent) -> bool:
@@ -34,7 +99,7 @@ def entailment_satisfied(spec, value, ent) -> bool:
 
 def interpreted_entailment(dataset, group, state):
     """Completion semantics for one causal group, walking every literal of
-    its rules on the state's name->value dict with ``rules.rule_fires``."""
+    its rules on the state's name->value dict with :func:`rule_fires`."""
     state_map = dataset.config.state_dict(state)
     fired, fired_rules, excluded = [], [], []
     for alt in group.alternatives:

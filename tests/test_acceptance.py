@@ -9,13 +9,18 @@ from __future__ import annotations
 import random
 
 from conftest import budget, random_dataset
-from oracles import exhaustive_knearest, exhaustive_min_cf, verify_solution_path
+from oracles import (
+    exhaustive_knearest,
+    exhaustive_min_cf,
+    program_decides,
+    verify_solution_path,
+)
 from p2c.bench import bench_dataset
 from p2c.dataset import consolidate_dataset
 from p2c.domain import FeatureSpec, State, ingest_csv, search_space_size
 from p2c.errors import NoCounterfactualError, SearchExhaustedError
 from p2c.planner import find_path
-from p2c.rules import canonicalize, program_decides
+from p2c.rules import canonicalize
 from p2c.search import knearest_trimmed, min_cf
 
 

@@ -1,8 +1,8 @@
 """The compiled bit-mask evaluator agrees with the interpreted rule semantics.
 
-The reference (``oracles.interpreted_*``) walks every literal with
-``rules.rule_fires`` on the state's name->value dict; the dataset answers on
-its compiled masks.  They must agree on goal membership, causal consistency,
+The compiled masks are ``p2c``'s only rule evaluator.  The reference
+(``oracles.interpreted_*``) walks every literal with ``oracles.rule_fires``
+on the state's name->value dict; the dataset answers on its compiled masks.  They must agree on goal membership, causal consistency,
 the decision, entailments (required, excluded and provenance), repair values,
 the causal repairs of violated groups, the causal closure and the text of a
 two-alternatives error, on every state of every bundle and of many random

@@ -18,6 +18,7 @@ from p2c.errors import (
 from p2c.masks import CompiledRules
 from p2c.planner import (
     Action,
+    PathStep,
     PlanPath,
     apply_action,
     direct_action_problem,
@@ -63,12 +64,6 @@ def test_apply_value_outside_domain_rejected(example1):
         apply_action(example1.config, john, Action("direct", "debt", 123.0))
 
 
-def test_apply_unenforced_allows_anything(example2):
-    john = example2.default_instance()
-    out = apply_action(
-        example2.config, john, Action("direct", "credit_score", 620.0), enforce=False
-    )
-    assert out.values[4] == 620.0
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +421,30 @@ def test_path_is_legal_empty_path():
 
     ds = make_dataset({"f": ("a", "b")}, "")
     assert path_is_legal(ds, PlanPath(())) == (True, [])
+
+
+def test_path_is_legal_reports_actions_it_cannot_replay(example2):
+    """An unknown feature or a value outside the domain is a violation, not
+    an error; the replay skips the action, and does not resume from a
+    recorded state that holds such a value."""
+    john = example2.default_instance()
+    off_domain = Action("direct", "debt", 123.0)
+    unknown = Action("direct", "income", 1.0)
+    repair = Action("causal", "credit_score", 620.0)
+    path = PlanPath((
+        PathStep(john, ()),
+        PathStep(john, (unknown,)),
+        PathStep(john.replace_value(1, 123.0), (off_domain,)),
+        PathStep(john.replace_value(4, 620.0), (repair,)),
+    ))
+    legal, violations = path_is_legal(example2, path)
+    assert legal is False
+    assert violations == [
+        f"step 1: {unknown.describe()}: unknown feature",
+        f"step 2: {off_domain.describe()}: value outside domain",
+        "step 2: recorded state does not match the replayed actions",
+        f"step 3: {repair.describe()}: value is not entailed by the causal rules here",
+    ]
 
 
 def test_every_find_path_output_is_legal_on_shipped(example1, example2, cars, german, adult):

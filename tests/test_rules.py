@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import program_decides, rule_fires
 from p2c.errors import EvaluationError, RuleProgramError, RuleSyntaxError
 from p2c.rules import (
     COMPARISON,
@@ -12,8 +13,6 @@ from p2c.rules import (
     canonicalize,
     mentioned_values,
     parse_rule_program,
-    program_decides,
-    rule_fires,
 )
 
 ADULT_RULE = (
@@ -130,7 +129,7 @@ def test_decision_program_single_head_enforced():
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation by the tests' reference interpreter (oracles.rule_fires)
 # ---------------------------------------------------------------------------
 
 JOHN = {"age": 31.0, "debt": 5000.0, "loan_duration": 12.0,

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import p2c
+from conftest import DATA, random_dataset, rich_dataset
+from oracles import program_decides
+from p2c.dataset import load_dataset
 from p2c.domain import enumerate_states, ingest_csv
 from p2c.errors import P2CError, PredictorError
-from p2c.rules import parse_rule_program, program_decides
+from p2c.rules import parse_rule_program
 from p2c.surrogate import (
     ExternalCommandModel,
     RuleBackedModel,
@@ -133,3 +140,60 @@ def test_verified_header_detection(data_dir, adult):
     assert adult.causal.verified is True
     unverified = parse_rule_program("f(X,'a') :- g(X,'b').", "causal")
     assert unverified.verified is False
+
+
+# ---------------------------------------------------------------------------
+# RuleBackedModel answers on compiled masks, as the interpreter does
+# ---------------------------------------------------------------------------
+
+
+def assert_model_matches_interpreter(dataset) -> int:
+    """RuleBackedModel's label equals the interpreted rules' raw firing on
+    every state, whichever label the program describes; returns how many
+    states the rules fire on."""
+    program = dataset.decision
+    head = str(program.head_label.value)
+    model = RuleBackedModel(dataset.config, program, "<other>")
+    fired = 0
+    for state in enumerate_states(dataset.config):
+        fires = program_decides(program, dataset.config.state_dict(state))
+        assert model(state) == (head if fires else "<other>"), state.values
+        fired += fires
+    return fired
+
+
+@pytest.mark.parametrize("bundle", ("cars", "german", "adult", "example1", "example2"))
+def test_rule_backed_model_matches_interpreter_on_bundles(bundle):
+    dataset = load_dataset(DATA / bundle)
+    fired = assert_model_matches_interpreter(dataset)
+    assert 0 < fired < sum(1 for _ in enumerate_states(dataset.config))
+    # german's rules describe the favourable label; the model still answers
+    # with their raw firing
+    assert dataset.decision.describes_undesired is (bundle != "german")
+
+
+def test_rule_backed_model_matches_interpreter_on_random_programs():
+    kinds = set()
+    checked = 0
+    for seed in range(200):
+        made = random_dataset(seed)
+        for dataset in (made and made[0], rich_dataset(seed)):
+            if dataset is None or dataset.decision.head_label is None:
+                continue
+            assert_model_matches_interpreter(dataset)
+            kinds |= {lit.kind for rule in dataset.decision.clauses for lit in rule.body}
+            kinds.add(dataset.decision.describes_undesired)
+            checked += 1
+    assert checked >= 300
+    assert {"aux_call", "negated_aux_call", "numeric_binding", "comparison",
+            "negated_comparison", "negated_feature_test", True, False} <= kinds
+
+
+def test_import_loads_no_masks():
+    """The package and the surrogate import the compiled masks lazily."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(p2c.__file__).resolve().parent.parent), env.get("PYTHONPATH")))
+    )
+    code = "import sys, p2c, p2c.surrogate; sys.exit('p2c.masks' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
