@@ -15,7 +15,8 @@ Searches: ``min_cf`` and ``goal_knearest(k=20)`` in both modes for p in
 first inconsistent decision-positive start; the five consolidated bundles at
 their configured instance, 12 consistent and 4 inconsistent decision-positive
 starts; ``chained_ladder(0, n)`` for n = 3..12; ``deep_ladder(n)`` for
-n = 2..8; every decision-positive start of ``cyclic_dataset()``; and 4
+n = 2..8; ``l2_root_tie()`` and ``absorbed_l2()`` (float ties under p = 2)
+at their starts; every decision-positive start of ``cyclic_dataset()``; and 4
 decision-positive starts of each ``rich_dataset(0..299)`` program whose
 causal alternatives cannot fire together (exception calls, numeric heads,
 favourable and rejecting labels).
@@ -68,7 +69,8 @@ def spread(pool, count):
 def search_inputs():
     """(dataset, start, on_inconsistent) triples for the search answers."""
     from conftest import (
-        DATA, chained_ladder, cyclic_dataset, deep_ladder, random_dataset, rich_dataset,
+        DATA, absorbed_l2, chained_ladder, cyclic_dataset, deep_ladder, l2_root_tie,
+        random_dataset, rich_dataset,
     )
     from p2c import load_dataset
     from p2c.dataset import consolidate_dataset
@@ -98,6 +100,9 @@ def search_inputs():
             yield made[0], made[1], "error"
     for n in range(2, 9):
         ds, start = deep_ladder(n)
+        yield ds, start, "error"
+    for make in (l2_root_tie, absorbed_l2):
+        ds, start = make()
         yield ds, start, "error"
     ds = cyclic_dataset()
     for start in enumerate_states(ds.config):

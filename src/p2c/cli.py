@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 # consolidate_dataset stays importable from here for the benchmark's tracer
-from .dataset import consolidate_dataset, load_dataset  # noqa: F401
+from .dataset import bundle_dataset, consolidate_dataset, load_dataset  # noqa: F401
 from .domain import consolidate_placeholders, search_space_size, validate_state
 from .errors import (
     AlreadyCounterfactualError,
@@ -115,12 +115,14 @@ def cmd_validate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"{config_path}: {exc}")
         return 1
+    programs = []  # (text, parsed) per rule file, handed on so each is parsed once
     for key, kind in (("decision_rules", "decision"), ("causal_rules", "causal")):
         rel = args.rules if (key == "decision_rules" and args.rules) else None
         rel = args.causal if (key == "causal_rules" and args.causal) else rel
         path = Path(rel) if rel else base / cfg.get(key, f"{kind}.rules")
         try:
-            parse_rule_program(path.read_text(encoding="utf-8"), kind)
+            text = path.read_text(encoding="utf-8")
+            programs.append((text, parse_rule_program(text, kind)))
             print(f"{path}: ok")
         except OSError as exc:
             print(f"{path}: {exc}")
@@ -130,7 +132,7 @@ def cmd_validate(args) -> int:
             ok = False
     if ok:
         try:
-            dataset = _load(args)
+            dataset = bundle_dataset(config_path, cfg, *programs)
             print(f"{config_path}: ok ({len(dataset.config.features)} features, "
                   f"search space {search_space_size(dataset.config)})")
             for w in dataset.warnings:

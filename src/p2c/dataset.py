@@ -242,15 +242,26 @@ def load_dataset(
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{config_path}: invalid JSON ({exc})") from None
 
-    decision_rel = raw.get("decision_rules", "decision.rules")
-    causal_rel = raw.get("causal_rules", "causal.rules")
     if decision_text is None:
-        decision_text = _read(root / decision_rel)
+        decision_text = _read(root / raw.get("decision_rules", "decision.rules"))
     if causal_text is None:
-        causal_text = _read(root / causal_rel)
+        causal_text = _read(root / raw.get("causal_rules", "causal.rules"))
     decision = parse_rule_program(decision_text, kind="decision")
     causal = parse_rule_program(causal_text, kind="causal")
+    return bundle_dataset(config_path, raw, (decision_text, decision), (causal_text, causal))
 
+
+def bundle_dataset(
+    config_path: Path,
+    raw: Mapping,
+    decision: tuple[str, RuleProgram],
+    causal: tuple[str, RuleProgram],
+) -> Dataset:
+    """The dataset of a bundle whose config JSON (``raw``, read from
+    ``config_path``) and rule programs are already read, each program as
+    ``(text, parsed)``: :func:`load_dataset` after parsing."""
+    root = config_path.parent
+    (decision_text, decision), (causal_text, causal) = decision, causal
     defaults = raw.get("instance_defaults") or {}
     features = tuple(
         _feature_from_json(obj, (decision, causal), defaults)
@@ -263,8 +274,8 @@ def load_dataset(
         features=features,
         undesired_decision=str(raw.get("undesired_decision", "")),
         norm_p=int(raw.get("norm_p", 1)),
-        decision_rules=decision_rel,
-        causal_rules=causal_rel,
+        decision_rules=raw.get("decision_rules", "decision.rules"),
+        causal_rules=raw.get("causal_rules", "causal.rules"),
         label_column=raw.get("label_column"),
         instance_defaults=raw.get("instance_defaults"),
         max_dpl=raw.get("max_dpl"),

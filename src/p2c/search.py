@@ -5,35 +5,40 @@ causal rules compel (given the target's other features) gets weight zero.
 ``all_changes`` mode is the comparator that prices everything, including
 changes the world would make on its own.
 
-goal_knearest streams candidates from the plausibility-restricted space in
-nondecreasing order of a lower bound on their cost, so it can stop as soon as
-the bound passes the k-th best verified counterfactual; min_cf is its
-``k = 1`` case.  The stream is a best-first search over boxes of the
-features no causal rule sets: one mask of allowed values per feature,
-bounded by the sum of each feature's cheapest allowed term.  Expanding a box
-derives the causal heads of its cheapest vector from their groups, the way
-goal-directed evaluation derives a head from its body, in the compile-time
-head order of ``masks.CompiledRules``; only completions the groups allow are
-priced and goal-tested, so on an acyclic causal program every tested
-candidate is causally consistent.  The box then loses a cut that holds no
-goal, and the rest is split by Lawler's partitioning (Management Science,
-1972), which keeps k-best one loop.  When a rejecting decision body fires on
-every completion, the cut is that body's whole box: escaping the rule means
-moving at least one feature it tests out of its box, the constructive
-reading s(CASP) gives ``not label(X, ...)``.  Otherwise the cut is the
-vector alone, which is a plain best-first walk over vectors.  Candidates
-stay index vectors and one-hot bits until one passes the goal test; only
-goals become a ``State``.
+goal_knearest searches the plausibility-restricted space in nondecreasing
+order of a lower bound on cost, holds the k best goals by (cost,
+lexicographic rank), and stops at the first part of the space that cannot
+beat the k-th of them; min_cf is its ``k = 1`` case.  The search is
+best-first over boxes of the features no causal rule sets: one mask of
+allowed values per feature, bounded by the sum of each feature's cheapest
+allowed term.  Expanding a box derives the causal heads of its cheapest
+vector from their groups, the way goal-directed evaluation derives a head
+from its body, in the compile-time head order of ``masks.CompiledRules``;
+only completions the groups allow are goal-tested, so on an acyclic causal
+program every tested candidate is causally consistent.  A goal is priced
+where it is found, to the bit of what ``compute_weighted_lp`` over the
+``adjust_weights`` of ``p2c`` mode would report, so ties in cost are exact
+and go by rank.  The box then loses a cut that holds no goal, and the rest
+is split by Lawler's partitioning (Management Science, 1972), which keeps
+k-best one loop.  When a rejecting decision body fires on every completion,
+the cut is that body's whole box: escaping the rule means moving at least
+one feature it tests out of its box, the constructive reading s(CASP) gives
+``not label(X, ...)``.  Otherwise the cut is the vector alone, which is a
+plain best-first walk over vectors.  Candidates stay index vectors and
+one-hot bits while searched; only the k goals returned become a ``State``
+and a ``CostReport``.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import reduce
+from typing import Mapping
 
 from .dataset import Dataset
 from .domain import NUMERIC, DatasetConfig, FeatureSpec, State, Value
@@ -189,29 +194,39 @@ def _per_feature_costs(
 
 
 def _stream_candidates(
-    dataset: Dataset, per_feature, mode: str
-) -> Iterator[tuple[float, int, State | None]]:
-    """Yield (bound, lex_rank, state) in nondecreasing bound order; ``state``
-    is None unless the entry is a goal.
+    dataset: Dataset,
+    instance: State,
+    weights: Mapping[str, float],
+    p: int,
+    mode: str,
+    k: int,
+) -> list[tuple[float, State, tuple[int, ...]]]:
+    """The k cheapest goals in (cost, rank) order, as ``(cost, state,
+    indices of the causal-free features)``.
 
     The search is best-first over boxes of the non-head features.  A box
     gives each such feature one mask over its sorted plausible values; its
-    bound is the sum of each feature's cheapest allowed term, and its rank
-    that of the cheapest values, so (bound, rank) is a lower bound on
-    (cost, rank) of every goal in the box.  Expanding a box takes its
-    cheapest vector and completes the causal heads group by group, in
-    ``CompiledRules.head_order``: each head takes only the plausible values
-    its group allows given the features already assigned (those of the fired
-    alternative's head, or no head value when none fires), so the other
-    states with this vector, all causally inconsistent, are never built.
-    Each completion that passes the full ``CompiledRules.is_goal`` goes on
-    the heap as a leaf, priced exactly: a head is free in ``p2c`` mode when
-    its group fires (the change is compelled and satisfied) and costs its
-    ``lp_term`` otherwise.  Bounds therefore never decrease, and in
-    ``all_changes`` mode a leaf's bound is its cost.  A group that is
-    undecidable at its place (it reads a head derived after it, on a causal
-    cycle) takes every plausible value, free in ``p2c`` mode, which keeps the
-    bound a lower bound.  Only goals become a ``State``.
+    bound is the sum of each feature's cheapest allowed term, in feature
+    order, so it never exceeds the cost of a goal in the box.  Expanding a
+    box takes its cheapest vector and completes the causal heads group by
+    group, in ``CompiledRules.head_order``: each head takes only the
+    plausible values its group allows given the features already assigned
+    (those of the fired alternative's head, or no head value when none
+    fires), so the other states with this vector, all causally inconsistent,
+    are never built.  A group that is undecidable at its place (it reads a
+    head derived after it, on a causal cycle) takes every plausible value.
+
+    Each completion that passes the full ``CompiledRules.is_goal`` is priced
+    as ``compute_weighted_lp`` prices it, bit for bit: the per-feature
+    ``lp_term``s summed in feature order from ``0.0``, then the square root
+    for p = 2.  In ``p2c`` mode a head's term is ``0.0`` when its group
+    fires on the completed bits (the change is compelled and satisfied);
+    for an undecidable group that is settled on the completed bits, not
+    during derivation.  The changed heads so freed are the report's
+    causal-free features.  The k best goals by (cost, rank) are held;
+    ``rank`` is the candidate's domain indices read as one mixed-radix
+    number, which orders states exactly as ``DatasetConfig.lex_key`` does.
+    Only they become a ``State``.
 
     Then the box loses a *cut* that holds no goal.  When no completion is a
     goal and one rejecting decision body fires on all of them, the cut is
@@ -224,17 +239,22 @@ def _stream_candidates(
     the box minus the cut on feature i.  When the decision rules name the
     favourable label, every goal lies in some body's box (restricted by its
     literals), so the search starts from disjoint pieces of those boxes
-    instead of the whole space.
+    instead of the whole space.  Boxes are disjoint, so each goal is found
+    once and no seen-set is kept.
 
-    Ties go by ``lex_rank``, the candidate's domain indices read as one
-    mixed-radix number, which orders states exactly as
-    ``DatasetConfig.lex_key`` does.  Boxes are disjoint, so each goal is
-    pushed once and no seen-set is kept.
+    Once k goals are held, the search stops at the first box whose bound
+    (its square root for p = 2, since distinct sums can share one root) is
+    above the k-th cost.  A box whose bound equals it is expanded only if
+    the lowest rank a vector in it can have, from the lowest allowed domain
+    index of each feature, is at most the k-th rank: a sum can absorb a
+    larger term, so a goal may tie the bound without being the box's
+    cheapest vector.
     """
     compiled = dataset.compiled
     is_goal = compiled.is_goal
     offsets = compiled.offsets
     heads = dataset.causal_head_features
+    per_feature = _per_feature_costs(dataset, instance, weights, p)
     n = len(per_feature)
     place = [1] * n  # weight of feature i's domain index in the rank
     for i in range(n - 2, -1, -1):
@@ -244,25 +264,31 @@ def _stream_candidates(
     values = [tuple(v for _, _, v in entries) for _, entries in walk]
     one_hot = [tuple(1 << (offsets[i] + j) for _, j, _ in entries) for i, entries in walk]
     rank_part = [tuple(place[i] * j for _, j, _ in entries) for i, entries in walk]
+    # per walk feature, its entries' positions by domain index, for a box's lowest rank
+    by_index = [sorted(range(len(parts)), key=parts.__getitem__) for parts in rank_part]
     walk_masks = [compiled.feature_masks[i] for i, _ in walk]
-    # per group, in head order: (bit, lp_term, rank part, value) of each plausible head value
+    # per group, in head order: (bit, lp_term, rank part, value, changed) of each plausible
+    # head value
     derive = [
         (g, decidable, tuple(
-            (1 << (offsets[g.fi] + j), c, place[g.fi] * j, v) for c, j, v in per_feature[g.fi][1]
+            (1 << (offsets[g.fi] + j), c, place[g.fi] * j, v, v != instance.values[g.fi])
+            for c, j, v in per_feature[g.fi][1]
         ))
         for g, decidable in compiled.head_order
     ]
+    head_floor = sum(min(place[g.fi] * j for _, j, _ in per_feature[g.fi][1])
+                     for g, _ in compiled.head_order)
     free_when_fired = mode == "p2c"
     undesired = compiled.undesired
+    root = math.sqrt if p == 2 else float
     at = tuple.__getitem__
+    add = operator.add
 
-    def state(idx_vec: tuple[int, ...], chosen: tuple[Value, ...]) -> State:
-        vals: list = [None] * n
-        for (i, _), v in zip(walk, map(at, values, idx_vec)):
-            vals[i] = v
-        for (g, _, _), v in zip(derive, chosen):
-            vals[g.fi] = v
-        return State(tuple(vals))
+    def lowest_rank(box: tuple[int, ...]) -> int:
+        r = head_floor
+        for parts, order, m in zip(rank_part, by_index, box):
+            r += parts[next(e for e in order if m >> e & 1)]
+        return r
 
     literal: dict[int, tuple[int, ...]] = {}
 
@@ -271,7 +297,7 @@ def _stream_candidates(
         if b not in literal:
             forbidden = compiled.decision_boxes[b][0]
             literal[b] = tuple(
-                sum(1 << k for k, bit in enumerate(bits) if not bit & forbidden)
+                sum(1 << e for e, bit in enumerate(bits) if not bit & forbidden)
                 for bits in one_hot
             )
         return literal[b]
@@ -283,13 +309,14 @@ def _stream_candidates(
         return [(i, cut[:i] + (m & ~c,) + box[i + 1 :])
                 for i, (m, c) in enumerate(zip(box, cut)) if m & ~c]
 
-    # nodes: (bound, rank, 0, cheapest idx_vec, box); leaves: (bound, rank, -1, goal)
+    # (bound, rank of the cheapest vector, cheapest idx_vec, box); ranks are distinct
     heap: list = []
 
     def push(box: tuple[int, ...]) -> None:
         idx_vec = tuple((m & -m).bit_length() - 1 for m in box)
         heapq.heappush(heap, (
-            sum(map(at, costs, idx_vec)), sum(map(at, rank_part, idx_vec)), 0, idx_vec, box
+            reduce(add, map(at, costs, idx_vec), 0.0), sum(map(at, rank_part, idx_vec)),
+            idx_vec, box,
         ))
 
     def minus(box: tuple[int, ...], other: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -309,74 +336,83 @@ def _stream_candidates(
             pieces += fresh
         for box in pieces:
             push(box)
+    # the k best goals: (cost, rank, idx_vec, chosen head entries, freed feature indices)
+    found: list[tuple] = []
     while heap:
-        entry = heapq.heappop(heap)
-        if entry[2] < 0:
-            yield entry[0], entry[1], entry[3]
-            continue
-        bound, rank, _, idx_vec, box = entry
-        yield bound, rank, None
+        bound, rank, idx_vec, box = heapq.heappop(heap)
+        if len(found) == k:
+            edge = root(bound)
+            if edge > found[-1][0]:
+                break
+            # the cheapest vector is in the box, so its rank bounds the lowest one
+            last = found[-1][1]
+            if edge == found[-1][0] and rank > last and lowest_rank(box) > last:
+                continue
         # one bit per feature, so the sum is their OR
-        partial = [(sum(map(at, one_hot, idx_vec)), bound, rank, ())]
+        partial = [(sum(map(at, one_hot, idx_vec)), rank, ())]
         for g, decidable, options in derive:
             grown = []
-            for bits, b, r, chosen in partial:
+            for bits, r, chosen in partial:
                 if decidable:
                     fired = g.fired(bits)
                     allowed = g.allowed(fired)
                     free = free_when_fired and fired >= 0
                 else:
-                    allowed, free = -1, free_when_fired
-                for bit, price, dr, v in options:
-                    if allowed & bit:
-                        grown.append((bits | bit, b if free else b + price, r + dr, chosen + (v,)))
+                    allowed, free = -1, None  # settled on the completed bits
+                for opt in options:
+                    if allowed & opt[0]:
+                        grown.append((bits | opt[0], r + opt[2], chosen + ((opt, free),)))
             partial = grown
         goal = False
-        for bits, b, r, chosen in partial:
-            if is_goal(bits):
-                heapq.heappush(heap, (b, r, -1, state(idx_vec, chosen)))
-                goal = True
+        terms = None
+        for bits, r, chosen in partial:
+            if not is_goal(bits):
+                continue
+            goal = True
+            if terms is None:
+                terms = [0.0] * n
+                for (i, _), c in zip(walk, map(at, costs, idx_vec)):
+                    terms[i] = c
+            t = terms.copy()
+            freed = []
+            for (g, _, _), (opt, free) in zip(derive, chosen):
+                if free is None:
+                    free = free_when_fired and g.fired(bits) >= 0
+                if not free:
+                    t[g.fi] = opt[1]
+                elif opt[4]:
+                    freed.append(g.fi)
+            cost = root(reduce(add, t, 0.0))
+            if len(found) < k or (cost, r) < found[-1][:2]:
+                bisect.insort(found, (cost, r, idx_vec, chosen, freed))
+                del found[k:]
         body = -1
         if undesired and partial and not goal:
-            body = compiled.common_body([bits for bits, _, _, _ in partial])
+            body = compiled.common_body([bits for bits, _, _ in partial])
         if body >= 0:
             fixed = compiled.decision_boxes[body][1]
             cut = tuple(
-                1 << k if fm & fixed else m & allowed
-                for k, m, fm, allowed in zip(idx_vec, box, walk_masks, literal_box(body))
+                1 << j if fm & fixed else m & allowed
+                for j, m, fm, allowed in zip(idx_vec, box, walk_masks, literal_box(body))
             )
         else:
-            cut = tuple(1 << k for k in idx_vec)
+            cut = tuple(1 << j for j in idx_vec)
         for i, child in lawler(box, cut):
-            k = (child[i] & -child[i]).bit_length() - 1
-            nxt = idx_vec[:i] + (k,) + idx_vec[i + 1 :]
+            j = (child[i] & -child[i]).bit_length() - 1
+            nxt = idx_vec[:i] + (j,) + idx_vec[i + 1 :]
             heapq.heappush(heap, (
-                sum(map(at, costs, nxt)), rank + rank_part[i][k] - rank_part[i][idx_vec[i]],
-                0, nxt, child,
+                reduce(add, map(at, costs, nxt), 0.0),
+                rank + rank_part[i][j] - rank_part[i][idx_vec[i]], nxt, child,
             ))
-
-
-def _price(
-    dataset: Dataset,
-    instance: State,
-    target: State,
-    weights: Mapping[str, float],
-    p: int,
-    mode: str,
-) -> CostReport:
-    if mode == "p2c":
-        adjusted, free = adjust_weights(dataset, instance, target, weights)
-    else:
-        adjusted, free = dict(weights), frozenset()
-    cost = compute_weighted_lp(dataset.config, instance, target, adjusted, p)
-    return CostReport(
-        target=target,
-        cost=cost,
-        p=p,
-        mode=mode,
-        adjusted_weights=adjusted,
-        causal_free_features=free,
-    )
+    out = []
+    for cost, _, idx_vec, chosen, freed in found:
+        vals: list = [None] * n
+        for (i, _), v in zip(walk, map(at, values, idx_vec)):
+            vals[i] = v
+        for (g, _, _), (opt, _) in zip(derive, chosen):
+            vals[g.fi] = opt[3]
+        out.append((cost, State(tuple(vals)), tuple(freed)))
+    return out
 
 
 def _check_initial(dataset: Dataset, instance: State, on_inconsistent: str) -> None:
@@ -402,11 +438,8 @@ def _nearest(
     mode: str,
     on_inconsistent: str,
 ) -> list[CostReport]:
-    """The k cheapest goals, ties by lexicographic position.
-
-    Walks the bound-ordered candidate stream and stops once the bound passes
-    the k-th best cost found.
-    """
+    """The k cheapest goals, ties by lexicographic position, each reported
+    with the weights its cost was priced under."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if k < 1:
@@ -416,24 +449,26 @@ def _nearest(
     p = config.norm_p if p is None else p
     _check_initial(dataset, instance, on_inconsistent)
 
-    per_feature = _per_feature_costs(dataset, instance, weights, p)
-    # bounds accumulate in pre-sqrt space for L2, so compare costs there too
-    acc = (lambda c: c * c) if p == 2 else (lambda c: c)
-    found: list[tuple[float, int, CostReport]] = []
-    for bound, lex, state in _stream_candidates(dataset, per_feature, mode):
-        if len(found) >= k and bound > acc(found[-1][0]) + 1e-12:
-            break
-        if state is None:
-            continue
-        report = _price(dataset, instance, state, weights, p, mode)
-        found.append((report.cost, lex, report))
-        found.sort(key=lambda t: (t[0], t[1]))
-        del found[k:]
+    found = _stream_candidates(dataset, instance, weights, p, mode, k)
     if not found:
         raise NoCounterfactualError(
             "no causally consistent counterfactual exists in the admissible space"
         )
-    return [r for _, _, r in found]
+    features = config.features
+    reports = []
+    for cost, target, freed in found:
+        adjusted = dict(weights)
+        for i in freed:
+            adjusted[features[i].name] = 0.0
+        reports.append(CostReport(
+            target=target,
+            cost=cost,
+            p=p,
+            mode=mode,
+            adjusted_weights=adjusted,
+            causal_free_features=frozenset(features[i].name for i in freed),
+        ))
+    return reports
 
 
 def min_cf(
@@ -503,11 +538,13 @@ def goal_knearest(
     weights: Mapping[str, float] | None = None,
     on_inconsistent: str = "error",
 ) -> list[CostReport]:
-    """The k cheapest counterfactuals for ``instance`` under the given mode.
+    """The k cheapest counterfactuals for ``instance`` under the given mode,
+    ties in cost by lexicographic position.
 
     Dimension trimming is unsound once candidates are filtered to the goal
-    set, so this scans the plausibility-restricted space with the
-    bound-ordered candidate stream, stopping when the bound passes the k-th
-    best cost.
+    set, so this searches the plausibility-restricted space best-first by a
+    lower bound on cost, and stops once no box left can hold a goal that
+    beats the k-th best on (cost, rank).  Only the goals returned are built
+    into reports.
     """
     return _nearest(dataset, instance, k, weights, p, mode, on_inconsistent)

@@ -195,6 +195,37 @@ def deep_ladder(n: int):
     return dataset, State(("a",) * n)
 
 
+def l2_root_tie():
+    """Three categorical features weighted 0.6, 0.2 and 0.4 under p = 2, and
+    rules that reject f = 'a' unless both g and h leave 'a'.  From all 'a',
+    moving f sums to 0.6 and moving g and h to 0.2 + 0.4, a larger float
+    with the same square root, so the two goals tie and rank decides.
+    Returns the dataset and the start."""
+    from p2c.domain import State
+
+    spec = lambda name, w: FeatureSpec(name=name, kind="categorical", domain=("a", "b"), weight=w)
+    dataset = make_dataset(
+        {"f": spec("f", 0.6), "g": spec("g", 0.2), "h": spec("h", 0.4)},
+        "label(X,'bad') :- f(X,'a'), g(X,'a').\nlabel(X,'bad') :- f(X,'a'), h(X,'a').",
+        name="l2-root-tie", norm_p=2,
+    )
+    return dataset, State(("a", "a", "a"))
+
+
+def absorbed_l2():
+    """A numeric feature n over the range [0, 1e9] and a categorical c, under
+    p = 2, rejecting c = 'a'.  A move of n adds at most (3 / 1e9)^2 to the sum,
+    which 1.0 absorbs, so every goal costs 1.0 and rank alone orders them.
+    Returns the dataset and the start n = 2.0, c = 'a'."""
+    from p2c.domain import State
+
+    n = FeatureSpec(name="n", kind="numeric", domain=(0.0, 1.0, 2.0, 3.0),
+                    numeric_range=(0.0, 1e9))
+    dataset = make_dataset({"n": n, "c": ("a", "b")}, "label(X,'bad') :- c(X,'a').",
+                           name="absorbed-l2", norm_p=2)
+    return dataset, State((2.0, "a"))
+
+
 def cyclic_dataset():
     """A causal cycle with consistent goals: x and y hold each other at 'a'
     or leave it together, and z says where x goes."""

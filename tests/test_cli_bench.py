@@ -24,6 +24,31 @@ def test_validate_cars_clean(capsys, data_dir):
     assert "ok" in out
 
 
+def test_validate_parses_each_rule_file_once(capsys, monkeypatch, data_dir):
+    """validate hands the programs it checked on to the bundle it builds, so
+    each rule file is parsed once, also when --rules overrides one."""
+    import p2c.cli
+    import p2c.dataset
+
+    parsed = []
+    parse = p2c.cli.parse_rule_program
+
+    def counting(text, kind):
+        parsed.append(kind)
+        return parse(text, kind)
+
+    monkeypatch.setattr(p2c.cli, "parse_rule_program", counting)
+    monkeypatch.setattr(p2c.dataset, "parse_rule_program", counting)
+    bundle = data_dir / "cars"
+    code, out, _ = run_cli(capsys, "validate", "--config", str(bundle))
+    assert code == 0 and parsed == ["decision", "causal"]
+    assert out.splitlines()[2].startswith(f"{bundle / 'config.json'}: ok (")
+    parsed.clear()
+    code, _, _ = run_cli(capsys, "validate", "--config", str(bundle),
+                         "--rules", str(bundle / "decision.rules"))
+    assert code == 0 and parsed == ["decision", "causal"]
+
+
 def test_validate_missing_terminator(capsys, tmp_path, data_dir):
     bundle = tmp_path / "broken"
     bundle.mkdir()

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    absorbed_l2,
     budget,
     chained_ladder,
     cyclic_dataset,
     deep_ladder,
+    l2_root_tie,
     make_dataset,
     random_dataset,
     rich_dataset,
@@ -25,6 +27,7 @@ from p2c.errors import (
 )
 from p2c.masks import CompiledRules
 from p2c.search import (
+    CostReport,
     adjust_weights,
     compute_weighted_lp,
     goal_knearest,
@@ -428,7 +431,9 @@ def test_stream_goal_tests_only_consistent_candidates(
     monkeypatch, example1, example2, cars, german, adult
 ):
     """On acyclic programs every head is derived from its group, so no
-    causally inconsistent candidate reaches the goal test."""
+    causally inconsistent candidate reaches the goal test.  ``k = 20`` keeps
+    the search going past the first goals, so over a thousand candidates
+    are checked."""
     tested = []
     is_goal = CompiledRules.is_goal
 
@@ -447,7 +452,7 @@ def test_stream_goal_tests_only_consistent_candidates(
     for ds, start in cases:
         for mode in ("p2c", "all_changes"):
             min_cf(ds, start, mode=mode)
-            goal_knearest(ds, start, 5, mode=mode)
+            goal_knearest(ds, start, 20, mode=mode)
     assert len(tested) > 1000
     assert all(tested)
 
@@ -479,6 +484,110 @@ def test_cycle_with_consistent_goals_matches_exhaustive_oracle():
     assert any(not ds.consistent(s) for s in starts)
     for start in starts:
         assert_matches_oracle(ds, start, on_inconsistent="allow")
+
+
+# ---------------------------------------------------------------------------
+# Exact goal keys and the (cost, rank) stop
+# ---------------------------------------------------------------------------
+
+
+def assert_reports_exact(ds, start, k, **kw):
+    """goal_knearest(k) equals the exhaustive oracle bit for bit, and each
+    report's weights are those ``adjust_weights`` gives its target."""
+    p = kw.get("p", ds.config.norm_p)
+    mode = kw.get("mode", "p2c")
+    want = exhaustive_goal_knearest(ds, start, k, p=p, mode=mode)
+    got = goal_knearest(ds, start, k, **kw)
+    assert [(r.target, repr(r.cost)) for r in got] == [(s, repr(c)) for s, c in want]
+    weights = ds.config.weights()
+    for r in got:
+        adjusted, free = (adjust_weights(ds, start, r.target, weights) if mode == "p2c"
+                          else (weights, frozenset()))
+        assert (r.adjusted_weights, r.causal_free_features) == (adjusted, free)
+    return got
+
+
+def test_cycle_head_freedom_is_settled_on_the_completed_state():
+    """On cyclic_dataset x's group reads y, derived after it, so while x is
+    derived its group cannot tell whether it fires.  Whether a change of x is
+    free is read off the completed goal: some goals change x and are charged
+    for it, others change it for free."""
+    ds = cyclic_dataset()
+    assert [g.group.feature for g, decidable in ds.compiled.head_order if not decidable] == ["x"]
+    starts = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
+    charged = freed = 0
+    for start in starts:
+        for p in (0, 1, 2):
+            for mode in ("p2c", "all_changes"):
+                got = assert_reports_exact(ds, start, 20, p=p, mode=mode,
+                                           on_inconsistent="allow")
+                moved = [r for r in got if mode == "p2c" and r.target.values[0] != start.values[0]]
+                charged += sum("x" not in r.causal_free_features for r in moved)
+                freed += sum("x" in r.causal_free_features for r in moved)
+    assert charged and freed
+
+
+def test_l2_ties_between_different_sums_go_by_rank():
+    """Under p = 2, 0.2 + 0.4 and 0.6 are different sums with one square
+    root, so (a, b, b) ties (b, a, a) in cost and wins on rank, although its
+    sum is larger."""
+    ds, start = l2_root_tie()
+    assert 0.2 + 0.4 != 0.6 and (0.2 + 0.4) ** 0.5 == 0.6 ** 0.5
+    assert min_cf(ds, start).target == State(("a", "b", "b"))
+    got = assert_reports_exact(ds, start, 3)
+    assert [r.target.values for r in got[:2]] == [("a", "b", "b"), ("b", "a", "a")]
+
+
+def test_absorbed_l2_term_keeps_the_lower_ranked_goal():
+    """Every goal that moves c costs exactly 1.0, so the lowest rank,
+    n = 0.0, wins.  After n = 2.0 and n = 1.0, the box left holds n in
+    {0.0, 3.0}; its cheapest vector, n = 3.0, ranks above n = 1.0, but
+    n = 0.0 in it ranks below."""
+    ds, start = absorbed_l2()
+    assert 0.0 + (2.0 / 1e9) ** 2 + 1.0 == 1.0
+    best = min_cf(ds, start)
+    assert (best.target, best.cost) == (State((0.0, "b")), 1.0)
+    for k in (1, 2, 4, 8):
+        assert_reports_exact(ds, start, k)
+
+
+def test_deep_ladder_min_cf_stops_at_the_first_optimum(monkeypatch):
+    """All 3^6 optima of deep_ladder(12) cost 6; the search stops at the
+    first by rank instead of goal-testing each."""
+    calls = []
+    is_goal = CompiledRules.is_goal
+
+    def counting(self, bits):
+        calls.append(bits)
+        return is_goal(self, bits)
+
+    monkeypatch.setattr(CompiledRules, "is_goal", counting)
+    n = 12
+    ds, start = deep_ladder(n)
+    assert min_cf(ds, start).target.values == ("b",) * 6 + ("a",) * 6
+    assert len(calls) <= 2 * n
+
+
+def test_goal_knearest_builds_a_report_per_answer(monkeypatch, german):
+    """Only the k goals returned become a CostReport, however many goals the
+    search meets on the way."""
+    import p2c.search
+
+    built = []
+
+    class Counting(CostReport):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(p2c.search, "CostReport", Counting)
+    ds = consolidate_dataset(german)
+    for start in spread_starts(ds, 3):
+        goals = len(exhaustive_goal_knearest(ds, start, 10**9))
+        for k in (1, 5, 20, goals + 1):
+            built.clear()
+            got = goal_knearest(ds, start, k, on_inconsistent="allow")
+            assert len(built) == len(got) == min(k, goals)
 
 
 # ---------------------------------------------------------------------------
