@@ -6,6 +6,8 @@ consistent counterfactual and a provably sound sequence of direct and causal
 actions that reaches it.
 """
 
+import importlib
+
 from .consistency import CausalGroup, Entailment, build_causal_groups
 from .dataset import Dataset, build_dataset, consolidate_dataset, load_dataset
 from .domain import (
@@ -56,15 +58,32 @@ from .search import (
     knearest_trimmed,
     min_cf,
 )
-from .surrogate import (
-    ExternalCommandModel,
-    LabeledDataset,
-    RuleBackedModel,
-    RuleFileLearner,
-    TableModel,
-    agreement,
-    extract_logic,
-    label_dataset,
-)
 
 __version__ = "0.1.0"
+
+# The surrogate layer (and its subprocess and csv imports) loads on first use
+# of it or one of its names, so a search or a CLI call never pays for it
+# (PEP 562).
+_SURROGATE_NAMES = frozenset({
+    "ExternalCommandModel",
+    "LabeledDataset",
+    "RuleBackedModel",
+    "RuleFileLearner",
+    "TableModel",
+    "agreement",
+    "extract_logic",
+    "label_dataset",
+})
+
+
+def __getattr__(name: str):
+    if name != "surrogate" and name not in _SURROGATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    surrogate = importlib.import_module(f"{__name__}.surrogate")  # also binds p2c.surrogate
+    value = surrogate if name == "surrogate" else getattr(surrogate, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SURROGATE_NAMES | {"surrogate"})

@@ -11,11 +11,11 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
-from . import bench as bench_mod
 # consolidate_dataset stays importable from here for the benchmark's tracer
-from .dataset import bundle_dataset, consolidate_dataset, load_dataset  # noqa: F401
+from .dataset import bundle_dataset, consolidate_dataset, load_dataset, read_rules  # noqa: F401
 from .domain import consolidate_placeholders, search_space_size, validate_state
 from .errors import (
     AlreadyCounterfactualError,
@@ -83,8 +83,8 @@ def _resolve_instance(dataset, args):
 
 
 def _load(args):
-    decision_text = Path(args.rules).read_text(encoding="utf-8") if args.rules else None
-    causal_text = Path(args.causal).read_text(encoding="utf-8") if args.causal else None
+    decision_text = read_rules(Path(args.rules)) if args.rules else None
+    causal_text = read_rules(Path(args.causal)) if args.causal else None
     return load_dataset(args.config, decision_text=decision_text, causal_text=causal_text)
 
 
@@ -111,8 +111,9 @@ def cmd_validate(args) -> int:
     config_path = root / "config.json" if root.is_dir() else root
     base = config_path.parent
     try:
-        cfg = json.loads(config_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        blob = config_path.read_bytes()
+        cfg = json.loads(blob.decode("utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"{config_path}: {exc}")
         return 1
     programs = []  # (text, parsed) per rule file, handed on so each is parsed once
@@ -124,7 +125,7 @@ def cmd_validate(args) -> int:
             text = path.read_text(encoding="utf-8")
             programs.append((text, parse_rule_program(text, kind)))
             print(f"{path}: ok")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"{path}: {exc}")
             ok = False
         except VALIDATION_ERRORS as exc:
@@ -132,7 +133,7 @@ def cmd_validate(args) -> int:
             ok = False
     if ok:
         try:
-            dataset = bundle_dataset(config_path, cfg, *programs)
+            dataset = bundle_dataset(config_path, (blob, cfg), *programs)
             print(f"{config_path}: ok ({len(dataset.config.features)} features, "
                   f"search space {search_space_size(dataset.config)})")
             for w in dataset.warnings:
@@ -148,7 +149,7 @@ def _base_report(args, dataset, raw_instance) -> dict:
     config = replace(dataset.config, instance_defaults=dict(raw_instance))
     reduced = consolidate_placeholders(config, (dataset.decision, dataset.causal))
     return {
-        "command": " ".join(sys.argv),
+        "command": args.command,
         "dataset": dataset.config.name,
         "config_digest": dataset.digest,
         "instance": raw_instance,
@@ -240,6 +241,8 @@ def cmd_path(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     summary = bench_mod.run_benchmark(
         args.datasets,
         instances=args.instances,
@@ -247,7 +250,7 @@ def cmd_bench(args) -> int:
         k=args.k,
         timing_repeats=args.timing_repeats,
     )
-    summary["command"] = " ".join(sys.argv)
+    summary["command"] = args.command
     if not args.per_instance:
         for row in summary["rows"]:
             row.pop("per_instance", None)
@@ -255,7 +258,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged
+    and returns a fresh namespace each call."""
     parser = argparse.ArgumentParser(
         prog="p2c",
         description="Causally compliant counterfactuals with ordered intervention paths.",
@@ -312,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.command = " ".join(sys.argv if argv is None else [parser.prog, *argv])
     try:
         return args.func(args)
     except VALIDATION_ERRORS as exc:

@@ -13,7 +13,6 @@ to read its size or norm never compiles.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -236,32 +235,39 @@ def load_dataset(
     config_path = path / "config.json" if path.is_dir() else path
     root = config_path.parent
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        blob = config_path.read_bytes()
+        raw = json.loads(blob.decode("utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"no config file at {config_path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{config_path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{config_path}: invalid JSON ({exc})") from None
 
     if decision_text is None:
-        decision_text = _read(root / raw.get("decision_rules", "decision.rules"))
+        decision_text = read_rules(root / raw.get("decision_rules", "decision.rules"))
     if causal_text is None:
-        causal_text = _read(root / raw.get("causal_rules", "causal.rules"))
+        causal_text = read_rules(root / raw.get("causal_rules", "causal.rules"))
     decision = parse_rule_program(decision_text, kind="decision")
     causal = parse_rule_program(causal_text, kind="causal")
-    return bundle_dataset(config_path, raw, (decision_text, decision), (causal_text, causal))
+    return bundle_dataset(
+        config_path, (blob, raw), (decision_text, decision), (causal_text, causal)
+    )
 
 
 def bundle_dataset(
     config_path: Path,
-    raw: Mapping,
+    config: tuple[bytes, Mapping],
     decision: tuple[str, RuleProgram],
     causal: tuple[str, RuleProgram],
 ) -> Dataset:
-    """The dataset of a bundle whose config JSON (``raw``, read from
-    ``config_path``) and rule programs are already read, each program as
-    ``(text, parsed)``: :func:`load_dataset` after parsing."""
+    """The dataset of a bundle whose config file and rule programs are
+    already read: the config as ``(bytes, JSON)`` read from ``config_path``,
+    each program as ``(text, parsed)``. :func:`load_dataset` after parsing."""
+    import hashlib  # imported here: no search needs it
+
     root = config_path.parent
-    (decision_text, decision), (causal_text, causal) = decision, causal
+    (blob, raw), (decision_text, decision), (causal_text, causal) = config, decision, causal
     defaults = raw.get("instance_defaults") or {}
     features = tuple(
         _feature_from_json(obj, (decision, causal), defaults)
@@ -281,20 +287,20 @@ def bundle_dataset(
         max_dpl=raw.get("max_dpl"),
     )
     digest = hashlib.sha256()
-    for blob in (
-        config_path.read_bytes(),
-        decision_text.encode(),
-        causal_text.encode(),
-    ):
-        digest.update(blob)
+    for part in (blob, decision_text.encode(), causal_text.encode()):
+        digest.update(part)
     return build_dataset(config, decision, causal, root=root, digest=digest.hexdigest())
 
 
-def _read(path: Path) -> str:
+def read_rules(path: Path) -> str:
+    """A rule file's text; a missing or unreadable file, or one that is not
+    UTF-8, is a :class:`ConfigError` naming it."""
     try:
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"missing rules file {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def consolidate_dataset(dataset: Dataset, instance_raw: Mapping | None = None) -> Dataset:

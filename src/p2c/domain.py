@@ -10,7 +10,6 @@ as it would on raw values.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -315,6 +314,8 @@ def ingest_csv(
     config, is returned alongside.  Row-level validation failures either
     raise immediately or are collected, per ``on_error``.
     """
+    import csv  # imported here: no search needs it
+
     if on_error not in ("raise", "collect"):
         raise ValueError("on_error must be 'raise' or 'collect'")
     label_column = label_column or config.label_column

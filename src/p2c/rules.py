@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import RuleProgramError, RuleSyntaxError
 
@@ -121,8 +122,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -131,23 +131,24 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    match = _TOKEN_RE.match
+    pos, end = 0, len(text)
+    line, line_start = 1, 0
+    while pos < end:
+        m = match(text, pos)
         if m is None:
             raise RuleSyntaxError(
                 f"unexpected character {text[pos]!r}", line, pos - line_start + 1
             )
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + value.rfind("\n") + 1
+        kind = m.lastgroup
+        if kind == "WS" or kind == "COMMENT":  # only skipped tokens hold newlines
+            value = m.group()
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + value.rfind("\n") + 1
+        else:
+            tokens.append(_Token(kind, m.group(), line, pos - line_start + 1))
         pos = m.end()
     tokens.append(_Token("EOF", "", line, pos - line_start + 1))
     return tokens

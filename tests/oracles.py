@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import collections
 import itertools
+from dataclasses import dataclass
 
 from p2c.consistency import Entailment
 from p2c.domain import State, enumerate_states
-from p2c.errors import CausalProgramError, EvaluationError, SearchExhaustedError
+from p2c.errors import CausalProgramError, EvaluationError, RuleSyntaxError, SearchExhaustedError
 from p2c.planner import CAUSAL, DIRECT, Action, PathStep, PlanPath, direct_action_problem
 from p2c.rules import (
     AUX_CALL,
@@ -25,9 +26,48 @@ from p2c.rules import (
     NEG_COMPARISON,
     NEG_FEATURE_TEST,
     NUMERIC_BINDING,
+    _TOKEN_RE,
     unparse_rule,
 )
 from p2c.search import adjust_weights, compute_weighted_lp
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer: the reference for p2c.rules._tokenize (one frozen dataclass per
+# token, newlines counted in every token)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise RuleSyntaxError(
+                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+            )
+        kind = m.lastgroup or ""
+        value = m.group()
+        if kind not in ("WS", "COMMENT"):
+            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            line_start = m.start() + value.rfind("\n") + 1
+        pos = m.end()
+    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import shutil
+import sys
+
+import pytest
 
 from p2c.bench import bench_dataset, run_benchmark, sample_decision_positive
 from p2c.cli import main
@@ -255,6 +259,145 @@ def test_path_max_dpl_too_small_exit_2(capsys, data_dir):
     )
     assert code == 2
     assert "no plan within 1 direct action" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once(capsys, data_dir):
+    from p2c.cli import build_parser
+
+    parser = build_parser()
+    run_cli(capsys, "validate", "--config", str(data_dir / "cars"))
+    assert build_parser() is parser
+
+
+def test_norm_does_not_leak_into_the_next_call(capsys, data_dir):
+    """example1's config sets norm_p 1: a call without --norm after one with
+    --norm l2 uses it again."""
+    config = ["mincf", "--config", str(data_dir / "example1"), "--output", "json"]
+    for argv, p in ((config + ["--norm", "l2"], 2), (config, 1), (config + ["--norm", "l0"], 0),
+                    (config, 1)):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["s_star"]["p"] == p
+
+
+def test_instance_does_not_leak_into_the_next_call(capsys, data_dir):
+    bundle = data_dir / "example1"
+    defaults = json.loads((bundle / "config.json").read_text())["instance_defaults"]
+    given = "age=40,debt=5000,loan_duration=12,bank_balance=1000,credit_score=599"
+    for command in ("mincf", "path"):
+        argv = [command, "--config", str(bundle), "--output", "json"]
+        code, out, _ = run_cli(capsys, *argv, "--instance", given)
+        assert code == 0 and json.loads(out)["instance"]["bank_balance"] == "1000"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["instance"] == defaults
+
+
+def test_help_and_bad_options_on_a_built_parser(capsys, data_dir):
+    import p2c.cli
+
+    p2c.cli.build_parser.cache_clear()
+    for _ in range(2):  # the first call builds the parser, the second reuses it
+        with pytest.raises(SystemExit) as exit_:
+            main(["mincf", "--config", str(data_dir / "cars"), "--no-such-option"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert "{validate,mincf,path,bench}" in capsys.readouterr().out
+        code, _, _ = run_cli(capsys, "validate", "--config", str(data_dir / "cars"))
+        assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# the report's command line
+# ---------------------------------------------------------------------------
+
+
+def test_command_records_the_parsed_argv(capsys, monkeypatch, data_dir):
+    monkeypatch.setattr(sys, "argv", ["host.py", "--unrelated"])
+    argv = ["mincf", "--config", str(data_dir / "example1"), "--output", "json"]
+    _, out, _ = run_cli(capsys, *argv)
+    assert json.loads(out)["command"] == " ".join(["p2c", *argv])
+    # without argv, main parses sys.argv and records it as given
+    monkeypatch.setattr(sys, "argv", ["/bin/p2c", "path", *argv[1:]])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["command"] == " ".join(sys.argv)
+
+
+# ---------------------------------------------------------------------------
+# unreadable input
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def bundle_copy(tmp_path, data_dir):
+    bundle = tmp_path / "example1"
+    shutil.copytree(data_dir / "example1", bundle)
+    return bundle
+
+
+def _spoil(path):
+    """Put the byte 0xff, which no UTF-8 text holds, into a comment or string."""
+    blob = path.read_bytes()
+    if path.suffix == ".json":
+        path.write_bytes(blob.replace(b'"example1"', b'"example\xff"', 1))
+    else:
+        path.write_bytes(b"% \xff\n" + blob)
+
+
+@pytest.mark.parametrize("spoiled", ["config.json", "decision.rules", "causal.rules"])
+def test_non_utf8_file_is_an_error_line(capsys, bundle_copy, spoiled):
+    path = bundle_copy / spoiled
+    _spoil(path)
+    code, out, _ = run_cli(capsys, "validate", "--config", str(bundle_copy))
+    assert code == 1
+    assert any(line.startswith(f"{path}: ") and "0xff" in line for line in out.splitlines())
+    for command in ("mincf", "path"):
+        code, out, err = run_cli(capsys, command, "--config", str(bundle_copy))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and "0xff" in err
+
+
+def test_unreadable_rules_override_is_an_error_line(capsys, bundle_copy, tmp_path):
+    spoiled = tmp_path / "spoiled.rules"
+    spoiled.write_bytes(b"\xff")
+    for rules, what in ((spoiled, "0xff"), (tmp_path / "absent.rules", "missing rules file")):
+        for command in ("mincf", "path"):
+            code, _, err = run_cli(capsys, command, "--config", str(bundle_copy),
+                                   "--rules", str(rules))
+            assert code == 1 and str(rules) in err and what in err
+        code, out, _ = run_cli(capsys, "validate", "--config", str(bundle_copy),
+                               "--rules", str(rules))
+        assert code == 1 and out.startswith(f"{rules}: ")
+
+
+def test_config_is_read_once(monkeypatch, bundle_copy):
+    """The digest covers the config's bytes as read for its JSON."""
+    import hashlib
+    from pathlib import Path
+
+    from p2c.dataset import load_dataset
+
+    opened = []
+    open_ = Path.open
+
+    def counting(self, *args, **kwargs):
+        opened.append(self.name)
+        return open_(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting)
+    dataset = load_dataset(bundle_copy)
+    assert sorted(opened) == ["causal.rules", "config.json", "decision.rules"]
+    monkeypatch.undo()
+    digest = hashlib.sha256()
+    for name in ("config.json", "decision.rules", "causal.rules"):
+        digest.update((bundle_copy / name).read_bytes())
+    assert dataset.digest == digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,71 @@
+"""What importing the package costs: a search or a CLI call loads only the
+modules it runs, and the lazily loaded names still resolve."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import p2c
+
+# Loaded on first use only: the surrogate layer and its subprocess and csv,
+# ``p2c bench`` and its statistics, the digest's hashlib, the compiled masks.
+LAZY_MODULES = ("p2c.surrogate", "p2c.bench", "p2c.masks", "subprocess", "statistics",
+                "hashlib", "csv")
+
+# The package's public names, as they stood before the surrogate names became
+# lazy; each must still resolve and be listed by dir().
+PUBLIC_NAMES = """
+Action AlreadyCounterfactualError CausalGroup CausalProgramError ConfigError CostReport
+Dataset DatasetConfig Entailment EvaluationError ExternalCommandModel FeatureSpec
+InconsistentInitialStateError LabeledDataset NoCounterfactualError P2CError PlanPath
+PredictorError RuleBackedModel RuleFileLearner RuleProgram RuleProgramError RuleSyntaxError
+SearchExhaustedError SpaceTooLargeError State StateValidationError TableModel adjust_weights
+agreement apply_action build_causal_groups build_dataset canonicalize compute_weighted_lp
+consistency consolidate_dataset consolidate_placeholders dataset domain enumerate_states
+errors extract_logic find_path goal_knearest ingest_csv knearest_trimmed label_dataset
+load_dataset mentioned_values min_cf naive_find_path parse_rule_program path_is_legal planner
+rules search search_space_size surrogate unparse_program validate_state
+""".split()
+
+
+def _run(code: str, *args: str) -> str:
+    """The stdout of ``code`` run with ``args`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(p2c.__file__).resolve().parent.parent), env.get("PYTHONPATH")))
+    )
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("module", ["p2c", "p2c.cli"])
+def test_import_loads_no_lazy_module(module):
+    code = f"import sys, {module}; print([m for m in {LAZY_MODULES!r} if m in sys.modules])"
+    assert _run(code).strip() == "[]"
+
+
+def test_lazy_names_resolve_and_are_listed():
+    """In a fresh process: dir() lists every public name before any is used,
+    and each resolves, the surrogate names to the surrogate module's own."""
+    code = (
+        "import sys, p2c\n"
+        "listed = set(dir(p2c))\n"
+        "print(sorted(set(sys.argv[1:]) - listed))\n"
+        "print('p2c.surrogate' in sys.modules)\n"
+        "from p2c import RuleBackedModel\n"
+        "import p2c.surrogate as s\n"
+        "print(RuleBackedModel is s.RuleBackedModel and p2c.surrogate is s)\n"
+        "print([n for n in sys.argv[1:] if not hasattr(p2c, n)])\n"
+    )
+    out = _run(code, *PUBLIC_NAMES)
+    assert out.splitlines() == ["[]", "False", "True", "[]"]
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        p2c.no_such_name  # noqa: B018

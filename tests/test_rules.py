@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import conftest
+from oracles import _tokenize as reference_tokenize
 from oracles import program_decides, rule_fires
 from p2c.errors import EvaluationError, RuleProgramError, RuleSyntaxError
 from p2c.rules import (
     COMPARISON,
     NEG_FEATURE_TEST,
     NUMERIC_BINDING,
+    _tokenize,
     canonicalize,
     mentioned_values,
     parse_rule_program,
@@ -106,6 +109,81 @@ def test_syntax_error_carries_position():
         parse_rule_program("label(X,'a') :-\n  f(X 'b').")
     assert err.value.line == 2
     assert err.value.column > 1
+
+
+@pytest.mark.parametrize(
+    "bad, line, column",
+    [
+        ("% a comment\nlabel(X,'a') :- f(X,'b') & g(X,'c').", 2, 26),  # after a comment line
+        ("\n\n  \nlabel(X,'a') :-\n\n   f(X 'b').", 6, 8),  # after blank lines
+        ("label(X,'a') :- f(X,'b'). label(X,'a') :- g(X,'c'), .", 1, 53),  # second rule
+        ("label(X,'a') :- f(X,'b).\nlabel(X,'a') :- g(X,'c').", 1, 21),  # unterminated quote
+    ],
+)
+def test_syntax_error_position_is_exact(bad, line, column):
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rule_program(bad)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def _tokens(tokenize, text):
+    """The tokens as (kind, text, line, column), or the error's position."""
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+    except RuleSyntaxError as exc:
+        return ("error", exc.line, exc.column)
+
+
+def _same_tokens(text):
+    return _tokens(_tokenize, text) == _tokens(reference_tokenize, text)
+
+
+def test_tokenizer_matches_reference_on_rule_files():
+    files = sorted(conftest.DATA.rglob("*.rules")) + sorted(conftest.SUPPLEMENT.rglob("*.rules"))
+    assert len(files) >= 15
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert _same_tokens(text), path
+
+
+def test_tokenizer_matches_reference_on_generated_programs(monkeypatch):
+    """Every rule text the test generators parse tokenizes as the reference does."""
+    texts = []
+
+    def recording(text, kind="decision"):
+        texts.append(text)
+        return parse_rule_program(text, kind)
+
+    monkeypatch.setattr(conftest, "parse_rule_program", recording)
+    for seed in range(300):
+        conftest.random_dataset(seed)
+        conftest.rich_dataset(seed)
+    for n in range(3, 13):
+        conftest.chained_ladder(0, n)
+        conftest.deep_ladder(n)
+    conftest.l2_root_tie()
+    conftest.absorbed_l2()
+    conftest.cyclic_dataset()
+    assert len(texts) >= 1200
+    for text in texts:
+        assert _same_tokens(text), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "   \n\n",
+        "% only a comment",
+        "% comment\r\nlabel(X,'a') :- f(X,'b').\r\n",
+        "label(X,'a') :-\tf(X,N1), N1=<-2.5. % trailing\n\n\tab1(X,'True') :- g(X,'c').",
+        "label(X,'a') :- f(X,'b') & g.",
+        "\n\nlabel(X,'a') :- f(X,'b\n",
+        "label(X,'it''s') :- f(X,'a').",
+    ],
+)
+def test_tokenizer_matches_reference_on_edge_texts(text):
+    assert _same_tokens(text)
 
 
 def test_stratification_violations_rejected():
