@@ -15,7 +15,8 @@ from functools import cache
 from pathlib import Path
 
 # consolidate_dataset stays importable from here for the benchmark's tracer
-from .dataset import bundle_dataset, consolidate_dataset, load_dataset, read_rules  # noqa: F401
+from .dataset import bundle_dataset, consolidate_dataset, load_dataset  # noqa: F401
+from .dataset import read_config, read_rules
 from .domain import consolidate_placeholders, search_space_size, validate_state
 from .errors import (
     AlreadyCounterfactualError,
@@ -82,14 +83,10 @@ def _resolve_instance(dataset, args):
     return raw, validate_state(dataset.config, raw)
 
 
-def _load(args):
+def _load_for_search(args):
     decision_text = read_rules(Path(args.rules)) if args.rules else None
     causal_text = read_rules(Path(args.causal)) if args.causal else None
-    return load_dataset(args.config, decision_text=decision_text, causal_text=causal_text)
-
-
-def _load_for_search(args):
-    dataset = _load(args)
+    dataset = load_dataset(args.config, decision_text=decision_text, causal_text=causal_text)
     if args.norm is None:  # no --norm: the config's norm applies
         args.norm = NORM_NAMES[dataset.config.norm_p]
     return dataset
@@ -107,33 +104,25 @@ def _emit(report: dict, text: str, output: str) -> None:
 
 def cmd_validate(args) -> int:
     ok = True
-    root = Path(args.config)
-    config_path = root / "config.json" if root.is_dir() else root
-    base = config_path.parent
     try:
-        blob = config_path.read_bytes()
-        cfg = json.loads(blob.decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"{config_path}: {exc}")
+        config_path, blob, cfg = read_config(args.config)
+    except ConfigError as exc:
+        print(exc)
         return 1
     programs = []  # (text, parsed) per rule file, handed on so each is parsed once
-    for key, kind in (("decision_rules", "decision"), ("causal_rules", "causal")):
-        rel = args.rules if (key == "decision_rules" and args.rules) else None
-        rel = args.causal if (key == "causal_rules" and args.causal) else rel
-        path = Path(rel) if rel else base / cfg.get(key, f"{kind}.rules")
+    for kind, override in (("decision", args.rules), ("causal", args.causal)):
+        path = Path(override or config_path.parent / cfg.get(f"{kind}_rules", f"{kind}.rules"))
         try:
             text = path.read_text(encoding="utf-8")
             programs.append((text, parse_rule_program(text, kind)))
             print(f"{path}: ok")
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"{path}: {exc}")
-            ok = False
-        except VALIDATION_ERRORS as exc:
+        except (OSError, UnicodeDecodeError, *VALIDATION_ERRORS) as exc:
             print(f"{path}: {exc}")
             ok = False
     if ok:
         try:
             dataset = bundle_dataset(config_path, (blob, cfg), *programs)
+            dataset.compiled  # two causal alternatives that fire together are found here
             print(f"{config_path}: ok ({len(dataset.config.features)} features, "
                   f"search space {search_space_size(dataset.config)})")
             for w in dataset.warnings:
@@ -321,9 +310,6 @@ def main(argv: list[str] | None = None) -> int:
     args.command = " ".join(sys.argv if argv is None else [parser.prog, *argv])
     try:
         return args.func(args)
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SEARCH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -97,17 +97,29 @@ class Dataset:
         return compiled.repair_values(compiled.bits(state), feature)
 
 
+def _number(obj: Mapping, key: str, convert: type, default, where: str):
+    """``convert(obj[key])``, or ``convert(default)`` when the key is absent;
+    a value that is not a number is a :class:`ConfigError` naming the field."""
+    try:
+        return convert(obj.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} field {key!r} is not a number: {obj[key]!r}") from None
+
+
 def _feature_from_json(
     obj: Mapping, programs: Sequence[RuleProgram], defaults: Mapping
 ) -> FeatureSpec:
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"feature entry {obj!r} is not an object")
     name = obj.get("name")
-    if not name:
-        raise ConfigError("feature entry without a name")
+    if not name or not isinstance(name, str):
+        raise ConfigError(f"feature entry without a name: {obj!r}")
     kind = obj.get("kind", CATEGORICAL)
+    where = f"feature {name!r}"
     common = dict(
         name=name,
         kind=kind,
-        weight=float(obj.get("weight", 1.0)),
+        weight=_number(obj, "weight", float, 1.0, where),
         mutable=bool(obj.get("mutable", True)),
         monotone=obj.get("monotone", "none"),
         directly_actionable=bool(obj.get("directly_actionable", True)),
@@ -115,15 +127,15 @@ def _feature_from_json(
     )
     if kind == CATEGORICAL:
         domain = obj.get("domain")
-        if not domain:
+        if not domain or not isinstance(domain, list):
             raise ConfigError(f"categorical feature {name!r} needs a domain list")
         return FeatureSpec(domain=tuple(str(v) for v in domain), **common)
     if kind == NUMERIC:
-        rng = obj.get("numeric_range")
-        if not rng or len(rng) != 2:
-            raise ConfigError(f"numeric feature {name!r} needs numeric_range [lo, hi]")
-        lo, hi = float(rng[0]), float(rng[1])
-        step = float(obj.get("step", 1.0))
+        try:
+            lo, hi = map(float, obj.get("numeric_range"))
+        except (TypeError, ValueError):
+            raise ConfigError(f"numeric feature {name!r} needs numeric_range [lo, hi]") from None
+        step = _number(obj, "step", float, 1.0, where)
         mentions: set[float] = set()
         for prog in programs:
             for v in mentioned_values(prog, name):
@@ -231,19 +243,8 @@ def load_dataset(
     Explicit rule texts override the files the config names; numeric domains
     are derived from whichever rules actually apply.
     """
-    path = Path(path)
-    config_path = path / "config.json" if path.is_dir() else path
+    config_path, blob, raw = read_config(path)
     root = config_path.parent
-    try:
-        blob = config_path.read_bytes()
-        raw = json.loads(blob.decode("utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"no config file at {config_path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{config_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{config_path}: invalid JSON ({exc})") from None
-
     if decision_text is None:
         decision_text = read_rules(root / raw.get("decision_rules", "decision.rules"))
     if causal_text is None:
@@ -269,27 +270,54 @@ def bundle_dataset(
     root = config_path.parent
     (blob, raw), (decision_text, decision), (causal_text, causal) = config, decision, causal
     defaults = raw.get("instance_defaults") or {}
-    features = tuple(
-        _feature_from_json(obj, (decision, causal), defaults)
-        for obj in raw.get("features", [])
-    )
+    entries = raw.get("features", [])
+    if not isinstance(defaults, Mapping):
+        raise ConfigError("config field 'instance_defaults' is not an object")
+    if not isinstance(entries, list):
+        raise ConfigError("config field 'features' is not a list")
+    features = tuple(_feature_from_json(obj, (decision, causal), defaults) for obj in entries)
     if not features:
         raise ConfigError(f"{config_path}: no features declared")
+    max_dpl = raw.get("max_dpl")
     config = DatasetConfig(
         name=raw.get("name", root.name),
         features=features,
         undesired_decision=str(raw.get("undesired_decision", "")),
-        norm_p=int(raw.get("norm_p", 1)),
+        norm_p=_number(raw, "norm_p", int, 1, "config"),
         decision_rules=raw.get("decision_rules", "decision.rules"),
         causal_rules=raw.get("causal_rules", "causal.rules"),
         label_column=raw.get("label_column"),
         instance_defaults=raw.get("instance_defaults"),
-        max_dpl=raw.get("max_dpl"),
+        max_dpl=max_dpl if max_dpl is None else _number(raw, "max_dpl", int, 0, "config"),
     )
     digest = hashlib.sha256()
     for part in (blob, decision_text.encode(), causal_text.encode()):
         digest.update(part)
     return build_dataset(config, decision, causal, root=root, digest=digest.hexdigest())
+
+
+def read_config(path: str | Path) -> tuple[Path, bytes, dict]:
+    """A bundle's config as ``(config path, bytes, JSON object)``, from a
+    dataset directory or an explicit config.json path.  A missing or
+    unreadable file, one that is not UTF-8 or not JSON, or JSON that is not an
+    object is a :class:`ConfigError` naming it."""
+    path = Path(path)
+    config_path = path / "config.json" if path.is_dir() else path
+    try:
+        blob = config_path.read_bytes()
+        raw = json.loads(blob.decode("utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"no config file at {config_path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{config_path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{config_path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{config_path}: the config is not a JSON object")
+    for key in ("decision_rules", "causal_rules"):
+        if not isinstance(raw.get(key, ""), str):
+            raise ConfigError(f"{config_path}: field {key!r} is not a file name")
+    return config_path, blob, raw
 
 
 def read_rules(path: Path) -> str:

@@ -33,7 +33,9 @@ class StateValidationError(P2CError):
 
 
 class CausalProgramError(P2CError):
-    """Contradictory causal entailments (two alternatives fired for one feature)."""
+    """Two alternatives of one causal head fire on some state.
+
+    Raised when the rules compile: on a dataset's first query, or by ``p2c validate``."""
 
 
 class InconsistentInitialStateError(P2CError):

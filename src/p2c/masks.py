@@ -11,7 +11,10 @@ exception-predicate calls hold; those are compiled the same way and keep
 negation as failure.  Each causal alternative gets a head mask of the values
 that satisfy it, direction-aware (``at_least``/``at_most``), so the
 completion semantics of :mod:`p2c.consistency` become a few integer ANDs per
-group.  Rule text for provenance and errors is rendered only when read.
+group.  Compiling also decides, exactly, whether two alternatives of one
+group fire on some state, and rejects such a program: so a group's fired
+alternative is simply the first that fires.  Rule text for provenance and
+errors is rendered only when read.
 
 The groups also get a *head order*, fixed at compile time: a group comes
 after every group whose head feature its bodies read (through ``ab`` calls
@@ -210,66 +213,59 @@ class _ProgramCompiler:
         return (forbidden, tuple(positive), tuple(negated))
 
 
+def _co_firing_state(bodies, feature_masks) -> int | None:
+    """Bits of a state on which bodies of two different alternatives fire,
+    or None.  Within the meet of two bodies' boxes only the features their
+    exception calls read can decide whether they fire, so only those are
+    enumerated; every other feature takes the lowest value in the meet."""
+    for a, b in itertools.combinations(range(len(bodies)), 2):
+        for x, y in itertools.product(bodies[a], bodies[b]):
+            free = [fm & ~(_forbidden_of(x) | _forbidden_of(y)) for fm in feature_masks]
+            if not all(free):
+                continue  # the boxes do not meet
+            calls = [call for xy in (x, y) if xy.__class__ is not int for call in xy[1] + xy[2]]
+            read = _support(body for call in calls for body in call)
+            choices = [
+                [1 << j for j in range(f.bit_length()) if f >> j & 1] if f & read else [f & -f]
+                for f in free
+            ]
+            for bits in map(sum, itertools.product(*choices)):
+                if _any_fires(bits, (x,)) and _any_fires(bits, (y,)):
+                    return bits
+    return None
+
+
 class _CompiledGroup:
-    """One causal group: per alternative its head mask, the head masks of the
-    other alternatives, and its compiled bodies."""
+    """One causal group: per alternative its compiled bodies and the head
+    values that satisfy the group when it fires, ``allowed[fired]``, with
+    ``allowed[-1]`` the values allowed when none fires.  A group with a state
+    on which two alternatives fire is a :class:`CausalProgramError` naming
+    the rules that fire there."""
 
-    __slots__ = ("group", "fi", "heads", "others", "all_heads", "bodies", "may_overlap")
+    __slots__ = ("group", "fi", "allowed", "bodies")
 
-    def __init__(self, group: CausalGroup, fi: int, heads, bodies, boxes_meet):
+    def __init__(self, group: CausalGroup, fi: int, heads, bodies, feature_masks):
+        bits = _co_firing_state(bodies, feature_masks)
+        if bits is not None:
+            fired = [RuleText(alt.rules, b, bits) for alt, b in zip(group.alternatives, bodies)]
+            raise CausalProgramError(
+                f"two alternatives for feature {group.feature!r} fired simultaneously: "
+                f"{'; '.join(text for rules in fired for text in rules)}"
+            )
         self.group = group
         self.fi = fi
-        self.heads = heads
-        self.all_heads = reduce(operator.or_, heads, 0)
-        self.others = tuple(
-            reduce(operator.or_, (h for b, h in enumerate(heads) if b != a), 0)
-            for a in range(len(heads))
+        others = [reduce(operator.or_, heads[:a] + heads[a + 1:], 0) for a in range(len(heads))]
+        self.allowed = tuple(h & ~o for h, o in zip(heads, others)) + (
+            feature_masks[fi] & ~reduce(operator.or_, heads, 0),
         )
         self.bodies = bodies
-        # Two alternatives can fire together only if two of their bodies'
-        # boxes meet; exception calls only narrow a body, so this is safe.
-        self.may_overlap = any(
-            boxes_meet(_forbidden_of(x) | _forbidden_of(y))
-            for a, b in itertools.combinations(range(len(bodies)), 2)
-            for x in bodies[a]
-            for y in bodies[b]
-        )
 
     def fired(self, bits: int) -> int:
-        """Index of the fired alternative, or -1; two fired ones are an error."""
-        fired = -1
+        """Index of the alternative that fires, or -1."""
         for a, bodies in enumerate(self.bodies):
             if _any_fires(bits, bodies):
-                if fired >= 0:
-                    raise self._conflict(bits)
-                fired = a
-                if not self.may_overlap:
-                    return a
-        return fired
-
-    def allowed(self, fired: int) -> int:
-        """The head values that satisfy the group, given which alternative
-        fired; bits of other features are set too when none fired."""
-        if fired >= 0:
-            return self.heads[fired] & ~self.others[fired]
-        return ~self.all_heads
-
-    def satisfied(self, bits: int, fired: int) -> bool:
-        if fired < 0:
-            return not bits & self.all_heads
-        return bool(bits & self.heads[fired]) and not bits & self.others[fired]
-
-    def _conflict(self, bits: int) -> CausalProgramError:
-        offending = "; ".join(
-            unparse_rule(r)
-            for alt, bodies in zip(self.group.alternatives, self.bodies)
-            for r, body in zip(alt.rules, bodies)
-            if _any_fires(bits, (body,))
-        )
-        return CausalProgramError(
-            f"two alternatives for feature {self.group.feature!r} fired simultaneously: "
-            f"{offending}"
-        )
+                return a
+        return -1
 
 
 def _head_order(groups, feature_masks) -> tuple[tuple[_CompiledGroup, bool], ...]:
@@ -332,8 +328,8 @@ class CompiledRules:
     :meth:`bits` encodes a state.  Every test below takes such bits.
     """
 
-    __slots__ = ("config", "offsets", "domains", "feature_masks", "groups", "last_overlap",
-                 "head_order", "cyclic", "decision", "undesired", "decision_boxes")
+    __slots__ = ("config", "offsets", "domains", "feature_masks", "groups", "head_order",
+                 "cyclic", "decision", "undesired", "decision_boxes")
 
     def __init__(
         self,
@@ -354,9 +350,6 @@ class CompiledRules:
             ((1 << len(spec.domain)) - 1) << o for o, spec in zip(offsets, config.features)
         )
 
-        def boxes_meet(forbidden: int) -> bool:
-            return all(fm & ~forbidden for fm in feature_masks)
-
         compiler = _ProgramCompiler(config, self.offsets, causal)
         compiled = []
         for group in groups:
@@ -369,12 +362,8 @@ class CompiledRules:
             bodies = tuple(
                 tuple(compiler.body(r) for r in alt.rules) for alt in group.alternatives
             )
-            compiled.append(_CompiledGroup(group, fi, heads, bodies, boxes_meet))
+            compiled.append(_CompiledGroup(group, fi, heads, bodies, feature_masks))
         self.groups = tuple(compiled)
-        # past this group index no group can raise, so a violation may return early
-        self.last_overlap = max(
-            (k for k, g in enumerate(self.groups) if g.may_overlap), default=-1
-        )
         self.head_order = _head_order(self.groups, feature_masks)
         self.cyclic = not all(decidable for _, decidable in self.head_order)
         if decision is not None:
@@ -396,16 +385,10 @@ class CompiledRules:
             raise
 
     def consistent(self, bits: int) -> bool:
-        violated = False
-        for k, g in enumerate(self.groups):
-            if violated and not g.may_overlap:
-                continue
-            if g.satisfied(bits, g.fired(bits)):
-                continue
-            if k >= self.last_overlap:
+        for g in self.groups:
+            if not bits & g.allowed[g.fired(bits)]:
                 return False
-            violated = True
-        return not violated
+        return True
 
     def decision_positive(self, bits: int) -> bool:
         return _any_fires(bits, self.decision) == self.undesired
@@ -443,7 +426,7 @@ class CompiledRules:
         """Values of ``g``'s feature that satisfy the group, given which
         alternative fired; the fired head value (the declared representative)
         comes first, the rest follow in domain order."""
-        allowed = g.allowed(fired)
+        allowed = g.allowed[fired]
         off = self.offsets[g.fi]
         ok = [v for j, v in enumerate(self.domains[g.fi]) if allowed >> (off + j) & 1]
         if fired >= 0:
@@ -481,12 +464,12 @@ class CompiledRules:
             repaired = False
             for g, _ in self.head_order:
                 fired = g.fired(bits)
-                if g.satisfied(bits, fired):
+                allowed = g.allowed[fired]
+                if bits & allowed:
                     continue
-                fmask = self.feature_masks[g.fi]
-                allowed = g.allowed(fired) & fmask
                 if not allowed or not features[g.fi].mutable:
                     return None
+                fmask = self.feature_masks[g.fi]
                 pick = allowed & prefer
                 if pick:
                     value = self.domains[g.fi][pick.bit_length() - 1 - self.offsets[g.fi]]

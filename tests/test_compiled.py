@@ -4,9 +4,10 @@ The compiled masks are ``p2c``'s only rule evaluator.  The reference
 (``oracles.interpreted_*``) walks every literal with ``oracles.rule_fires``
 on the state's name->value dict; the dataset answers on its compiled masks.  They must agree on goal membership, causal consistency,
 the decision, entailments (required, excluded and provenance), repair values,
-the causal repairs of violated groups, the causal closure and the text of a
-two-alternatives error, on every state of every bundle and of many random
-rule programs.
+the causal repairs of violated groups and the causal closure, on every state
+of every bundle and of many random rule programs.  Compiling rejects a
+program exactly when the interpreter finds a state on which two alternatives
+of one causal head fire, with the error text the interpreter gives there.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def plain(ents):
 def causal_actions(dataset, state):
     """Every repair of a violated, mutable group but the current value, in
     feature order, from the compiled entailments and repair values (the
-    entailments raise when two alternatives fire together)."""
+    entailments raise if the program has two alternatives that fire together,
+    as every query on it does)."""
     config = dataset.config
     out = []
     ents = dataset.entailments(state)
@@ -175,20 +177,31 @@ def test_closure_agrees_on_bundles_and_random_datasets():
 
 
 def test_compiled_agrees_on_random_programs_with_exceptions_and_overlaps():
-    checked = raised = with_aux = 0
+    """Compiling raises exactly when the interpreter finds a state on which
+    two causal alternatives fire, with the interpreter's text for one such
+    state; every program that compiles agrees with the interpreter on every
+    state."""
+    rejected = compiled = with_aux = 0
     for seed in range(300):
         dataset = rich_dataset(seed)
-        if dataset is None:
+        interpreted = {outcome(interpreted_consistent, dataset, state)
+                       for state in enumerate_states(dataset.config)}
+        errors = {text for kind, text in interpreted if kind == "error"}
+        try:
+            dataset.compiled
+        except CausalProgramError as exc:
+            assert str(exc) in errors, seed
+            rejected += 1
             continue
-        raised += assert_agrees_everywhere(dataset)
+        assert not errors, seed
+        assert assert_agrees_everywhere(dataset) == 0
         with_aux += any(
             lit.kind in ("aux_call", "negated_aux_call")
             for rule in dataset.decision.rules + dataset.causal.rules
             for lit in rule.body
         )
-        checked += 1
-    assert checked >= 200
-    assert raised > 0, "no program had two causal alternatives firing together"
+        compiled += 1
+    assert (rejected, compiled) == (69, 231)
     assert with_aux > 50
 
 
@@ -246,16 +259,25 @@ def test_two_firing_alternatives_keep_their_rule_text():
         "f(X,'a') :- g(X,'x').\nf(X,'b') :- h(X,'p').",
     )
     state = validate_state(ds.config, {"f": "a", "g": "x", "h": "p"})
+    calm = validate_state(ds.config, {"f": "a", "g": "x", "h": "q"})
     text = "f(X,'a') :- g(X,'x').; f(X,'b') :- h(X,'p')."
     message = ("error", f"two alternatives for feature 'f' fired simultaneously: {text}")
+    # the program is rejected on its first query, also on a state where one fires
     for test in (ds.consistent, ds.is_goal, ds.entailments,
                  lambda s: ds.repair_values(s, "f"),
                  lambda s: causal_actions(ds, s)):
-        assert outcome(test, state) == message
+        assert outcome(test, calm) == message
     assert outcome(interpreted_consistent, ds, state) == message
-    # states where only one alternative fires answer normally
-    calm = validate_state(ds.config, {"f": "a", "g": "x", "h": "q"})
-    assert ds.consistent(calm) and disagreements(ds, calm) == []
+    # the bodies' boxes meet only where ab1 holds, which blocks the first body
+    ds = make_dataset(
+        {"f": ("a", "b"), "g": ("x", "y"), "h": ("p", "q")},
+        "label(X,'bad') :- f(X,'a').",
+        "f(X,'a') :- g(X,'x'), not ab1(X,'True').\nf(X,'b') :- h(X,'p').\n"
+        "ab1(X,'True') :- h(X,'p').",
+    )
+    assert assert_agrees_everywhere(ds) == 0
+    assert ds.consistent(validate_state(ds.config, {"f": "b", "g": "x", "h": "p"}))
+    assert not ds.consistent(validate_state(ds.config, {"f": "a", "g": "x", "h": "p"}))
 
 
 def test_provenance_is_the_fired_rule_text(example2):

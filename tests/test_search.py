@@ -22,6 +22,7 @@ from p2c.dataset import consolidate_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
 from p2c.errors import (
     AlreadyCounterfactualError,
+    CausalProgramError,
     InconsistentInitialStateError,
     NoCounterfactualError,
 )
@@ -651,12 +652,15 @@ CUT_CASES = {
 @pytest.fixture(scope="module")
 def cut_programs():
     """``rich_dataset(0..299)`` with every decision-positive start, skipping
-    programs whose causal alternatives can fire together, and
-    ``random_dataset(0..299)`` with its start."""
+    programs that do not compile (two causal alternatives fire together),
+    and ``random_dataset(0..299)`` with its start."""
     out = []
     for ds in map(rich_dataset, range(300)):
-        if ds is not None and not any(g.may_overlap for g in ds.compiled.groups):
-            out.append((ds, [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]))
+        try:
+            ds.compiled
+        except CausalProgramError:
+            continue
+        out.append((ds, [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]))
     out += [(made[0], [made[1]]) for made in map(random_dataset, range(300)) if made]
     return out
 
