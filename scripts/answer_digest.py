@@ -7,8 +7,10 @@ The inputs come from this checkout's ``tests/conftest.py`` generators and
 ``perfbench/inputs.py``, so running it twice, once with ``--src`` pointing at
 another tree, compares two versions of the program on the same inputs.  An
 answer is the target, cost and causal-free features of each report, the
-states and actions (with provenance) of each plan and its ``path_is_legal``
-verdict, or the type and message of the raised error.
+states and actions (with provenance) of each plan with the ``path_is_legal``
+verdict and violations on it and on each of its corrupted copies
+(``tests/oracles.py::corrupted_plans``), or the type and message of the
+raised error.
 
 Searches: ``min_cf`` and ``goal_knearest(k=20)`` in both modes for p in
 {0, 1, 2}, on ``random_dataset(0..299)`` at its consistent start and at its
@@ -27,7 +29,7 @@ Plans: ``find_path`` toward ``min_cf``'s target on ``random_dataset(0..299)``
 at the consistent start for p in {0, 1, 2}, with the default budget and with
 ``max_dpl=1``; on each bundle start toward each of its 5 nearest goals for p
 in {0, 1, 2}; and perfbench's ``ladder`` and ``plan`` queries at seeds
-101-103.
+101-103.  Each ``find_path`` target also gets a ``naive_find_path`` plan.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def report_answer(r) -> tuple:
 
 
 def plan_answer(ds, plan) -> tuple:
+    from oracles import corrupted_plans
     from p2c.planner import path_is_legal
 
     if isinstance(plan, tuple):
@@ -61,7 +64,8 @@ def plan_answer(ds, plan) -> tuple:
          tuple((a.kind, a.feature, a.new_value, tuple(a.provenance)) for a in step.actions))
         for step in plan.steps
     )
-    return steps, path_is_legal(ds, plan)
+    copies = (plan, *corrupted_plans(ds, plan))
+    return steps, tuple(answer(path_is_legal, ds, copy) for copy in copies)
 
 
 def co_fires(ds) -> bool:
@@ -150,7 +154,7 @@ def plan_answers():
     sys.path.insert(0, str(REPO / "perfbench"))
     import inputs
     from conftest import DATA, random_dataset
-    from p2c import find_path, goal_knearest, load_dataset, min_cf
+    from p2c import find_path, goal_knearest, load_dataset, min_cf, naive_find_path
     from p2c.dataset import build_dataset, consolidate_dataset
     from p2c.domain import DatasetConfig, FeatureSpec, State, enumerate_states
     from p2c.rules import parse_rule_program
@@ -167,6 +171,7 @@ def plan_answers():
                 continue
             for max_dpl in (None, 1):
                 yield plan_answer(ds, answer(find_path, ds, start, best.target, max_dpl=max_dpl))
+            yield plan_answer(ds, answer(naive_find_path, ds, start, best.target))
     for name in ("example1", "example2", "cars", "german", "adult"):
         ds = consolidate_dataset(load_dataset(DATA / name))
         positive = [s for s in enumerate_states(ds.config)
@@ -180,6 +185,7 @@ def plan_answers():
                 for r in near:
                     yield plan_answer(ds, answer(find_path, ds, start, r.target,
                                                  on_inconsistent="repair"))
+                    yield plan_answer(ds, answer(naive_find_path, ds, start, r.target))
     for seed in (101, 102, 103):
         for space in inputs.ladder_spaces(seed) + inputs.plan_spaces(seed):
             features = tuple(
@@ -201,6 +207,7 @@ def plan_answers():
                 yield report_answer(best)
                 yield plan_answer(ds, answer(find_path, ds, start, best.target,
                                              on_inconsistent="repair"))
+                yield plan_answer(ds, answer(naive_find_path, ds, start, best.target))
 
 
 def main() -> None:

@@ -119,18 +119,23 @@ def cmd_validate(args) -> int:
         except (OSError, UnicodeDecodeError, *VALIDATION_ERRORS) as exc:
             print(f"{path}: {exc}")
             ok = False
-    if ok:
-        try:
-            dataset = bundle_dataset(config_path, (blob, cfg), *programs)
-            dataset.compiled  # two causal alternatives that fire together are found here
-            print(f"{config_path}: ok ({len(dataset.config.features)} features, "
-                  f"search space {search_space_size(dataset.config)})")
-            for w in dataset.warnings:
-                print(f"warning: {w}")
-        except VALIDATION_ERRORS as exc:
-            print(f"{config_path}: {exc}")
-            ok = False
-    return 0 if ok else 1
+    if not ok:
+        return 1
+    try:
+        dataset = bundle_dataset(config_path, (blob, cfg), *programs)
+    except VALIDATION_ERRORS as exc:
+        print(exc)  # bundle_dataset's errors name the config file already
+        return 1
+    try:
+        dataset.compiled  # two causal alternatives that fire together are found here
+    except VALIDATION_ERRORS as exc:
+        print(f"{config_path}: {exc}")
+        return 1
+    print(f"{config_path}: ok ({len(dataset.config.features)} features, "
+          f"search space {search_space_size(dataset.config)})")
+    for w in dataset.warnings:
+        print(f"warning: {w}")
+    return 0
 
 
 def _base_report(args, dataset, raw_instance) -> dict:

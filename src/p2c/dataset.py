@@ -31,7 +31,7 @@ from .domain import (
     consolidate_placeholders,
     validate_state,
 )
-from .errors import ConfigError
+from .errors import ConfigError, StateValidationError
 from .rules import RuleProgram, is_aux_predicate, mentioned_values, parse_rule_program
 
 if TYPE_CHECKING:
@@ -97,13 +97,25 @@ class Dataset:
         return compiled.repair_values(compiled.bits(state), feature)
 
 
-def _number(obj: Mapping, key: str, convert: type, default, where: str):
-    """``convert(obj[key])``, or ``convert(default)`` when the key is absent;
-    a value that is not a number is a :class:`ConfigError` naming the field."""
+def _number(obj: Mapping, key: str, default: float, where: str) -> float:
+    """``float(obj[key])``, or ``default`` when the key is absent; a value
+    that is not a number is a :class:`ConfigError` naming the field."""
     try:
-        return convert(obj.get(key, default))
+        return float(obj.get(key, default))
     except (TypeError, ValueError):
         raise ConfigError(f"{where} field {key!r} is not a number: {obj[key]!r}") from None
+
+
+def _integer(obj: Mapping, key: str, default: int) -> int:
+    """``obj[key]``, or ``default`` when the key is absent, checked to be an
+    integral number and not a bool; anything else is a :class:`ConfigError`
+    naming the field."""
+    value = obj.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config field {key!r} is not an integer: {value!r}")
+    return value
 
 
 def _feature_from_json(
@@ -119,7 +131,7 @@ def _feature_from_json(
     common = dict(
         name=name,
         kind=kind,
-        weight=_number(obj, "weight", float, 1.0, where),
+        weight=_number(obj, "weight", 1.0, where),
         mutable=bool(obj.get("mutable", True)),
         monotone=obj.get("monotone", "none"),
         directly_actionable=bool(obj.get("directly_actionable", True)),
@@ -135,7 +147,7 @@ def _feature_from_json(
             lo, hi = map(float, obj.get("numeric_range"))
         except (TypeError, ValueError):
             raise ConfigError(f"numeric feature {name!r} needs numeric_range [lo, hi]") from None
-        step = _number(obj, "step", float, 1.0, where)
+        step = _number(obj, "step", 1.0, where)
         mentions: set[float] = set()
         for prog in programs:
             for v in mentioned_values(prog, name):
@@ -264,36 +276,43 @@ def bundle_dataset(
 ) -> Dataset:
     """The dataset of a bundle whose config file and rule programs are
     already read: the config as ``(bytes, JSON)`` read from ``config_path``,
-    each program as ``(text, parsed)``. :func:`load_dataset` after parsing."""
+    each program as ``(text, parsed)``. :func:`load_dataset` after parsing.
+    Every :class:`ConfigError` or :class:`StateValidationError` it raises
+    names ``config_path`` once."""
     import hashlib  # imported here: no search needs it
 
     root = config_path.parent
     (blob, raw), (decision_text, decision), (causal_text, causal) = config, decision, causal
-    defaults = raw.get("instance_defaults") or {}
-    entries = raw.get("features", [])
-    if not isinstance(defaults, Mapping):
-        raise ConfigError("config field 'instance_defaults' is not an object")
-    if not isinstance(entries, list):
-        raise ConfigError("config field 'features' is not a list")
-    features = tuple(_feature_from_json(obj, (decision, causal), defaults) for obj in entries)
-    if not features:
-        raise ConfigError(f"{config_path}: no features declared")
-    max_dpl = raw.get("max_dpl")
-    config = DatasetConfig(
-        name=raw.get("name", root.name),
-        features=features,
-        undesired_decision=str(raw.get("undesired_decision", "")),
-        norm_p=_number(raw, "norm_p", int, 1, "config"),
-        decision_rules=raw.get("decision_rules", "decision.rules"),
-        causal_rules=raw.get("causal_rules", "causal.rules"),
-        label_column=raw.get("label_column"),
-        instance_defaults=raw.get("instance_defaults"),
-        max_dpl=max_dpl if max_dpl is None else _number(raw, "max_dpl", int, 0, "config"),
-    )
-    digest = hashlib.sha256()
-    for part in (blob, decision_text.encode(), causal_text.encode()):
-        digest.update(part)
-    return build_dataset(config, decision, causal, root=root, digest=digest.hexdigest())
+    try:
+        defaults = raw.get("instance_defaults") or {}
+        entries = raw.get("features", [])
+        if not isinstance(defaults, Mapping):
+            raise ConfigError("config field 'instance_defaults' is not an object")
+        if not isinstance(entries, list):
+            raise ConfigError("config field 'features' is not a list")
+        features = tuple(_feature_from_json(obj, (decision, causal), defaults) for obj in entries)
+        if not features:
+            raise ConfigError("no features declared")
+        undesired = raw.get("undesired_decision", "")
+        if not isinstance(undesired, str):
+            raise ConfigError(f"config field 'undesired_decision' is not a string: {undesired!r}")
+        config = DatasetConfig(
+            name=raw.get("name", root.name),
+            features=features,
+            undesired_decision=undesired,
+            norm_p=_integer(raw, "norm_p", 1),
+            decision_rules=raw.get("decision_rules", "decision.rules"),
+            causal_rules=raw.get("causal_rules", "causal.rules"),
+            label_column=raw.get("label_column"),
+            instance_defaults=raw.get("instance_defaults"),
+            max_dpl=None if raw.get("max_dpl") is None else _integer(raw, "max_dpl", 0),
+        )
+        digest = hashlib.sha256()
+        for part in (blob, decision_text.encode(), causal_text.encode()):
+            digest.update(part)
+        return build_dataset(config, decision, causal, root=root, digest=digest.hexdigest())
+    except (ConfigError, StateValidationError) as exc:
+        raise exc.__class__(f"{config_path}: {exc}") from None
 
 
 def read_config(path: str | Path) -> tuple[Path, bytes, dict]:

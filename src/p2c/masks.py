@@ -396,11 +396,19 @@ class CompiledRules:
     def is_goal(self, bits: int) -> bool:
         return self.consistent(bits) and _any_fires(bits, self.decision) != self.undesired
 
+    def value(self, fi: int, bits: int) -> Value:
+        """Feature ``fi``'s value in the state ``bits``."""
+        return self.domains[fi][(bits & self.feature_masks[fi]).bit_length() - 1 - self.offsets[fi]]
+
     def common_body(self, states: Sequence[int]) -> int:
         """Index of the first decision body that fires on every one of
         ``states`` (bits), or -1."""
         for b, body in enumerate(self.decision):
-            if all(_any_fires(bits, (body,)) for bits in states):
+            plain = body.__class__ is int
+            for bits in states:
+                if bits & body if plain else not _fires(bits, body):
+                    break
+            else:
                 return b
         return -1
 

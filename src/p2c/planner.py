@@ -9,17 +9,29 @@ each causal action sets a value the rules allow where it is made.  The
 search counts direct actions, up to ``max_dpl``, and stops at the first goal
 whose cost from the instance is at most s*'s; a costlier goal is a dead end.
 s* is the cheapest goal, so the plan ends at s* or at a goal of equal cost.
+
+Planning, pricing and checking run on one-hot bits: a goal is priced bit
+for bit as ``search.compute_weighted_lp`` prices it under
+``search.adjust_weights``, and ``path_is_legal`` replays a plan against each
+causal group's allowed mask.  Only the returned plan holds ``State``s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .dataset import Dataset
 from .domain import DatasetConfig, FeatureSpec, State, Value
-from .errors import InconsistentInitialStateError, P2CError, SearchExhaustedError
-from .search import adjust_weights, compute_weighted_lp
+from .errors import (
+    EvaluationError,
+    InconsistentInitialStateError,
+    P2CError,
+    SearchExhaustedError,
+    StateValidationError,
+)
+from .search import lp_term
 
 DIRECT = "direct"
 CAUSAL = "causal"
@@ -143,36 +155,41 @@ def find_path(
     the instance is at most ``s_star``'s ends the plan; a costlier goal is a
     dead end.  On exhaustion, the error and its ``diagnostics`` name each
     feature whose move to ``s_star``'s value was refused, and why.
+
+    States stay one-hot bits while searched, and goals are priced on them
+    (``_goal_cost``).  ``s_star`` must be causally consistent, else
+    :class:`P2CError`.
     """
     if on_inconsistent not in ("error", "repair"):
         raise ValueError("on_inconsistent must be 'error' or 'repair'")
     config = dataset.config
-    if on_inconsistent == "error" and not dataset.consistent(instance):
+    compiled = dataset.compiled
+    start = compiled.bits(instance)
+    if on_inconsistent == "error" and not compiled.consistent(start):
         raise InconsistentInitialStateError(
             "initial state violates the causal rules; pass on_inconsistent='repair' "
             "(or the CLI --repair-inconsistent flag) to plan a repair"
         )
-    if dataset.is_goal(instance):
+    if compiled.is_goal(start):
         return PlanPath((PathStep(instance, ()),))
 
     cap = max_dpl or config.max_dpl or len(config.features)
     weights = config.weights() if weights is None else weights
     p = config.norm_p if p is None else p
-    compiled = dataset.compiled
     specs = config.features
     masks = compiled.feature_masks
+    value = compiled.value
     star = compiled.bits(s_star)
-
-    def value(fi: int, bits: int) -> Value:
-        return specs[fi].domain[(bits & masks[fi]).bit_length() - 1 - compiled.offsets[fi]]
+    if not compiled.consistent(star):
+        raise P2CError("find_path target must be causally consistent")
+    if p not in (0, 1, 2):
+        raise ValueError(f"p must be 0, 1 or 2, got {p}")
 
     def state(bits: int) -> State:
         return State(tuple(value(fi, bits) for fi in range(len(specs))))
 
     def cost(bits: int) -> float:
-        goal = state(bits)
-        adjusted, _ = adjust_weights(dataset, instance, goal, weights)
-        return compute_weighted_lp(config, instance, goal, adjusted, p)
+        return _goal_cost(dataset, instance, bits, weights, p)
 
     ceiling = cost(star) + 1e-9
     # how each consistent state was reached: (previous state, feature moved,
@@ -183,7 +200,6 @@ def find_path(
 
     def search() -> int | None:
         """The bits of the goal that ends the plan, or None."""
-        start = compiled.bits(instance)
         root = compiled.closure(start, star)
         if root is None:
             frontier = [start]  # inconsistent: its successors start the plan
@@ -250,6 +266,27 @@ def find_path(
     return PlanPath(tuple(reversed(steps)))
 
 
+def _goal_cost(
+    dataset: Dataset, instance: State, bits: int, weights: Mapping[str, float], p: int
+) -> float:
+    """The p2c cost from ``instance`` of the causally consistent state ``bits``.
+
+    The ``lp_term``s of the values the state holds, summed in feature order
+    from ``0.0``, then the square root for p = 2.  A causal head's term is
+    ``0.0`` when its group fires on ``bits``: the change is compelled and, the
+    state being consistent, satisfied.  This is bit for bit what
+    ``search.compute_weighted_lp`` reports under ``search.adjust_weights``,
+    whose zero weight makes a term ``0.0`` for every p.
+    """
+    compiled = dataset.compiled
+    freed = {g.fi for g in compiled.groups if g.fired(bits) >= 0}
+    total = 0.0
+    for fi, (spec, was) in enumerate(zip(compiled.config.features, instance.values)):
+        if fi not in freed:
+            total += lp_term(spec, weights[spec.name], was, compiled.value(fi, bits), p)
+    return math.sqrt(total) if p == 2 else total
+
+
 def naive_find_path(dataset: Dataset, instance: State, s_star: State) -> PlanPath:
     """Causally blind baseline: one direct edit per differing feature.
 
@@ -273,42 +310,60 @@ def path_is_legal(dataset: Dataset, path: PlanPath) -> tuple[bool, list[str]]:
     """Replay every action: direct ones must respect actionability,
     mutability and monotonicity; causal ones must set a value the causal
     rules actually compel at that point.  An action on an unknown feature or
-    to a value outside its domain is reported and not replayed."""
+    to a value outside its domain is reported and not replayed.
+
+    The replay runs on one-hot bits (``masks.CompiledRules``): a causal
+    value is legal when its bit is in what its group allows, given the
+    alternative that fires, on the bits it is set on.  Where a step's
+    recorded state differs from the replay, the replay resumes from the
+    recorded state, unless that is not a state of the space (an off-domain
+    value or the wrong length).  The path must start at a state of the
+    space.
+    """
     config = dataset.config
     violations: list[str] = []
     if not path.steps:
         return True, violations
-    current = path.start
+    compiled = dataset.compiled
+    groups = {g.fi: g for g in compiled.groups}
+    current = compiled.bits(path.start)
     for step_no, step in enumerate(path.steps):
         for action in step.actions:
             if not config.has_feature(action.feature):
                 violations.append(f"step {step_no}: {action.describe()}: unknown feature")
                 continue
             i = config.feature_index(action.feature)
-            spec = config.features[i]
-            if action.new_value not in spec.domain:
+            try:
+                bit = 1 << (compiled.offsets[i] + compiled.domains[i].index(action.new_value))
+            except ValueError:
                 violations.append(
                     f"step {step_no}: {action.describe()}: value outside domain"
                 )
                 continue
             if action.kind == DIRECT:
-                problem = direct_action_problem(spec, current.values[i], action.new_value)
+                problem = direct_action_problem(
+                    config.features[i], compiled.value(i, current), action.new_value
+                )
                 if problem:
                     violations.append(f"step {step_no}: {action.describe()}: {problem}")
             elif action.kind == CAUSAL:
-                allowed = dataset.repair_values(current, action.feature)
-                if action.new_value not in allowed:
+                g = groups.get(i)
+                if g is None or not bit & g.allowed[g.fired(current)]:
                     violations.append(
                         f"step {step_no}: {action.describe()}: value is not entailed "
                         f"by the causal rules here"
                     )
             else:
                 violations.append(f"step {step_no}: unknown action kind {action.kind!r}")
-            current = current.replace_value(i, action.new_value)
-        if current != step.state:
+            current = current & ~compiled.feature_masks[i] | bit
+        try:
+            recorded = compiled.bits(step.state)
+        except (EvaluationError, StateValidationError):
+            recorded = None
+        if recorded != current:
             violations.append(
                 f"step {step_no}: recorded state does not match the replayed actions"
             )
-            if all(v in f.domain for f, v in zip(config.features, step.state.values)):
-                current = step.state
+            if recorded is not None:
+                current = recorded
     return not violations, violations

@@ -88,6 +88,10 @@ def compute_weighted_lp(
 
     L1 = sum(w*d), L2 = sqrt(sum(w*d^2)), L0 counts features with positive
     weight and nonzero difference.  Symmetric in ``a`` and ``b``.
+
+    With :func:`adjust_weights`, this is the State-level reference for a
+    goal's p2c cost.  No search or plan calls it: they price goals on bits,
+    bit for bit as this does.
     """
     if p not in (0, 1, 2):
         raise ValueError(f"p must be 0, 1 or 2, got {p}")
@@ -109,7 +113,9 @@ def adjust_weights(
 
     A changed feature is causal-free iff its group fires a requirement in the
     target and the target's value satisfies it: the change would happen on
-    its own once the other features move.
+    its own once the other features move.  The State-level reference that
+    the searches' and the planner's pricing on bits must match; neither
+    calls it.
     """
     config = dataset.config
     if not dataset.consistent(target):

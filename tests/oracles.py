@@ -416,3 +416,131 @@ def bfs_naive_path(dataset, instance: State, s_star: State) -> PlanPath:
     steps.append(PathStep(instance, ()))
     steps.reverse()
     return PlanPath(tuple(steps))
+
+
+def state_path_is_legal(dataset, path: PlanPath) -> tuple[bool, list[str]]:
+    """The reference for ``p2c.planner.path_is_legal``: the same replay on
+    ``State`` values, asking ``Dataset.repair_values`` for each causal action.
+
+    Replay every action: direct ones must respect actionability,
+    mutability and monotonicity; causal ones must set a value the causal
+    rules actually compel at that point.  An action on an unknown feature or
+    to a value outside its domain is reported and not replayed."""
+    config = dataset.config
+    violations: list[str] = []
+    if not path.steps:
+        return True, violations
+    current = path.start
+    for step_no, step in enumerate(path.steps):
+        for action in step.actions:
+            if not config.has_feature(action.feature):
+                violations.append(f"step {step_no}: {action.describe()}: unknown feature")
+                continue
+            i = config.feature_index(action.feature)
+            spec = config.features[i]
+            if action.new_value not in spec.domain:
+                violations.append(
+                    f"step {step_no}: {action.describe()}: value outside domain"
+                )
+                continue
+            if action.kind == DIRECT:
+                problem = direct_action_problem(spec, current.values[i], action.new_value)
+                if problem:
+                    violations.append(f"step {step_no}: {action.describe()}: {problem}")
+            elif action.kind == CAUSAL:
+                allowed = dataset.repair_values(current, action.feature)
+                if action.new_value not in allowed:
+                    violations.append(
+                        f"step {step_no}: {action.describe()}: value is not entailed "
+                        f"by the causal rules here"
+                    )
+            else:
+                violations.append(f"step {step_no}: unknown action kind {action.kind!r}")
+            current = current.replace_value(i, action.new_value)
+        if current != step.state:
+            violations.append(
+                f"step {step_no}: recorded state does not match the replayed actions"
+            )
+            if all(v in f.domain for f, v in zip(config.features, step.state.values)):
+                current = step.state
+    return not violations, violations
+
+
+OFF_DOMAIN = "<off-domain>"
+
+
+def corrupted_plans(dataset, plan: PlanPath) -> list[PlanPath]:
+    """Copies of ``plan`` with one fault each, for a legality check to judge.
+
+    Built from the plan, the domains and the rule interpreter alone, so every
+    version of the planner gets the same copies.  With at least one action:
+    its value off the domain, its feature unknown, its kind unknown.  With a
+    step after the start: a causal action to a value the interpreter's
+    rules do not allow there (the first causal action's value changed, else
+    one put first in step 1 on the first causal head), a direct move against
+    a monotone feature's direction put first in the first step whose
+    previous state allows one, step 1's
+    recorded state with one value moved to the next in its domain, and with
+    an off-domain value.  Recorded states are not updated, so a fault that
+    changes the replay also shows as a mismatch.
+    """
+    config = dataset.config
+    steps = plan.steps
+    out: list[PlanPath] = []
+
+    def with_step(n: int, actions=None, state=None) -> PlanPath:
+        step = PathStep(steps[n].state if state is None else state,
+                        steps[n].actions if actions is None else actions)
+        return PlanPath(steps[:n] + (step,) + steps[n + 1:])
+
+    first = next(((n, step.actions[0]) for n, step in enumerate(steps) if step.actions), None)
+    if first is not None:
+        n, a = first
+        for bad in (Action(a.kind, a.feature, OFF_DOMAIN), Action(a.kind, "<unknown>", a.new_value),
+                    Action("sideways", a.feature, a.new_value)):
+            out.append(with_step(n, (bad,) + steps[n].actions[1:]))
+    if len(steps) < 2:
+        return out
+
+    site = next(((n, k, a.feature) for n, step in enumerate(steps[1:], 1)
+                 for k, a in enumerate(step.actions) if a.kind == CAUSAL), None)
+    if site is None and dataset.groups:
+        site = (1, None, dataset.groups[0].feature)  # put first in step 1
+    if site is not None:
+        n, k, feature = site
+        head = steps[n].actions[:k or 0]
+        tail = steps[n].actions if k is None else steps[n].actions[k + 1:]
+        before = steps[n - 1].state
+        for a in head:
+            before = before.replace_value(config.feature_index(a.feature), a.new_value)
+        allowed = interpreted_repair_values(dataset, before, feature)
+        value = next((v for v in config.feature(feature).domain if v not in allowed), None)
+        if value is not None:
+            out.append(with_step(n, head + (Action(CAUSAL, feature, value),) + tail))
+
+    def wrong_way(spec, value):
+        """A value a direct move to would go against ``spec``'s direction."""
+        if not spec.mutable or not spec.directly_actionable:
+            return None
+        j = spec.index_of(value)
+        if spec.monotone == "nondecreasing" and j > 0:
+            return spec.domain[0]
+        if spec.monotone == "nonincreasing" and j < len(spec.domain) - 1:
+            return spec.domain[-1]
+        return None
+
+    wrong = next(((n, spec.name, v) for n in range(1, len(steps))
+                  for spec, was in zip(config.features, steps[n - 1].state.values)
+                  if (v := wrong_way(spec, was)) is not None), None)
+    if wrong is not None:
+        n, feature, value = wrong
+        out.append(with_step(n, (Action(DIRECT, feature, value),) + steps[n].actions))
+
+    recorded = steps[1].state
+    fi = next((fi for fi, spec in enumerate(config.features) if len(spec.domain) > 1), None)
+    if fi is not None:
+        domain = config.features[fi].domain
+        moved = domain[(domain.index(recorded.values[fi]) + 1) % len(domain)]
+        out.append(with_step(1, state=recorded.replace_value(fi, moved)))
+    out.append(with_step(1, state=recorded.replace_value(0, OFF_DOMAIN)))
+    return out

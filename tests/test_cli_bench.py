@@ -144,6 +144,14 @@ def _reshape(config, change):
         config["features"][0]["name"] = 5
     elif change == "max_dpl":
         config["max_dpl"] = "x"
+    elif change == "norm_p_fraction":
+        config["norm_p"] = 1.5
+    elif change == "norm_p_bool":
+        config["norm_p"] = True
+    elif change == "max_dpl_fraction":
+        config["max_dpl"] = 2.5
+    elif change == "undesired_decision":
+        config["undesired_decision"] = [1]
     return config
 
 
@@ -154,15 +162,30 @@ def _reshape(config, change):
     ("weight", "field 'weight'"),
     ("feature_name", "without a name"),
     ("max_dpl", "field 'max_dpl'"),
+    ("norm_p_fraction", "field 'norm_p' is not an integer: 1.5"),
+    ("norm_p_bool", "field 'norm_p' is not an integer: True"),
+    ("max_dpl_fraction", "field 'max_dpl' is not an integer: 2.5"),
+    ("undesired_decision", "field 'undesired_decision' is not a string: [1]"),
 ])
 def test_config_of_the_wrong_shape_is_an_error_line(capsys, bundle_copy, change, named):
     path = bundle_copy / "config.json"
     path.write_text(json.dumps(_reshape(json.loads(path.read_text()), change)))
     code, out, err = run_cli(capsys, "validate", "--config", str(bundle_copy))
     assert code == 1 and named in out.splitlines()[-1] and err == ""
-    code, out, err = run_cli(capsys, "mincf", "--config", str(bundle_copy))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert out.splitlines()[-1].count(str(path)) == 1
+    for command in ("mincf", "path"):
+        code, out, err = run_cli(capsys, command, "--config", str(bundle_copy))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert err.count(str(path)) == 1
+
+
+def test_validate_names_the_config_file_once(capsys, bundle_copy):
+    path = bundle_copy / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "features": []}))
+    code, out, err = run_cli(capsys, "validate", "--config", str(bundle_copy))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == f"{path}: no features declared"
 
 
 # ---------------------------------------------------------------------------

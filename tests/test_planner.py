@@ -6,7 +6,13 @@ from collections import Counter
 import pytest
 
 from conftest import DATA, cyclic_dataset, make_dataset, random_dataset
-from oracles import bfs_naive_path, one_direct_action_reaches_goal, verify_solution_path
+from oracles import (
+    bfs_naive_path,
+    corrupted_plans,
+    one_direct_action_reaches_goal,
+    state_path_is_legal,
+    verify_solution_path,
+)
 from p2c.dataset import consolidate_dataset, load_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
 from p2c.errors import (
@@ -20,6 +26,7 @@ from p2c.planner import (
     Action,
     PathStep,
     PlanPath,
+    _goal_cost,
     apply_action,
     direct_action_problem,
     find_path,
@@ -230,6 +237,14 @@ def test_find_path_rejects_unknown_norm(example1):
         find_path(example1, john, target, p=3)
 
 
+def test_find_path_rejects_an_inconsistent_target(example2):
+    john = example2.default_instance()
+    broken = next(s for s in enumerate_states(example2.config) if not example2.consistent(s))
+    for p in (1, 3):
+        with pytest.raises(P2CError, match="target must be causally consistent"):
+            find_path(example2, john, broken, p=p)
+
+
 @pytest.mark.parametrize("seed, feature, value, reason", [
     (15, "f1", "v2", "nonincreasing feature cannot increase"),
     (275, "f0", "v4", "feature is not directly actionable"),
@@ -276,10 +291,22 @@ def plan_to_s_star_cost(ds, start, p):
         assert was == now or spec.mutable and spec.name in ds.causal_head_features or (
             not direct_action_problem(spec, was, now)
         )
-    adjusted, _ = adjust_weights(ds, start, path.end, ds.config.weights())
+    weights = ds.config.weights()
+    adjusted, _ = adjust_weights(ds, start, path.end, weights)
     cost = compute_weighted_lp(ds.config, start, path.end, adjusted, p)
     assert abs(cost - best.cost) <= 1e-9
+    priced = _goal_cost(ds, start, ds.compiled.bits(path.end), weights, p)
+    assert repr(priced) == repr(cost)
+    assert_legal_as_reference(ds, path)
+    assert_legal_as_reference(ds, naive_find_path(ds, start, best.target))
     return path
+
+
+def assert_legal_as_reference(ds, plan):
+    """path_is_legal gives the State-level reference's verdict and
+    violations on ``plan`` and on each of its corrupted copies."""
+    for variant in (plan, *corrupted_plans(ds, plan)):
+        assert path_is_legal(ds, variant) == state_path_is_legal(ds, variant), variant
 
 
 def test_plans_end_at_s_star_cost_on_random_datasets():
@@ -314,7 +341,8 @@ def test_plans_end_at_s_star_cost_on_bundle_populations(bundle):
     ds = consolidate_dataset(load_dataset(DATA / bundle))
     starts = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
     for start in starts:
-        assert isinstance(plan_to_s_star_cost(ds, start, ds.config.norm_p), PlanPath), start
+        for p in (0, 1, 2):
+            assert isinstance(plan_to_s_star_cost(ds, start, p), PlanPath), (start, p)
 
 
 def test_plans_end_at_s_star_cost_on_a_causal_cycle():
@@ -350,6 +378,41 @@ def test_find_path_closes_each_moved_state_once(monkeypatch, german, adult):
             assert closed and max(closed.values()) == 1, start
             starts += 1
     assert starts == 768 + 704
+
+
+def test_planning_and_checking_stay_on_bits(monkeypatch):
+    """A deterministic work gate: find_path prices its goals and
+    path_is_legal replays its plans on bits, so neither reaches the
+    State-level pricing or repair values."""
+    import p2c.planner
+    import p2c.search
+    from p2c.dataset import Dataset
+
+    cases = []
+    for bundle in ("example1", "example2", "cars", "german", "adult"):
+        ds = consolidate_dataset(load_dataset(DATA / bundle))
+        for start in enumerate_states(ds.config):
+            if ds.decision_positive(start):
+                cases.append((ds, start, min_cf(ds, start, on_inconsistent="allow").target))
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((p2c.search, "adjust_weights"), (p2c.search, "compute_weighted_lp"),
+                        (Dataset, "repair_values")):
+        assert not hasattr(p2c.planner, name)
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for ds, start, target in cases:
+        path = find_path(ds, start, target, on_inconsistent="repair")
+        path_is_legal(ds, path)
+        path_is_legal(ds, naive_find_path(ds, start, target))
+    assert len(cases) == 1912
+    assert calls == Counter()
+
 
 # ---------------------------------------------------------------------------
 # naive planner and legality
@@ -445,6 +508,26 @@ def test_path_is_legal_reports_actions_it_cannot_replay(example2):
         "step 2: recorded state does not match the replayed actions",
         f"step 3: {repair.describe()}: value is not entailed by the causal rules here",
     ]
+
+
+def test_corrupted_plans_show_every_violation(example2, german, adult):
+    """Each corrupted copy of a plan is illegal, and together they reach
+    every kind of violation the replay reports."""
+    texts = ("value is not entailed", "cannot decrease", "value outside domain",
+             "unknown feature", "unknown action kind", "recorded state does not match")
+    seen = Counter()
+    age = adult.config.feature("age")  # nondecreasing: a plan from an older start can lower it
+    older = next(s for s in enumerate_states(adult.config) if adult.decision_positive(s)
+                 and adult.consistent(s) and age.index_of(s.values[0]) > 0)
+    for ds, start in ((example2, example2.default_instance()), (german, german.default_instance()),
+                      (adult, adult.default_instance()), (adult, older)):
+        target = min_cf(ds, start).target
+        for plan in (find_path(ds, start, target), naive_find_path(ds, start, target)):
+            for variant in corrupted_plans(ds, plan):
+                legal, violations = path_is_legal(ds, variant)
+                assert not legal and violations, variant
+                seen.update(text for text in texts if any(text in v for v in violations))
+    assert set(seen) == set(texts), seen
 
 
 def test_every_find_path_output_is_legal_on_shipped(example1, example2, cars, german, adult):
