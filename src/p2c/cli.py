@@ -12,11 +12,10 @@ import sys
 import time
 from dataclasses import replace
 from functools import cache
-from pathlib import Path
 
 # consolidate_dataset stays importable from here for the benchmark's tracer
 from .dataset import bundle_dataset, consolidate_dataset, load_dataset  # noqa: F401
-from .dataset import read_config, read_rules
+from .dataset import read_config, rule_file
 from .domain import consolidate_placeholders, search_space_size, validate_state
 from .errors import (
     AlreadyCounterfactualError,
@@ -72,6 +71,16 @@ def _parse_instance(pairs: list[str]) -> dict[str, str]:
     return raw
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_instance(dataset, args):
     raw = _parse_instance(args.instance or [])
     if not raw:
@@ -84,9 +93,7 @@ def _resolve_instance(dataset, args):
 
 
 def _load_for_search(args):
-    decision_text = read_rules(Path(args.rules)) if args.rules else None
-    causal_text = read_rules(Path(args.causal)) if args.causal else None
-    dataset = load_dataset(args.config, decision_text=decision_text, causal_text=causal_text)
+    dataset = load_dataset(args.config, args.rules, args.causal)
     if args.norm is None:  # no --norm: the config's norm applies
         args.norm = NORM_NAMES[dataset.config.norm_p]
     return dataset
@@ -111,7 +118,7 @@ def cmd_validate(args) -> int:
         return 1
     programs = []  # (text, parsed) per rule file, handed on so each is parsed once
     for kind, override in (("decision", args.rules), ("causal", args.causal)):
-        path = Path(override or config_path.parent / cfg.get(f"{kind}_rules", f"{kind}.rules"))
+        path = rule_file(config_path, cfg, kind, override)
         try:
             text = path.read_text(encoding="utf-8")
             programs.append((text, parse_rule_program(text, kind)))
@@ -294,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_path = sub.add_parser("path", help="plan a path to the minimal counterfactual")
     common(p_path)
     p_path.add_argument("--planner", choices=["causal", "naive"], default="causal")
-    p_path.add_argument("--max-dpl", type=int, default=None, help="cap on direct actions")
+    p_path.add_argument("--max-dpl", type=_at_least_one, default=None,
+                        help="cap on direct actions (at least 1)")
     p_path.set_defaults(func=cmd_path)
 
     p_bench = sub.add_parser("bench", help="seeded benchmark over dataset bundles")

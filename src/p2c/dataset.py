@@ -31,7 +31,7 @@ from .domain import (
     consolidate_placeholders,
     validate_state,
 )
-from .errors import ConfigError, StateValidationError
+from .errors import ConfigError, RuleProgramError, RuleSyntaxError, StateValidationError
 from .rules import RuleProgram, is_aux_predicate, mentioned_values, parse_rule_program
 
 if TYPE_CHECKING:
@@ -247,25 +247,34 @@ def build_dataset(
 
 def load_dataset(
     path: str | Path,
-    decision_text: str | None = None,
-    causal_text: str | None = None,
+    decision_rules: str | Path | None = None,
+    causal_rules: str | Path | None = None,
 ) -> Dataset:
     """Load a dataset directory (or an explicit config.json path).
 
-    Explicit rule texts override the files the config names; numeric domains
-    are derived from whichever rules actually apply.
+    ``decision_rules`` and ``causal_rules`` name rule files that override
+    those the config names; numeric domains are derived from whichever rules
+    actually apply.  A syntax or program error in a rule file names it once.
     """
     config_path, blob, raw = read_config(path)
-    root = config_path.parent
-    if decision_text is None:
-        decision_text = read_rules(root / raw.get("decision_rules", "decision.rules"))
-    if causal_text is None:
-        causal_text = read_rules(root / raw.get("causal_rules", "causal.rules"))
-    decision = parse_rule_program(decision_text, kind="decision")
-    causal = parse_rule_program(causal_text, kind="causal")
-    return bundle_dataset(
-        config_path, (blob, raw), (decision_text, decision), (causal_text, causal)
-    )
+    programs = []
+    for kind, override in (("decision", decision_rules), ("causal", causal_rules)):
+        rules_path = rule_file(config_path, raw, kind, override)
+        text = read_rules(rules_path)
+        try:
+            programs.append((text, parse_rule_program(text, kind=kind)))
+        except (RuleSyntaxError, RuleProgramError) as exc:
+            exc.args = (f"{rules_path}: {exc}",)
+            raise
+    return bundle_dataset(config_path, (blob, raw), *programs)
+
+
+def rule_file(config_path: Path, raw: Mapping, kind: str, override: str | Path | None) -> Path:
+    """The path of a bundle's ``kind`` rule file: ``override`` when given,
+    else the file its config names, next to the config."""
+    if override:
+        return Path(override)
+    return config_path.parent / raw.get(f"{kind}_rules", f"{kind}.rules")
 
 
 def bundle_dataset(

@@ -133,6 +133,8 @@ class DatasetConfig:
             raise ConfigError("feature names must be unique")
         if self.norm_p not in (0, 1, 2):
             raise ConfigError(f"norm_p must be 0, 1 or 2, got {self.norm_p}")
+        if self.max_dpl is not None and self.max_dpl < 1:
+            raise ConfigError(f"config field 'max_dpl' must be at least 1, got {self.max_dpl}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     def feature_index(self, name: str) -> int:

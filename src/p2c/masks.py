@@ -23,10 +23,16 @@ it.  Groups on a cycle of such reads come last, and a group that reads a
 head not yet derived at its place is marked undecidable there.  The same
 order gives the causal closure of a state (:meth:`CompiledRules.closure`):
 one pass repairs every violated group, because each group reads only heads
-repaired before it.  Each decision body also gets its box over the features
-no causal rule sets (:attr:`CompiledRules.decision_boxes`): its forbidden
-mask, and the features whose values decide through ``ab`` calls or derived
-heads whether it fires, which a search cutting that box away must hold fixed.
+repaired before it.
+
+For the counterfactual search, compiling also fixes its *walk*, the
+features no causal rule sets (:attr:`CompiledRules.walk`), and the place
+weights that read a state's domain indices as one mixed-radix rank in
+feature order (:attr:`CompiledRules.place`).  Each decision body gets its
+cut box over the walk (:attr:`CompiledRules.decision_boxes`): per walk
+feature, a mask of the domain indices its literals allow, and whether the
+feature decides through ``ab`` calls or derived heads whether the body
+fires, so a search cutting that box away must hold it at the vector's value.
 
 The package imports this module on a dataset's first query, not at import.
 """
@@ -294,14 +300,16 @@ def _head_order(groups, feature_masks) -> tuple[tuple[_CompiledGroup, bool], ...
     return tuple(out)
 
 
-def _decision_boxes(decision, head_order, feature_masks) -> tuple[tuple[int, int], ...]:
-    """Per decision body, ``(forbidden, fixed)``: its literals' forbidden
-    mask, and a bit in every non-head feature that decides, beyond those
-    literals, whether it fires on a derived state.  These are the features
-    read through an ``ab`` call and those that the heads it reads are
-    derived from, transitively in head order.  A head of an undecidable
-    group takes every value whatever the other features hold, so it is
-    derived from none."""
+def _decision_boxes(
+    decision, head_order, walk, offsets, feature_masks
+) -> tuple[tuple[tuple[int, ...], tuple[bool, ...]], ...]:
+    """Per decision body, ``(allowed, held)`` over the ``walk`` features:
+    the domain indices its literals allow (bit j for index j), and whether
+    the feature decides, beyond those literals, whether the body fires on a
+    derived state.  These are the features read through an ``ab`` call and
+    those that the heads it reads are derived from, transitively in head
+    order.  A head of an undecidable group takes every value whatever the
+    other features hold, so it is derived from none."""
     head_bits = reduce(operator.or_, (feature_masks[g.fi] for g, _ in head_order), 0)
     derived_from: dict[int, int] = {}  # head feature -> bits of the features it is derived from
 
@@ -317,7 +325,12 @@ def _decision_boxes(decision, head_order, feature_masks) -> tuple[tuple[int, int
     for body in decision:
         calls = () if body.__class__ is int else body[1] + body[2]
         fixed = reduce(operator.or_, (_support(call) for call in calls), 0) & ~head_bits
-        out.append((_forbidden_of(body), fixed | through_heads(_support((body,)))))
+        fixed |= through_heads(_support((body,)))
+        forbidden = _forbidden_of(body)
+        out.append((
+            tuple((feature_masks[i] & ~forbidden) >> offsets[i] for i in walk),
+            tuple(bool(feature_masks[i] & fixed) for i in walk),
+        ))
     return tuple(out)
 
 
@@ -326,10 +339,13 @@ class CompiledRules:
 
     Feature ``i``'s value with domain index ``j`` is bit ``offsets[i] + j``;
     :meth:`bits` encodes a state.  Every test below takes such bits.
+    :meth:`is_goal` is :meth:`consistent` and :meth:`escapes`; a search that
+    derives each head from its group on an acyclic program needs only the
+    latter.
     """
 
     __slots__ = ("config", "offsets", "domains", "feature_masks", "groups", "head_order",
-                 "cyclic", "decision", "undesired", "decision_boxes")
+                 "cyclic", "walk", "place", "decision", "undesired", "decision_boxes")
 
     def __init__(
         self,
@@ -366,11 +382,19 @@ class CompiledRules:
         self.groups = tuple(compiled)
         self.head_order = _head_order(self.groups, feature_masks)
         self.cyclic = not all(decidable for _, decidable in self.head_order)
+        heads = {g.fi for g in self.groups}
+        self.walk = tuple(i for i in range(len(offsets)) if i not in heads)
+        place = [1] * len(offsets)
+        for i in range(len(offsets) - 2, -1, -1):
+            place[i] = place[i + 1] * len(self.domains[i + 1])
+        self.place = tuple(place)
         if decision is not None:
             dc = _ProgramCompiler(config, self.offsets, decision)
             self.decision = tuple(dc.body(r) for r in decision.rules)
             self.undesired = decision.describes_undesired
-            self.decision_boxes = _decision_boxes(self.decision, self.head_order, feature_masks)
+            self.decision_boxes = _decision_boxes(
+                self.decision, self.head_order, self.walk, self.offsets, feature_masks
+            )
 
     def bits(self, state: State) -> int:
         if len(state.values) != len(self.domains):
@@ -393,8 +417,13 @@ class CompiledRules:
     def decision_positive(self, bits: int) -> bool:
         return _any_fires(bits, self.decision) == self.undesired
 
+    def escapes(self, bits: int) -> bool:
+        """Whether the decision rules do not give ``bits`` the undesired
+        label: the decision half of :meth:`is_goal`."""
+        return _any_fires(bits, self.decision) != self.undesired
+
     def is_goal(self, bits: int) -> bool:
-        return self.consistent(bits) and _any_fires(bits, self.decision) != self.undesired
+        return self.consistent(bits) and self.escapes(bits)
 
     def value(self, fi: int, bits: int) -> Value:
         """Feature ``fi``'s value in the state ``bits``."""

@@ -162,6 +162,8 @@ def find_path(
     """
     if on_inconsistent not in ("error", "repair"):
         raise ValueError("on_inconsistent must be 'error' or 'repair'")
+    if max_dpl is not None and max_dpl < 1:
+        raise ValueError(f"max_dpl must be at least 1, got {max_dpl}")
     config = dataset.config
     compiled = dataset.compiled
     start = compiled.bits(instance)

@@ -9,24 +9,31 @@ goal_knearest searches the plausibility-restricted space in nondecreasing
 order of a lower bound on cost, holds the k best goals by (cost,
 lexicographic rank), and stops at the first part of the space that cannot
 beat the k-th of them; min_cf is its ``k = 1`` case.  The search is
-best-first over boxes of the features no causal rule sets: one mask of
-allowed values per feature, bounded by the sum of each feature's cheapest
-allowed term.  Expanding a box derives the causal heads of its cheapest
-vector from their groups, the way goal-directed evaluation derives a head
-from its body, in the compile-time head order of ``masks.CompiledRules``;
-only completions the groups allow are goal-tested, so on an acyclic causal
-program every tested candidate is causally consistent.  A goal is priced
-where it is found, to the bit of what ``compute_weighted_lp`` over the
-``adjust_weights`` of ``p2c`` mode would report, so ties in cost are exact
-and go by rank.  The box then loses a cut that holds no goal, and the rest
-is split by Lawler's partitioning (Management Science, 1972), which keeps
-k-best one loop.  When a rejecting decision body fires on every completion,
-the cut is that body's whole box: escaping the rule means moving at least
-one feature it tests out of its box, the constructive reading s(CASP) gives
-``not label(X, ...)``.  Otherwise the cut is the vector alone, which is a
-plain best-first walk over vectors.  Candidates stay index vectors and
-one-hot bits while searched; only the k goals returned become a ``State``
-and a ``CostReport``.
+best-first over boxes of the features no causal rule sets: one mask per
+feature over its domain indices, bounded by the sum of each feature's
+cheapest allowed term.  What depends only on the rules and the config (the
+walk of non-head features, the rank's place weights, each decision body's
+cut box) is compiled once, on ``masks.CompiledRules``; a call builds only
+what the instance, the weights and p decide: per feature a plausible
+mask, a cost row of each plausible value's term by domain index, and a cost
+order that gives a mask's cheapest value.  Expanding a box derives the
+causal heads of its cheapest vector from their groups, the way
+goal-directed evaluation derives a head from its body, in the
+compile-time head order of ``masks.CompiledRules``, so on an acyclic
+causal program every completion is causally consistent and is tested
+against the decision rules only; on a causal cycle it takes the full goal
+test.  A goal is priced where it is found, to the bit of what
+``compute_weighted_lp`` over the ``adjust_weights`` of ``p2c`` mode would
+report, so ties in cost are exact and go by rank.  The box then loses
+a cut that holds no goal, and the rest is split by Lawler's partitioning
+(Management Science, 1972), which keeps k-best one loop.  When a rejecting
+decision body fires on every completion, the cut is that body's whole box:
+escaping the rule means moving at least one feature it tests out of its
+box, the constructive reading s(CASP) gives ``not label(X, ...)``.
+Otherwise the cut is the vector alone, which is a plain best-first walk
+over vectors.  Candidates stay index vectors and one-hot bits while
+searched; only the k goals returned become a ``State`` and a
+``CostReport``.
 """
 
 from __future__ import annotations
@@ -160,43 +167,37 @@ class CostReport:
 # ---------------------------------------------------------------------------
 
 
-def plausible_values(dataset: Dataset, spec: FeatureSpec, current: Value) -> tuple[Value, ...]:
-    """Values a counterfactual may assign to this feature.
+def _plausible(spec: FeatureSpec, ci: int, head: bool) -> range:
+    """The domain indices a counterfactual may give this feature, whose
+    instance value has index ``ci``.
 
     Immutable features stay put; non-actionable features move only if some
-    causal rule can move them; monotone features only move the legal way.
+    causal rule can move them (``head``); monotone features only move the
+    legal way.
     """
     if not spec.mutable:
-        return (current,)
-    if spec.name in dataset.causal_head_features:
-        return spec.domain
+        return range(ci, ci + 1)
+    if head:
+        return range(len(spec.domain))
     if not spec.directly_actionable:
-        return (current,)
-    idx = spec.index_of(current)
+        return range(ci, ci + 1)
     if spec.monotone == "nondecreasing":
-        return spec.domain[idx:]
+        return range(ci, len(spec.domain))
     if spec.monotone == "nonincreasing":
-        return spec.domain[: idx + 1]
-    return spec.domain
+        return range(ci + 1)
+    return range(len(spec.domain))
 
 
-def _per_feature_costs(
-    dataset: Dataset,
-    instance: State,
-    weights: Mapping[str, float],
-    p: int,
-) -> list[tuple[FeatureSpec, list[tuple[float, int, Value]]]]:
-    """For each feature: its plausible values as ``(lp_term, domain index,
-    value)``, cheapest first."""
-    out = []
-    for spec, cur in zip(dataset.config.features, instance.values):
-        w = weights[spec.name]
-        entries = sorted(
-            (lp_term(spec, w, cur, v, p), spec.index_of(v), v)
-            for v in plausible_values(dataset, spec, cur)
-        )
-        out.append((spec, entries))
-    return out
+def _cost_row(spec: FeatureSpec, w: float, ci: int, span: range, p: int) -> list[float]:
+    """``lp_term`` from the value with domain index ``ci`` to each value in
+    ``span``, by domain index; ``0.0`` at the indices outside it, which no
+    search reads."""
+    domain = spec.domain
+    cur = domain[ci]
+    row = [0.0] * len(domain)
+    for j in span:
+        row[j] = lp_term(spec, w, cur, domain[j], p)
+    return row
 
 
 def _stream_candidates(
@@ -210,43 +211,51 @@ def _stream_candidates(
     """The k cheapest goals in (cost, rank) order, as ``(cost, state,
     indices of the causal-free features)``.
 
-    The search is best-first over boxes of the non-head features.  A box
-    gives each such feature one mask over its sorted plausible values; its
-    bound is the sum of each feature's cheapest allowed term, in feature
-    order, so it never exceeds the cost of a goal in the box.  Expanding a
-    box takes its cheapest vector and completes the causal heads group by
-    group, in ``CompiledRules.head_order``: each head takes only the
-    plausible values its group allows given the features already assigned
-    (those of the fired alternative's head, or no head value when none
-    fires), so the other states with this vector, all causally inconsistent,
-    are never built.  A group that is undecidable at its place (it reads a
-    head derived after it, on a causal cycle) takes every plausible value.
+    The search is best-first over boxes of the non-head features, the walk
+    of ``CompiledRules.walk``.  A box gives each such feature one mask over
+    its domain indices (bit j for index j).  Per call, each feature gets only
+    what the instance, the weights and p decide: its plausible mask, its
+    cost row (the ``lp_term`` to each plausible value, by domain index), and
+    its cost order (the plausible indices by term, then index).  A mask's
+    cheapest value is the first its cost order allows; a box's bound is the
+    sum of those values' terms, in feature order, so it never exceeds the
+    cost of a goal in the box.  Expanding a box takes its cheapest vector
+    and completes the causal heads group by group, in
+    ``CompiledRules.head_order``: each head takes only the plausible values
+    its group allows given the features already assigned (those of the
+    fired alternative's head, or no head value when none fires), so the
+    other states with this vector, all causally inconsistent, are never
+    built.  A group that is undecidable at its place (it reads a head
+    derived after it, on a causal cycle) takes every plausible value.
 
-    Each completion that passes the full ``CompiledRules.is_goal`` is priced
-    as ``compute_weighted_lp`` prices it, bit for bit: the per-feature
-    ``lp_term``s summed in feature order from ``0.0``, then the square root
-    for p = 2.  In ``p2c`` mode a head's term is ``0.0`` when its group
-    fires on the completed bits (the change is compelled and satisfied);
-    for an undecidable group that is settled on the completed bits, not
-    during derivation.  The changed heads so freed are the report's
-    causal-free features.  The k best goals by (cost, rank) are held;
-    ``rank`` is the candidate's domain indices read as one mixed-radix
-    number, which orders states exactly as ``DatasetConfig.lex_key`` does.
-    Only they become a ``State``.
+    So on an acyclic program every completion is causally consistent, and
+    it is goal-tested against the decision rules only
+    (``CompiledRules.escapes``); on a cyclic one it takes the full
+    ``CompiledRules.is_goal``.  A goal is priced as ``compute_weighted_lp``
+    prices it, bit for bit: the per-feature ``lp_term``s summed in feature
+    order from ``0.0``, then the square root for p = 2.  In ``p2c`` mode a
+    head's term is ``0.0`` when its group fires on the completed bits (the
+    change is compelled and satisfied); for an undecidable group that is
+    settled on the completed bits, not during derivation.  The changed heads
+    so freed are the report's causal-free features.  The k best goals by
+    (cost, rank) are held; ``rank`` is the candidate's domain indices read
+    as one mixed-radix number (``CompiledRules.place``), which orders states
+    exactly as ``DatasetConfig.lex_key`` does.  Only they become a
+    ``State``.
 
     Then the box loses a *cut* that holds no goal.  When no completion is a
     goal and one rejecting decision body fires on all of them, the cut is
-    that body's box: its literals restrict the features they test, and the
-    features it reads through an ``ab`` call or through a head's derivation
-    (``CompiledRules.decision_boxes``) keep the vector's values, so the body
-    fires on every completion of every vector in the cut.  Otherwise the cut
-    is the vector alone.  The rest of the box is pushed as Lawler's
-    partition: child i keeps the cut's values on the features before i and
-    the box minus the cut on feature i.  When the decision rules name the
-    favourable label, every goal lies in some body's box (restricted by its
-    literals), so the search starts from disjoint pieces of those boxes
-    instead of the whole space.  Boxes are disjoint, so each goal is found
-    once and no seen-set is kept.
+    that body's box (``CompiledRules.decision_boxes``): its literals
+    restrict the features they test, and the features it reads through an
+    ``ab`` call or through a head's derivation keep the vector's values, so
+    the body fires on every completion of every vector in the cut.
+    Otherwise the cut is the vector alone.  The rest of the box is pushed as
+    Lawler's partition: child i keeps the cut's values on the features
+    before i and the box minus the cut on feature i.  When the decision
+    rules name the favourable label, every goal lies in some body's box
+    (restricted by its literals), so the search starts from disjoint pieces
+    of those boxes instead of the whole space.  Boxes are disjoint, so each
+    goal is found once and no seen-set is kept.
 
     Once k goals are held, the search stops at the first box whose bound
     (its square root for p = 2, since distinct sums can share one root) is
@@ -257,56 +266,48 @@ def _stream_candidates(
     cheapest vector.
     """
     compiled = dataset.compiled
-    is_goal = compiled.is_goal
-    offsets = compiled.offsets
+    goal_test = compiled.is_goal if compiled.cyclic else compiled.escapes
+    domains, offsets, place, walk = compiled.domains, compiled.offsets, compiled.place, compiled.walk
     heads = dataset.causal_head_features
-    per_feature = _per_feature_costs(dataset, instance, weights, p)
-    n = len(per_feature)
-    place = [1] * n  # weight of feature i's domain index in the rank
-    for i in range(n - 2, -1, -1):
-        place[i] = place[i + 1] * len(per_feature[i + 1][0].domain)
-    walk = [(i, entries) for i, (spec, entries) in enumerate(per_feature) if spec.name not in heads]
-    costs = [tuple(c for c, _, _ in entries) for _, entries in walk]
-    values = [tuple(v for _, _, v in entries) for _, entries in walk]
-    one_hot = [tuple(1 << (offsets[i] + j) for _, j, _ in entries) for i, entries in walk]
-    rank_part = [tuple(place[i] * j for _, j, _ in entries) for i, entries in walk]
-    # per walk feature, its entries' positions by domain index, for a box's lowest rank
-    by_index = [sorted(range(len(parts)), key=parts.__getitem__) for parts in rank_part]
-    walk_masks = [compiled.feature_masks[i] for i, _ in walk]
-    # per group, in head order: (bit, lp_term, rank part, value, changed) of each plausible
-    # head value
+    index = tuple(map(tuple.index, domains, instance.values))
+    rows, plausible, orders = [], [], []
+    for spec, ci in zip(dataset.config.features, index):
+        span = _plausible(spec, ci, spec.name in heads)
+        row = _cost_row(spec, weights[spec.name], ci, span, p)
+        rows.append(row)
+        plausible.append((1 << span.stop) - (1 << span.start))
+        orders.append(sorted(span, key=row.__getitem__))
+    n = len(rows)
+    costs = [rows[i] for i in walk]
+    walk_orders = [orders[i] for i in walk]
+    walk_place = [place[i] for i in walk]
+    walk_offsets = [offsets[i] for i in walk]
+    # per group, in head order: (bit, lp_term, rank part, domain index, changed) of each
+    # plausible head value
     derive = [
         (g, decidable, tuple(
-            (1 << (offsets[g.fi] + j), c, place[g.fi] * j, v, v != instance.values[g.fi])
-            for c, j, v in per_feature[g.fi][1]
+            (1 << (offsets[g.fi] + j), rows[g.fi][j], place[g.fi] * j, j, j != index[g.fi])
+            for j in orders[g.fi]
         ))
         for g, decidable in compiled.head_order
     ]
-    head_floor = sum(min(place[g.fi] * j for _, j, _ in per_feature[g.fi][1])
-                     for g, _ in compiled.head_order)
+    head_floor = sum(place[g.fi] * min(orders[g.fi]) for g, _ in compiled.head_order)
     free_when_fired = mode == "p2c"
     undesired = compiled.undesired
     root = math.sqrt if p == 2 else float
-    at = tuple.__getitem__
+    at = list.__getitem__
     add = operator.add
+    ones = itertools.repeat(1)
+
+    def cheapest(costed: list[int], m: int) -> int:
+        """The first domain index in a cost order that mask ``m`` (never
+        empty) allows."""
+        for j in costed:
+            if m >> j & 1:
+                return j
 
     def lowest_rank(box: tuple[int, ...]) -> int:
-        r = head_floor
-        for parts, order, m in zip(rank_part, by_index, box):
-            r += parts[next(e for e in order if m >> e & 1)]
-        return r
-
-    literal: dict[int, tuple[int, ...]] = {}
-
-    def literal_box(b: int) -> tuple[int, ...]:
-        """Per walk feature, the entries that decision body b's literals allow."""
-        if b not in literal:
-            forbidden = compiled.decision_boxes[b][0]
-            literal[b] = tuple(
-                sum(1 << e for e, bit in enumerate(bits) if not bit & forbidden)
-                for bits in one_hot
-            )
-        return literal[b]
+        return head_floor + sum(pl * ((m & -m).bit_length() - 1) for pl, m in zip(walk_place, box))
 
     def lawler(box: tuple[int, ...], cut: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """Lawler's partition of ``box`` minus ``cut`` (a sub-box of it), as
@@ -319,9 +320,9 @@ def _stream_candidates(
     heap: list = []
 
     def push(box: tuple[int, ...]) -> None:
-        idx_vec = tuple((m & -m).bit_length() - 1 for m in box)
+        idx_vec = tuple(map(cheapest, walk_orders, box))
         heapq.heappush(heap, (
-            reduce(add, map(at, costs, idx_vec), 0.0), sum(map(at, rank_part, idx_vec)),
+            reduce(add, map(at, costs, idx_vec), 0.0), sum(map(operator.mul, walk_place, idx_vec)),
             idx_vec, box,
         ))
 
@@ -329,13 +330,13 @@ def _stream_candidates(
         meet = tuple(map(operator.and_, box, other))
         return [child for _, child in lawler(box, meet)] if all(meet) else [box]
 
-    space = tuple((1 << len(c)) - 1 for c in costs)
+    space = tuple(plausible[i] for i in walk)
     if undesired:
         push(space)
     else:
         pieces: list[tuple[int, ...]] = []
-        for b in range(len(compiled.decision)):
-            box = tuple(map(operator.and_, space, literal_box(b)))
+        for allowed, _ in compiled.decision_boxes:
+            box = tuple(map(operator.and_, space, allowed))
             fresh = [box] if all(box) else []
             for old in pieces:
                 fresh = [piece for part in fresh for piece in minus(part, old)]
@@ -354,8 +355,8 @@ def _stream_candidates(
             last = found[-1][1]
             if edge == found[-1][0] and rank > last and lowest_rank(box) > last:
                 continue
-        # one bit per feature, so the sum is their OR
-        partial = [(sum(map(at, one_hot, idx_vec)), rank, ())]
+        bits = sum(map(operator.lshift, ones, map(add, walk_offsets, idx_vec)))
+        partial = [(bits, rank, ())]
         for g, decidable, options in derive:
             grown = []
             for bits, r, chosen in partial:
@@ -372,12 +373,12 @@ def _stream_candidates(
         goal = False
         terms = None
         for bits, r, chosen in partial:
-            if not is_goal(bits):
+            if not goal_test(bits):
                 continue
             goal = True
             if terms is None:
                 terms = [0.0] * n
-                for (i, _), c in zip(walk, map(at, costs, idx_vec)):
+                for i, c in zip(walk, map(at, costs, idx_vec)):
                     terms[i] = c
             t = terms.copy()
             freed = []
@@ -396,27 +397,26 @@ def _stream_candidates(
         if undesired and partial and not goal:
             body = compiled.common_body([bits for bits, _, _ in partial])
         if body >= 0:
-            fixed = compiled.decision_boxes[body][1]
+            allowed, held = compiled.decision_boxes[body]
             cut = tuple(
-                1 << j if fm & fixed else m & allowed
-                for j, m, fm, allowed in zip(idx_vec, box, walk_masks, literal_box(body))
+                1 << j if hold else m & a for j, m, a, hold in zip(idx_vec, box, allowed, held)
             )
         else:
             cut = tuple(1 << j for j in idx_vec)
         for i, child in lawler(box, cut):
-            j = (child[i] & -child[i]).bit_length() - 1
+            j = cheapest(walk_orders[i], child[i])
             nxt = idx_vec[:i] + (j,) + idx_vec[i + 1 :]
             heapq.heappush(heap, (
                 reduce(add, map(at, costs, nxt), 0.0),
-                rank + rank_part[i][j] - rank_part[i][idx_vec[i]], nxt, child,
+                rank + walk_place[i] * (j - idx_vec[i]), nxt, child,
             ))
     out = []
     for cost, _, idx_vec, chosen, freed in found:
         vals: list = [None] * n
-        for (i, _), v in zip(walk, map(at, values, idx_vec)):
-            vals[i] = v
+        for i, j in zip(walk, idx_vec):
+            vals[i] = domains[i][j]
         for (g, _, _), (opt, _) in zip(derive, chosen):
-            vals[g.fi] = opt[3]
+            vals[g.fi] = domains[g.fi][opt[3]]
         out.append((cost, State(tuple(vals)), tuple(freed)))
     return out
 

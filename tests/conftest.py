@@ -383,3 +383,62 @@ def rich_dataset(seed: int):
         )
     except Exception:
         return None
+
+
+def tie_dataset(seed: int):
+    """Small spaces where cost ties are the rule and domain index breaks
+    them.  Features are zero-weight or weighted categoricals and numerics
+    over (0, 1, 2, 3, 4) with range 4, some of them monotone; a numeric
+    start sits at 2.0 or 1.0, so values on both sides can lie at one
+    distance.  A categorical head follows a guard feature half the time.
+    Every rejecting rule fires at the start.  Returns the dataset and its
+    decision-positive, causally consistent start."""
+    from p2c.domain import State
+
+    rng = random.Random(f"ties:{seed}")
+    numeric = (0.0, 1.0, 2.0, 3.0, 4.0)
+    features, start = [], []
+    for i in range(rng.randint(3, 4)):
+        weight = rng.choice((0.0, 0.0, 0.5, 1.0))
+        if rng.random() < 0.5:
+            features.append(FeatureSpec(
+                name=f"n{i}", kind="numeric", domain=numeric, numeric_range=(0.0, 4.0),
+                weight=weight,
+                monotone=rng.choice(("none", "nondecreasing", "nonincreasing")),
+            ))
+            start.append(rng.choice((2.0, 2.0, 1.0)))
+        else:
+            features.append(FeatureSpec(
+                name=f"c{i}", kind="categorical", domain=("a", "b", "c"), weight=weight,
+            ))
+            start.append(rng.choice(("a", "b", "c")))
+    causal = ""
+    if rng.random() < 0.5:
+        head, guard = rng.sample(range(len(features)), 2)
+        features[head] = FeatureSpec(name=f"h{head}", kind="categorical",
+                                     domain=("a", "b", "c"), weight=rng.choice((0.0, 1.0)))
+        g = features[guard]
+        v = start[guard]
+        fires, fails = ((f"{g.name}(X,N), N=<{v}", f"{g.name}(X,N), not(N=<{v})")
+                        if g.kind == "numeric" else (f"{g.name}(X,'{v}')", f"not {g.name}(X,'{v}')"))
+        on, off = rng.sample(("a", "b", "c"), 2)
+        causal = f"h{head}(X,'{on}') :- {fires}.\nh{head}(X,'{off}') :- {fails}."
+        start[head] = on
+    decision = []
+    for _ in range(rng.randint(1, 3)):
+        body = []
+        for fi in rng.sample(range(len(features)), rng.randint(1, 2)):
+            f, v = features[fi], start[fi]
+            if f.kind == "numeric":
+                body += [f"{f.name}(X,N{fi})",
+                         f"N{fi}=<{v + 0.5}" if rng.random() < 0.5 else f"not(N{fi}=<{v - 0.5})"]
+            elif rng.random() < 0.5:
+                body.append(f"{f.name}(X,'{v}')")
+            else:
+                body.append(f"not {f.name}(X,'{rng.choice([u for u in 'abc' if u != v])}')")
+        decision.append(f"label(X,'bad') :- {', '.join(body)}.")
+    config = DatasetConfig(name=f"ties{seed}", features=tuple(features),
+                           undesired_decision="bad", norm_p=1)
+    dataset = build_dataset(config, parse_rule_program("\n".join(decision), "decision"),
+                            parse_rule_program(causal, "causal"))
+    return dataset, State(tuple(start))

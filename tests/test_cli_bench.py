@@ -150,6 +150,10 @@ def _reshape(config, change):
         config["norm_p"] = True
     elif change == "max_dpl_fraction":
         config["max_dpl"] = 2.5
+    elif change == "max_dpl_zero":
+        config["max_dpl"] = 0
+    elif change == "max_dpl_negative":
+        config["max_dpl"] = -1
     elif change == "undesired_decision":
         config["undesired_decision"] = [1]
     return config
@@ -166,6 +170,8 @@ def _reshape(config, change):
     ("norm_p_bool", "field 'norm_p' is not an integer: True"),
     ("max_dpl_fraction", "field 'max_dpl' is not an integer: 2.5"),
     ("undesired_decision", "field 'undesired_decision' is not a string: [1]"),
+    ("max_dpl_zero", "field 'max_dpl' must be at least 1, got 0"),
+    ("max_dpl_negative", "field 'max_dpl' must be at least 1, got -1"),
 ])
 def test_config_of_the_wrong_shape_is_an_error_line(capsys, bundle_copy, change, named):
     path = bundle_copy / "config.json"
@@ -334,6 +340,14 @@ def test_path_example1_planners_agree(capsys, data_dir):
     assert reports[0]["path_ends_at_target"] is True
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_path_max_dpl_below_one_is_rejected(capsys, data_dir, cap):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["path", "--config", str(data_dir / "example1"), "--max-dpl", cap])
+    assert exit_info.value.code == 2
+    assert f"argument --max-dpl: must be at least 1, got {cap}" in capsys.readouterr().err
+
+
 def test_path_max_dpl_too_small_exit_2(capsys, data_dir):
     code, _, err = run_cli(
         capsys, "path", "--config", str(data_dir / "example2"), "--max-dpl", "1"
@@ -455,6 +469,29 @@ def test_unreadable_rules_override_is_an_error_line(capsys, bundle_copy, tmp_pat
         code, out, _ = run_cli(capsys, "validate", "--config", str(bundle_copy),
                                "--rules", str(rules))
         assert code == 1 and out.startswith(f"{rules}: ")
+
+
+def test_broken_rule_file_is_named_once(capsys, bundle_copy, tmp_path):
+    """A syntax error in a bundle's rule file, or a program error in a
+    --rules or --causal override, names that file once, as validate does."""
+
+    def assert_named(flags, path, what):
+        code, out, _ = run_cli(capsys, "validate", "--config", str(bundle_copy), *flags)
+        assert code == 1 and f"{path}: {what}" in out
+        for command in ("mincf", "path"):
+            code, out, err = run_cli(capsys, command, "--config", str(bundle_copy), *flags)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {path}: {what}") and err.count(str(path)) == 1
+
+    broken = bundle_copy / "decision.rules"
+    good = broken.read_text()
+    broken.write_text(good.replace("N1=<59999.0.", "N1=<59999.0 :- x."))
+    assert_named((), broken, "expected ")
+    broken.write_text(good)
+    undefined = tmp_path / "undefined.rules"
+    undefined.write_text("f(X,'a') :- not ab1(X,'True').\n")
+    for flag in ("--rules", "--causal"):
+        assert_named((flag, str(undefined)), undefined, "exception predicate 'ab1'")
 
 
 def test_config_is_read_once(monkeypatch, bundle_copy):

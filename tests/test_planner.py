@@ -237,6 +237,14 @@ def test_find_path_rejects_unknown_norm(example1):
         find_path(example1, john, target, p=3)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_find_path_rejects_a_cap_below_one(example1, cap):
+    john = example1.default_instance()
+    target = min_cf(example1, john).target
+    with pytest.raises(ValueError, match=f"max_dpl must be at least 1, got {cap}"):
+        find_path(example1, john, target, max_dpl=cap)
+
+
 def test_find_path_rejects_an_inconsistent_target(example2):
     john = example2.default_instance()
     broken = next(s for s in enumerate_states(example2.config) if not example2.consistent(s))

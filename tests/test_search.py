@@ -16,6 +16,7 @@ from conftest import (
     make_dataset,
     random_dataset,
     rich_dataset,
+    tie_dataset,
 )
 from oracles import exhaustive_goal_knearest, exhaustive_knearest, exhaustive_min_cf
 from p2c.dataset import consolidate_dataset
@@ -432,17 +433,17 @@ def test_stream_goal_tests_only_consistent_candidates(
     monkeypatch, example1, example2, cars, german, adult
 ):
     """On acyclic programs every head is derived from its group, so no
-    causally inconsistent candidate reaches the goal test.  ``k = 20`` keeps
-    the search going past the first goals, so over a thousand candidates
-    are checked."""
+    causally inconsistent candidate reaches the goal test, which checks the
+    decision rules only.  ``k = 20`` keeps the search going past the first
+    goals, so over a thousand candidates are checked."""
     tested = []
-    is_goal = CompiledRules.is_goal
+    escapes = CompiledRules.escapes
 
     def counting(self, bits):
         tested.append(self.consistent(bits))
-        return is_goal(self, bits)
+        return escapes(self, bits)
 
-    monkeypatch.setattr(CompiledRules, "is_goal", counting)
+    monkeypatch.setattr(CompiledRules, "escapes", counting)
     cases = [
         (ds, start)
         for full in (example1, example2, cars, german, adult)
@@ -456,6 +457,29 @@ def test_stream_goal_tests_only_consistent_candidates(
             goal_knearest(ds, start, 20, mode=mode)
     assert len(tested) > 1000
     assert all(tested)
+
+
+def test_stream_goal_tests_cyclic_candidates_in_full(monkeypatch):
+    """On a causal cycle a derived completion can be inconsistent, so each
+    is goal-tested against the causal groups as well as the decision rules,
+    and the answers still equal the exhaustive oracle."""
+    tested = []
+    is_goal = CompiledRules.is_goal
+
+    def counting(self, bits):
+        tested.append(self.consistent(bits))
+        return is_goal(self, bits)
+
+    monkeypatch.setattr(CompiledRules, "is_goal", counting)
+    ds = cyclic_dataset()
+    assert ds.compiled.cyclic
+    for start in (s for s in enumerate_states(ds.config) if ds.decision_positive(s)):
+        for mode in ("p2c", "all_changes"):
+            tested.clear()
+            got = goal_knearest(ds, start, 20, mode=mode, on_inconsistent="allow")
+            want = exhaustive_goal_knearest(ds, start, 20, mode=mode)
+            assert [(r.target, r.cost) for r in got] == want
+            assert tested and not all(tested)
 
 
 CYCLE_NO_CONSISTENT_STATE = """\
@@ -552,17 +576,39 @@ def test_absorbed_l2_term_keeps_the_lower_ranked_goal():
         assert_reports_exact(ds, start, k)
 
 
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_cost_ties_go_by_domain_index(p):
+    """Zero-weight features (a cost row of all 0.0, so the lowest index
+    wins), numeric values at one distance on both sides of the start, and
+    monotone numerics tie many goals in cost: min_cf and goal_knearest order
+    them as the exhaustive oracle does, bit for bit, in both modes."""
+    ties = 0
+    for seed in range(60):
+        ds, start = tie_dataset(seed)
+        for mode in ("p2c", "all_changes"):
+            want = exhaustive_goal_knearest(ds, start, 20, p=p, mode=mode)
+            if not want:
+                with pytest.raises(NoCounterfactualError):
+                    min_cf(ds, start, p=p, mode=mode)
+                continue
+            for k in (1, 20):
+                got = assert_reports_exact(ds, start, k, p=p, mode=mode)
+            assert min_cf(ds, start, p=p, mode=mode) == got[0]
+            ties += sum(a.cost == b.cost for a, b in zip(got, got[1:]))
+    assert ties > 200
+
+
 def test_deep_ladder_min_cf_stops_at_the_first_optimum(monkeypatch):
     """All 3^6 optima of deep_ladder(12) cost 6; the search stops at the
     first by rank instead of goal-testing each."""
     calls = []
-    is_goal = CompiledRules.is_goal
+    escapes = CompiledRules.escapes
 
     def counting(self, bits):
         calls.append(bits)
-        return is_goal(self, bits)
+        return escapes(self, bits)
 
-    monkeypatch.setattr(CompiledRules, "is_goal", counting)
+    monkeypatch.setattr(CompiledRules, "escapes", counting)
     n = 12
     ds, start = deep_ladder(n)
     assert min_cf(ds, start).target.values == ("b",) * 6 + ("a",) * 6
@@ -619,13 +665,13 @@ def test_deep_ladder_goal_tests_stay_few(monkeypatch):
     """A fired rule cuts away its whole box, so the search goal-tests about
     the 3^5 cheapest goals at n = 10, not every vector cheaper than them."""
     calls = []
-    is_goal = CompiledRules.is_goal
+    escapes = CompiledRules.escapes
 
     def counting(self, bits):
         calls.append(bits)
-        return is_goal(self, bits)
+        return escapes(self, bits)
 
-    monkeypatch.setattr(CompiledRules, "is_goal", counting)
+    monkeypatch.setattr(CompiledRules, "escapes", counting)
     ds, start = deep_ladder(10)
     assert min_cf(ds, start).cost == 5.0
     assert len(calls) < 1000
