@@ -25,16 +25,17 @@ from .search import goal_knearest, min_cf
 
 NORM_NAMES = {0: "l0", 1: "l1", 2: "l2"}
 NORMS = (0, 1, 2)
+# the most states sample_decision_positive enumerates
+SAMPLE_CAP = 200000
 
 
-def sample_decision_positive(
-    dataset: Dataset, n: int, seed: int, cap: int = 200000
-) -> list[State]:
-    """Uniform seeded sample of decision-positive states."""
+def sample_decision_positive(dataset: Dataset, n: int, seed: int) -> list[State]:
+    """Uniform seeded sample of decision-positive states, from a space of at
+    most ``SAMPLE_CAP`` states."""
     size = search_space_size(dataset.config)
-    if size > cap:
+    if size > SAMPLE_CAP:
         raise SpaceTooLargeError(
-            f"cannot enumerate {size} states to sample from (cap {cap})"
+            f"cannot enumerate {size} states to sample from (cap {SAMPLE_CAP})"
         )
     population = [s for s in enumerate_states(dataset.config) if dataset.decision_positive(s)]
     if not population:

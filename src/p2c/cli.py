@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mincf = sub.add_parser("mincf", help="find the minimal counterfactual")
     common(p_mincf)
     p_mincf.add_argument("--cost-mode", choices=["p2c", "all-changes", "all_changes"], default="p2c")
-    p_mincf.add_argument("--k", type=int, default=1, help="also list the k nearest goal states")
+    p_mincf.add_argument("--k", type=_at_least_one, default=1,
+                         help="also list the k nearest goal states (at least 1)")
     p_mincf.set_defaults(func=cmd_mincf)
 
     p_path = sub.add_parser("path", help="plan a path to the minimal counterfactual")
@@ -307,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="seeded benchmark over dataset bundles")
     p_bench.add_argument("datasets", nargs="+", help="dataset directories")
-    p_bench.add_argument("--instances", type=int, default=20)
+    p_bench.add_argument("--instances", type=_at_least_one, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--k", type=int, default=20)
-    p_bench.add_argument("--timing-repeats", type=int, default=1)
+    p_bench.add_argument("--k", type=_at_least_one, default=20)
+    p_bench.add_argument("--timing-repeats", type=_at_least_one, default=1)
     p_bench.add_argument("--per-instance", action="store_true", help="keep per-instance rows")
     p_bench.add_argument("--output", choices=["json", "text"], default="text")
     p_bench.set_defaults(func=cmd_bench)

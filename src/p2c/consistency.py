@@ -17,7 +17,6 @@ per-state API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .domain import DatasetConfig, Value
 from .errors import ConfigError
@@ -51,7 +50,7 @@ class Entailment:
     feature: str
     required: Value | None
     excluded: tuple[Value, ...] = ()
-    provenance: Sequence[str] = ()
+    provenance: tuple[str, ...] = ()
 
 
 def build_causal_groups(

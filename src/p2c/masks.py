@@ -13,8 +13,9 @@ that satisfy it, direction-aware (``at_least``/``at_most``), so the
 completion semantics of :mod:`p2c.consistency` become a few integer ANDs per
 group.  Compiling also decides, exactly, whether two alternatives of one
 group fire on some state, and rejects such a program: so a group's fired
-alternative is simply the first that fires.  Rule text for provenance and
-errors is rendered only when read.
+alternative is simply the first that fires.  A repair is bits too; the
+text of the rules that forced it (:meth:`CompiledRules.provenance`) is
+rendered for returned answers and errors only, each rule once per group.
 
 The groups also get a *head order*, fixed at compile time: a group comes
 after every group whose head feature its bodies read (through ``ab`` calls
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Sequence as SequenceABC
 from functools import reduce
 from typing import Sequence
 
@@ -60,45 +60,6 @@ from .rules import (
     RuleProgram,
     unparse_rule,
 )
-
-
-class RuleText(SequenceABC):
-    """The text of the rules of one alternative that fire on a state.
-
-    Behaves as a tuple of strings, rendered on first read, so entailments
-    and causal actions carry their provenance without paying for it.
-    """
-
-    __slots__ = ("_source", "_text")
-
-    def __init__(self, rules: tuple[Rule, ...], bodies: tuple, bits: int):
-        self._source = (rules, bodies, bits)
-        self._text: tuple[str, ...] | None = None
-
-    def _rendered(self) -> tuple[str, ...]:
-        if self._text is None:
-            rules, bodies, bits = self._source
-            self._text = tuple(
-                unparse_rule(r) for r, body in zip(rules, bodies) if _any_fires(bits, (body,))
-            )
-        return self._text
-
-    def __getitem__(self, i):
-        return self._rendered()[i]
-
-    def __len__(self) -> int:
-        return len(self._rendered())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SequenceABC) and not isinstance(other, str):
-            return self._rendered() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._rendered())
-
-    def __repr__(self) -> str:
-        return repr(self._rendered())
 
 
 # A compiled body is an int (its forbidden mask) when it calls no exception
@@ -244,27 +205,32 @@ def _co_firing_state(bodies, feature_masks) -> int | None:
 class _CompiledGroup:
     """One causal group: per alternative its compiled bodies and the head
     values that satisfy the group when it fires, ``allowed[fired]``, with
-    ``allowed[-1]`` the values allowed when none fires.  A group with a state
-    on which two alternatives fire is a :class:`CausalProgramError` naming
-    the rules that fire there."""
+    ``allowed[-1]`` the values allowed when none fires.  ``first[fired]`` is
+    the bit of the value a repair falls back to: the fired head value when
+    the group allows it, else the lowest allowed value (0 when none is).  A
+    group with a state on which two alternatives fire is a
+    :class:`CausalProgramError` naming the rules that fire there."""
 
-    __slots__ = ("group", "fi", "allowed", "bodies")
+    __slots__ = ("group", "fi", "allowed", "first", "bodies", "texts")
 
-    def __init__(self, group: CausalGroup, fi: int, heads, bodies, feature_masks):
+    def __init__(self, group: CausalGroup, fi: int, heads, values, bodies, feature_masks):
+        self.group = group
+        self.bodies = bodies
+        self.texts = [[None] * len(alt.rules) for alt in group.alternatives]
         bits = _co_firing_state(bodies, feature_masks)
         if bits is not None:
-            fired = [RuleText(alt.rules, b, bits) for alt, b in zip(group.alternatives, bodies)]
             raise CausalProgramError(
                 f"two alternatives for feature {group.feature!r} fired simultaneously: "
-                f"{'; '.join(text for rules in fired for text in rules)}"
+                f"{'; '.join(t for a in range(len(bodies)) for t in self.rule_text(a, bits))}"
             )
-        self.group = group
         self.fi = fi
         others = [reduce(operator.or_, heads[:a] + heads[a + 1:], 0) for a in range(len(heads))]
         self.allowed = tuple(h & ~o for h, o in zip(heads, others)) + (
             feature_masks[fi] & ~reduce(operator.or_, heads, 0),
         )
-        self.bodies = bodies
+        self.first = tuple(
+            v & allowed or allowed & -allowed for v, allowed in zip(values + (0,), self.allowed)
+        )
 
     def fired(self, bits: int) -> int:
         """Index of the alternative that fires, or -1."""
@@ -272,6 +238,21 @@ class _CompiledGroup:
             if _any_fires(bits, bodies):
                 return a
         return -1
+
+    def rule_text(self, a: int, bits: int) -> tuple[str, ...]:
+        """The text of alternative ``a``'s rules whose bodies fire on
+        ``bits``, in rule order, ``()`` for ``a = -1`` (none fires); each rule
+        is rendered once, on first use."""
+        if a < 0:
+            return ()
+        texts = self.texts[a]
+        out = []
+        for r, body in enumerate(self.bodies[a]):
+            if _any_fires(bits, (body,)):
+                if texts[r] is None:
+                    texts[r] = unparse_rule(self.group.alternatives[a].rules[r])
+                out.append(texts[r])
+        return tuple(out)
 
 
 def _head_order(groups, feature_masks) -> tuple[tuple[_CompiledGroup, bool], ...]:
@@ -375,10 +356,13 @@ class CompiledRules:
                 compiler.mask(fi, lambda v, t=alt.value: spec.satisfies(v, t))
                 for alt in group.alternatives
             )
+            values = tuple(
+                compiler.mask(fi, lambda v, t=alt.value: v == t) for alt in group.alternatives
+            )
             bodies = tuple(
                 tuple(compiler.body(r) for r in alt.rules) for alt in group.alternatives
             )
-            compiled.append(_CompiledGroup(group, fi, heads, bodies, feature_masks))
+            compiled.append(_CompiledGroup(group, fi, heads, values, bodies, feature_masks))
         self.groups = tuple(compiled)
         self.head_order = _head_order(self.groups, feature_masks)
         self.cyclic = not all(decidable for _, decidable in self.head_order)
@@ -441,10 +425,12 @@ class CompiledRules:
                 return b
         return -1
 
-    def _provenance(self, g: _CompiledGroup, bits: int, fired: int):
-        if fired < 0:
-            return ()
-        return RuleText(g.group.alternatives[fired].rules, g.bodies[fired], bits)
+    def provenance(self, fi: int, bits: int) -> tuple[str, ...]:
+        """The text of the rules of feature ``fi``'s group whose bodies fire
+        on ``bits``, from the alternative that fires, or ``()`` when none
+        does: why a repair made on ``bits`` set that feature."""
+        g = next(g for g in self.groups if g.fi == fi)
+        return g.rule_text(g.fired(bits), bits)
 
     def _entailment(self, g: _CompiledGroup, bits: int) -> Entailment:
         fired = g.fired(bits)
@@ -453,7 +439,7 @@ class CompiledRules:
             feature=g.group.feature,
             required=alts[fired].value if fired >= 0 else None,
             excluded=tuple(alt.value for a, alt in enumerate(alts) if a != fired),
-            provenance=self._provenance(g, bits, fired),
+            provenance=g.rule_text(fired, bits),
         )
 
     def entailments(self, bits: int) -> tuple[Entailment, ...]:
@@ -461,17 +447,14 @@ class CompiledRules:
 
     def _allowed(self, g: _CompiledGroup, fired: int) -> tuple[Value, ...]:
         """Values of ``g``'s feature that satisfy the group, given which
-        alternative fired; the fired head value (the declared representative)
-        comes first, the rest follow in domain order."""
-        allowed = g.allowed[fired]
+        alternative fired: the one a repair falls back to
+        (``g.first[fired]``) first, the rest in domain order."""
+        first = g.first[fired]
+        rest = g.allowed[fired] & ~first
         off = self.offsets[g.fi]
-        ok = [v for j, v in enumerate(self.domains[g.fi]) if allowed >> (off + j) & 1]
-        if fired >= 0:
-            required = g.group.alternatives[fired].value
-            if required in ok:
-                ok.remove(required)
-                ok.insert(0, required)
-        return tuple(ok)
+        domain = self.domains[g.fi]
+        head = (domain[first.bit_length() - 1 - off],) if first else ()
+        return head + tuple(v for j, v in enumerate(domain) if rest >> (off + j) & 1)
 
     def repair_values(self, bits: int, feature: str) -> tuple[Value, ...]:
         g = next((g for g in self.groups if g.group.feature == feature), None)
@@ -479,21 +462,21 @@ class CompiledRules:
             return ()
         return self._allowed(g, g.fired(bits))
 
-    def closure(
-        self, bits: int, prefer: int
-    ) -> tuple[int, list[tuple[int, Value, Sequence[str]]]] | None:
+    def closure(self, bits: int, prefer: int) -> tuple[int, list[tuple[int, Value, int]]] | None:
         """The causally consistent state that repairs ``bits``, with its
-        repairs as ``(feature index, value, provenance)`` in the order made.
+        repairs as ``(feature index, value, bits it was made on)`` in the
+        order made; :meth:`provenance` gives a repair's rule text.
 
         One pass over the groups in :attr:`head_order`: each violated group
         takes the value that ``prefer`` (one-hot bits, as a state's) gives
-        its head when the group allows it, else the first of
-        :meth:`_allowed` (the fired head value first).  Every repair value
-        is allowed on the bits it is made on.  In head order
-        each group reads only heads already repaired, so one pass makes the
-        state consistent; on a causal cycle passes repeat, at most one more
-        than there are groups, until one repairs nothing.  None when a
-        violated head is immutable or no value satisfies its group.
+        its head when the group allows it, else its fallback
+        (``first[fired]``: the fired head value if allowed, else the lowest
+        allowed).  Every repair value is allowed on the bits it is made on.
+        In head order each group reads only heads already repaired, so one
+        pass makes the state consistent; on a causal cycle passes repeat, at
+        most one more than there are groups, until one repairs nothing.
+        None when a violated head is immutable or no value satisfies its
+        group.
         """
         features = self.config.features
         repairs = []
@@ -506,15 +489,10 @@ class CompiledRules:
                     continue
                 if not allowed or not features[g.fi].mutable:
                     return None
-                fmask = self.feature_masks[g.fi]
-                pick = allowed & prefer
-                if pick:
-                    value = self.domains[g.fi][pick.bit_length() - 1 - self.offsets[g.fi]]
-                else:
-                    value = self._allowed(g, fired)[0]
-                    pick = 1 << (self.offsets[g.fi] + self.domains[g.fi].index(value))
-                repairs.append((g.fi, value, self._provenance(g, bits, fired)))
-                bits = bits & ~fmask | pick
+                pick = allowed & prefer or g.first[fired]
+                value = self.domains[g.fi][pick.bit_length() - 1 - self.offsets[g.fi]]
+                repairs.append((g.fi, value, bits))
+                bits = bits & ~self.feature_masks[g.fi] | pick
                 repaired = True
             if not repaired or not self.cyclic:
                 return bits, repairs

@@ -13,14 +13,16 @@ s* is the cheapest goal, so the plan ends at s* or at a goal of equal cost.
 Planning, pricing and checking run on one-hot bits: a goal is priced bit
 for bit as ``search.compute_weighted_lp`` prices it under
 ``search.adjust_weights``, and ``path_is_legal`` replays a plan against each
-causal group's allowed mask.  Only the returned plan holds ``State``s.
+causal group's allowed mask.  A causal repair is kept as the bits it was
+made on; only the returned plan holds ``State``s and the rule text of its
+causal actions (``CompiledRules.provenance``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .dataset import Dataset
 from .domain import DatasetConfig, FeatureSpec, State, Value
@@ -31,7 +33,7 @@ from .errors import (
     SearchExhaustedError,
     StateValidationError,
 )
-from .search import lp_term
+from .search import check_norm, lp_term
 
 DIRECT = "direct"
 CAUSAL = "causal"
@@ -42,7 +44,7 @@ class Action:
     kind: str
     feature: str
     new_value: Value
-    provenance: Sequence[str] = field(default=(), compare=False)
+    provenance: tuple[str, ...] = field(default=(), compare=False)
 
     def describe(self) -> str:
         return f"{self.kind}({self.feature} -> {self.new_value!r})"
@@ -184,8 +186,7 @@ def find_path(
     star = compiled.bits(s_star)
     if not compiled.consistent(star):
         raise P2CError("find_path target must be causally consistent")
-    if p not in (0, 1, 2):
-        raise ValueError(f"p must be 0, 1 or 2, got {p}")
+    check_norm(p)
 
     def state(bits: int) -> State:
         return State(tuple(value(fi, bits) for fi in range(len(specs))))
@@ -195,7 +196,7 @@ def find_path(
 
     ceiling = cost(star) + 1e-9
     # how each consistent state was reached: (previous state, feature moved,
-    # its repairs), or None where the plan starts
+    # its repairs as (feature, value, bits made on)), or None where the plan starts
     parents: dict[int, tuple[int, int, list] | None] = {}
     refused: dict[int, str | None] = {}  # a value's bit -> why it cannot move to s*'s
     blocked: dict[int, str] = {}
@@ -260,7 +261,8 @@ def find_path(
     while link is not None:
         previous, fi, repairs = link
         actions = (Action(DIRECT, specs[fi].name, value(fi, star)),) + tuple(
-            Action(CAUSAL, specs[ri].name, v, provenance=why) for ri, v, why in repairs
+            Action(CAUSAL, specs[ri].name, v, provenance=compiled.provenance(ri, made))
+            for ri, v, made in repairs
         )
         steps.append(PathStep(state(goal), actions))
         goal, link = previous, parents[previous]

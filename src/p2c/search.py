@@ -84,6 +84,12 @@ def lp_term(spec: FeatureSpec, w: float, a: Value, b: Value, p: int) -> float:
     return w * d * d
 
 
+def check_norm(p) -> None:
+    """Raise ``ValueError`` unless ``p`` is a norm the cost supports: 0, 1 or 2."""
+    if p not in (0, 1, 2):
+        raise ValueError(f"p must be 0, 1 or 2, got {p!r}")
+
+
 def compute_weighted_lp(
     config: DatasetConfig,
     a: State,
@@ -100,8 +106,7 @@ def compute_weighted_lp(
     goal's p2c cost.  No search or plan calls it: they price goals on bits,
     bit for bit as this does.
     """
-    if p not in (0, 1, 2):
-        raise ValueError(f"p must be 0, 1 or 2, got {p}")
+    check_norm(p)
     if len(a.values) != len(config.features) or len(b.values) != len(config.features):
         raise P2CError("states do not match the config's feature tuple")
     total = 0.0
@@ -453,6 +458,7 @@ def _nearest(
     config = dataset.config
     weights = dict(weights) if weights is not None else config.weights()
     p = config.norm_p if p is None else p
+    check_norm(p)
     _check_initial(dataset, instance, on_inconsistent)
 
     found = _stream_candidates(dataset, instance, weights, p, mode, k)

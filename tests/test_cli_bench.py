@@ -6,9 +6,12 @@ import sys
 
 import pytest
 
-from p2c.bench import bench_dataset, run_benchmark, sample_decision_positive
+from conftest import make_dataset
+from p2c.bench import SAMPLE_CAP, bench_dataset, run_benchmark, sample_decision_positive
 from p2c.cli import main
 from p2c.dataset import consolidate_dataset
+from p2c.domain import search_space_size
+from p2c.errors import SpaceTooLargeError
 
 
 def run_cli(capsys, *argv):
@@ -567,6 +570,39 @@ def test_bench_german_mode_ordering(data_dir):
         allc = row["distances_mean"][f"{norm}_all_changes"]
         for stat in ("nearest", "furthest", "avg"):
             assert p2c[stat] <= allc[stat] + 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ("mincf", "--config", "{data}/example2", "--k", "0"),
+    ("mincf", "--config", "{data}/example2", "--k", "-4"),
+    ("bench", "{data}/cars", "--k", "0"),
+    ("bench", "{data}/cars", "--timing-repeats", "0"),
+    ("bench", "{data}/cars", "--instances", "-2"),
+], ids=["mincf-k", "mincf-k-negative", "bench-k", "bench-timing-repeats", "bench-instances"])
+def test_counts_below_one_are_usage_errors(capsys, data_dir, argv):
+    """A count below 1 is refused by the parser (exit 2), not run as k = 1
+    or ended in a traceback."""
+    flag, value = argv[-2:]
+    with pytest.raises(SystemExit) as exit_info:
+        main([a.format(data=data_dir) for a in argv])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+def test_sampler_refuses_a_space_above_its_cap(monkeypatch):
+    """7 features of 6 values make 279936 states, above the cap: the sampler
+    raises before it enumerates any of them."""
+    import p2c.bench
+
+    def enumerate_states(config):
+        raise AssertionError("enumerated a space above the cap")
+
+    monkeypatch.setattr(p2c.bench, "enumerate_states", enumerate_states)
+    ds = make_dataset({f"f{i}": tuple(f"v{j}" for j in range(6)) for i in range(7)},
+                      "label(X,'bad') :- f0(X,'v0').")
+    assert search_space_size(ds.config) == 279936 > SAMPLE_CAP
+    with pytest.raises(SpaceTooLargeError, match="cannot enumerate 279936 states"):
+        sample_decision_positive(ds, 5, seed=0)
 
 
 def test_bench_sampling_is_decision_positive(german):

@@ -154,7 +154,8 @@ def assert_closure_agrees_everywhere(dataset, rng) -> int:
                         compiled.domains, compiled.feature_masks, compiled.offsets
                     )
                 )),
-                [(dataset.config.features[fi].name, v, tuple(why)) for fi, v, why in repairs],
+                [(dataset.config.features[fi].name, v, compiled.provenance(fi, made))
+                 for fi, v, made in repairs],
             )
             repaired += bool(repairs)
         assert closed == interpreted_closure(dataset, state, prefer), state.values

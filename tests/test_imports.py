@@ -3,6 +3,8 @@ modules it runs, and the lazily loaded names still resolve."""
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -69,3 +71,21 @@ def test_lazy_names_resolve_and_are_listed():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         p2c.no_such_name  # noqa: B018
+
+
+def test_traced_names_resolve():
+    """Every name the benchmark's tracer (``perfbench/tracing.py``) patches
+    resolves: its entry points on their modules, its leaves on ``Dataset``.
+    A module that stops importing a traced name breaks every traced run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from p2c.dataset import Dataset
+
+    missing = [(module, attr) for module, attr, _ in tracing.ENTRY_POINTS
+               if not hasattr(importlib.import_module(module), attr)]
+    missing += [("p2c.dataset.Dataset", attr) for attr, _ in tracing.LEAVES
+                if not hasattr(Dataset, attr)]
+    assert tracing.ENTRY_POINTS and tracing.LEAVES
+    assert missing == []

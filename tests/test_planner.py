@@ -90,7 +90,7 @@ def test_make_consistent_repairs_example2_intermediate(example2):
     assert bits == compiled.bits(repaired)
     assert example2.consistent(repaired)
     assert [(fi, value) for fi, value, _ in repairs] == [(4, 620.0)]
-    assert "credit_score" in repairs[0][2][0]
+    assert "credit_score" in compiled.provenance(4, repairs[0][2])[0]
 
 
 def test_make_consistent_noop_when_consistent(example2):

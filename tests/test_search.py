@@ -341,6 +341,16 @@ def test_knearest_edges():
         knearest_trimmed(ds.config, State(("a", "x")), 0, 1)
 
 
+@pytest.mark.parametrize("search", [min_cf, lambda ds, s, p: goal_knearest(ds, s, 3, p=p)],
+                         ids=["min_cf", "goal_knearest"])
+@pytest.mark.parametrize("p", [3, -1, "2"])
+def test_search_rejects_unknown_norm(example2, search, p):
+    """A norm other than 0, 1 or 2 is refused, as find_path and
+    compute_weighted_lp refuse it, not priced as an L2 sum without its root."""
+    with pytest.raises(ValueError, match=r"p must be 0, 1 or 2, got " + repr(p)):
+        search(example2, example2.default_instance(), p=p)
+
+
 # ---------------------------------------------------------------------------
 # goal_knearest
 # ---------------------------------------------------------------------------
