@@ -8,7 +8,7 @@ actions that reaches it.
 
 import importlib
 
-from .consistency import CausalGroup, Entailment, build_causal_groups
+from .consistency import CausalGroup, build_causal_groups
 from .dataset import Dataset, build_dataset, consolidate_dataset, load_dataset
 from .domain import (
     DatasetConfig,
@@ -38,7 +38,6 @@ from .errors import (
 from .planner import (
     Action,
     PlanPath,
-    apply_action,
     find_path,
     naive_find_path,
     path_is_legal,
@@ -52,10 +51,8 @@ from .rules import (
 )
 from .search import (
     CostReport,
-    adjust_weights,
     compute_weighted_lp,
     goal_knearest,
-    knearest_trimmed,
     min_cf,
 )
 

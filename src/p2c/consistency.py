@@ -5,13 +5,14 @@ completion, i.e. the "if" rules become "if and only if": a head value is
 satisfied exactly when one of its bodies fires.  A fired alternative entails
 its head value; an alternative whose bodies all fail excludes it.
 
-This module holds only the groups and the :class:`Entailment` record.  The
-tests themselves run on the one-hot bit masks of
-:class:`p2c.masks.CompiledRules`: one bit per feature value, one forbidden
-mask per rule body, one head mask per causal alternative.  A ``Dataset``
-compiles its programs once, on its first query, and its methods
-(``consistent``, ``is_goal``, ``entailments``, ``repair_values``) are the
-per-state API.
+This module holds only the groups.  They are read on the one-hot bit masks
+of :class:`p2c.masks.CompiledRules`: one bit per feature value, one
+forbidden mask per rule body, one head mask per causal alternative, and per
+group the values it allows given which alternative fires.  A ``Dataset``
+compiles its programs once, on its first query; ``consistent`` and
+``is_goal`` are its per-state API.  The State-level reading of the same
+completion semantics, an interpreter over name->value dicts, is kept as a
+test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,22 +36,6 @@ class CausalGroup:
 
     feature: str
     alternatives: tuple[CausalAlternative, ...]
-
-
-@dataclass(frozen=True)
-class Entailment:
-    """What the causal program demands of one feature, given a state.
-
-    ``required`` is the fired head value (None when no alternative fired);
-    ``excluded`` lists head values whose bodies all failed and which the
-    feature must therefore not satisfy.  ``provenance`` is the text of the
-    fired rules.
-    """
-
-    feature: str
-    required: Value | None
-    excluded: tuple[Value, ...] = ()
-    provenance: tuple[str, ...] = ()
 
 
 def build_causal_groups(

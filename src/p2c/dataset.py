@@ -6,7 +6,7 @@ comparison bound or causal head the programs apply to them, plus the factual
 instance's value.
 
 A :class:`Dataset` answers its per-state tests (goal, causal consistency,
-decision, entailments) on the bit masks of :class:`masks.CompiledRules`.
+decision) on the bit masks of :class:`masks.CompiledRules`.
 It compiles them on its first query and keeps them, so a dataset built only
 to read its size or norm never compiles.
 """
@@ -19,14 +19,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .consistency import CausalGroup, Entailment, build_causal_groups
+from .consistency import CausalGroup, build_causal_groups
 from .domain import (
     CATEGORICAL,
     NUMERIC,
     DatasetConfig,
     FeatureSpec,
     State,
-    Value,
     build_numeric_domain,
     consolidate_placeholders,
     validate_state,
@@ -79,22 +78,6 @@ class Dataset:
     def is_goal(self, state: State) -> bool:
         compiled = self.compiled
         return compiled.is_goal(compiled.bits(state))
-
-    def entailments(self, state: State) -> tuple[Entailment, ...]:
-        """One entailment per causal group, in group order.
-
-        Bodies never read their own head feature (enforced at load), so each
-        group is decided by the state's other features alone.
-        """
-        compiled = self.compiled
-        return compiled.entailments(compiled.bits(state))
-
-    def repair_values(self, state: State, feature: str) -> tuple[Value, ...]:
-        """Domain values that would make ``feature``'s causal group consistent,
-        holding the other features of ``state`` fixed; the fired head value
-        comes first, the rest follow in domain order."""
-        compiled = self.compiled
-        return compiled.repair_values(compiled.bits(state), feature)
 
 
 def _number(obj: Mapping, key: str, default: float, where: str) -> float:

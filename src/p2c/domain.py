@@ -63,6 +63,11 @@ class FeatureSpec:
             raise ConfigError(f"feature {self.name!r}: empty domain")
         if len(set(self.domain)) != len(self.domain):
             raise ConfigError(f"feature {self.name!r}: duplicate domain values")
+        for key, numbers in (("weight", (self.weight,)), ("step", (self.step,)),
+                             ("numeric_range", self.numeric_range or ())):
+            if not all(map(math.isfinite, numbers)):
+                raise ConfigError(f"feature {self.name!r}: {key} must be finite, got "
+                                  f"{', '.join(map(repr, numbers))}")
         if self.weight < 0:
             raise ConfigError(f"feature {self.name!r}: negative weight")
         if self.kind == NUMERIC:

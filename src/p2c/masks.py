@@ -45,7 +45,7 @@ import operator
 from functools import reduce
 from typing import Sequence
 
-from .consistency import CausalGroup, Entailment
+from .consistency import CausalGroup
 from .domain import DatasetConfig, State, Value
 from .errors import CausalProgramError, EvaluationError
 from .rules import (
@@ -431,36 +431,6 @@ class CompiledRules:
         does: why a repair made on ``bits`` set that feature."""
         g = next(g for g in self.groups if g.fi == fi)
         return g.rule_text(g.fired(bits), bits)
-
-    def _entailment(self, g: _CompiledGroup, bits: int) -> Entailment:
-        fired = g.fired(bits)
-        alts = g.group.alternatives
-        return Entailment(
-            feature=g.group.feature,
-            required=alts[fired].value if fired >= 0 else None,
-            excluded=tuple(alt.value for a, alt in enumerate(alts) if a != fired),
-            provenance=g.rule_text(fired, bits),
-        )
-
-    def entailments(self, bits: int) -> tuple[Entailment, ...]:
-        return tuple(self._entailment(g, bits) for g in self.groups)
-
-    def _allowed(self, g: _CompiledGroup, fired: int) -> tuple[Value, ...]:
-        """Values of ``g``'s feature that satisfy the group, given which
-        alternative fired: the one a repair falls back to
-        (``g.first[fired]``) first, the rest in domain order."""
-        first = g.first[fired]
-        rest = g.allowed[fired] & ~first
-        off = self.offsets[g.fi]
-        domain = self.domains[g.fi]
-        head = (domain[first.bit_length() - 1 - off],) if first else ()
-        return head + tuple(v for j, v in enumerate(domain) if rest >> (off + j) & 1)
-
-    def repair_values(self, bits: int, feature: str) -> tuple[Value, ...]:
-        g = next((g for g in self.groups if g.group.feature == feature), None)
-        if g is None:
-            return ()
-        return self._allowed(g, g.fired(bits))
 
     def closure(self, bits: int, prefer: int) -> tuple[int, list[tuple[int, Value, int]]] | None:
         """The causally consistent state that repairs ``bits``, with its

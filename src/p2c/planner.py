@@ -11,11 +11,12 @@ whose cost from the instance is at most s*'s; a costlier goal is a dead end.
 s* is the cheapest goal, so the plan ends at s* or at a goal of equal cost.
 
 Planning, pricing and checking run on one-hot bits: a goal is priced bit
-for bit as ``search.compute_weighted_lp`` prices it under
-``search.adjust_weights``, and ``path_is_legal`` replays a plan against each
-causal group's allowed mask.  A causal repair is kept as the bits it was
-made on; only the returned plan holds ``State``s and the rule text of its
-causal actions (``CompiledRules.provenance``).
+for bit as ``search.compute_weighted_lp`` prices it under the p2c weights
+(their State-level reference is in ``tests/oracles.py``), and
+``path_is_legal`` replays a plan against each causal group's allowed mask.
+A causal repair is kept as the bits it was made on; only the returned plan
+holds ``State``s and the rule text of its causal actions
+(``CompiledRules.provenance``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     SearchExhaustedError,
     StateValidationError,
 )
-from .search import check_norm, lp_term
+from .search import check_norm, check_weights, lp_term
 
 DIRECT = "direct"
 CAUSAL = "causal"
@@ -53,22 +54,6 @@ class Action:
 # ---------------------------------------------------------------------------
 # Actions
 # ---------------------------------------------------------------------------
-
-
-def apply_action(config: DatasetConfig, state: State, action: Action) -> State:
-    """Rebind exactly one feature under the plausibility rules (actionability,
-    mutability, monotone direction, domain membership)."""
-    i = config.feature_index(action.feature)
-    spec = config.features[i]
-    if action.new_value not in spec.domain:
-        raise P2CError(
-            f"{action.describe()}: value not in the domain of {spec.name!r}"
-        )
-    if action.kind == DIRECT:
-        problem = direct_action_problem(spec, state.values[i], action.new_value)
-        if problem:
-            raise P2CError(f"{action.describe()}: {problem}")
-    return state.replace_value(i, action.new_value)
 
 
 def direct_action_problem(spec: FeatureSpec, old: Value, new: Value) -> str | None:
@@ -187,6 +172,7 @@ def find_path(
     if not compiled.consistent(star):
         raise P2CError("find_path target must be causally consistent")
     check_norm(p)
+    check_weights(config, weights)
 
     def state(bits: int) -> State:
         return State(tuple(value(fi, bits) for fi in range(len(specs))))
@@ -279,8 +265,9 @@ def _goal_cost(
     from ``0.0``, then the square root for p = 2.  A causal head's term is
     ``0.0`` when its group fires on ``bits``: the change is compelled and, the
     state being consistent, satisfied.  This is bit for bit what
-    ``search.compute_weighted_lp`` reports under ``search.adjust_weights``,
-    whose zero weight makes a term ``0.0`` for every p.
+    ``search.compute_weighted_lp`` reports under the p2c weights (their
+    State-level reference is in ``tests/oracles.py``), whose zero weight
+    makes a term ``0.0`` for every p.
     """
     compiled = dataset.compiled
     freed = {g.fi for g in compiled.groups if g.fired(bits) >= 0}

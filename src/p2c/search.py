@@ -23,13 +23,14 @@ compile-time head order of ``masks.CompiledRules``, so on an acyclic
 causal program every completion is causally consistent and is tested
 against the decision rules only; on a causal cycle it takes the full goal
 test.  A goal is priced where it is found, to the bit of what
-``compute_weighted_lp`` over the ``adjust_weights`` of ``p2c`` mode would
-report, so ties in cost are exact and go by rank.  The box then loses
-a cut that holds no goal, and the rest is split by Lawler's partitioning
-(Management Science, 1972), which keeps k-best one loop.  When a rejecting
-decision body fires on every completion, the cut is that body's whole box:
-escaping the rule means moving at least one feature it tests out of its
-box, the constructive reading s(CASP) gives ``not label(X, ...)``.
+``compute_weighted_lp`` reports under ``p2c`` mode's weights (their
+State-level reference is in ``tests/oracles.py``), so ties in cost are exact
+and go by rank.  The box then loses a cut that holds no goal, and the rest
+is split by Lawler's partitioning (Management Science, 1972), which keeps
+k-best one loop.  When a rejecting decision body fires on every
+completion, the cut is that body's whole box: escaping the rule means
+moving at least one feature it tests out of its box, the constructive
+reading s(CASP) gives ``not label(X, ...)``.
 Otherwise the cut is the vector alone, which is a plain best-first walk
 over vectors.  Candidates stay index vectors and one-hot bits while
 searched; only the k goals returned become a ``State`` and a
@@ -90,6 +91,20 @@ def check_norm(p) -> None:
         raise ValueError(f"p must be 0, 1 or 2, got {p!r}")
 
 
+def check_weights(config: DatasetConfig, weights: Mapping[str, float]) -> None:
+    """Raise ``ValueError`` naming the feature unless ``weights`` gives each
+    of the config's features, and nothing else, a finite weight >= 0."""
+    for spec in config.features:
+        if spec.name not in weights:
+            raise ValueError(f"weights give no weight to feature {spec.name!r}")
+        w = weights[spec.name]
+        if not (isinstance(w, (int, float)) and math.isfinite(w) and w >= 0):
+            raise ValueError(f"weight of feature {spec.name!r} must be finite and >= 0, got {w!r}")
+    if len(weights) != len(config.features):
+        extra = next(name for name in weights if not config.has_feature(name))
+        raise ValueError(f"weights name {extra!r}, which is not a feature")
+
+
 def compute_weighted_lp(
     config: DatasetConfig,
     a: State,
@@ -102,49 +117,18 @@ def compute_weighted_lp(
     L1 = sum(w*d), L2 = sqrt(sum(w*d^2)), L0 counts features with positive
     weight and nonzero difference.  Symmetric in ``a`` and ``b``.
 
-    With :func:`adjust_weights`, this is the State-level reference for a
-    goal's p2c cost.  No search or plan calls it: they price goals on bits,
-    bit for bit as this does.
+    Under ``p2c`` mode's weights (their State-level reference is in
+    ``tests/oracles.py``), this is a goal's p2c cost.  No search or plan
+    calls it: they price goals on bits, bit for bit as this does.
     """
     check_norm(p)
+    check_weights(config, weights)
     if len(a.values) != len(config.features) or len(b.values) != len(config.features):
         raise P2CError("states do not match the config's feature tuple")
     total = 0.0
     for spec, va, vb in zip(config.features, a.values, b.values):
         total += lp_term(spec, weights[spec.name], va, vb, p)
     return math.sqrt(total) if p == 2 else total
-
-
-def adjust_weights(
-    dataset: Dataset,
-    source: State,
-    target: State,
-    weights: Mapping[str, float],
-) -> tuple[dict[str, float], frozenset[str]]:
-    """Zero out the weights of changes the causal rules compel in the target.
-
-    A changed feature is causal-free iff its group fires a requirement in the
-    target and the target's value satisfies it: the change would happen on
-    its own once the other features move.  The State-level reference that
-    the searches' and the planner's pricing on bits must match; neither
-    calls it.
-    """
-    config = dataset.config
-    if not dataset.consistent(target):
-        raise P2CError("adjust_weights target must be causally consistent")
-    adjusted = dict(weights)
-    free: set[str] = set()
-    for ent in dataset.entailments(target):
-        if ent.required is None:
-            continue
-        i = config.feature_index(ent.feature)
-        if source.values[i] == target.values[i]:
-            continue
-        spec = config.features[i]
-        if spec.satisfies(target.values[i], ent.required):
-            adjusted[ent.feature] = 0.0
-            free.add(ent.feature)
-    return adjusted, frozenset(free)
 
 
 @dataclass(frozen=True)
@@ -240,8 +224,9 @@ def _stream_candidates(
     prices it, bit for bit: the per-feature ``lp_term``s summed in feature
     order from ``0.0``, then the square root for p = 2.  In ``p2c`` mode a
     head's term is ``0.0`` when its group fires on the completed bits (the
-    change is compelled and satisfied); for an undecidable group that is
-    settled on the completed bits, not during derivation.  The changed heads
+    change is compelled and satisfied, which is when the State-level
+    reference in ``tests/oracles.py`` zeroes its weight); for an undecidable
+    group that is settled on the completed bits, not during derivation.  The changed heads
     so freed are the report's causal-free features.  The k best goals by
     (cost, rank) are held; ``rank`` is the candidate's domain indices read
     as one mixed-radix number (``CompiledRules.place``), which orders states
@@ -459,6 +444,7 @@ def _nearest(
     weights = dict(weights) if weights is not None else config.weights()
     p = config.norm_p if p is None else p
     check_norm(p)
+    check_weights(config, weights)
     _check_initial(dataset, instance, on_inconsistent)
 
     found = _stream_candidates(dataset, instance, weights, p, mode, k)
@@ -503,41 +489,6 @@ def min_cf(
 # ---------------------------------------------------------------------------
 # k-nearest machinery
 # ---------------------------------------------------------------------------
-
-
-def knearest_trimmed(
-    config: DatasetConfig,
-    q: State,
-    k: int,
-    p: int,
-    weights: Mapping[str, float] | None = None,
-) -> list[tuple[State, float]]:
-    """k nearest states via per-dimension trimming.
-
-    Keeps, in every dimension, the k values with the smallest per-feature
-    cost contribution under the chosen norm (ties by domain index, matching
-    the global lexicographic tie-break), forms the candidate product, and
-    picks the k best overall.  The k nearest of the full space always
-    survive such a trim, so this equals an exhaustive sort of the space.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    weights = dict(weights) if weights is not None else config.weights()
-    trimmed: list[list[Value]] = []
-    for spec, qv in zip(config.features, q.values):
-        w = weights[spec.name]
-        ranked = sorted(
-            spec.domain, key=lambda v: (lp_term(spec, w, qv, v, p), spec.index_of(v))
-        )
-        trimmed.append(ranked[:k])
-    scored = sorted(
-        (
-            (compute_weighted_lp(config, q, s, weights, p), config.lex_key(s), s)
-            for s in map(State, itertools.product(*trimmed))
-        ),
-        key=lambda t: (t[0], t[1]),
-    )
-    return [(s, d) for d, _, s in scored[:k]]
 
 
 def goal_knearest(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -19,6 +20,37 @@ from p2c import load_dataset  # noqa: E402
 from p2c.dataset import build_dataset  # noqa: E402
 from p2c.domain import DatasetConfig, FeatureSpec  # noqa: E402
 from p2c.rules import parse_rule_program  # noqa: E402
+
+
+# What one compiled causal group says of a state: the fired head value (None
+# when no alternative fires), the other alternatives' head values, the text of
+# the fired rules, and the values the group allows, the repair fallback first.
+GroupReading = namedtuple("GroupReading", "feature required excluded provenance allowed")
+
+
+def compiled_groups(dataset, state) -> dict[str, GroupReading]:
+    """Each causal group's reading of ``state``, by head feature in group
+    order, straight from the compiled groups: ``g.fired``, ``g.allowed`` with
+    ``g.first[fired]`` first and the rest in domain order, and
+    ``CompiledRules.provenance``."""
+    compiled = dataset.compiled
+    bits = compiled.bits(state)
+    out = {}
+    for g in compiled.groups:
+        fired = g.fired(bits)
+        alts = g.group.alternatives
+        domain, offset, first = compiled.domains[g.fi], compiled.offsets[g.fi], g.first[fired]
+        rest = g.allowed[fired] & ~first
+        allowed = (domain[first.bit_length() - 1 - offset],) if first else ()
+        allowed += tuple(v for j, v in enumerate(domain) if rest >> (offset + j) & 1)
+        out[g.group.feature] = GroupReading(
+            feature=g.group.feature,
+            required=alts[fired].value if fired >= 0 else None,
+            excluded=tuple(alt.value for a, alt in enumerate(alts) if a != fired),
+            provenance=compiled.provenance(g.fi, bits),
+            allowed=allowed,
+        )
+    return out
 
 
 @contextmanager

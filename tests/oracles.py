@@ -6,6 +6,9 @@ bookkeeping, so a bug in the compiled masks, the streaming search, the
 causal closure or the planner cannot hide itself.  The rule interpreter
 (:func:`rule_fires`, :func:`program_decides`) walks every literal on a
 name->value dict; ``p2c`` itself evaluates rules only on compiled masks.
+The State-level references built on it (the :class:`Entailment` record,
+:func:`interpreted_repair_values`, :func:`adjust_weights`) and the
+dimension-trimmed :func:`knearest_trimmed` live only here.
 """
 
 from __future__ import annotations
@@ -14,9 +17,14 @@ import collections
 import itertools
 from dataclasses import dataclass
 
-from p2c.consistency import Entailment
-from p2c.domain import State, enumerate_states
-from p2c.errors import CausalProgramError, EvaluationError, RuleSyntaxError, SearchExhaustedError
+from p2c.domain import State, Value, enumerate_states
+from p2c.errors import (
+    CausalProgramError,
+    EvaluationError,
+    P2CError,
+    RuleSyntaxError,
+    SearchExhaustedError,
+)
 from p2c.planner import CAUSAL, DIRECT, Action, PathStep, PlanPath, direct_action_problem
 from p2c.rules import (
     AUX_CALL,
@@ -29,7 +37,7 @@ from p2c.rules import (
     _TOKEN_RE,
     unparse_rule,
 )
-from p2c.search import adjust_weights, compute_weighted_lp
+from p2c.search import compute_weighted_lp, lp_term
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +135,22 @@ def rule_fires(rule, state, program) -> bool:
 def program_decides(program, state) -> bool:
     """Disjunctive reading: at least one non-aux rule fires."""
     return any(rule_fires(rule, state, program) for rule in program.rules)
+
+
+@dataclass(frozen=True)
+class Entailment:
+    """What the causal program demands of one feature, given a state.
+
+    ``required`` is the fired head value (None when no alternative fired);
+    ``excluded`` lists head values whose bodies all failed and which the
+    feature must therefore not satisfy.  ``provenance`` is the text of the
+    fired rules.
+    """
+
+    feature: str
+    required: Value | None
+    excluded: tuple[Value, ...] = ()
+    provenance: tuple[str, ...] = ()
 
 
 def entailment_satisfied(spec, value, ent) -> bool:
@@ -236,6 +260,32 @@ def interpreted_closure(dataset, state, prefer=None):
     return None
 
 
+def adjust_weights(dataset, source, target, weights):
+    """Zero out the weights of changes the causal rules compel in the target,
+    on the interpreted semantics; returns ``(weights, freed features)``.
+
+    A changed feature is causal-free iff its group fires a requirement in the
+    target and the target's value satisfies it: the change would happen on
+    its own once the other features move.  The reference for the weights of
+    ``p2c``-mode reports and for the planner's pricing on bits.
+    """
+    config = dataset.config
+    if not interpreted_consistent(dataset, target):
+        raise P2CError("adjust_weights target must be causally consistent")
+    adjusted = dict(weights)
+    free: set[str] = set()
+    for ent in interpreted_entailments(dataset, target):
+        if ent.required is None:
+            continue
+        i = config.feature_index(ent.feature)
+        if source.values[i] == target.values[i]:
+            continue
+        if config.features[i].satisfies(target.values[i], ent.required):
+            adjusted[ent.feature] = 0.0
+            free.add(ent.feature)
+    return adjusted, frozenset(free)
+
+
 def _priced_goals(dataset, instance, weights, p, mode):
     """``(cost, lex key, state)`` of every goal in the plausibility-restricted
     space, each priced in full (no streaming, no bounds)."""
@@ -295,6 +345,35 @@ def exhaustive_knearest(config, q, k, p, weights=None):
         (
             (compute_weighted_lp(config, q, s, weights, p), config.lex_key(s), s)
             for s in enumerate_states(config)
+        ),
+        key=lambda t: (t[0], t[1]),
+    )
+    return [(s, d) for d, _, s in scored[:k]]
+
+
+def knearest_trimmed(config, q, k, p, weights=None):
+    """k nearest states of the whole space via per-dimension trimming.
+
+    Keeps, in every dimension, the k values with the smallest per-feature
+    cost contribution under the chosen norm (ties by domain index, matching
+    the global lexicographic tie-break), forms the candidate product, and
+    picks the k best overall.  The k nearest of the full space always
+    survive such a trim, so this equals :func:`exhaustive_knearest`.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    weights = dict(weights) if weights is not None else config.weights()
+    trimmed = []
+    for spec, qv in zip(config.features, q.values):
+        w = weights[spec.name]
+        ranked = sorted(
+            spec.domain, key=lambda v: (lp_term(spec, w, qv, v, p), spec.index_of(v))
+        )
+        trimmed.append(ranked[:k])
+    scored = sorted(
+        (
+            (compute_weighted_lp(config, q, s, weights, p), config.lex_key(s), s)
+            for s in map(State, itertools.product(*trimmed))
         ),
         key=lambda t: (t[0], t[1]),
     )
@@ -420,7 +499,8 @@ def bfs_naive_path(dataset, instance: State, s_star: State) -> PlanPath:
 
 def state_path_is_legal(dataset, path: PlanPath) -> tuple[bool, list[str]]:
     """The reference for ``p2c.planner.path_is_legal``: the same replay on
-    ``State`` values, asking ``Dataset.repair_values`` for each causal action.
+    ``State`` values, asking :func:`interpreted_repair_values` for each causal
+    action.
 
     Replay every action: direct ones must respect actionability,
     mutability and monotonicity; causal ones must set a value the causal
@@ -448,7 +528,7 @@ def state_path_is_legal(dataset, path: PlanPath) -> tuple[bool, list[str]]:
                 if problem:
                     violations.append(f"step {step_no}: {action.describe()}: {problem}")
             elif action.kind == CAUSAL:
-                allowed = dataset.repair_values(current, action.feature)
+                allowed = interpreted_repair_values(dataset, current, action.feature)
                 if action.new_value not in allowed:
                     violations.append(
                         f"step {step_no}: {action.describe()}: value is not entailed "

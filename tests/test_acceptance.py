@@ -13,6 +13,7 @@ from conftest import budget, random_dataset
 from oracles import (
     exhaustive_knearest,
     exhaustive_min_cf,
+    knearest_trimmed,
     program_decides,
     verify_solution_path,
 )
@@ -23,7 +24,7 @@ from p2c.errors import NoCounterfactualError, SearchExhaustedError
 from p2c.masks import CompiledRules
 from p2c.planner import find_path
 from p2c.rules import canonicalize
-from p2c.search import knearest_trimmed, min_cf
+from p2c.search import min_cf
 
 
 def test_criterion_01_example1_reproduction(example1):

@@ -159,6 +159,12 @@ def _reshape(config, change):
         config["max_dpl"] = -1
     elif change == "undesired_decision":
         config["undesired_decision"] = [1]
+    elif change == "weight_nan":  # json writes NaN and Infinity, and reads them back
+        config["features"][0]["weight"] = float("nan")
+    elif change == "range_infinite":
+        config["features"][3]["numeric_range"] = [0, float("inf")]
+    elif change == "step_infinite":
+        config["features"][3]["step"] = float("inf")
     return config
 
 
@@ -175,6 +181,9 @@ def _reshape(config, change):
     ("undesired_decision", "field 'undesired_decision' is not a string: [1]"),
     ("max_dpl_zero", "field 'max_dpl' must be at least 1, got 0"),
     ("max_dpl_negative", "field 'max_dpl' must be at least 1, got -1"),
+    ("weight_nan", "feature 'age': weight must be finite, got nan"),
+    ("range_infinite", "feature 'bank_balance': numeric_range must be finite, got 0.0, inf"),
+    ("step_infinite", "feature 'bank_balance': step must be finite, got inf"),
 ])
 def test_config_of_the_wrong_shape_is_an_error_line(capsys, bundle_copy, change, named):
     path = bundle_copy / "config.json"

@@ -2,8 +2,10 @@
 
 The compiled masks are ``p2c``'s only rule evaluator.  The reference
 (``oracles.interpreted_*``) walks every literal with ``oracles.rule_fires``
-on the state's name->value dict; the dataset answers on its compiled masks.  They must agree on goal membership, causal consistency,
-the decision, entailments (required, excluded and provenance), repair values,
+on the state's name->value dict; the dataset answers on its compiled masks,
+and ``conftest.compiled_groups`` reads each causal group off them.  They
+must agree on goal membership, causal consistency, the decision, each
+group's entailment (required, excluded and provenance) and allowed values,
 the causal repairs of violated groups and the causal closure, on every state
 of every bundle and of many random rule programs.  Compiling rejects a
 program exactly when the interpreter finds a state on which two alternatives
@@ -16,7 +18,7 @@ import random
 
 import pytest
 
-from conftest import DATA, make_dataset, random_dataset, rich_dataset
+from conftest import DATA, compiled_groups, make_dataset, random_dataset, rich_dataset
 from oracles import (
     entailment_satisfied,
     interpreted_consistent,
@@ -47,20 +49,19 @@ def plain(ents):
 
 def causal_actions(dataset, state):
     """Every repair of a violated, mutable group but the current value, in
-    feature order, from the compiled entailments and repair values (the
-    entailments raise if the program has two alternatives that fire together,
-    as every query on it does)."""
+    feature order, from the compiled groups (reading them raises if the
+    program has two alternatives that fire together, as every query on it
+    does)."""
     config = dataset.config
     out = []
-    ents = dataset.entailments(state)
+    groups = compiled_groups(dataset, state).values()
     if dataset.consistent(state):
         return out
-    for ent in sorted(ents, key=lambda e: config.feature_index(e.feature)):
-        i = config.feature_index(ent.feature)
-        values = dataset.repair_values(state, ent.feature)
-        if not config.features[i].mutable or state.values[i] in values:
+    for g in sorted(groups, key=lambda g: config.feature_index(g.feature)):
+        i = config.feature_index(g.feature)
+        if not config.features[i].mutable or state.values[i] in g.allowed:
             continue
-        out += [(ent.feature, v, tuple(ent.provenance)) for v in values if v != state.values[i]]
+        out += [(g.feature, v, tuple(g.provenance)) for v in g.allowed if v != state.values[i]]
     return out
 
 
@@ -86,14 +87,14 @@ def disagreements(dataset, state) -> list[str]:
         ("is_goal", dataset.is_goal, interpreted_is_goal),
         ("consistent", dataset.consistent, interpreted_consistent),
         ("decision_positive", dataset.decision_positive, interpreted_decision_positive),
-        ("entailments", lambda s: plain(dataset.entailments(s)),
+        ("entailments", lambda s: plain(compiled_groups(dataset, s).values()),
          lambda d, s: plain(interpreted_entailments(d, s))),
         ("causal_actions", lambda s: causal_actions(dataset, s), interpreted_causal_actions),
     ]
     for group in dataset.groups:
         pairs.append((
             f"repair_values[{group.feature}]",
-            lambda s, f=group.feature: dataset.repair_values(s, f),
+            lambda s, f=group.feature: compiled_groups(dataset, s)[f].allowed,
             lambda d, s, f=group.feature: interpreted_repair_values(d, s, f),
         ))
     out = []
@@ -229,7 +230,7 @@ def test_adult_negated_comparison_gates_husband(adult):
             "marital_status": "Married-civ-spouse", "education_num": 9, "capital_gain": 0,
         })
         assert disagreements(adult, state) == []
-        return {e.feature: e for e in adult.entailments(state)}
+        return compiled_groups(adult, state)
 
     assert ents(30)["relationship"].required == "Husband"  # not(30 =< 27.0)
     young = ents(25)["relationship"]
@@ -247,8 +248,8 @@ def test_example2_at_least_head_admits_higher_scores(example2):
     assert not example2.consistent(state(0, 619))
     # with debt the head is excluded: no value satisfying 'at least 620' is allowed
     assert not example2.consistent(state(5000, 621))
-    assert example2.repair_values(state(0, 599), "credit_score") == (620.0, 621.0)
-    assert example2.repair_values(state(5000, 621), "credit_score") == (599.0, 619.0)
+    assert compiled_groups(example2, state(0, 599))["credit_score"].allowed == (620.0, 621.0)
+    assert compiled_groups(example2, state(5000, 621))["credit_score"].allowed == (599.0, 619.0)
     for s in (state(0, 621), state(5000, 599)):
         assert disagreements(example2, s) == []
 
@@ -264,8 +265,8 @@ def test_two_firing_alternatives_keep_their_rule_text():
     text = "f(X,'a') :- g(X,'x').; f(X,'b') :- h(X,'p')."
     message = ("error", f"two alternatives for feature 'f' fired simultaneously: {text}")
     # the program is rejected on its first query, also on a state where one fires
-    for test in (ds.consistent, ds.is_goal, ds.entailments,
-                 lambda s: ds.repair_values(s, "f"),
+    for test in (ds.consistent, ds.is_goal, lambda s: compiled_groups(ds, s),
+                 lambda s: compiled_groups(ds, s)["f"].allowed,
                  lambda s: causal_actions(ds, s)):
         assert outcome(test, calm) == message
     assert outcome(interpreted_consistent, ds, state) == message
@@ -285,7 +286,7 @@ def test_provenance_is_the_fired_rule_text(example2):
     state = validate_state(example2.config, {
         "age": 31, "debt": 0, "loan_duration": 12, "bank_balance": 40000, "credit_score": 620,
     })
-    (ent,) = example2.entailments(state)
+    (ent,) = compiled_groups(example2, state).values()
     assert list(ent.provenance) == ["credit_score(X,620.0) :- debt(X,N1), N1=<0.0."]
     assert ent.provenance == ("credit_score(X,620.0) :- debt(X,N1), N1=<0.0.",)
 

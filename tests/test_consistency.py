@@ -2,14 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_dataset
+from conftest import compiled_groups, make_dataset
 from oracles import interpreted_entailment
 from p2c.domain import enumerate_states, validate_state
 from p2c.errors import CausalProgramError
-
-
-def ents_by_feature(dataset, state):
-    return {e.feature: e for e in dataset.entailments(state)}
 
 
 # ---------------------------------------------------------------------------
@@ -22,14 +18,14 @@ def test_entailment_zero_debt_compels_score(example2):
         "age": 31, "debt": 0, "loan_duration": 12,
         "bank_balance": 40000, "credit_score": 620,
     })
-    ent = ents_by_feature(example2, state)["credit_score"]
+    ent = compiled_groups(example2, state)["credit_score"]
     assert ent.required == 620.0
     assert ent.provenance
 
 
 def test_entailment_nonzero_debt_excludes_but_does_not_require(example2):
     john = example2.default_instance()
-    ent = ents_by_feature(example2, john)["credit_score"]
+    ent = compiled_groups(example2, john)["credit_score"]
     assert ent.required is None
     # completion: a non-fired alternative excludes its head value
     assert ent.excluded == (620.0,)
@@ -40,7 +36,7 @@ def test_entailment_adult_husband(adult):
         "age": 40, "sex": "Male", "relationship": "Husband",
         "marital_status": "Married-civ-spouse", "education_num": 9, "capital_gain": 0,
     })
-    ents = ents_by_feature(adult, state)
+    ents = compiled_groups(adult, state)
     assert ents["marital_status"].required == "Married-civ-spouse"
     assert ents["relationship"].required == "Husband"
 
@@ -54,7 +50,7 @@ def test_two_firing_alternatives_is_a_program_error():
     )
     state = validate_state(ds.config, {"f": "a", "g": "x", "h": "p"})
     with pytest.raises(CausalProgramError, match="two alternatives.*'f'"):
-        ds.entailments(state)
+        compiled_groups(ds, state)
     # same head value through two rules is not a conflict
     ds2 = make_dataset(
         {"f": ("a", "b"), "g": ("x", "y"), "h": ("p", "q")},
@@ -62,8 +58,7 @@ def test_two_firing_alternatives_is_a_program_error():
         "f(X,'a') :- g(X,'x').\nf(X,'a') :- h(X,'p').",
     )
     state2 = validate_state(ds2.config, {"f": "a", "g": "x", "h": "p"})
-    ents = ds2.entailments(state2)
-    assert ents[0].required == "a"
+    assert compiled_groups(ds2, state2)["f"].required == "a"
 
 
 def test_self_referential_causal_rule_rejected():
@@ -200,7 +195,7 @@ def test_causal_repair_values_prefers_fired_head(example2):
         "age": 31, "debt": 0, "loan_duration": 12,
         "bank_balance": 40000, "credit_score": 599,
     })
-    values = example2.repair_values(broken, "credit_score")
+    values = compiled_groups(example2, broken)["credit_score"].allowed
     assert values[0] == 620.0
     assert set(values) == {620.0, 621.0}
 
@@ -210,7 +205,7 @@ def test_causal_repair_values_for_excluded_violation(example2):
         "age": 31, "debt": 5000, "loan_duration": 12,
         "bank_balance": 40000, "credit_score": 620,
     })
-    values = example2.repair_values(broken, "credit_score")
+    values = compiled_groups(example2, broken)["credit_score"].allowed
     assert set(values) == {599.0, 619.0}
 
 
@@ -233,4 +228,4 @@ def test_adult_marital_group_partition(adult):
     """The shipped marital alternatives never co-fire and always cover."""
     assert covers_every_state(adult, "marital_status") is True
     for state in enumerate_states(adult.config):
-        adult.entailments(state)  # no error
+        compiled_groups(adult, state)  # no error

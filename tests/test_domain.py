@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from p2c.dataset import consolidate_dataset
 from p2c.domain import (
+    FeatureSpec,
     build_numeric_domain,
     consolidate_placeholders,
     enumerate_states,
@@ -18,8 +19,26 @@ from p2c.domain import (
     search_space_size,
     validate_state,
 )
-from p2c.errors import StateValidationError
+from p2c.errors import ConfigError, StateValidationError
 from p2c.search import min_cf
+
+
+# ---------------------------------------------------------------------------
+# FeatureSpec
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["weight", "numeric_range", "step"])
+def test_feature_numbers_must_be_finite(field, bad):
+    """A weight, range bound or step that is not finite is refused, naming
+    the feature, rather than priced as NaN or as an infinitely wide range."""
+    good = dict(name="balance", kind="numeric", domain=(0.0, 5.0), weight=1.0,
+                numeric_range=(0.0, 10.0), step=1.0)
+    FeatureSpec(**good)
+    value = (0.0, bad) if field == "numeric_range" else bad
+    with pytest.raises(ConfigError, match=f"feature 'balance': {field} must be finite"):
+        FeatureSpec(**{**good, field: value})
 
 
 # ---------------------------------------------------------------------------

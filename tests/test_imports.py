@@ -19,20 +19,24 @@ import p2c
 LAZY_MODULES = ("p2c.surrogate", "p2c.bench", "p2c.masks", "subprocess", "statistics",
                 "hashlib", "csv")
 
-# The package's public names, as they stood before the surrogate names became
-# lazy; each must still resolve and be listed by dir().
+# The package's public names; each must resolve and be listed by dir().
 PUBLIC_NAMES = """
 Action AlreadyCounterfactualError CausalGroup CausalProgramError ConfigError CostReport
-Dataset DatasetConfig Entailment EvaluationError ExternalCommandModel FeatureSpec
+Dataset DatasetConfig EvaluationError ExternalCommandModel FeatureSpec
 InconsistentInitialStateError LabeledDataset NoCounterfactualError P2CError PlanPath
 PredictorError RuleBackedModel RuleFileLearner RuleProgram RuleProgramError RuleSyntaxError
-SearchExhaustedError SpaceTooLargeError State StateValidationError TableModel adjust_weights
-agreement apply_action build_causal_groups build_dataset canonicalize compute_weighted_lp
+SearchExhaustedError SpaceTooLargeError State StateValidationError TableModel
+agreement build_causal_groups build_dataset canonicalize compute_weighted_lp
 consistency consolidate_dataset consolidate_placeholders dataset domain enumerate_states
-errors extract_logic find_path goal_knearest ingest_csv knearest_trimmed label_dataset
+errors extract_logic find_path goal_knearest ingest_csv label_dataset
 load_dataset mentioned_values min_cf naive_find_path parse_rule_program path_is_legal planner
 rules search search_space_size surrogate unparse_program validate_state
 """.split()
+
+# State-level references that only tests used; they live in tests/oracles.py
+# (apply_action's checks are path_is_legal's), and the package must not
+# export them again.
+REMOVED_NAMES = ("Entailment", "adjust_weights", "apply_action", "knearest_trimmed")
 
 
 def _run(code: str, *args: str) -> str:
@@ -66,6 +70,13 @@ def test_lazy_names_resolve_and_are_listed():
     )
     out = _run(code, *PUBLIC_NAMES)
     assert out.splitlines() == ["[]", "False", "True", "[]"]
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_names_are_not_exported(name):
+    with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+        getattr(p2c, name)
+    assert name not in dir(p2c)
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import DATA, cyclic_dataset, make_dataset, random_dataset
 from oracles import (
+    adjust_weights,
     bfs_naive_path,
     corrupted_plans,
     one_direct_action_reaches_goal,
@@ -27,13 +28,12 @@ from p2c.planner import (
     PathStep,
     PlanPath,
     _goal_cost,
-    apply_action,
     direct_action_problem,
     find_path,
     naive_find_path,
     path_is_legal,
 )
-from p2c.search import adjust_weights, compute_weighted_lp, min_cf
+from p2c.search import compute_weighted_lp, min_cf
 
 
 def state_of(dataset, **raw):
@@ -41,36 +41,51 @@ def state_of(dataset, **raw):
 
 
 # ---------------------------------------------------------------------------
-# apply_action
+# one direct action, judged by path_is_legal
 # ---------------------------------------------------------------------------
+
+
+def one_step(dataset, state, feature, value):
+    """The state one direct action on ``feature`` to ``value`` records, and
+    path_is_legal's verdict on that one-step plan from ``state``."""
+    after = state.replace_value(dataset.config.feature_index(feature), value)
+    plan = PlanPath((PathStep(state, ()), PathStep(after, (Action("direct", feature, value),))))
+    return after, path_is_legal(dataset, plan)
 
 
 def test_apply_direct_balance_change(example1):
     john = example1.default_instance()
-    goal = apply_action(example1.config, john, Action("direct", "bank_balance", 60000.0))
+    goal, verdict = one_step(example1, john, "bank_balance", 60000.0)
     assert goal.values == (31.0, 5000.0, 12.0, 60000.0, 599.0)
+    assert verdict == (True, [])
 
 
 def test_apply_age_decrease_rejected(example1):
     john = example1.default_instance()
     # age domain also contains 32; decreasing from 32 to 31 must fail
     older = john.replace_value(0, 32.0)
-    with pytest.raises(P2CError, match="nondecreasing"):
-        apply_action(example1.config, older, Action("direct", "age", 31.0))
+    _, verdict = one_step(example1, older, "age", 31.0)
+    assert verdict == (False, [
+        "step 1: direct(age -> 31.0): nondecreasing feature cannot decrease",
+    ])
 
 
 def test_apply_non_actionable_rejected(example2):
     john = example2.default_instance()
-    with pytest.raises(P2CError, match="not directly actionable"):
-        apply_action(example2.config, john, Action("direct", "credit_score", 620.0))
+    _, verdict = one_step(example2, john, "credit_score", 620.0)
+    assert verdict == (False, [
+        "step 1: direct(credit_score -> 620.0): feature is not directly actionable",
+    ])
 
 
 def test_apply_value_outside_domain_rejected(example1):
     john = example1.default_instance()
-    with pytest.raises(P2CError, match="not in the domain"):
-        apply_action(example1.config, john, Action("direct", "debt", 123.0))
-
-
+    # the action is not replayed, and the recorded state is not one of the space
+    _, verdict = one_step(example1, john, "debt", 123.0)
+    assert verdict == (False, [
+        "step 1: direct(debt -> 123.0): value outside domain",
+        "step 1: recorded state does not match the replayed actions",
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +406,8 @@ def test_find_path_closes_each_moved_state_once(monkeypatch, german, adult):
 def test_planning_and_checking_stay_on_bits(monkeypatch):
     """A deterministic work gate: find_path prices its goals and
     path_is_legal replays its plans on bits, so neither reaches the
-    State-level pricing or repair values."""
+    State-level pricing or the dataset's per-state tests: they read only
+    ``dataset.config`` and ``dataset.compiled``."""
     import p2c.planner
     import p2c.search
     from p2c.dataset import Dataset
@@ -410,8 +426,8 @@ def test_planning_and_checking_stay_on_bits(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for owner, name in ((p2c.search, "adjust_weights"), (p2c.search, "compute_weighted_lp"),
-                        (Dataset, "repair_values")):
+    for owner, name in ((p2c.search, "compute_weighted_lp"), (Dataset, "is_goal"),
+                        (Dataset, "consistent")):
         assert not hasattr(p2c.planner, name)
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     for ds, start, target in cases:

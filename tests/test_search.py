@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,13 @@ from conftest import (
     rich_dataset,
     tie_dataset,
 )
-from oracles import exhaustive_goal_knearest, exhaustive_knearest, exhaustive_min_cf
+from oracles import (
+    adjust_weights,
+    exhaustive_goal_knearest,
+    exhaustive_knearest,
+    exhaustive_min_cf,
+    knearest_trimmed,
+)
 from p2c.dataset import consolidate_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
 from p2c.errors import (
@@ -28,14 +35,8 @@ from p2c.errors import (
     NoCounterfactualError,
 )
 from p2c.masks import CompiledRules
-from p2c.search import (
-    CostReport,
-    adjust_weights,
-    compute_weighted_lp,
-    goal_knearest,
-    knearest_trimmed,
-    min_cf,
-)
+from p2c.planner import find_path
+from p2c.search import CostReport, compute_weighted_lp, goal_knearest, min_cf
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,32 @@ def test_search_rejects_unknown_norm(example2, search, p):
     compute_weighted_lp refuse it, not priced as an L2 sum without its root."""
     with pytest.raises(ValueError, match=r"p must be 0, 1 or 2, got " + repr(p)):
         search(example2, example2.default_instance(), p=p)
+
+
+WEIGHTED = {
+    "min_cf": lambda ds, s, w: min_cf(ds, s, weights=w),
+    "goal_knearest": lambda ds, s, w: goal_knearest(ds, s, 3, weights=w),
+    "find_path": lambda ds, s, w: find_path(ds, s, min_cf(ds, s).target, weights=w),
+    "compute_weighted_lp": lambda ds, s, w: compute_weighted_lp(ds.config, s, s, w, 1),
+}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"bank_balance": None}, "weights give no weight to feature 'bank_balance'"),
+    ({"bank_balance": -1.0}, "weight of feature 'bank_balance' must be finite and >= 0, got -1.0"),
+    ({"bank_balance": float("inf")},
+     "weight of feature 'bank_balance' must be finite and >= 0, got inf"),
+    ({"salary": 1.0}, "weights name 'salary', which is not a feature"),
+], ids=["missing", "negative", "infinite", "unknown"])
+@pytest.mark.parametrize("call", WEIGHTED.values(), ids=WEIGHTED.keys())
+def test_weights_argument_is_checked(example1, call, bad, message):
+    """A weights mapping must give every feature, and no other name, a finite
+    weight >= 0: a missing one is no bare KeyError, and a negative or
+    infinite one cannot price a goal below the bound the search stops on."""
+    weights = {**example1.config.weights(), **bad}
+    weights = {name: w for name, w in weights.items() if w is not None}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(example1, example1.default_instance(), weights)
 
 
 # ---------------------------------------------------------------------------
