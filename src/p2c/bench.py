@@ -18,13 +18,12 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .dataset import Dataset, consolidate_dataset, load_dataset
-from .domain import State, enumerate_states, expand_placeholders, search_space_size, validate_state
+from .domain import NORM_NAMES, NORMS, State, enumerate_states, expand_placeholders
+from .domain import search_space_size, validate_state
 from .errors import P2CError, SpaceTooLargeError
 from .planner import find_path, naive_find_path, path_is_legal
 from .search import goal_knearest, min_cf
 
-NORM_NAMES = {0: "l0", 1: "l1", 2: "l2"}
-NORMS = (0, 1, 2)
 # the most states sample_decision_positive enumerates
 SAMPLE_CAP = 200000
 

@@ -16,7 +16,7 @@ from functools import cache
 # consolidate_dataset stays importable from here for the benchmark's tracer
 from .dataset import bundle_dataset, consolidate_dataset, load_dataset  # noqa: F401
 from .dataset import read_config, rule_file
-from .domain import consolidate_placeholders, search_space_size, validate_state
+from .domain import NORM_NAMES, consolidate_placeholders, search_space_size, validate_state
 from .errors import (
     AlreadyCounterfactualError,
     CausalProgramError,
@@ -51,8 +51,7 @@ SEARCH_ERRORS = (
     SpaceTooLargeError,
 )
 
-NORMS = {"l0": 0, "l1": 1, "l2": 2}
-NORM_NAMES = {p: name for name, p in NORMS.items()}
+NORM_P = {name: p for p, name in NORM_NAMES.items()}
 
 
 def _parse_instance(pairs: list[str]) -> dict[str, str]:
@@ -83,6 +82,8 @@ def _at_least_one(text: str) -> int:
 
 def _resolve_instance(dataset, args):
     raw = _parse_instance(args.instance or [])
+    if unknown := [name for name in raw if not dataset.config.has_feature(name)]:
+        raise StateValidationError(f"--instance names {unknown[0]!r}, which is not a feature")
     if not raw:
         if dataset.config.instance_defaults is None:
             raise StateValidationError(
@@ -171,7 +172,7 @@ def cmd_mincf(args) -> int:
     mode = args.cost_mode.replace("-", "_")
     on_inc = "allow" if args.repair_inconsistent else "error"
     t1 = time.perf_counter()
-    kw = dict(p=NORMS[args.norm], mode=mode, on_inconsistent=on_inc)
+    kw = dict(p=NORM_P[args.norm], mode=mode, on_inconsistent=on_inc)
     if args.k > 1:  # s* is the first of the k nearest, so one search answers both
         reports = goal_knearest(dataset, instance, args.k, **kw)
     else:
@@ -206,7 +207,7 @@ def cmd_path(args) -> int:
     report["timing_ms"]["load"] = (time.perf_counter() - t0) * 1000.0
     on_inc_search = "allow" if args.repair_inconsistent else "error"
     t1 = time.perf_counter()
-    result = min_cf(dataset, instance, p=NORMS[args.norm], on_inconsistent=on_inc_search)
+    result = min_cf(dataset, instance, p=NORM_P[args.norm], on_inconsistent=on_inc_search)
     report["timing_ms"]["mincf"] = (time.perf_counter() - t1) * 1000.0
     report["s_star"] = result.to_json(dataset.config)
     t2 = time.perf_counter()
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="KEY=VALUE,...",
                 help="factual instance; defaults to the config's instance_defaults",
             )
-            p.add_argument("--norm", choices=list(NORMS), default=None)
+            p.add_argument("--norm", choices=list(NORM_P), default=None)
             p.add_argument(
                 "--repair-inconsistent",
                 action="store_true",

@@ -24,6 +24,8 @@ NUMERIC = "numeric"
 
 MONOTONE_KINDS = ("none", "nondecreasing", "nonincreasing")
 DIRECTIONS = ("exact", "at_least", "at_most")
+NORMS = (0, 1, 2)  # the p of each weighted-Lp norm a cost can use
+NORM_NAMES = {p: f"l{p}" for p in NORMS}  # their names in reports and on the command line
 
 Value = str | float
 
@@ -136,7 +138,7 @@ class DatasetConfig:
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise ConfigError("feature names must be unique")
-        if self.norm_p not in (0, 1, 2):
+        if self.norm_p not in NORMS:
             raise ConfigError(f"norm_p must be 0, 1 or 2, got {self.norm_p}")
         if self.max_dpl is not None and self.max_dpl < 1:
             raise ConfigError(f"config field 'max_dpl' must be at least 1, got {self.max_dpl}")

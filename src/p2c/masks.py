@@ -316,10 +316,11 @@ def _decision_boxes(
 
 
 class CompiledRules:
-    """A config's causal groups (and optionally its decision program) as bit masks.
+    """A config's causal groups and its decision program as bit masks.
 
     Feature ``i``'s value with domain index ``j`` is bit ``offsets[i] + j``;
-    :meth:`bits` encodes a state.  Every test below takes such bits.
+    :meth:`bits` encodes a state and :meth:`state` decodes one.  Every test
+    below takes such bits.
     :meth:`is_goal` is :meth:`consistent` and :meth:`escapes`; a search that
     derives each head from its group on an acyclic program needs only the
     latter.
@@ -333,7 +334,7 @@ class CompiledRules:
         config: DatasetConfig,
         groups: Sequence[CausalGroup],
         causal: RuleProgram,
-        decision: RuleProgram | None = None,
+        decision: RuleProgram,
     ):
         offsets = []
         off = 0
@@ -372,13 +373,12 @@ class CompiledRules:
         for i in range(len(offsets) - 2, -1, -1):
             place[i] = place[i + 1] * len(self.domains[i + 1])
         self.place = tuple(place)
-        if decision is not None:
-            dc = _ProgramCompiler(config, self.offsets, decision)
-            self.decision = tuple(dc.body(r) for r in decision.rules)
-            self.undesired = decision.describes_undesired
-            self.decision_boxes = _decision_boxes(
-                self.decision, self.head_order, self.walk, self.offsets, feature_masks
-            )
+        dc = _ProgramCompiler(config, self.offsets, decision)
+        self.decision = tuple(dc.body(r) for r in decision.rules)
+        self.undesired = decision.describes_undesired
+        self.decision_boxes = _decision_boxes(
+            self.decision, self.head_order, self.walk, self.offsets, feature_masks
+        )
 
     def bits(self, state: State) -> int:
         if len(state.values) != len(self.domains):
@@ -391,6 +391,10 @@ class CompiledRules:
             for spec, v in zip(self.config.features, state.values):
                 spec.index_of(v)  # raises StateValidationError naming the value
             raise
+
+    def state(self, bits: int) -> State:
+        """The state whose bits are ``bits``: the inverse of :meth:`bits`."""
+        return State(tuple(self.value(fi, bits) for fi in range(len(self.domains))))
 
     def consistent(self, bits: int) -> bool:
         for g in self.groups:

@@ -10,9 +10,9 @@ search counts direct actions, up to ``max_dpl``, and stops at the first goal
 whose cost from the instance is at most s*'s; a costlier goal is a dead end.
 s* is the cheapest goal, so the plan ends at s* or at a goal of equal cost.
 
-Planning, pricing and checking run on one-hot bits: a goal is priced bit
-for bit as ``search.compute_weighted_lp`` prices it under the p2c weights
-(their State-level reference is in ``tests/oracles.py``), and
+Planning, pricing and checking run on one-hot bits: a goal is priced by
+``search.goal_price``, the price the counterfactual search uses too, with
+each changed value's ``lp_term`` taken from the instance's value, and
 ``path_is_legal`` replays a plan against each causal group's allowed mask.
 A causal repair is kept as the bits it was made on; only the returned plan
 holds ``State``s and the rule text of its causal actions
@@ -21,9 +21,9 @@ holds ``State``s and the rule text of its causal actions
 
 from __future__ import annotations
 
-import math
+import bisect
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .dataset import Dataset
 from .domain import DatasetConfig, FeatureSpec, State, Value
@@ -34,7 +34,7 @@ from .errors import (
     SearchExhaustedError,
     StateValidationError,
 )
-from .search import check_norm, check_weights, lp_term
+from .search import check_norm, check_weights, goal_price, lp_term
 
 DIRECT = "direct"
 CAUSAL = "causal"
@@ -144,8 +144,9 @@ def find_path(
     feature whose move to ``s_star``'s value was refused, and why.
 
     States stay one-hot bits while searched, and goals are priced on them
-    (``_goal_cost``).  ``s_star`` must be causally consistent, else
-    :class:`P2CError`.
+    (``search.goal_price``).  ``s_star`` must be causally consistent, else
+    :class:`P2CError`; it, ``p`` and ``weights`` are checked before a start
+    already in the goal set returns its one-state plan.
     """
     if on_inconsistent not in ("error", "repair"):
         raise ValueError("on_inconsistent must be 'error' or 'repair'")
@@ -159,26 +160,24 @@ def find_path(
             "initial state violates the causal rules; pass on_inconsistent='repair' "
             "(or the CLI --repair-inconsistent flag) to plan a repair"
         )
+    star = compiled.bits(s_star)
+    if not compiled.consistent(star):
+        raise P2CError("find_path target must be causally consistent")
+    weights = config.weights() if weights is None else weights
+    p = config.norm_p if p is None else p
+    check_norm(p)
+    check_weights(config, weights)
     if compiled.is_goal(start):
         return PlanPath((PathStep(instance, ()),))
 
     cap = max_dpl or config.max_dpl or len(config.features)
-    weights = config.weights() if weights is None else weights
-    p = config.norm_p if p is None else p
     specs = config.features
     masks = compiled.feature_masks
     value = compiled.value
-    star = compiled.bits(s_star)
-    if not compiled.consistent(star):
-        raise P2CError("find_path target must be causally consistent")
-    check_norm(p)
-    check_weights(config, weights)
-
-    def state(bits: int) -> State:
-        return State(tuple(value(fi, bits) for fi in range(len(specs))))
+    term = _lp_terms(dataset, instance, weights, p)
 
     def cost(bits: int) -> float:
-        return _goal_cost(dataset, instance, bits, weights, p)
+        return goal_price(compiled, start, bits, term, p, "p2c")[0]
 
     ceiling = cost(star) + 1e-9
     # how each consistent state was reached: (previous state, feature moved,
@@ -250,32 +249,27 @@ def find_path(
             Action(CAUSAL, specs[ri].name, v, provenance=compiled.provenance(ri, made))
             for ri, v, made in repairs
         )
-        steps.append(PathStep(state(goal), actions))
+        steps.append(PathStep(compiled.state(goal), actions))
         goal, link = previous, parents[previous]
-    steps.append(PathStep(state(goal), ()))
+    steps.append(PathStep(compiled.state(goal), ()))
     return PlanPath(tuple(reversed(steps)))
 
 
-def _goal_cost(
-    dataset: Dataset, instance: State, bits: int, weights: Mapping[str, float], p: int
-) -> float:
-    """The p2c cost from ``instance`` of the causally consistent state ``bits``.
+def _lp_terms(
+    dataset: Dataset, instance: State, weights: Mapping[str, float], p: int
+) -> Callable[[int], float]:
+    """``goal_price``'s term source for a plan from ``instance``: the
+    ``lp_term`` from the instance's value of a feature to the value of bit
+    ``pos``, for any value of the domain."""
+    offsets, domains = dataset.compiled.offsets, dataset.compiled.domains
+    specs = dataset.config.features
 
-    The ``lp_term``s of the values the state holds, summed in feature order
-    from ``0.0``, then the square root for p = 2.  A causal head's term is
-    ``0.0`` when its group fires on ``bits``: the change is compelled and, the
-    state being consistent, satisfied.  This is bit for bit what
-    ``search.compute_weighted_lp`` reports under the p2c weights (their
-    State-level reference is in ``tests/oracles.py``), whose zero weight
-    makes a term ``0.0`` for every p.
-    """
-    compiled = dataset.compiled
-    freed = {g.fi for g in compiled.groups if g.fired(bits) >= 0}
-    total = 0.0
-    for fi, (spec, was) in enumerate(zip(compiled.config.features, instance.values)):
-        if fi not in freed:
-            total += lp_term(spec, weights[spec.name], was, compiled.value(fi, bits), p)
-    return math.sqrt(total) if p == 2 else total
+    def term(pos: int) -> float:
+        fi = bisect.bisect_right(offsets, pos) - 1
+        spec, j = specs[fi], pos - offsets[fi]
+        return lp_term(spec, weights[spec.name], instance.values[fi], domains[fi][j], p)
+
+    return term
 
 
 def naive_find_path(dataset: Dataset, instance: State, s_star: State) -> PlanPath:

@@ -22,19 +22,18 @@ goal-directed evaluation derives a head from its body, in the
 compile-time head order of ``masks.CompiledRules``, so on an acyclic
 causal program every completion is causally consistent and is tested
 against the decision rules only; on a causal cycle it takes the full goal
-test.  A goal is priced where it is found, to the bit of what
-``compute_weighted_lp`` reports under ``p2c`` mode's weights (their
-State-level reference is in ``tests/oracles.py``), so ties in cost are exact
-and go by rank.  The box then loses a cut that holds no goal, and the rest
-is split by Lawler's partitioning (Management Science, 1972), which keeps
-k-best one loop.  When a rejecting decision body fires on every
-completion, the cut is that body's whole box: escaping the rule means
-moving at least one feature it tests out of its box, the constructive
-reading s(CASP) gives ``not label(X, ...)``.
-Otherwise the cut is the vector alone, which is a plain best-first walk
-over vectors.  Candidates stay index vectors and one-hot bits while
-searched; only the k goals returned become a ``State`` and a
-``CostReport``.
+test.  A goal is priced where it is found, by ``goal_price``, the one
+price on bits that the planner shares: it sums the cost rows' terms of the
+changed values, bit for bit as ``compute_weighted_lp`` prices the goal, so
+ties in cost are exact and go by rank.  The box then loses a cut that holds
+no goal, and the rest is split by Lawler's partitioning (Management
+Science, 1972), which keeps k-best one loop.  When a rejecting decision
+body fires on every completion, the cut is that body's whole box: escaping
+the rule means moving at least one feature it tests out of its box, the
+constructive reading s(CASP) gives ``not label(X, ...)``.  Otherwise the
+cut is the vector alone, which is a plain best-first walk over vectors.
+Candidates stay index vectors and one-hot bits while searched; only the k
+goals returned become a ``State`` and a ``CostReport``.
 """
 
 from __future__ import annotations
@@ -46,16 +45,19 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .dataset import Dataset
-from .domain import NUMERIC, DatasetConfig, FeatureSpec, State, Value
+from .domain import NORMS, NUMERIC, DatasetConfig, FeatureSpec, State, Value
 from .errors import (
     AlreadyCounterfactualError,
     InconsistentInitialStateError,
     NoCounterfactualError,
     P2CError,
 )
+
+if TYPE_CHECKING:
+    from .masks import CompiledRules
 
 MODES = ("p2c", "all_changes")
 
@@ -87,7 +89,7 @@ def lp_term(spec: FeatureSpec, w: float, a: Value, b: Value, p: int) -> float:
 
 def check_norm(p) -> None:
     """Raise ``ValueError`` unless ``p`` is a norm the cost supports: 0, 1 or 2."""
-    if p not in (0, 1, 2):
+    if p not in NORMS:
         raise ValueError(f"p must be 0, 1 or 2, got {p!r}")
 
 
@@ -129,6 +131,36 @@ def compute_weighted_lp(
     for spec, va, vb in zip(config.features, a.values, b.values):
         total += lp_term(spec, weights[spec.name], va, vb, p)
     return math.sqrt(total) if p == 2 else total
+
+
+def goal_price(
+    compiled: CompiledRules, start: int, bits: int, term: Callable[[int], float], p: int, mode: str
+) -> tuple[float, list[int]]:
+    """The cost from ``start`` of the goal ``bits`` (both one-hot bits of
+    ``compiled``), and the indices of the features it leaves free.
+
+    In ``p2c`` mode a changed head whose group fires on ``bits`` is free: the
+    change is compelled and, the goal being consistent, satisfied.  Each
+    other changed value's ``term(bit)``, the ``lp_term`` from the start's
+    value, is summed in bit order (feature order) from ``0.0``, then the
+    square root for p = 2: bit for bit ``compute_weighted_lp`` under ``p2c``
+    mode's weights (their reference is in ``tests/oracles.py``) or the plain
+    ones, since every term it adds beyond these is an exact ``0.0``.
+    """
+    changed = bits & ~start
+    freed = []
+    if mode == "p2c":
+        masks = compiled.feature_masks
+        for g in compiled.groups:
+            if changed & masks[g.fi] and g.fired(bits) >= 0:
+                changed &= ~masks[g.fi]
+                freed.append(g.fi)
+    total = 0.0
+    while changed:
+        low = changed & -changed
+        total += term(low.bit_length() - 1)
+        changed ^= low
+    return (math.sqrt(total) if p == 2 else total), freed
 
 
 @dataclass(frozen=True)
@@ -196,7 +228,7 @@ def _stream_candidates(
     p: int,
     mode: str,
     k: int,
-) -> list[tuple[float, State, tuple[int, ...]]]:
+) -> list[tuple[float, State, list[int]]]:
     """The k cheapest goals in (cost, rank) order, as ``(cost, state,
     indices of the causal-free features)``.
 
@@ -220,14 +252,11 @@ def _stream_candidates(
     So on an acyclic program every completion is causally consistent, and
     it is goal-tested against the decision rules only
     (``CompiledRules.escapes``); on a cyclic one it takes the full
-    ``CompiledRules.is_goal``.  A goal is priced as ``compute_weighted_lp``
-    prices it, bit for bit: the per-feature ``lp_term``s summed in feature
-    order from ``0.0``, then the square root for p = 2.  In ``p2c`` mode a
-    head's term is ``0.0`` when its group fires on the completed bits (the
-    change is compelled and satisfied, which is when the State-level
-    reference in ``tests/oracles.py`` zeroes its weight); for an undecidable
-    group that is settled on the completed bits, not during derivation.  The changed heads
-    so freed are the report's causal-free features.  The k best goals by
+    ``CompiledRules.is_goal``.  A goal is priced by ``goal_price`` on its
+    completed bits, with each changed value's term read from the cost rows
+    (a goal lies in the plausible box, so only their spans are read); in
+    ``p2c`` mode the changed heads whose groups fire there are free, and
+    they are the report's causal-free features.  The k best goals by
     (cost, rank) are held; ``rank`` is the candidate's domain indices read
     as one mixed-radix number (``CompiledRules.place``), which orders states
     exactly as ``DatasetConfig.lex_key`` does.  Only they become a
@@ -267,22 +296,18 @@ def _stream_candidates(
         rows.append(row)
         plausible.append((1 << span.stop) - (1 << span.start))
         orders.append(sorted(span, key=row.__getitem__))
-    n = len(rows)
     costs = [rows[i] for i in walk]
     walk_orders = [orders[i] for i in walk]
     walk_place = [place[i] for i in walk]
     walk_offsets = [offsets[i] for i in walk]
-    # per group, in head order: (bit, lp_term, rank part, domain index, changed) of each
-    # plausible head value
+    # per group, in head order: (bit, rank part) of each plausible head value
     derive = [
-        (g, decidable, tuple(
-            (1 << (offsets[g.fi] + j), rows[g.fi][j], place[g.fi] * j, j, j != index[g.fi])
-            for j in orders[g.fi]
-        ))
+        (g, decidable, tuple((1 << (offsets[g.fi] + j), place[g.fi] * j) for j in orders[g.fi]))
         for g, decidable in compiled.head_order
     ]
     head_floor = sum(place[g.fi] * min(orders[g.fi]) for g, _ in compiled.head_order)
-    free_when_fired = mode == "p2c"
+    start = compiled.bits(instance)
+    term = [t for row in rows for t in row].__getitem__  # by bit: each row's domain indices
     undesired = compiled.undesired
     root = math.sqrt if p == 2 else float
     at = list.__getitem__
@@ -333,7 +358,7 @@ def _stream_candidates(
             pieces += fresh
         for box in pieces:
             push(box)
-    # the k best goals: (cost, rank, idx_vec, chosen head entries, freed feature indices)
+    # the k best goals: (cost, rank, bits, freed feature indices)
     found: list[tuple] = []
     while heap:
         bound, rank, idx_vec, box = heapq.heappop(heap)
@@ -346,46 +371,27 @@ def _stream_candidates(
             if edge == found[-1][0] and rank > last and lowest_rank(box) > last:
                 continue
         bits = sum(map(operator.lshift, ones, map(add, walk_offsets, idx_vec)))
-        partial = [(bits, rank, ())]
+        partial = [(bits, rank)]
         for g, decidable, options in derive:
             grown = []
-            for bits, r, chosen in partial:
-                if decidable:
-                    fired = g.fired(bits)
-                    allowed = g.allowed[fired]
-                    free = free_when_fired and fired >= 0
-                else:
-                    allowed, free = -1, None  # settled on the completed bits
-                for opt in options:
-                    if allowed & opt[0]:
-                        grown.append((bits | opt[0], r + opt[2], chosen + ((opt, free),)))
+            for bits, r in partial:
+                allowed = g.allowed[g.fired(bits)] if decidable else -1
+                for bit, part in options:
+                    if allowed & bit:
+                        grown.append((bits | bit, r + part))
             partial = grown
         goal = False
-        terms = None
-        for bits, r, chosen in partial:
+        for bits, r in partial:
             if not goal_test(bits):
                 continue
             goal = True
-            if terms is None:
-                terms = [0.0] * n
-                for i, c in zip(walk, map(at, costs, idx_vec)):
-                    terms[i] = c
-            t = terms.copy()
-            freed = []
-            for (g, _, _), (opt, free) in zip(derive, chosen):
-                if free is None:
-                    free = free_when_fired and g.fired(bits) >= 0
-                if not free:
-                    t[g.fi] = opt[1]
-                elif opt[4]:
-                    freed.append(g.fi)
-            cost = root(reduce(add, t, 0.0))
+            cost, freed = goal_price(compiled, start, bits, term, p, mode)
             if len(found) < k or (cost, r) < found[-1][:2]:
-                bisect.insort(found, (cost, r, idx_vec, chosen, freed))
+                bisect.insort(found, (cost, r, bits, freed))
                 del found[k:]
         body = -1
         if undesired and partial and not goal:
-            body = compiled.common_body([bits for bits, _, _ in partial])
+            body = compiled.common_body([bits for bits, _ in partial])
         if body >= 0:
             allowed, held = compiled.decision_boxes[body]
             cut = tuple(
@@ -400,15 +406,7 @@ def _stream_candidates(
                 reduce(add, map(at, costs, nxt), 0.0),
                 rank + walk_place[i] * (j - idx_vec[i]), nxt, child,
             ))
-    out = []
-    for cost, _, idx_vec, chosen, freed in found:
-        vals: list = [None] * n
-        for i, j in zip(walk, idx_vec):
-            vals[i] = domains[i][j]
-        for (g, _, _), (opt, _) in zip(derive, chosen):
-            vals[g.fi] = domains[g.fi][opt[3]]
-        out.append((cost, State(tuple(vals)), tuple(freed)))
-    return out
+    return [(cost, compiled.state(bits), freed) for cost, _, bits, freed in found]
 
 
 def _check_initial(dataset: Dataset, instance: State, on_inconsistent: str) -> None:

@@ -313,6 +313,19 @@ def test_mincf_bad_instance_value_exit_1(capsys, data_dir):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("command", ["mincf", "path"])
+def test_instance_naming_no_feature_exit_1(capsys, data_dir, command):
+    """A misspelt --instance name is an error line, not dropped and echoed."""
+    code, out, err = run_cli(
+        capsys, command, "--config", str(data_dir / "example1"), "--output", "json",
+        "--instance", "age=31,debt=5000,loan_duration=12,bank_balance=40000,"
+                      "credit_score=599,bank_balanse=90000",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --instance names 'bank_balanse', which is not a feature\n"
+
+
 # ---------------------------------------------------------------------------
 # path
 # ---------------------------------------------------------------------------

@@ -27,13 +27,13 @@ from p2c.planner import (
     Action,
     PathStep,
     PlanPath,
-    _goal_cost,
+    _lp_terms,
     direct_action_problem,
     find_path,
     naive_find_path,
     path_is_legal,
 )
-from p2c.search import compute_weighted_lp, min_cf
+from p2c.search import compute_weighted_lp, goal_price, min_cf
 
 
 def state_of(dataset, **raw):
@@ -252,6 +252,21 @@ def test_find_path_rejects_unknown_norm(example1):
         find_path(example1, john, target, p=3)
 
 
+def test_find_path_checks_its_arguments_before_an_already_goal_start(example1, example2):
+    """A start already in the goal set still has its target, p and weights
+    checked, as any other start has; the target first."""
+    target = min_cf(example1, example1.default_instance()).target
+    with pytest.raises(ValueError, match="p must be 0, 1 or 2, got 7"):
+        find_path(example1, target, target, p=7, weights={"age": -1.0})
+    with pytest.raises(ValueError, match="weights give no weight to feature 'debt'"):
+        find_path(example1, target, target, weights={"age": 1.0})
+    assert find_path(example1, target, target).states() == (target,)
+    target = min_cf(example2, example2.default_instance()).target
+    broken = next(s for s in enumerate_states(example2.config) if not example2.consistent(s))
+    with pytest.raises(P2CError, match="target must be causally consistent"):
+        find_path(example2, target, broken, p=7)
+
+
 @pytest.mark.parametrize("cap", [0, -1])
 def test_find_path_rejects_a_cap_below_one(example1, cap):
     john = example1.default_instance()
@@ -318,7 +333,9 @@ def plan_to_s_star_cost(ds, start, p):
     adjusted, _ = adjust_weights(ds, start, path.end, weights)
     cost = compute_weighted_lp(ds.config, start, path.end, adjusted, p)
     assert abs(cost - best.cost) <= 1e-9
-    priced = _goal_cost(ds, start, ds.compiled.bits(path.end), weights, p)
+    compiled = ds.compiled
+    priced, _ = goal_price(compiled, compiled.bits(start), compiled.bits(path.end),
+                           _lp_terms(ds, start, weights, p), p, "p2c")
     assert repr(priced) == repr(cost)
     assert_legal_as_reference(ds, path)
     assert_legal_as_reference(ds, naive_find_path(ds, start, best.target))

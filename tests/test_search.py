@@ -35,8 +35,16 @@ from p2c.errors import (
     NoCounterfactualError,
 )
 from p2c.masks import CompiledRules
-from p2c.planner import find_path
-from p2c.search import CostReport, compute_weighted_lp, goal_knearest, min_cf
+from p2c.planner import _lp_terms, find_path
+from p2c.search import (
+    CostReport,
+    _cost_row,
+    _plausible,
+    compute_weighted_lp,
+    goal_knearest,
+    goal_price,
+    min_cf,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +595,55 @@ def test_cycle_head_freedom_is_settled_on_the_completed_state():
                 charged += sum("x" not in r.causal_free_features for r in moved)
                 freed += sum("x" in r.causal_free_features for r in moved)
     assert charged and freed
+
+
+def test_goal_price_is_compute_weighted_lp_bit_for_bit():
+    """``goal_price`` against ``compute_weighted_lp`` (``repr``) on every
+    causally consistent state, from random_dataset(0..59)'s start, every
+    decision-positive start of cyclic_dataset(), tie_dataset(0..19)'s start
+    and a space whose sums depend on their order, for p = 0, 1, 2: under
+    the reference's p2c weights in ``p2c`` mode, where the freed features
+    are the reference's, and under the plain weights in ``all_changes``
+    mode.  The planner's term source prices every
+    state; the search's cost rows, which hold only the plausible spans,
+    price the states inside the plausible box."""
+    cases = [made for made in map(random_dataset, range(60)) if made is not None]
+    cyclic = cyclic_dataset()
+    cases += [(cyclic, s) for s in enumerate_states(cyclic.config) if cyclic.decision_positive(s)]
+    cases += [tie_dataset(seed) for seed in range(20)]
+    # three terms whose float sum depends on its order: 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+    spec = lambda name, w: FeatureSpec(name=name, kind="categorical", domain=("a", "b"), weight=w)
+    cases.append((make_dataset({n: spec(n, w) for n, w in (("f", 0.1), ("g", 0.2), ("h", 0.3))},
+                               "label(X,'bad') :- f(X,'a')."), State(("a", "a", "a"))))
+    priced = outside = 0
+    for ds, start in cases:
+        config, compiled, weights = ds.config, ds.compiled, ds.config.weights()
+        index = [spec.index_of(v) for spec, v in zip(config.features, start.values)]
+        spans = [_plausible(spec, ci, spec.name in ds.causal_head_features)
+                 for spec, ci in zip(config.features, index)]
+        sources = {p: (_lp_terms(ds, start, weights, p), [
+            t for spec, ci, span in zip(config.features, index, spans)
+            for t in _cost_row(spec, weights[spec.name], ci, span, p)
+        ].__getitem__) for p in (0, 1, 2)}
+        start_bits = compiled.bits(start)
+        for state in enumerate_states(config):
+            if not ds.consistent(state):
+                continue
+            bits = compiled.bits(state)
+            adjusted, free = adjust_weights(ds, start, state, weights)
+            inside = all(spec.index_of(v) in span
+                         for spec, v, span in zip(config.features, state.values, spans))
+            outside += not inside
+            for p, (planner_terms, search_terms) in sources.items():
+                for mode, w, want_free in (("p2c", adjusted, free),
+                                           ("all_changes", weights, frozenset())):
+                    want = repr(compute_weighted_lp(config, start, state, w, p))
+                    for term in (planner_terms, search_terms) if inside else (planner_terms,):
+                        cost, freed = goal_price(compiled, start_bits, bits, term, p, mode)
+                        assert repr(cost) == want, (config.name, start, state, p, mode)
+                        assert {config.features[i].name for i in freed} == want_free
+                        priced += 1
+    assert outside and priced > 100000
 
 
 def test_l2_ties_between_different_sums_go_by_rank():
