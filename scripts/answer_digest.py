@@ -1,4 +1,4 @@
-"""Print one SHA-256 over p2c's answers on a fixed set of inputs.
+"""Print SHA-256 digests over p2c's answers on a fixed set of inputs.
 
     python scripts/answer_digest.py                      # this checkout's src/
     python scripts/answer_digest.py --src OTHER/src      # another tree's p2c
@@ -30,6 +30,14 @@ at the consistent start for p in {0, 1, 2}, with the default budget and with
 ``max_dpl=1``; on each bundle start toward each of its 5 nearest goals for p
 in {0, 1, 2}; and perfbench's ``ladder`` and ``plan`` queries at seeds
 101-103.  Each ``find_path`` target also gets a ``naive_find_path`` plan.
+These print as the first line.
+
+The second line hashes answers on per-instance consolidated spaces:
+``consolidate_dataset(full, raw)`` for each bundle's configured instance, 24
+raw decision-positive starts of its full space, and two raw instances it
+must refuse (a feature missing, an unknown value).  Per space it hashes the
+reduced domains and placeholders, and, for p in {0, 1, 2}, ``min_cf``,
+``goal_knearest(k=20)`` in both modes and ``find_path`` toward s*.
 """
 
 from __future__ import annotations
@@ -210,20 +218,60 @@ def plan_answers():
                 yield plan_answer(ds, answer(naive_find_path, ds, start, best.target))
 
 
+def consolidated_answers():
+    """Answers on per-instance consolidated spaces: each bundle's space
+    consolidated for its configured instance and for a spread of raw
+    decision-positive starts, then one with a feature missing and one with
+    an unknown value."""
+    from conftest import DATA
+    from p2c import find_path, goal_knearest, load_dataset, min_cf
+    from p2c.dataset import consolidate_dataset
+    from p2c.domain import enumerate_states, expand_placeholders, validate_state
+
+    for name in ("example1", "example2", "cars", "german", "adult"):
+        full = load_dataset(DATA / name)
+        default = full.config.instance_defaults
+        positive = [s for s in enumerate_states(full.config) if full.decision_positive(s)]
+        raws = [default] + [expand_placeholders(full.config, s) for s in spread(positive, 24)]
+        first = full.config.features[0].name
+        raws += [{k: v for k, v in default.items() if k != first}, {**default, first: "?"}]
+        for raw in raws:
+            ds = answer(consolidate_dataset, full, raw)
+            if isinstance(ds, tuple):
+                yield ds
+                continue
+            yield tuple((f.domain, tuple(f.merged.items())) for f in ds.config.features)
+            start = validate_state(ds.config, raw)
+            for p in (0, 1, 2):
+                kw = dict(p=p, on_inconsistent="allow")
+                best = answer(min_cf, ds, start, **kw)
+                if isinstance(best, tuple):
+                    yield best
+                    continue
+                yield report_answer(best)
+                for mode in ("p2c", "all_changes"):
+                    near = answer(goal_knearest, ds, start, 20, mode=mode, **kw)
+                    yield near if isinstance(near, tuple) else tuple(map(report_answer, near))
+                yield plan_answer(ds, answer(find_path, ds, start, best.target, p=p,
+                                             on_inconsistent="repair"))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(REPO / "src"), help="directory holding p2c")
     args = parser.parse_args()
     sys.path.insert(0, str(REPO / "tests"))
     sys.path.insert(0, str(Path(args.src).resolve()))
-    digest = hashlib.sha256()
-    count = 0
-    for part in (search_answers(), plan_answers()):
-        for item in part:
-            digest.update(repr(item).encode())
-            digest.update(b"\n")
-            count += 1
-    print(f"{digest.hexdigest()}  {count} answers")
+    for parts, label in (((search_answers(), plan_answers()), ""),
+                         ((consolidated_answers(),), " on per-instance consolidated spaces")):
+        digest = hashlib.sha256()
+        count = 0
+        for part in parts:
+            for item in part:
+                digest.update(repr(item).encode())
+                digest.update(b"\n")
+                count += 1
+        print(f"{digest.hexdigest()}  {count} answers{label}")
 
 
 if __name__ == "__main__":

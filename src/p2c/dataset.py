@@ -60,6 +60,24 @@ class Dataset:
 
         return CompiledRules(self.config, self.groups, self.causal, self.decision)
 
+    @cached_property
+    def unmentioned(self) -> tuple[tuple[str, frozenset[str]], ...]:
+        """Per categorical feature, its name and the domain values that
+        neither program mentions: the values consolidation may merge."""
+        out = []
+        for spec in self.config.features:
+            if spec.kind == CATEGORICAL:
+                mentioned = mentioned_values(self.decision, spec.name)
+                mentioned |= mentioned_values(self.causal, spec.name)
+                out.append((spec.name, frozenset(spec.domain) - mentioned))
+        return tuple(out)
+
+    @cached_property
+    def consolidated(self) -> dict[tuple[str | None, ...], Dataset]:
+        """The datasets :func:`consolidate_dataset` has built over this one,
+        by placeholder partition."""
+        return {}
+
     def default_instance(self) -> State | None:
         if self.config.instance_defaults is None:
             return None
@@ -285,6 +303,10 @@ def bundle_dataset(
         features = tuple(_feature_from_json(obj, (decision, causal), defaults) for obj in entries)
         if not features:
             raise ConfigError("no features declared")
+        names = {f.name for f in features}
+        for name in defaults:
+            if name not in names:
+                raise ConfigError(f"instance_defaults names {name!r}, which is not a feature")
         undesired = raw.get("undesired_decision", "")
         if not isinstance(undesired, str):
             raise ConfigError(f"config field 'undesired_decision' is not a string: {undesired!r}")
@@ -343,15 +365,34 @@ def read_rules(path: Path) -> str:
 
 
 def consolidate_dataset(dataset: Dataset, instance_raw: Mapping | None = None) -> Dataset:
-    """Dataset over the placeholder-consolidated space.
+    """Dataset over the placeholder-consolidated space for an instance.
 
     ``instance_raw`` overrides the config's factual instance; its values
-    survive consolidation so it stays representable in the reduced space.
+    survive consolidation so it stays representable in the reduced space,
+    and it is validated there (:class:`StateValidationError`).
+
+    The reduced space depends only on the instance's *placeholder
+    partition*: per categorical feature, the instance's value when neither
+    program mentions it (:attr:`Dataset.unmentioned`), else nothing.  So one
+    reduced dataset is built per partition and kept on ``dataset``
+    (:attr:`Dataset.consolidated`), and its rules compile once for every
+    instance in it.  Its config keeps ``dataset``'s ``instance_defaults``.
     """
-    config = dataset.config
-    if instance_raw is not None:
-        config = replace(config, instance_defaults=dict(instance_raw))
-    reduced = consolidate_placeholders(config, (dataset.decision, dataset.causal))
-    return build_dataset(
-        reduced, dataset.decision, dataset.causal, root=dataset.root, digest=dataset.digest
+    raw = dataset.config.instance_defaults if instance_raw is None else instance_raw
+    raw = raw or {}
+    key = tuple(
+        v if name in raw and (v := str(raw[name])) in free else None
+        for name, free in dataset.unmentioned
     )
+    reduced = dataset.consolidated.get(key)
+    if reduced is None:
+        kept = {name: v for (name, _), v in zip(dataset.unmentioned, key) if v is not None}
+        config = replace(dataset.config, instance_defaults=kept)
+        config = consolidate_placeholders(config, (dataset.decision, dataset.causal))
+        config = replace(config, instance_defaults=dataset.config.instance_defaults)
+        reduced = dataset.consolidated[key] = build_dataset(
+            config, dataset.decision, dataset.causal, root=dataset.root, digest=dataset.digest
+        )
+    if instance_raw is not None:
+        validate_state(reduced.config, instance_raw)
+    return reduced

@@ -318,16 +318,17 @@ def _decision_boxes(
 class CompiledRules:
     """A config's causal groups and its decision program as bit masks.
 
-    Feature ``i``'s value with domain index ``j`` is bit ``offsets[i] + j``;
-    :meth:`bits` encodes a state and :meth:`state` decodes one.  Every test
-    below takes such bits.
+    Feature ``i``'s value with domain index ``j`` is bit ``offsets[i] + j``,
+    and ``values`` holds each bit's value; :meth:`bits` encodes a state and
+    :meth:`state` decodes one.  Every test below takes such bits.
     :meth:`is_goal` is :meth:`consistent` and :meth:`escapes`; a search that
     derives each head from its group on an acyclic program needs only the
     latter.
     """
 
-    __slots__ = ("config", "offsets", "domains", "feature_masks", "groups", "head_order",
-                 "cyclic", "walk", "place", "decision", "undesired", "decision_boxes")
+    __slots__ = ("config", "offsets", "domains", "values", "feature_masks", "groups",
+                 "head_order", "cyclic", "walk", "place", "decision", "undesired",
+                 "decision_boxes")
 
     def __init__(
         self,
@@ -344,6 +345,7 @@ class CompiledRules:
         self.config = config
         self.offsets = tuple(offsets)
         self.domains = tuple(spec.domain for spec in config.features)
+        self.values = tuple(v for domain in self.domains for v in domain)
         self.feature_masks = feature_masks = tuple(
             ((1 << len(spec.domain)) - 1) << o for o, spec in zip(offsets, config.features)
         )
@@ -394,7 +396,8 @@ class CompiledRules:
 
     def state(self, bits: int) -> State:
         """The state whose bits are ``bits``: the inverse of :meth:`bits`."""
-        return State(tuple(self.value(fi, bits) for fi in range(len(self.domains))))
+        values = self.values
+        return State(tuple([values[(bits & m).bit_length() - 1] for m in self.feature_masks]))
 
     def consistent(self, bits: int) -> bool:
         for g in self.groups:
@@ -415,7 +418,7 @@ class CompiledRules:
 
     def value(self, fi: int, bits: int) -> Value:
         """Feature ``fi``'s value in the state ``bits``."""
-        return self.domains[fi][(bits & self.feature_masks[fi]).bit_length() - 1 - self.offsets[fi]]
+        return self.values[(bits & self.feature_masks[fi]).bit_length() - 1]
 
     def common_body(self, states: Sequence[int]) -> int:
         """Index of the first decision body that fires on every one of
@@ -464,8 +467,7 @@ class CompiledRules:
                 if not allowed or not features[g.fi].mutable:
                     return None
                 pick = allowed & prefer or g.first[fired]
-                value = self.domains[g.fi][pick.bit_length() - 1 - self.offsets[g.fi]]
-                repairs.append((g.fi, value, bits))
+                repairs.append((g.fi, self.values[pick.bit_length() - 1], bits))
                 bits = bits & ~self.feature_masks[g.fi] | pick
                 repaired = True
             if not repaired or not self.cyclic:

@@ -45,6 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .dataset import Dataset
@@ -165,6 +166,10 @@ def goal_price(
 
 @dataclass(frozen=True)
 class CostReport:
+    """A goal and its cost.  ``adjusted_weights``, the weights the cost was
+    priced under (``0.0`` on each causal-free feature), is read-only: the
+    reports of one search that free no feature share one mapping."""
+
     target: State
     cost: float
     p: int
@@ -451,11 +456,12 @@ def _nearest(
             "no causally consistent counterfactual exists in the admissible space"
         )
     features = config.features
+    plain = MappingProxyType(weights)  # ``weights`` is this call's own copy
     reports = []
     for cost, target, freed in found:
-        adjusted = dict(weights)
-        for i in freed:
-            adjusted[features[i].name] = 0.0
+        adjusted = plain
+        if freed:
+            adjusted = MappingProxyType({**weights, **{features[i].name: 0.0 for i in freed}})
         reports.append(CostReport(
             target=target,
             cost=cost,

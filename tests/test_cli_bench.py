@@ -165,6 +165,8 @@ def _reshape(config, change):
         config["features"][3]["numeric_range"] = [0, float("inf")]
     elif change == "step_infinite":
         config["features"][3]["step"] = float("inf")
+    elif change == "default_not_a_feature":
+        config["instance_defaults"]["bank_balanse"] = 90000
     return config
 
 
@@ -184,6 +186,7 @@ def _reshape(config, change):
     ("weight_nan", "feature 'age': weight must be finite, got nan"),
     ("range_infinite", "feature 'bank_balance': numeric_range must be finite, got 0.0, inf"),
     ("step_infinite", "feature 'bank_balance': step must be finite, got inf"),
+    ("default_not_a_feature", "instance_defaults names 'bank_balanse', which is not a feature"),
 ])
 def test_config_of_the_wrong_shape_is_an_error_line(capsys, bundle_copy, change, named):
     path = bundle_copy / "config.json"

@@ -18,7 +18,9 @@ import random
 
 import pytest
 
-from conftest import DATA, compiled_groups, make_dataset, random_dataset, rich_dataset
+from conftest import (
+    DATA, compiled_groups, cyclic_dataset, make_dataset, random_dataset, rich_dataset,
+)
 from oracles import (
     entailment_satisfied,
     interpreted_consistent,
@@ -161,6 +163,21 @@ def assert_closure_agrees_everywhere(dataset, rng) -> int:
             repaired += bool(repairs)
         assert closed == interpreted_closure(dataset, state, prefer), state.values
     return repaired
+
+
+def test_state_decodes_the_bits_of_every_state():
+    """``CompiledRules.state`` inverts ``bits``, and ``value`` reads each
+    feature's value back, on every state of many spaces."""
+    spaces = [cyclic_dataset()] + [made[0] for made in map(random_dataset, range(50)) if made]
+    decoded = 0
+    for ds in spaces:
+        compiled = ds.compiled
+        for state in enumerate_states(ds.config):
+            bits = compiled.bits(state)
+            assert compiled.state(bits) == state
+            assert tuple(compiled.value(i, bits) for i in range(len(state.values))) == state.values
+            decoded += 1
+    assert decoded > 1000
 
 
 def test_closure_agrees_on_bundles_and_random_datasets():

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from p2c.dataset import consolidate_dataset
+from p2c.dataset import build_dataset, consolidate_dataset, load_dataset
 from p2c.domain import (
     FeatureSpec,
     build_numeric_domain,
@@ -19,8 +20,10 @@ from p2c.domain import (
     search_space_size,
     validate_state,
 )
-from p2c.errors import ConfigError, StateValidationError
-from p2c.search import min_cf
+from p2c.errors import ConfigError, P2CError, StateValidationError
+from p2c.planner import find_path, path_is_legal
+from p2c.rules import mentioned_values
+from p2c.search import goal_knearest, min_cf
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +201,83 @@ def test_expand_placeholders_round_trip(german):
     raw = expand_placeholders(reduced.config, state)
     back = validate_state(reduced.config, raw)
     assert back == state
+
+
+def _partition(ds, raw) -> tuple:
+    """Per categorical feature, ``raw``'s value when neither program
+    mentions it, else None."""
+    key = []
+    for spec in ds.config.features:
+        if spec.kind == "categorical":
+            mentioned = mentioned_values(ds.decision, spec.name) | mentioned_values(
+                ds.causal, spec.name)
+            v = str(raw[spec.name])
+            key.append(v if v in spec.domain and v not in mentioned else None)
+    return tuple(key)
+
+
+def _answers(ds, raw) -> tuple:
+    """min_cf, goal_knearest(k=20) in both modes, and find_path toward s*
+    with its legality, at ``raw``; an error raised is the answer."""
+    start = validate_state(ds.config, raw)
+    out = []
+    try:
+        best = min_cf(ds, start, on_inconsistent="allow")
+        out.append((best.target, repr(best.cost), best.causal_free_features))
+        for mode in ("p2c", "all_changes"):
+            near = goal_knearest(ds, start, 20, mode=mode, on_inconsistent="allow")
+            out.append([(r.target, repr(r.cost), r.causal_free_features) for r in near])
+        plan = find_path(ds, start, best.target, on_inconsistent="repair")
+        out.append([(step.state, step.actions) for step in plan.steps])
+        out.append(path_is_legal(ds, plan))
+    except P2CError as exc:
+        out.append((type(exc).__name__, str(exc)))
+    return start, tuple(out)
+
+
+@pytest.mark.parametrize("bundle", ["example1", "example2", "cars", "german", "adult"])
+def test_consolidate_dataset_keeps_one_dataset_per_partition(data_dir, bundle):
+    """Instances in one placeholder partition share one reduced dataset and
+    different partitions get different ones; each is the space a fresh
+    consolidation of the instance builds, and answers every search and plan
+    as that space does."""
+    full = load_dataset(data_dir / bundle)
+    programs = (full.decision, full.causal)
+    default_space = consolidate_dataset(full)
+    by_partition = {_partition(full, full.config.instance_defaults): default_space}
+    raws = []
+    for space in (full, default_space):
+        positive = [s for s in enumerate_states(space.config) if space.decision_positive(s)]
+        raws += [expand_placeholders(space.config, s)
+                 for s in positive[:: max(1, len(positive) // 24)]]
+    for raw in raws:
+        reduced = consolidate_dataset(full, raw)
+        key = _partition(full, raw)
+        assert by_partition.setdefault(key, reduced) is reduced
+        assert reduced.config.instance_defaults == full.config.instance_defaults
+        fresh_config = consolidate_placeholders(replace(full.config, instance_defaults=raw),
+                                                programs)
+        fresh = build_dataset(fresh_config, *programs)
+        assert [(f.domain, dict(f.merged)) for f in reduced.config.features] == [
+            (f.domain, dict(f.merged)) for f in fresh.config.features]
+        assert _answers(reduced, raw) == _answers(fresh, raw)
+    reduced_ids = {id(ds) for ds in by_partition.values()}
+    assert len(reduced_ids) == len(by_partition) == len(full.consolidated)
+    if full.unmentioned:  # the bundles with categorical features meet both cases
+        assert 1 < len(by_partition) < len(raws)
+
+
+def test_consolidate_dataset_still_validates_the_instance(data_dir):
+    """The reduced dataset is kept per partition, but every instance is
+    still resolved in it: a missing feature or an unknown value raises."""
+    cars = load_dataset(data_dir / "cars")
+    raw = cars.config.instance_defaults
+    reduced = consolidate_dataset(cars, raw)
+    with pytest.raises(StateValidationError, match="missing feature.*safety"):
+        consolidate_dataset(cars, {k: v for k, v in raw.items() if k != "safety"})
+    with pytest.raises(StateValidationError, match="unknown categorical value 'vvhigh'"):
+        consolidate_dataset(cars, {**raw, "buying": "vvhigh"})
+    assert consolidate_dataset(cars, raw) is reduced
 
 
 # ---------------------------------------------------------------------------

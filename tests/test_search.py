@@ -386,6 +386,34 @@ def test_weights_argument_is_checked(example1, call, bad, message):
         call(example1, example1.default_instance(), weights)
 
 
+def test_adjusted_weights_are_read_only(example2, german, adult):
+    """Each report's weights are the call's weights with ``0.0`` on its
+    causal-free features, ``adjust_weights``' in p2c mode; they are
+    read-only, do not follow the caller's mapping, and the reports that free
+    no feature share one mapping."""
+    shared = freed = 0
+    for ds in (example2, german, adult, consolidate_dataset(german)):
+        start = ds.default_instance()
+        for mode in ("p2c", "all_changes"):
+            for p in (0, 1, 2):
+                weights = ds.config.weights()
+                reports = goal_knearest(ds, start, 20, p=p, mode=mode, weights=weights,
+                                        on_inconsistent="allow")
+                weights[ds.config.features[0].name] = 7.0
+                plain = [r.adjusted_weights for r in reports if not r.causal_free_features]
+                assert all(m is plain[0] for m in plain)
+                shared += len(plain) - 1
+                freed += len(reports) - len(plain)
+                for r in reports:
+                    want = {**ds.config.weights(), **dict.fromkeys(r.causal_free_features, 0.0)}
+                    assert r.adjusted_weights == want and dict(r.adjusted_weights) == want
+                    if mode == "p2c":
+                        assert want == adjust_weights(ds, start, r.target, ds.config.weights())[0]
+                    with pytest.raises(TypeError):
+                        r.adjusted_weights[ds.config.features[0].name] = 0.0
+    assert shared > 100 and freed > 50
+
+
 # ---------------------------------------------------------------------------
 # goal_knearest
 # ---------------------------------------------------------------------------
