@@ -14,7 +14,6 @@ from .domain import (
     DatasetConfig,
     FeatureSpec,
     State,
-    consolidate_placeholders,
     enumerate_states,
     ingest_csv,
     search_space_size,

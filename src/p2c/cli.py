@@ -10,13 +10,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from functools import cache
 
-# consolidate_dataset stays importable from here for the benchmark's tracer
-from .dataset import bundle_dataset, consolidate_dataset, load_dataset  # noqa: F401
-from .dataset import read_config, rule_file
-from .domain import NORM_NAMES, consolidate_placeholders, search_space_size, validate_state
+from .dataset import bundle_dataset, consolidate_dataset, load_dataset, read_config, rule_file
+from .domain import NORM_NAMES, search_space_size, validate_state
 from .errors import (
     AlreadyCounterfactualError,
     CausalProgramError,
@@ -147,9 +144,7 @@ def cmd_validate(args) -> int:
 
 
 def _base_report(args, dataset, raw_instance) -> dict:
-    # only the consolidated space's size is reported, so no Dataset is built for it
-    config = replace(dataset.config, instance_defaults=dict(raw_instance))
-    reduced = consolidate_placeholders(config, (dataset.decision, dataset.causal))
+    reduced = consolidate_dataset(dataset, raw_instance).config
     return {
         "command": args.command,
         "dataset": dataset.config.name,

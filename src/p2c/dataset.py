@@ -27,7 +27,6 @@ from .domain import (
     FeatureSpec,
     State,
     build_numeric_domain,
-    consolidate_placeholders,
     validate_state,
 )
 from .errors import ConfigError, RuleProgramError, RuleSyntaxError, StateValidationError
@@ -100,11 +99,24 @@ class Dataset:
 
 def _number(obj: Mapping, key: str, default: float, where: str) -> float:
     """``float(obj[key])``, or ``default`` when the key is absent; a value
-    that is not a number is a :class:`ConfigError` naming the field."""
-    try:
-        return float(obj.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} field {key!r} is not a number: {obj[key]!r}") from None
+    that is not a number, a bool included, is a :class:`ConfigError` naming
+    the field."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where} field {key!r} is not a number: {value!r}")
+
+
+def _flag(obj: Mapping, key: str, default: bool, where: str) -> bool:
+    """``obj[key]``, or ``default`` when the key is absent; a value that is
+    not a JSON boolean is a :class:`ConfigError` naming the field."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} field {key!r} is not a boolean: {value!r}")
+    return value
 
 
 def _integer(obj: Mapping, key: str, default: int) -> int:
@@ -133,9 +145,9 @@ def _feature_from_json(
         name=name,
         kind=kind,
         weight=_number(obj, "weight", 1.0, where),
-        mutable=bool(obj.get("mutable", True)),
+        mutable=_flag(obj, "mutable", True, where),
         monotone=obj.get("monotone", "none"),
-        directly_actionable=bool(obj.get("directly_actionable", True)),
+        directly_actionable=_flag(obj, "directly_actionable", True, where),
         causal_direction=obj.get("causal_direction", "exact"),
     )
     if kind == CATEGORICAL:
@@ -367,32 +379,47 @@ def read_rules(path: Path) -> str:
 def consolidate_dataset(dataset: Dataset, instance_raw: Mapping | None = None) -> Dataset:
     """Dataset over the placeholder-consolidated space for an instance.
 
+    Per categorical feature, the values neither program mentions
+    (:attr:`Dataset.unmentioned`), but for the instance's, merge into the
+    placeholder ``ph_<feature>`` when two or more do.  Its
+    ``FeatureSpec.merged`` entry lists every raw value merged, through
+    earlier placeholders too, so consolidating again changes nothing.  Every
+    mentioned value stays, so the programs, causal groups, warnings and
+    digest carry over and only the config is replaced.
+
     ``instance_raw`` overrides the config's factual instance; its values
     survive consolidation so it stays representable in the reduced space,
     and it is validated there (:class:`StateValidationError`).
 
     The reduced space depends only on the instance's *placeholder
-    partition*: per categorical feature, the instance's value when neither
-    program mentions it (:attr:`Dataset.unmentioned`), else nothing.  So one
-    reduced dataset is built per partition and kept on ``dataset``
-    (:attr:`Dataset.consolidated`), and its rules compile once for every
-    instance in it.  Its config keeps ``dataset``'s ``instance_defaults``.
+    partition*: per categorical feature, its value when unmentioned, else
+    nothing.  One reduced dataset is built per partition and kept on
+    ``dataset`` (:attr:`Dataset.consolidated`), so its rules compile once
+    for every instance in it.  Its config keeps ``dataset``'s
+    ``instance_defaults``.
     """
-    raw = dataset.config.instance_defaults if instance_raw is None else instance_raw
-    raw = raw or {}
+    raw = (dataset.config.instance_defaults if instance_raw is None else instance_raw) or {}
     key = tuple(
         v if name in raw and (v := str(raw[name])) in free else None
         for name, free in dataset.unmentioned
     )
     reduced = dataset.consolidated.get(key)
     if reduced is None:
-        kept = {name: v for (name, _), v in zip(dataset.unmentioned, key) if v is not None}
-        config = replace(dataset.config, instance_defaults=kept)
-        config = consolidate_placeholders(config, (dataset.decision, dataset.causal))
-        config = replace(config, instance_defaults=dataset.config.instance_defaults)
-        reduced = dataset.consolidated[key] = build_dataset(
-            config, dataset.decision, dataset.causal, root=dataset.root, digest=dataset.digest
-        )
+        config = dataset.config
+        features = list(config.features)
+        for (name, free), kept in zip(dataset.unmentioned, key):
+            i = config.feature_index(name)
+            spec = features[i]
+            merge = [v for v in spec.domain if v in free and v != kept]
+            if len(merge) < 2:
+                continue
+            placeholder = f"ph_{name}"
+            merged = {v: raws for v, raws in spec.merged.items() if v not in merge}
+            merged[placeholder] = tuple(r for v in merge for r in spec.merged.get(v, (v,)))
+            domain = tuple(v for v in spec.domain if v not in merge) + (placeholder,)
+            features[i] = replace(spec, domain=domain, merged=merged)
+        config = replace(config, features=tuple(features))
+        reduced = dataset.consolidated[key] = replace(dataset, config=config)
     if instance_raw is not None:
         validate_state(reduced.config, instance_raw)
     return reduced

@@ -1,23 +1,25 @@
-"""Feature domains, states, the finite state space, and its reductions.
+"""Feature domains, states and the finite state space.
 
 A state is one total assignment of a domain value to every feature, stored
 positionally (config feature order).  Numeric features get finite domains by
 partitioning their range at every comparison bound the rule programs apply to
 them plus the factual instance's value; each interval keeps one
 representative, so the space stays finite while every rule evaluates exactly
-as it would on raw values.
+as it would on raw values.  A categorical domain may hold placeholders, each
+standing for the raw values it merged (``FeatureSpec.merged``); the reduced
+space that merges them is built by ``dataset.consolidate_dataset``, and raw
+data resolves to it through ``validate_state``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConfigError, StateValidationError
-from .rules import RuleProgram, mentioned_values
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -35,7 +37,8 @@ class FeatureSpec:
     """One feature: its finite domain plus search metadata.
 
     ``merged`` maps a placeholder value to the raw values it absorbed during
-    consolidation, so raw data can still be resolved afterwards.
+    consolidation, so raw data can still be resolved afterwards; a
+    placeholder's own name is not raw data unless it is one of them.
     ``causal_direction`` says how a causal head value for this feature is
     satisfied (credit_score >= 620 is encoded as value 620, at_least).
     """
@@ -229,7 +232,7 @@ def validate_state(config: DatasetConfig, raw: Mapping[str, object]) -> State:
             values.append(snap_numeric(spec, float(v)))
         else:
             sv = str(v)
-            if sv in spec.domain:
+            if sv in spec.domain and sv not in spec.merged:  # a placeholder is not raw data
                 values.append(sv)
                 continue
             for ph, merged in spec.merged.items():
@@ -251,45 +254,6 @@ def enumerate_states(config: DatasetConfig) -> Iterator[State]:
 
 def search_space_size(config: DatasetConfig) -> int:
     return math.prod(len(f.domain) for f in config.features)
-
-
-def consolidate_placeholders(
-    config: DatasetConfig, programs: Sequence[RuleProgram]
-) -> DatasetConfig:
-    """Merge rule-independent categorical values into per-feature placeholders.
-
-    A value survives if any program mentions it or the factual instance
-    (config.instance_defaults) holds it; at least two values must merge for a
-    placeholder to be introduced, which also makes the operation idempotent.
-    Numeric domains are already threshold-minimal and are left alone.
-    """
-    defaults = config.instance_defaults or {}
-    new_features = []
-    for spec in config.features:
-        if spec.kind != CATEGORICAL:
-            new_features.append(spec)
-            continue
-        mentioned: set[Value] = set()
-        for prog in programs:
-            mentioned |= mentioned_values(prog, spec.name)
-        keep = {v for v in spec.domain if v in mentioned}
-        if spec.name in defaults:
-            keep.add(str(defaults[spec.name]))
-        merge = [v for v in spec.domain if v not in keep]
-        if len(merge) < 2:
-            new_features.append(spec)
-            continue
-        placeholder = f"ph_{spec.name}"
-        raws: list[Value] = []
-        for v in merge:
-            raws.extend(spec.merged.get(v, (v,)))
-        merged = dict(spec.merged)
-        for v in merge:
-            merged.pop(v, None)
-        merged[placeholder] = tuple(raws)
-        domain = tuple(v for v in spec.domain if v in keep) + (placeholder,)
-        new_features.append(replace(spec, domain=domain, merged=merged))
-    return replace(config, features=tuple(new_features))
 
 
 def expand_placeholders(config: DatasetConfig, state: State) -> dict[str, Value]:

@@ -11,8 +11,8 @@ whose cost from the instance is at most s*'s; a costlier goal is a dead end.
 s* is the cheapest goal, so the plan ends at s* or at a goal of equal cost.
 
 Planning, pricing and checking run on one-hot bits: a goal is priced by
-``search.goal_price``, the price the counterfactual search uses too, with
-each changed value's ``lp_term`` taken from the instance's value, and
+``search.goal_price``, the price the counterfactual search uses too, from
+the same ``search.cost_terms`` of the instance, and
 ``path_is_legal`` replays a plan against each causal group's allowed mask.
 A causal repair is kept as the bits it was made on; only the returned plan
 holds ``State``s and the rule text of its causal actions
@@ -21,9 +21,8 @@ holds ``State``s and the rule text of its causal actions
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .dataset import Dataset
 from .domain import DatasetConfig, FeatureSpec, State, Value
@@ -34,7 +33,7 @@ from .errors import (
     SearchExhaustedError,
     StateValidationError,
 )
-from .search import check_norm, check_weights, goal_price, lp_term
+from .search import check_norm, check_weights, cost_terms, goal_price
 
 DIRECT = "direct"
 CAUSAL = "causal"
@@ -174,10 +173,10 @@ def find_path(
     specs = config.features
     masks = compiled.feature_masks
     value = compiled.value
-    term = _lp_terms(dataset, instance, weights, p)
+    terms = cost_terms(config, instance, weights, p)
 
     def cost(bits: int) -> float:
-        return goal_price(compiled, start, bits, term, p, "p2c")[0]
+        return goal_price(compiled, start, bits, terms, p, "p2c")[0]
 
     ceiling = cost(star) + 1e-9
     # how each consistent state was reached: (previous state, feature moved,
@@ -253,23 +252,6 @@ def find_path(
         goal, link = previous, parents[previous]
     steps.append(PathStep(compiled.state(goal), ()))
     return PlanPath(tuple(reversed(steps)))
-
-
-def _lp_terms(
-    dataset: Dataset, instance: State, weights: Mapping[str, float], p: int
-) -> Callable[[int], float]:
-    """``goal_price``'s term source for a plan from ``instance``: the
-    ``lp_term`` from the instance's value of a feature to the value of bit
-    ``pos``, for any value of the domain."""
-    offsets, domains = dataset.compiled.offsets, dataset.compiled.domains
-    specs = dataset.config.features
-
-    def term(pos: int) -> float:
-        fi = bisect.bisect_right(offsets, pos) - 1
-        spec, j = specs[fi], pos - offsets[fi]
-        return lp_term(spec, weights[spec.name], instance.values[fi], domains[fi][j], p)
-
-    return term
 
 
 def naive_find_path(dataset: Dataset, instance: State, s_star: State) -> PlanPath:

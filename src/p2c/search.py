@@ -14,16 +14,17 @@ feature over its domain indices, bounded by the sum of each feature's
 cheapest allowed term.  What depends only on the rules and the config (the
 walk of non-head features, the rank's place weights, each decision body's
 cut box) is compiled once, on ``masks.CompiledRules``; a call builds only
-what the instance, the weights and p decide: per feature a plausible
-mask, a cost row of each plausible value's term by domain index, and a cost
-order that gives a mask's cheapest value.  Expanding a box derives the
+what the instance, the weights and p decide: the ``lp_term`` from the
+instance's value to every value, by bit (``cost_terms``, whose slice per
+feature is its cost row), and per feature a plausible mask and a cost order
+that gives a mask's cheapest value.  Expanding a box derives the
 causal heads of its cheapest vector from their groups, the way
 goal-directed evaluation derives a head from its body, in the
 compile-time head order of ``masks.CompiledRules``, so on an acyclic
 causal program every completion is causally consistent and is tested
 against the decision rules only; on a causal cycle it takes the full goal
 test.  A goal is priced where it is found, by ``goal_price``, the one
-price on bits that the planner shares: it sums the cost rows' terms of the
+price on bits that the planner shares: it sums the ``cost_terms`` of the
 changed values, bit for bit as ``compute_weighted_lp`` prices the goal, so
 ties in cost are exact and go by rank.  The box then loses a cut that holds
 no goal, and the rest is split by Lawler's partitioning (Management
@@ -46,7 +47,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .dataset import Dataset
 from .domain import NORMS, NUMERIC, DatasetConfig, FeatureSpec, State, Value
@@ -134,19 +135,33 @@ def compute_weighted_lp(
     return math.sqrt(total) if p == 2 else total
 
 
+def cost_terms(
+    config: DatasetConfig, instance: State, weights: Mapping[str, float], p: int
+) -> list[float]:
+    """The ``lp_term`` from the instance's value of each feature to every
+    value of its domain, indexed by bit: feature i's value with domain index
+    j is at ``CompiledRules.offsets[i] + j``."""
+    terms: list[float] = []
+    for spec, cur in zip(config.features, instance.values):
+        w = weights[spec.name]
+        terms += (lp_term(spec, w, cur, v, p) for v in spec.domain)
+    return terms
+
+
 def goal_price(
-    compiled: CompiledRules, start: int, bits: int, term: Callable[[int], float], p: int, mode: str
+    compiled: CompiledRules, start: int, bits: int, terms: Sequence[float], p: int, mode: str
 ) -> tuple[float, list[int]]:
     """The cost from ``start`` of the goal ``bits`` (both one-hot bits of
-    ``compiled``), and the indices of the features it leaves free.
+    ``compiled``), and the indices of the features it leaves free; ``terms``
+    is :func:`cost_terms` from the start.
 
     In ``p2c`` mode a changed head whose group fires on ``bits`` is free: the
     change is compelled and, the goal being consistent, satisfied.  Each
-    other changed value's ``term(bit)``, the ``lp_term`` from the start's
-    value, is summed in bit order (feature order) from ``0.0``, then the
-    square root for p = 2: bit for bit ``compute_weighted_lp`` under ``p2c``
-    mode's weights (their reference is in ``tests/oracles.py``) or the plain
-    ones, since every term it adds beyond these is an exact ``0.0``.
+    other changed value's term, ``terms[bit]``, is summed in bit order
+    (feature order) from ``0.0``, then the square root for p = 2: bit for
+    bit ``compute_weighted_lp`` under ``p2c`` mode's weights (their
+    reference is in ``tests/oracles.py``) or the plain ones, since every
+    term it adds beyond these is an exact ``0.0``.
     """
     changed = bits & ~start
     freed = []
@@ -159,7 +174,7 @@ def goal_price(
     total = 0.0
     while changed:
         low = changed & -changed
-        total += term(low.bit_length() - 1)
+        total += terms[low.bit_length() - 1]
         changed ^= low
     return (math.sqrt(total) if p == 2 else total), freed
 
@@ -214,18 +229,6 @@ def _plausible(spec: FeatureSpec, ci: int, head: bool) -> range:
     return range(len(spec.domain))
 
 
-def _cost_row(spec: FeatureSpec, w: float, ci: int, span: range, p: int) -> list[float]:
-    """``lp_term`` from the value with domain index ``ci`` to each value in
-    ``span``, by domain index; ``0.0`` at the indices outside it, which no
-    search reads."""
-    domain = spec.domain
-    cur = domain[ci]
-    row = [0.0] * len(domain)
-    for j in span:
-        row[j] = lp_term(spec, w, cur, domain[j], p)
-    return row
-
-
 def _stream_candidates(
     dataset: Dataset,
     instance: State,
@@ -241,8 +244,8 @@ def _stream_candidates(
     of ``CompiledRules.walk``.  A box gives each such feature one mask over
     its domain indices (bit j for index j).  Per call, each feature gets only
     what the instance, the weights and p decide: its plausible mask, its
-    cost row (the ``lp_term`` to each plausible value, by domain index), and
-    its cost order (the plausible indices by term, then index).  A mask's
+    cost row (its slice of :func:`cost_terms`: the ``lp_term`` to each
+    value, by domain index), and its cost order (the plausible indices by term, then index).  A mask's
     cheapest value is the first its cost order allows; a box's bound is the
     sum of those values' terms, in feature order, so it never exceeds the
     cost of a goal in the box.  Expanding a box takes its cheapest vector
@@ -258,8 +261,8 @@ def _stream_candidates(
     it is goal-tested against the decision rules only
     (``CompiledRules.escapes``); on a cyclic one it takes the full
     ``CompiledRules.is_goal``.  A goal is priced by ``goal_price`` on its
-    completed bits, with each changed value's term read from the cost rows
-    (a goal lies in the plausible box, so only their spans are read); in
+    completed bits, with each changed value's term read from
+    :func:`cost_terms`; in
     ``p2c`` mode the changed heads whose groups fire there are free, and
     they are the report's causal-free features.  The k best goals by
     (cost, rank) are held; ``rank`` is the candidate's domain indices read
@@ -294,10 +297,11 @@ def _stream_candidates(
     domains, offsets, place, walk = compiled.domains, compiled.offsets, compiled.place, compiled.walk
     heads = dataset.causal_head_features
     index = tuple(map(tuple.index, domains, instance.values))
+    terms = cost_terms(dataset.config, instance, weights, p)
     rows, plausible, orders = [], [], []
-    for spec, ci in zip(dataset.config.features, index):
+    for spec, ci, off, domain in zip(dataset.config.features, index, offsets, domains):
         span = _plausible(spec, ci, spec.name in heads)
-        row = _cost_row(spec, weights[spec.name], ci, span, p)
+        row = terms[off : off + len(domain)]
         rows.append(row)
         plausible.append((1 << span.stop) - (1 << span.start))
         orders.append(sorted(span, key=row.__getitem__))
@@ -312,7 +316,6 @@ def _stream_candidates(
     ]
     head_floor = sum(place[g.fi] * min(orders[g.fi]) for g, _ in compiled.head_order)
     start = compiled.bits(instance)
-    term = [t for row in rows for t in row].__getitem__  # by bit: each row's domain indices
     undesired = compiled.undesired
     root = math.sqrt if p == 2 else float
     at = list.__getitem__
@@ -390,7 +393,7 @@ def _stream_candidates(
             if not goal_test(bits):
                 continue
             goal = True
-            cost, freed = goal_price(compiled, start, bits, term, p, mode)
+            cost, freed = goal_price(compiled, start, bits, terms, p, mode)
             if len(found) < k or (cost, r) < found[-1][:2]:
                 bisect.insort(found, (cost, r, bits, freed))
                 del found[k:]

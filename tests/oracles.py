@@ -7,17 +7,19 @@ causal closure or the planner cannot hide itself.  The rule interpreter
 (:func:`rule_fires`, :func:`program_decides`) walks every literal on a
 name->value dict; ``p2c`` itself evaluates rules only on compiled masks.
 The State-level references built on it (the :class:`Entailment` record,
-:func:`interpreted_repair_values`, :func:`adjust_weights`) and the
-dimension-trimmed :func:`knearest_trimmed` live only here.
+:func:`interpreted_repair_values`, :func:`adjust_weights`), the
+dimension-trimmed :func:`knearest_trimmed` and the config-level
+:func:`consolidate_placeholders` live only here.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
-from p2c.domain import State, Value, enumerate_states
+from p2c.domain import CATEGORICAL, DatasetConfig, State, Value, enumerate_states
 from p2c.errors import (
     CausalProgramError,
     EvaluationError,
@@ -35,6 +37,8 @@ from p2c.rules import (
     NEG_FEATURE_TEST,
     NUMERIC_BINDING,
     _TOKEN_RE,
+    RuleProgram,
+    mentioned_values,
     unparse_rule,
 )
 from p2c.search import compute_weighted_lp, lp_term
@@ -378,6 +382,46 @@ def knearest_trimmed(config, q, k, p, weights=None):
         key=lambda t: (t[0], t[1]),
     )
     return [(s, d) for d, _, s in scored[:k]]
+
+
+def consolidate_placeholders(
+    config: DatasetConfig, programs: Sequence[RuleProgram]
+) -> DatasetConfig:
+    """Merge rule-independent categorical values into per-feature placeholders.
+
+    A value survives if any program mentions it or the factual instance
+    (config.instance_defaults) holds it; at least two values must merge for a
+    placeholder to be introduced, which also makes the operation idempotent.
+    Numeric domains are already threshold-minimal and are left alone.
+    The reference for the reduced space of ``dataset.consolidate_dataset``.
+    """
+    defaults = config.instance_defaults or {}
+    new_features = []
+    for spec in config.features:
+        if spec.kind != CATEGORICAL:
+            new_features.append(spec)
+            continue
+        mentioned: set[Value] = set()
+        for prog in programs:
+            mentioned |= mentioned_values(prog, spec.name)
+        keep = {v for v in spec.domain if v in mentioned}
+        if spec.name in defaults:
+            keep.add(str(defaults[spec.name]))
+        merge = [v for v in spec.domain if v not in keep]
+        if len(merge) < 2:
+            new_features.append(spec)
+            continue
+        placeholder = f"ph_{spec.name}"
+        raws: list[Value] = []
+        for v in merge:
+            raws.extend(spec.merged.get(v, (v,)))
+        merged = dict(spec.merged)
+        for v in merge:
+            merged.pop(v, None)
+        merged[placeholder] = tuple(raws)
+        domain = tuple(v for v in spec.domain if v in keep) + (placeholder,)
+        new_features.append(replace(spec, domain=domain, merged=merged))
+    return replace(config, features=tuple(new_features))
 
 
 def replay_transition(dataset, before: State, actions, after: State) -> list[str]:

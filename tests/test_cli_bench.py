@@ -9,8 +9,8 @@ import pytest
 from conftest import make_dataset
 from p2c.bench import SAMPLE_CAP, bench_dataset, run_benchmark, sample_decision_positive
 from p2c.cli import main
-from p2c.dataset import consolidate_dataset
-from p2c.domain import search_space_size
+from p2c.dataset import consolidate_dataset, load_dataset
+from p2c.domain import enumerate_states, search_space_size
 from p2c.errors import SpaceTooLargeError
 
 
@@ -167,6 +167,14 @@ def _reshape(config, change):
         config["features"][3]["step"] = float("inf")
     elif change == "default_not_a_feature":
         config["instance_defaults"]["bank_balanse"] = 90000
+    elif change == "mutable_string":
+        config["features"][0]["mutable"] = "false"
+    elif change == "actionable_string":
+        config["features"][0]["directly_actionable"] = "no"
+    elif change == "mutable_number":
+        config["features"][0]["mutable"] = 0
+    elif change == "weight_bool":
+        config["features"][0]["weight"] = True
     return config
 
 
@@ -187,6 +195,10 @@ def _reshape(config, change):
     ("range_infinite", "feature 'bank_balance': numeric_range must be finite, got 0.0, inf"),
     ("step_infinite", "feature 'bank_balance': step must be finite, got inf"),
     ("default_not_a_feature", "instance_defaults names 'bank_balanse', which is not a feature"),
+    ("mutable_string", "feature 'age' field 'mutable' is not a boolean: 'false'"),
+    ("actionable_string", "feature 'age' field 'directly_actionable' is not a boolean: 'no'"),
+    ("mutable_number", "feature 'age' field 'mutable' is not a boolean: 0"),
+    ("weight_bool", "feature 'age' field 'weight' is not a number: True"),
 ])
 def test_config_of_the_wrong_shape_is_an_error_line(capsys, bundle_copy, change, named):
     path = bundle_copy / "config.json"
@@ -224,6 +236,29 @@ def test_mincf_example1_report(capsys, data_dir):
     assert report["search_space"]["full"] == 48
     assert report["search_space"]["consolidated"] <= 48
     assert report["timing_ms"]["mincf"] >= 0
+
+
+@pytest.mark.parametrize("bundle", ["example1", "example2", "cars", "german", "adult"])
+def test_reported_consolidated_size_is_the_instance_space(capsys, data_dir, bundle):
+    """The report's consolidated size is that of the space
+    ``consolidate_dataset`` builds for the instance searched: the configured
+    one, and an ``--instance`` start, the last decision-positive consistent
+    state of the full space."""
+    full = load_dataset(data_dir / bundle)
+    start = next(s for s in reversed(list(enumerate_states(full.config)))
+                 if full.decision_positive(s) and full.consistent(s))
+    given = {name: str(v) for name, v in full.config.state_dict(start).items()}
+    pairs = ",".join(f"{name}={v}" for name, v in given.items())
+    for raw, flags in ((full.config.instance_defaults, ()), (given, ("--instance", pairs))):
+        code, out, _ = run_cli(capsys, "mincf", "--config", str(data_dir / bundle),
+                               "--output", "json", *flags)
+        assert code == 0
+        report = json.loads(out)
+        assert report["instance"] == raw
+        assert report["search_space"] == {
+            "full": search_space_size(full.config),
+            "consolidated": search_space_size(consolidate_dataset(full, raw).config),
+        }
 
 
 def test_mincf_cost_mode_comparison(capsys, data_dir):

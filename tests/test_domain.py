@@ -9,11 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_dataset
+from oracles import consolidate_placeholders
 from p2c.dataset import build_dataset, consolidate_dataset, load_dataset
 from p2c.domain import (
     FeatureSpec,
     build_numeric_domain,
-    consolidate_placeholders,
     enumerate_states,
     expand_placeholders,
     ingest_csv,
@@ -139,7 +139,7 @@ def test_consolidate_marital_example():
         "label(X,'bad') :- not marital_status(X,'married').",
         instance_defaults={"marital_status": "married"},
     )
-    out = consolidate_placeholders(ds.config, (ds.decision, ds.causal))
+    out = consolidate_dataset(ds).config
     spec = out.feature("marital_status")
     assert spec.domain == ("married", "ph_marital_status")
     assert spec.merged["ph_marital_status"] == ("unmarried", "separated")
@@ -151,14 +151,15 @@ def test_consolidate_fully_mentioned_unchanged():
         {"f": ("a", "b")},
         "label(X,'bad') :- f(X,'a').\nab1(X,'True') :- f(X,'b').",
     )
-    out = consolidate_placeholders(ds.config, (ds.decision, ds.causal))
+    out = consolidate_dataset(ds).config
     assert out.feature("f").domain == ("a", "b")
 
 
 def test_consolidate_idempotent(german):
-    once = consolidate_placeholders(german.config, (german.decision, german.causal))
-    twice = consolidate_placeholders(once, (german.decision, german.causal))
-    assert once == twice
+    once = consolidate_dataset(german)
+    twice = consolidate_dataset(once)
+    assert once.config == twice.config
+    assert any(f.merged for f in once.config.features)
 
 
 def test_consolidate_german_smaller_and_cost_preserved(german):
@@ -257,9 +258,11 @@ def test_consolidate_dataset_keeps_one_dataset_per_partition(data_dir, bundle):
         assert reduced.config.instance_defaults == full.config.instance_defaults
         fresh_config = consolidate_placeholders(replace(full.config, instance_defaults=raw),
                                                 programs)
-        fresh = build_dataset(fresh_config, *programs)
+        fresh = build_dataset(fresh_config, *programs, root=full.root, digest=full.digest)
         assert [(f.domain, dict(f.merged)) for f in reduced.config.features] == [
             (f.domain, dict(f.merged)) for f in fresh.config.features]
+        assert (reduced.groups, reduced.warnings, reduced.digest) == (
+            fresh.groups, fresh.warnings, fresh.digest)
         assert _answers(reduced, raw) == _answers(fresh, raw)
     reduced_ids = {id(ds) for ds in by_partition.values()}
     assert len(reduced_ids) == len(by_partition) == len(full.consolidated)
@@ -269,7 +272,8 @@ def test_consolidate_dataset_keeps_one_dataset_per_partition(data_dir, bundle):
 
 def test_consolidate_dataset_still_validates_the_instance(data_dir):
     """The reduced dataset is kept per partition, but every instance is
-    still resolved in it: a missing feature or an unknown value raises."""
+    still resolved in it: a missing feature, an unknown value or a
+    placeholder's name raises."""
     cars = load_dataset(data_dir / "cars")
     raw = cars.config.instance_defaults
     reduced = consolidate_dataset(cars, raw)
@@ -277,6 +281,10 @@ def test_consolidate_dataset_still_validates_the_instance(data_dir):
         consolidate_dataset(cars, {k: v for k, v in raw.items() if k != "safety"})
     with pytest.raises(StateValidationError, match="unknown categorical value 'vvhigh'"):
         consolidate_dataset(cars, {**raw, "buying": "vvhigh"})
+    assert "ph_maint" in reduced.config.feature("maint").domain
+    for space in (cars, reduced):
+        with pytest.raises(StateValidationError, match="unknown categorical value 'ph_maint'"):
+            consolidate_dataset(space, {**raw, "maint": "ph_maint"})
     assert consolidate_dataset(cars, raw) is reduced
 
 

@@ -27,16 +27,17 @@ InconsistentInitialStateError LabeledDataset NoCounterfactualError P2CError Plan
 PredictorError RuleBackedModel RuleFileLearner RuleProgram RuleProgramError RuleSyntaxError
 SearchExhaustedError SpaceTooLargeError State StateValidationError TableModel
 agreement build_causal_groups build_dataset canonicalize compute_weighted_lp
-consistency consolidate_dataset consolidate_placeholders dataset domain enumerate_states
+consistency consolidate_dataset dataset domain enumerate_states
 errors extract_logic find_path goal_knearest ingest_csv label_dataset
 load_dataset mentioned_values min_cf naive_find_path parse_rule_program path_is_legal planner
 rules search search_space_size surrogate unparse_program validate_state
 """.split()
 
-# State-level references that only tests used; they live in tests/oracles.py
-# (apply_action's checks are path_is_legal's), and the package must not
-# export them again.
-REMOVED_NAMES = ("Entailment", "adjust_weights", "apply_action", "knearest_trimmed")
+# References that only tests used; they live in tests/oracles.py
+# (apply_action's checks are path_is_legal's, and consolidate_dataset alone
+# builds the reduced space), and the package must not export them again.
+REMOVED_NAMES = ("Entailment", "adjust_weights", "apply_action", "consolidate_placeholders",
+                 "knearest_trimmed")
 
 
 def _run(code: str, *args: str) -> str:

@@ -27,13 +27,12 @@ from p2c.planner import (
     Action,
     PathStep,
     PlanPath,
-    _lp_terms,
     direct_action_problem,
     find_path,
     naive_find_path,
     path_is_legal,
 )
-from p2c.search import compute_weighted_lp, goal_price, min_cf
+from p2c.search import compute_weighted_lp, cost_terms, goal_price, min_cf
 
 
 def state_of(dataset, **raw):
@@ -335,7 +334,7 @@ def plan_to_s_star_cost(ds, start, p):
     assert abs(cost - best.cost) <= 1e-9
     compiled = ds.compiled
     priced, _ = goal_price(compiled, compiled.bits(start), compiled.bits(path.end),
-                           _lp_terms(ds, start, weights, p), p, "p2c")
+                           cost_terms(ds.config, start, weights, p), p, "p2c")
     assert repr(priced) == repr(cost)
     assert_legal_as_reference(ds, path)
     assert_legal_as_reference(ds, naive_find_path(ds, start, best.target))

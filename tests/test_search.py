@@ -35,12 +35,12 @@ from p2c.errors import (
     NoCounterfactualError,
 )
 from p2c.masks import CompiledRules
-from p2c.planner import _lp_terms, find_path
+from p2c.planner import find_path
 from p2c.search import (
     CostReport,
-    _cost_row,
     _plausible,
     compute_weighted_lp,
+    cost_terms,
     goal_knearest,
     goal_price,
     min_cf,
@@ -632,9 +632,9 @@ def test_goal_price_is_compute_weighted_lp_bit_for_bit():
     and a space whose sums depend on their order, for p = 0, 1, 2: under
     the reference's p2c weights in ``p2c`` mode, where the freed features
     are the reference's, and under the plain weights in ``all_changes``
-    mode.  The planner's term source prices every
-    state; the search's cost rows, which hold only the plausible spans,
-    price the states inside the plausible box."""
+    mode; each under the config's weights and under skewed ones.  One
+    ``cost_terms`` list, the search's and the planner's, prices every
+    state, those outside the plausible box too."""
     cases = [made for made in map(random_dataset, range(60)) if made is not None]
     cyclic = cyclic_dataset()
     cases += [(cyclic, s) for s in enumerate_states(cyclic.config) if cyclic.decision_positive(s)]
@@ -645,29 +645,28 @@ def test_goal_price_is_compute_weighted_lp_bit_for_bit():
                                "label(X,'bad') :- f(X,'a')."), State(("a", "a", "a"))))
     priced = outside = 0
     for ds, start in cases:
-        config, compiled, weights = ds.config, ds.compiled, ds.config.weights()
+        config, compiled = ds.config, ds.compiled
         index = [spec.index_of(v) for spec, v in zip(config.features, start.values)]
         spans = [_plausible(spec, ci, spec.name in ds.causal_head_features)
                  for spec, ci in zip(config.features, index)]
-        sources = {p: (_lp_terms(ds, start, weights, p), [
-            t for spec, ci, span in zip(config.features, index, spans)
-            for t in _cost_row(spec, weights[spec.name], ci, span, p)
-        ].__getitem__) for p in (0, 1, 2)}
+        skewed = {f.name: f.weight * (1 + 0.1 * i) for i, f in enumerate(config.features)}
+        sources = [(weights, [cost_terms(config, start, weights, p) for p in (0, 1, 2)])
+                   for weights in (config.weights(), skewed)]
         start_bits = compiled.bits(start)
         for state in enumerate_states(config):
             if not ds.consistent(state):
                 continue
             bits = compiled.bits(state)
-            adjusted, free = adjust_weights(ds, start, state, weights)
             inside = all(spec.index_of(v) in span
                          for spec, v, span in zip(config.features, state.values, spans))
             outside += not inside
-            for p, (planner_terms, search_terms) in sources.items():
-                for mode, w, want_free in (("p2c", adjusted, free),
-                                           ("all_changes", weights, frozenset())):
-                    want = repr(compute_weighted_lp(config, start, state, w, p))
-                    for term in (planner_terms, search_terms) if inside else (planner_terms,):
-                        cost, freed = goal_price(compiled, start_bits, bits, term, p, mode)
+            for weights, terms_by_p in sources:
+                adjusted, free = adjust_weights(ds, start, state, weights)
+                modes = (("p2c", adjusted, free), ("all_changes", weights, frozenset()))
+                for p, terms in enumerate(terms_by_p):
+                    for mode, w, want_free in modes:
+                        want = repr(compute_weighted_lp(config, start, state, w, p))
+                        cost, freed = goal_price(compiled, start_bits, bits, terms, p, mode)
                         assert repr(cost) == want, (config.name, start, state, p, mode)
                         assert {config.features[i].name for i in freed} == want_free
                         priced += 1
