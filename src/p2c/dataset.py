@@ -14,6 +14,7 @@ to read its size or norm never compiles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -97,17 +98,27 @@ class Dataset:
         return compiled.is_goal(compiled.bits(state))
 
 
+def _json_float(value) -> float | None:
+    """``value`` as a float when it is a JSON number (an int or a float, not
+    a bool), else None; an int too large for a float is infinite, which
+    ``FeatureSpec`` refuses as it refuses any infinite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _number(obj: Mapping, key: str, default: float, where: str) -> float:
     """``float(obj[key])``, or ``default`` when the key is absent; a value
-    that is not a number, a bool included, is a :class:`ConfigError` naming
-    the field."""
+    that is not a JSON number (a bool or a numeric string included) is a
+    :class:`ConfigError` naming the field."""
     value = obj.get(key, default)
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{where} field {key!r} is not a number: {value!r}")
+    number = _json_float(value)
+    if number is None:
+        raise ConfigError(f"{where} field {key!r} is not a number: {value!r}")
+    return number
 
 
 def _flag(obj: Mapping, key: str, default: bool, where: str) -> bool:
@@ -156,10 +167,14 @@ def _feature_from_json(
             raise ConfigError(f"categorical feature {name!r} needs a domain list")
         return FeatureSpec(domain=tuple(str(v) for v in domain), **common)
     if kind == NUMERIC:
-        try:
-            lo, hi = map(float, obj.get("numeric_range"))
-        except (TypeError, ValueError):
-            raise ConfigError(f"numeric feature {name!r} needs numeric_range [lo, hi]") from None
+        bounds = obj.get("numeric_range")
+        pair = isinstance(bounds, list) and len(bounds) == 2
+        lo, hi = map(_json_float, bounds) if pair else (None, None)
+        if lo is None or hi is None:
+            raise ConfigError(
+                f"numeric feature {name!r} needs numeric_range [lo, hi] of two numbers, "
+                f"got {bounds!r}"
+            )
         step = _number(obj, "step", 1.0, where)
         mentions: set[float] = set()
         for prog in programs:

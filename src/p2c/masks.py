@@ -27,13 +27,14 @@ one pass repairs every violated group, because each group reads only heads
 repaired before it.
 
 For the counterfactual search, compiling also fixes its *walk*, the
-features no causal rule sets (:attr:`CompiledRules.walk`), and the place
-weights that read a state's domain indices as one mixed-radix rank in
-feature order (:attr:`CompiledRules.place`).  Each decision body gets its
-cut box over the walk (:attr:`CompiledRules.decision_boxes`): per walk
-feature, a mask of the domain indices its literals allow, and whether the
-feature decides through ``ab`` calls or derived heads whether the body
-fires, so a search cutting that box away must hold it at the vector's value.
+features no causal rule sets (:attr:`CompiledRules.walk`), and each bit's
+part of the rank that reads a state's domain indices as one mixed-radix
+number in feature order (:attr:`CompiledRules.rank_parts`): a state's rank
+is the sum of its bits' parts.  Each decision body gets its cut box over the
+walk (:attr:`CompiledRules.decision_boxes`), two masks in a state's bit
+layout: the walk values its literals allow, and the whole masks of the walk
+features that decide through ``ab`` calls or derived heads whether the body
+fires, which a search cutting that box away holds at the vector's values.
 
 The package imports this module on a dataset's first query, not at import.
 """
@@ -281,17 +282,17 @@ def _head_order(groups, feature_masks) -> tuple[tuple[_CompiledGroup, bool], ...
     return tuple(out)
 
 
-def _decision_boxes(
-    decision, head_order, walk, offsets, feature_masks
-) -> tuple[tuple[tuple[int, ...], tuple[bool, ...]], ...]:
-    """Per decision body, ``(allowed, held)`` over the ``walk`` features:
-    the domain indices its literals allow (bit j for index j), and whether
-    the feature decides, beyond those literals, whether the body fires on a
-    derived state.  These are the features read through an ``ab`` call and
-    those that the heads it reads are derived from, transitively in head
-    order.  A head of an undecidable group takes every value whatever the
-    other features hold, so it is derived from none."""
+def _decision_boxes(decision, head_order, walk, feature_masks) -> tuple[tuple[int, int], ...]:
+    """Per decision body, ``(allowed, held)``: two masks over the ``walk``
+    features' bits, in a state's layout.  ``allowed`` holds the values its
+    literals allow; ``held`` is the whole mask of each feature that decides,
+    beyond those literals, whether the body fires on a derived state.  These
+    are the features read through an ``ab`` call and those that the heads it
+    reads are derived from, transitively in head order.  A head of an
+    undecidable group takes every value whatever the other features hold, so
+    it is derived from none."""
     head_bits = reduce(operator.or_, (feature_masks[g.fi] for g, _ in head_order), 0)
+    walk_bits = reduce(operator.or_, (feature_masks[i] for i in walk), 0)
     derived_from: dict[int, int] = {}  # head feature -> bits of the features it is derived from
 
     def through_heads(reads: int) -> int:
@@ -307,11 +308,8 @@ def _decision_boxes(
         calls = () if body.__class__ is int else body[1] + body[2]
         fixed = reduce(operator.or_, (_support(call) for call in calls), 0) & ~head_bits
         fixed |= through_heads(_support((body,)))
-        forbidden = _forbidden_of(body)
-        out.append((
-            tuple((feature_masks[i] & ~forbidden) >> offsets[i] for i in walk),
-            tuple(bool(feature_masks[i] & fixed) for i in walk),
-        ))
+        held = (feature_masks[i] for i in walk if feature_masks[i] & fixed)
+        out.append((walk_bits & ~_forbidden_of(body), reduce(operator.or_, held, 0)))
     return tuple(out)
 
 
@@ -319,15 +317,17 @@ class CompiledRules:
     """A config's causal groups and its decision program as bit masks.
 
     Feature ``i``'s value with domain index ``j`` is bit ``offsets[i] + j``,
-    and ``values`` holds each bit's value; :meth:`bits` encodes a state and
-    :meth:`state` decodes one.  Every test below takes such bits.
+    ``values`` holds each bit's value and ``rank_parts`` its part of the
+    state's lexicographic rank, ``j`` times the product of the later
+    features' domain sizes; :meth:`bits` encodes a state and :meth:`state`
+    decodes one.  Every test below takes such bits.
     :meth:`is_goal` is :meth:`consistent` and :meth:`escapes`; a search that
     derives each head from its group on an acyclic program needs only the
     latter.
     """
 
     __slots__ = ("config", "offsets", "domains", "values", "feature_masks", "groups",
-                 "head_order", "cyclic", "walk", "place", "decision", "undesired",
+                 "head_order", "cyclic", "walk", "rank_parts", "decision", "undesired",
                  "decision_boxes")
 
     def __init__(
@@ -374,13 +374,13 @@ class CompiledRules:
         place = [1] * len(offsets)
         for i in range(len(offsets) - 2, -1, -1):
             place[i] = place[i + 1] * len(self.domains[i + 1])
-        self.place = tuple(place)
+        self.rank_parts = tuple(pl * j for pl, domain in zip(place, self.domains)
+                                for j in range(len(domain)))
         dc = _ProgramCompiler(config, self.offsets, decision)
         self.decision = tuple(dc.body(r) for r in decision.rules)
         self.undesired = decision.describes_undesired
-        self.decision_boxes = _decision_boxes(
-            self.decision, self.head_order, self.walk, self.offsets, feature_masks
-        )
+        self.decision_boxes = _decision_boxes(self.decision, self.head_order, self.walk,
+                                              feature_masks)
 
     def bits(self, state: State) -> int:
         if len(state.values) != len(self.domains):

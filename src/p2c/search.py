@@ -9,15 +9,16 @@ goal_knearest searches the plausibility-restricted space in nondecreasing
 order of a lower bound on cost, holds the k best goals by (cost,
 lexicographic rank), and stops at the first part of the space that cannot
 beat the k-th of them; min_cf is its ``k = 1`` case.  The search is
-best-first over boxes of the features no causal rule sets: one mask per
-feature over its domain indices, bounded by the sum of each feature's
-cheapest allowed term.  What depends only on the rules and the config (the
-walk of non-head features, the rank's place weights, each decision body's
-cut box) is compiled once, on ``masks.CompiledRules``; a call builds only
-what the instance, the weights and p decide: the ``lp_term`` from the
-instance's value to every value, by bit (``cost_terms``, whose slice per
-feature is its cost row), and per feature a plausible mask and a cost order
-that gives a mask's cheapest value.  Expanding a box derives the
+best-first over boxes of the features no causal rule sets (the walk).  A
+box is one int in a state's bit layout, the values it allows of each walk
+feature, and its cheapest vector, one bit per walk feature, bounds it by
+the sum of that vector's terms.  What depends only on the rules and the
+config (the walk, each bit's part of the rank, each decision body's cut
+box) is compiled once, on ``masks.CompiledRules``; a call builds only what
+the instance, the weights and p decide: the ``lp_term`` from the
+instance's value to every value, by bit (``cost_terms``), and per feature
+its plausible bits and a cost order, its bits by term, that gives a box's
+cheapest value.  Expanding a box derives the
 causal heads of its cheapest vector from their groups, the way
 goal-directed evaluation derives a head from its body, in the
 compile-time head order of ``masks.CompiledRules``, so on an acyclic
@@ -33,7 +34,7 @@ body fires on every completion, the cut is that body's whole box: escaping
 the rule means moving at least one feature it tests out of its box, the
 constructive reading s(CASP) gives ``not label(X, ...)``.  Otherwise the
 cut is the vector alone, which is a plain best-first walk over vectors.
-Candidates stay index vectors and one-hot bits while searched; only the k
+Boxes, cuts and candidates stay one-hot bits while searched; only the k
 goals returned become a ``State`` and a ``CostReport``.
 """
 
@@ -41,11 +42,8 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -69,19 +67,14 @@ MODES = ("p2c", "all_changes")
 # ---------------------------------------------------------------------------
 
 
-def feature_distance(spec: FeatureSpec, a: Value, b: Value) -> float:
-    """Mismatch indicator for categoricals; range-normalised |a-b| for numerics."""
-    if spec.kind == NUMERIC:
-        width = spec.range_width()
-        if width <= 0:
-            return 0.0 if a == b else 1.0
-        return abs(float(a) - float(b)) / width  # type: ignore[arg-type]
-    return 0.0 if a == b else 1.0
-
-
 def lp_term(spec: FeatureSpec, w: float, a: Value, b: Value, p: int) -> float:
-    """One feature's share of the weighted Lp sum (before the square root for L2)."""
-    d = feature_distance(spec, a, b)
+    """One feature's share of the weighted Lp sum (before the square root for
+    L2), on the distance from ``a`` to ``b``: a mismatch indicator for
+    categoricals, range-normalised |a-b| for numerics."""
+    if spec.kind != NUMERIC or (width := spec.range_width()) <= 0:
+        d = 0.0 if a == b else 1.0
+    else:
+        d = abs(float(a) - float(b)) / width  # type: ignore[arg-type]
     if p == 0:
         return 1.0 if w > 0 and d > 0 else 0.0
     if p == 1:
@@ -241,15 +234,17 @@ def _stream_candidates(
     indices of the causal-free features)``.
 
     The search is best-first over boxes of the non-head features, the walk
-    of ``CompiledRules.walk``.  A box gives each such feature one mask over
-    its domain indices (bit j for index j).  Per call, each feature gets only
-    what the instance, the weights and p decide: its plausible mask, its
-    cost row (its slice of :func:`cost_terms`: the ``lp_term`` to each
-    value, by domain index), and its cost order (the plausible indices by term, then index).  A mask's
-    cheapest value is the first its cost order allows; a box's bound is the
-    sum of those values' terms, in feature order, so it never exceeds the
-    cost of a goal in the box.  Expanding a box takes its cheapest vector
-    and completes the causal heads group by group, in
+    of ``CompiledRules.walk``.  A box is one int in a state's bit layout:
+    bit ``offsets[i] + j`` is set when it allows walk feature i's value with
+    domain index j.  Per call, each feature gets only what the instance, the
+    weights and p decide: its plausible bits, and its cost order (those bits
+    by :func:`cost_terms`, the ``lp_term`` to each value, then by position).
+    A box's cheapest vector takes, per walk feature, the first bit of its
+    cost order that the box allows; the box's bound is the sum of those
+    bits' terms in bit order (walk order) from ``0.0``, so it never exceeds
+    the cost of a goal in the box.  A heap entry is ``(bound, rank, vector,
+    box)``, the vector's bits beside the box's.  Expanding a box takes its
+    cheapest vector and completes the causal heads group by group, in
     ``CompiledRules.head_order``: each head takes only the plausible values
     its group allows given the features already assigned (those of the
     fired alternative's head, or no head value when none fires), so the
@@ -262,105 +257,118 @@ def _stream_candidates(
     (``CompiledRules.escapes``); on a cyclic one it takes the full
     ``CompiledRules.is_goal``.  A goal is priced by ``goal_price`` on its
     completed bits, with each changed value's term read from
-    :func:`cost_terms`; in
-    ``p2c`` mode the changed heads whose groups fire there are free, and
-    they are the report's causal-free features.  The k best goals by
-    (cost, rank) are held; ``rank`` is the candidate's domain indices read
-    as one mixed-radix number (``CompiledRules.place``), which orders states
-    exactly as ``DatasetConfig.lex_key`` does.  Only they become a
-    ``State``.
+    :func:`cost_terms`; in ``p2c`` mode the changed heads whose groups fire
+    there are free, and they are the report's causal-free features.  The k
+    best goals by (cost, rank) are held; ``rank`` is the sum of
+    ``CompiledRules.rank_parts`` over the candidate's bits, its domain
+    indices read as one mixed-radix number, which orders states exactly as
+    ``DatasetConfig.lex_key`` does.  Only they become a ``State``.
 
     Then the box loses a *cut* that holds no goal.  When no completion is a
     goal and one rejecting decision body fires on all of them, the cut is
-    that body's box (``CompiledRules.decision_boxes``): its literals
-    restrict the features they test, and the features it reads through an
-    ``ab`` call or through a head's derivation keep the vector's values, so
-    the body fires on every completion of every vector in the cut.
-    Otherwise the cut is the vector alone.  The rest of the box is pushed as
-    Lawler's partition: child i keeps the cut's values on the features
-    before i and the box minus the cut on feature i.  When the decision
-    rules name the favourable label, every goal lies in some body's box
-    (restricted by its literals), so the search starts from disjoint pieces
-    of those boxes instead of the whole space.  Boxes are disjoint, so each
-    goal is found once and no seen-set is kept.
+    that body's box (``CompiledRules.decision_boxes``), ``box & allowed &
+    ~held | vector & held``: its literals restrict the features they test,
+    and the features it reads through an ``ab`` call or through a head's
+    derivation keep the vector's values, so the body fires on every
+    completion of every vector in the cut.  Otherwise the cut is the vector
+    alone.  The rest of the box is pushed as Lawler's partition: child i is
+    ``cut & below_i | box & ~cut & mask_i | box & above_i``, the cut's
+    values on the walk features before i, the box minus the cut on feature
+    i, and the box's values after i.  Its vector differs from the parent's
+    on feature i alone, where it takes the first bit of the cost order that
+    the child allows, so its rank moves by the two bits' rank parts.  When
+    the decision rules name the favourable label, every goal lies in some
+    body's box (restricted by its literals), so the search starts from
+    disjoint pieces of those boxes instead of the whole space.  Boxes are
+    disjoint, so each goal is found once and no seen-set is kept.
 
     Once k goals are held, the search stops at the first box whose bound
     (its square root for p = 2, since distinct sums can share one root) is
     above the k-th cost.  A box whose bound equals it is expanded only if
-    the lowest rank a vector in it can have, from the lowest allowed domain
-    index of each feature, is at most the k-th rank: a sum can absorb a
-    larger term, so a goal may tie the bound without being the box's
-    cheapest vector.
+    the lowest rank a vector in it can have, from the lowest allowed bit of
+    each feature, is at most the k-th rank: a sum can absorb a larger term,
+    so a goal may tie the bound without being the box's cheapest vector.
     """
     compiled = dataset.compiled
     goal_test = compiled.is_goal if compiled.cyclic else compiled.escapes
-    domains, offsets, place, walk = compiled.domains, compiled.offsets, compiled.place, compiled.walk
+    offsets, masks, parts = compiled.offsets, compiled.feature_masks, compiled.rank_parts
     heads = dataset.causal_head_features
-    index = tuple(map(tuple.index, domains, instance.values))
+    index = map(tuple.index, compiled.domains, instance.values)
     terms = cost_terms(dataset.config, instance, weights, p)
-    rows, plausible, orders = [], [], []
-    for spec, ci, off, domain in zip(dataset.config.features, index, offsets, domains):
+    # per feature: its plausible bits, and its cost order (bit positions by term, then position)
+    plausible, orders = 0, []
+    for spec, ci, off in zip(dataset.config.features, index, offsets):
         span = _plausible(spec, ci, spec.name in heads)
-        row = terms[off : off + len(domain)]
-        rows.append(row)
-        plausible.append((1 << span.stop) - (1 << span.start))
-        orders.append(sorted(span, key=row.__getitem__))
-    costs = [rows[i] for i in walk]
-    walk_orders = [orders[i] for i in walk]
-    walk_place = [place[i] for i in walk]
-    walk_offsets = [offsets[i] for i in walk]
+        plausible |= (1 << span.stop) - (1 << span.start) << off
+        orders.append(sorted(range(off + span.start, off + span.stop), key=terms.__getitem__))
+    # per walk feature: its mask, the bits below and above it, its cost order as bits
+    steps = []
+    for i in compiled.walk:
+        low = 1 << offsets[i]
+        steps.append((masks[i], low - 1, -low & ~masks[i], [1 << b for b in orders[i]]))
+    walk_masks = [m for m, _, _, _ in steps]
     # per group, in head order: (bit, rank part) of each plausible head value
     derive = [
-        (g, decidable, tuple((1 << (offsets[g.fi] + j), place[g.fi] * j) for j in orders[g.fi]))
+        (g, decidable, tuple((1 << b, parts[b]) for b in orders[g.fi]))
         for g, decidable in compiled.head_order
     ]
-    head_floor = sum(place[g.fi] * min(orders[g.fi]) for g, _ in compiled.head_order)
+    head_floor = sum(parts[min(orders[g.fi])] for g, _ in compiled.head_order)
     start = compiled.bits(instance)
     undesired = compiled.undesired
     root = math.sqrt if p == 2 else float
-    at = list.__getitem__
-    add = operator.add
-    ones = itertools.repeat(1)
+    heappush = heapq.heappush
 
-    def cheapest(costed: list[int], m: int) -> int:
-        """The first domain index in a cost order that mask ``m`` (never
-        empty) allows."""
-        for j in costed:
-            if m >> j & 1:
-                return j
+    def cheapest(order: list[int], m: int) -> int:
+        """The first bit of a cost order that ``m`` allows (it allows one)."""
+        for bit in order:
+            if m & bit:
+                return bit
 
-    def lowest_rank(box: tuple[int, ...]) -> int:
-        return head_floor + sum(pl * ((m & -m).bit_length() - 1) for pl, m in zip(walk_place, box))
+    def price(vec: int) -> float:
+        """The sum of the terms of ``vec`` (one bit per walk feature) in bit
+        order, from ``0.0``."""
+        total = 0.0
+        for m in walk_masks:
+            total += terms[(vec & m).bit_length() - 1]
+        return total
 
-    def lawler(box: tuple[int, ...], cut: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """Lawler's partition of ``box`` minus ``cut`` (a sub-box of it), as
-        disjoint ``(i, child)``: child i holds the cut's values on the
-        features before i and the rest of the box on feature i."""
-        return [(i, cut[:i] + (m & ~c,) + box[i + 1 :])
-                for i, (m, c) in enumerate(zip(box, cut)) if m & ~c]
+    def full(box: int) -> bool:
+        return all(box & m for m in walk_masks)
 
-    # (bound, rank of the cheapest vector, cheapest idx_vec, box); ranks are distinct
+    def low_rank(box: int) -> int:
+        """The sum of the rank parts of the lowest bit ``box`` allows of each
+        walk feature: the rank of a vector's bits."""
+        lows = (box & m & -(box & m) for m in walk_masks)
+        return sum(parts[low.bit_length() - 1] for low in lows)
+
+    def lawler(box: int, cut: int) -> list[int]:
+        """Lawler's partition of ``box`` minus ``cut`` (a sub-box of it) into
+        disjoint boxes: child i holds the cut's values on the walk features
+        before i, the box minus the cut on i, and the box's values after i."""
+        rest = box & ~cut
+        return [cut & below | rest & m | box & above for m, below, above, _ in steps if rest & m]
+
+    # (bound, rank of the cheapest vector, its bits, box); ranks are distinct
     heap: list = []
 
-    def push(box: tuple[int, ...]) -> None:
-        idx_vec = tuple(map(cheapest, walk_orders, box))
-        heapq.heappush(heap, (
-            reduce(add, map(at, costs, idx_vec), 0.0), sum(map(operator.mul, walk_place, idx_vec)),
-            idx_vec, box,
-        ))
+    def push(box: int) -> None:
+        vec = 0
+        for _, _, _, order in steps:
+            vec |= cheapest(order, box)
+        heappush(heap, (price(vec), low_rank(vec), vec, box))
 
-    def minus(box: tuple[int, ...], other: tuple[int, ...]) -> list[tuple[int, ...]]:
-        meet = tuple(map(operator.and_, box, other))
-        return [child for _, child in lawler(box, meet)] if all(meet) else [box]
+    def minus(box: int, other: int) -> list[int]:
+        meet = box & other
+        return lawler(box, meet) if full(meet) else [box]
 
-    space = tuple(plausible[i] for i in walk)
+    space = plausible & sum(walk_masks)
     if undesired:
         push(space)
     else:
-        pieces: list[tuple[int, ...]] = []
+        pieces: list[int] = []
         for allowed, _ in compiled.decision_boxes:
-            box = tuple(map(operator.and_, space, allowed))
-            fresh = [box] if all(box) else []
+            box = space & allowed
+            fresh = [box] if full(box) else []
             for old in pieces:
                 fresh = [piece for part in fresh for piece in minus(part, old)]
             pieces += fresh
@@ -369,17 +377,16 @@ def _stream_candidates(
     # the k best goals: (cost, rank, bits, freed feature indices)
     found: list[tuple] = []
     while heap:
-        bound, rank, idx_vec, box = heapq.heappop(heap)
+        bound, rank, vec, box = heapq.heappop(heap)
         if len(found) == k:
             edge = root(bound)
             if edge > found[-1][0]:
                 break
             # the cheapest vector is in the box, so its rank bounds the lowest one
             last = found[-1][1]
-            if edge == found[-1][0] and rank > last and lowest_rank(box) > last:
+            if edge == found[-1][0] and rank > last and head_floor + low_rank(box) > last:
                 continue
-        bits = sum(map(operator.lshift, ones, map(add, walk_offsets, idx_vec)))
-        partial = [(bits, rank)]
+        partial = [(vec, rank)]
         for g, decidable, options in derive:
             grown = []
             for bits, r in partial:
@@ -402,18 +409,21 @@ def _stream_candidates(
             body = compiled.common_body([bits for bits, _ in partial])
         if body >= 0:
             allowed, held = compiled.decision_boxes[body]
-            cut = tuple(
-                1 << j if hold else m & a for j, m, a, hold in zip(idx_vec, box, allowed, held)
-            )
+            cut = box & allowed & ~held | vec & held
         else:
-            cut = tuple(1 << j for j in idx_vec)
-        for i, child in lawler(box, cut):
-            j = cheapest(walk_orders[i], child[i])
-            nxt = idx_vec[:i] + (j,) + idx_vec[i + 1 :]
-            heapq.heappush(heap, (
-                reduce(add, map(at, costs, nxt), 0.0),
-                rank + walk_place[i] * (j - idx_vec[i]), nxt, child,
-            ))
+            cut = vec
+        # lawler(box, cut), each child pushed with its vector: vec on every feature but i
+        rest = box & ~cut
+        for m, below, above, order in steps:
+            part = rest & m
+            if part:
+                old, new = vec & m, cheapest(order, part)
+                nxt = vec ^ old | new
+                heappush(heap, (
+                    price(nxt),
+                    rank - parts[old.bit_length() - 1] + parts[new.bit_length() - 1], nxt,
+                    cut & below | part | box & above,
+                ))
     return [(cost, compiled.state(bits), freed) for cost, _, bits, freed in found]
 
 

@@ -175,6 +175,20 @@ def _reshape(config, change):
         config["features"][0]["mutable"] = 0
     elif change == "weight_bool":
         config["features"][0]["weight"] = True
+    elif change == "weight_string":
+        config["features"][0]["weight"] = "2"
+    elif change == "step_string":
+        config["features"][0]["step"] = "1"
+    elif change == "range_bool":
+        config["features"][0]["numeric_range"] = [True, 99]
+    elif change == "range_strings":
+        config["features"][0]["numeric_range"] = ["1", "99"]
+    elif change == "range_text":
+        config["features"][0]["numeric_range"] = "19"
+    elif change == "weight_huge":  # no float holds it
+        config["features"][0]["weight"] = 10**400
+    elif change == "range_huge":
+        config["features"][0]["numeric_range"] = [1, 10**400]
     return config
 
 
@@ -199,6 +213,13 @@ def _reshape(config, change):
     ("actionable_string", "feature 'age' field 'directly_actionable' is not a boolean: 'no'"),
     ("mutable_number", "feature 'age' field 'mutable' is not a boolean: 0"),
     ("weight_bool", "feature 'age' field 'weight' is not a number: True"),
+    ("weight_string", "feature 'age' field 'weight' is not a number: '2'"),
+    ("step_string", "feature 'age' field 'step' is not a number: '1'"),
+    ("range_bool", "feature 'age' needs numeric_range [lo, hi] of two numbers, got [True, 99]"),
+    ("range_strings", "feature 'age' needs numeric_range [lo, hi] of two numbers, got ['1', '99']"),
+    ("range_text", "feature 'age' needs numeric_range [lo, hi] of two numbers, got '19'"),
+    ("weight_huge", "feature 'age': weight must be finite, got inf"),
+    ("range_huge", "feature 'age': numeric_range must be finite, got 1.0, inf"),
 ])
 def test_config_of_the_wrong_shape_is_an_error_line(capsys, bundle_copy, change, named):
     path = bundle_copy / "config.json"

@@ -10,6 +10,9 @@ the causal repairs of violated groups and the causal closure, on every state
 of every bundle and of many random rule programs.  Compiling rejects a
 program exactly when the interpreter finds a state on which two alternatives
 of one causal head fire, with the error text the interpreter gives there.
+The search's compiled tables hold too: ``rank_parts`` sums to a state's
+position in ``enumerate_states``, and each decision body's cut box holds
+every state on which the interpreter fires the body.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from oracles import (
     interpreted_entailments,
     interpreted_is_goal,
     interpreted_repair_values,
+    rule_fires,
 )
 from p2c.dataset import consolidate_dataset, load_dataset
 from p2c.domain import State, enumerate_states, validate_state
@@ -335,3 +339,53 @@ def test_head_order_follows_exception_calls_and_flags_cycles():
     assert head_order(ds) == [
         ("h", True), ("g", True), ("n", False), ("k", False), ("m", True),
     ]
+
+
+def test_rank_parts_sum_to_the_position_in_enumerate_states():
+    """``CompiledRules.rank_parts`` summed over a state's bits is the state's
+    position in ``enumerate_states``: the rank the search breaks ties by."""
+    spaces = [cyclic_dataset()] + [made[0] for made in map(random_dataset, range(50)) if made]
+    spaces += [consolidate_dataset(load_dataset(DATA / bundle)) for bundle in BUNDLES]
+    ranked = 0
+    for ds in spaces:
+        compiled = ds.compiled
+        parts = compiled.rank_parts
+        assert len(parts) == len(compiled.values)
+        for position, state in enumerate(enumerate_states(ds.config)):
+            bits = compiled.bits(state)
+            assert sum(parts[b] for b in range(bits.bit_length()) if bits >> b & 1) == position
+            ranked += 1
+    assert ranked > 10000
+
+
+def test_decision_boxes_hold_every_state_the_body_fires_on():
+    """Each decision body's ``(allowed, held)`` lies inside the walk
+    features' bits, ``held`` is a union of whole feature masks, and on every
+    state where the interpreter fires the body, the state's walk bits lie
+    inside ``allowed``: on the consolidated bundles and the
+    ``rich_dataset(0..299)`` programs that compile."""
+    spaces = [consolidate_dataset(load_dataset(DATA / bundle)) for bundle in BUNDLES]
+    for seed in range(300):
+        ds = rich_dataset(seed)
+        try:
+            ds.compiled
+        except CausalProgramError:
+            continue
+        spaces.append(ds)
+    assert len(spaces) == 5 + 231
+    fired = 0
+    for ds in spaces:
+        compiled = ds.compiled
+        walk_bits = sum(compiled.feature_masks[i] for i in compiled.walk)
+        assert len(compiled.decision_boxes) == len(ds.decision.rules)
+        for allowed, held in compiled.decision_boxes:
+            assert allowed & ~walk_bits == 0 and held & ~walk_bits == 0
+            assert all(held & m in (0, m) for m in compiled.feature_masks)
+        for state in enumerate_states(ds.config):
+            values = ds.config.state_dict(state)
+            walk_state = compiled.bits(state) & walk_bits
+            for rule, (allowed, _) in zip(ds.decision.rules, compiled.decision_boxes):
+                if rule_fires(rule, values, ds.decision):
+                    assert walk_state & ~allowed == 0, (ds.config.name, state.values)
+                    fired += 1
+    assert fired > 5000
