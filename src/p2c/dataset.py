@@ -187,12 +187,17 @@ def _feature_from_json(
                         f"constant {v!r}"
                     )
         if name in defaults:
-            try:
-                mentions.add(float(defaults[name]))
-            except (TypeError, ValueError):
+            value = _json_float(defaults[name])
+            if value is None:
                 raise ConfigError(
-                    f"instance default for numeric feature {name!r} is not numeric"
-                ) from None
+                    f"instance default for numeric feature {name!r} is not a number: "
+                    f"{defaults[name]!r}"
+                )
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"instance default for numeric feature {name!r} must be finite, got {value}"
+                )
+            mentions.add(value)
         domain = build_numeric_domain(lo, hi, step, mentions)
         return FeatureSpec(domain=domain, numeric_range=(lo, hi), step=step, **common)
     raise ConfigError(f"feature {name!r}: unknown kind {kind!r}")

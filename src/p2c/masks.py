@@ -35,6 +35,12 @@ walk (:attr:`CompiledRules.decision_boxes`), two masks in a state's bit
 layout: the walk values its literals allow, and the whole masks of the walk
 features that decide through ``ab`` calls or derived heads whether the body
 fires, which a search cutting that box away holds at the vector's values.
+The walk's geometry (:attr:`CompiledRules.walk_steps`: per walk feature its
+mask and the bits below and above it) is fixed with it, and on first use a
+favourable-label program gets :attr:`CompiledRules.seed_pieces`, the bodies'
+boxes as disjoint boxes over the whole walk.  ``CompiledRules.cost_rows``
+keeps the search's per-feature cost rows (``search.cost_rows``), built on
+first use per value, weight and norm; it holds no answer.
 
 The package imports this module on a dataset's first query, not at import.
 """
@@ -313,6 +319,32 @@ def _decision_boxes(decision, head_order, walk, feature_masks) -> tuple[tuple[in
     return tuple(out)
 
 
+def _seed_pieces(boxes, steps) -> tuple[int, ...]:
+    """The union of the ``allowed`` boxes of ``boxes`` as disjoint boxes:
+    each box minus the pieces before it, by Lawler's partition (child i
+    holds the meet's values on the walk features before i, the box minus the
+    meet on i, and the box's values after i).  ``steps`` is
+    :attr:`CompiledRules.walk_steps`."""
+
+    def full(box: int) -> bool:
+        return all(box & m for m, _, _ in steps)
+
+    def minus(box: int, other: int) -> list[int]:
+        meet = box & other
+        if not full(meet):
+            return [box]
+        rest = box & ~meet
+        return [meet & below | rest & m | box & above for m, below, above in steps if rest & m]
+
+    pieces: list[int] = []
+    for allowed, _ in boxes:
+        fresh = [allowed] if full(allowed) else []
+        for old in pieces:
+            fresh = [piece for part in fresh for piece in minus(part, old)]
+        pieces += fresh
+    return tuple(pieces)
+
+
 class CompiledRules:
     """A config's causal groups and its decision program as bit masks.
 
@@ -323,12 +355,14 @@ class CompiledRules:
     decodes one.  Every test below takes such bits.
     :meth:`is_goal` is :meth:`consistent` and :meth:`escapes`; a search that
     derives each head from its group on an acyclic program needs only the
-    latter.
+    latter.  ``cost_rows`` is filled by ``search.cost_rows``, one row per
+    (bit of a start's value, weight, p): at most one per bit, distinct
+    weight and norm.
     """
 
     __slots__ = ("config", "offsets", "domains", "values", "feature_masks", "groups",
-                 "head_order", "cyclic", "walk", "rank_parts", "decision", "undesired",
-                 "decision_boxes")
+                 "head_order", "cyclic", "walk", "walk_steps", "rank_parts", "decision",
+                 "undesired", "decision_boxes", "_seed_pieces", "cost_rows")
 
     def __init__(
         self,
@@ -371,6 +405,10 @@ class CompiledRules:
         self.cyclic = not all(decidable for _, decidable in self.head_order)
         heads = {g.fi for g in self.groups}
         self.walk = tuple(i for i in range(len(offsets)) if i not in heads)
+        self.walk_steps = tuple(
+            (feature_masks[i], (1 << offsets[i]) - 1, -(1 << offsets[i]) & ~feature_masks[i])
+            for i in self.walk
+        )
         place = [1] * len(offsets)
         for i in range(len(offsets) - 2, -1, -1):
             place[i] = place[i + 1] * len(self.domains[i + 1])
@@ -381,6 +419,17 @@ class CompiledRules:
         self.undesired = decision.describes_undesired
         self.decision_boxes = _decision_boxes(self.decision, self.head_order, self.walk,
                                               feature_masks)
+        self._seed_pieces: tuple[int, ...] | None = None
+        self.cost_rows: dict = {}
+
+    @property
+    def seed_pieces(self) -> tuple[int, ...]:
+        """Disjoint boxes over the whole walk, in a state's bit layout, whose
+        union is the union of the decision bodies' ``allowed`` boxes: where a
+        favourable-label program's goals lie.  Built on first use."""
+        if self._seed_pieces is None:
+            self._seed_pieces = _seed_pieces(self.decision_boxes, self.walk_steps)
+        return self._seed_pieces
 
     def bits(self, state: State) -> int:
         if len(state.values) != len(self.domains):

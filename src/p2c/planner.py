@@ -12,7 +12,9 @@ s* is the cheapest goal, so the plan ends at s* or at a goal of equal cost.
 
 Planning, pricing and checking run on one-hot bits: a goal is priced by
 ``search.goal_price``, the price the counterfactual search uses too, from
-the same ``search.cost_terms`` of the instance, and
+``search.cost_terms`` of the instance, the terms of the same cost rows the
+search reads (built once per value, weight and p on the compiled program,
+so a plan after a search on the same instance prices nothing anew), and
 ``path_is_legal`` replays a plan against each causal group's allowed mask.
 A causal repair is kept as the bits it was made on; only the returned plan
 holds ``State``s and the rule text of its causal actions
@@ -173,7 +175,7 @@ def find_path(
     specs = config.features
     masks = compiled.feature_masks
     value = compiled.value
-    terms = cost_terms(config, instance, weights, p)
+    terms = cost_terms(compiled, start, weights, p)
 
     def cost(bits: int) -> float:
         return goal_price(compiled, start, bits, terms, p, "p2c")[0]

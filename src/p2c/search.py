@@ -13,12 +13,17 @@ best-first over boxes of the features no causal rule sets (the walk).  A
 box is one int in a state's bit layout, the values it allows of each walk
 feature, and its cheapest vector, one bit per walk feature, bounds it by
 the sum of that vector's terms.  What depends only on the rules and the
-config (the walk, each bit's part of the rank, each decision body's cut
-box) is compiled once, on ``masks.CompiledRules``; a call builds only what
-the instance, the weights and p decide: the ``lp_term`` from the
-instance's value to every value, by bit (``cost_terms``), and per feature
-its plausible bits and a cost order, its bits by term, that gives a box's
-cheapest value.  Expanding a box derives the
+config (the walk and its geometry, each bit's part of the rank, each
+decision body's cut box, the disjoint pieces of the bodies' boxes) is
+compiled once, on ``masks.CompiledRules``.  What a feature's value in the
+instance, its weight and p decide is one :class:`CostRow` per such key,
+built on first use and kept there too (:func:`cost_rows`): the
+``lp_term`` to every value, the plausible bits, a cost order (the bits by
+term) that gives a box's cheapest value, and a head's options.  A call
+looks its rows up by the start's bits; it still builds the flat list of
+terms by bit (``cost_terms``), the walk steps with their orders, and the
+favourable-label pieces cut to its plausible box.  No answer is kept
+between calls.  Expanding a box derives the
 causal heads of its cheapest vector from their groups, the way
 goal-directed evaluation derives a head from its body, in the
 compile-time head order of ``masks.CompiledRules``, so on an acyclic
@@ -90,12 +95,15 @@ def check_norm(p) -> None:
 
 def check_weights(config: DatasetConfig, weights: Mapping[str, float]) -> None:
     """Raise ``ValueError`` naming the feature unless ``weights`` gives each
-    of the config's features, and nothing else, a finite weight >= 0."""
+    of the config's features, and nothing else, a finite number >= 0 that
+    is not a bool."""
     for spec in config.features:
         if spec.name not in weights:
             raise ValueError(f"weights give no weight to feature {spec.name!r}")
         w = weights[spec.name]
-        if not (isinstance(w, (int, float)) and math.isfinite(w) and w >= 0):
+        if isinstance(w, bool) or not (
+            isinstance(w, (int, float)) and math.isfinite(w) and w >= 0
+        ):
             raise ValueError(f"weight of feature {spec.name!r} must be finite and >= 0, got {w!r}")
     if len(weights) != len(config.features):
         extra = next(name for name in weights if not config.has_feature(name))
@@ -128,17 +136,79 @@ def compute_weighted_lp(
     return math.sqrt(total) if p == 2 else total
 
 
+class CostRow:
+    """What a search reads of one feature, given its value in the instance,
+    its weight and p; built once per such key (:func:`cost_rows`).
+
+    ``terms`` is the ``lp_term`` to each value, by domain index;
+    ``plausible`` the bits of the values a counterfactual may give the
+    feature; ``order`` those bits by term, then by position; ``options``,
+    for a causal head, the ``(bit, rank part)`` of each, in that order
+    (empty for a walk feature); ``floor`` the rank part of the lowest
+    plausible bit.
+    """
+
+    __slots__ = ("terms", "plausible", "order", "options", "floor")
+
+    def __init__(self, terms: tuple[float, ...], plausible: int, order: tuple[int, ...],
+                 options: tuple[tuple[int, int], ...], floor: int):
+        self.terms = terms
+        self.plausible = plausible
+        self.order = order
+        self.options = options
+        self.floor = floor
+
+
+def _cost_row(compiled: CompiledRules, fi: int, bit: int, w: float, p: int) -> CostRow:
+    """The row of feature ``fi``'s value at bit position ``bit`` under
+    weight ``w`` and norm ``p``."""
+    spec, off, parts = compiled.config.features[fi], compiled.offsets[fi], compiled.rank_parts
+    cur = spec.domain[bit - off]
+    terms = tuple([lp_term(spec, w, cur, v, p) for v in spec.domain])
+    head = fi not in compiled.walk
+    span = _plausible(spec, bit - off, head)
+    order = [off + j for j in sorted(span, key=terms.__getitem__)]
+    bits = tuple([1 << b for b in order])
+    return CostRow(
+        terms=terms,
+        plausible=(1 << span.stop) - (1 << span.start) << off,
+        order=bits,
+        options=tuple(zip(bits, [parts[b] for b in order])) if head else (),
+        floor=parts[off + span.start],
+    )
+
+
+def cost_rows(
+    compiled: CompiledRules, start: int, weights: Mapping[str, float], p: int
+) -> list[CostRow]:
+    """Per feature, the :class:`CostRow` of its value in ``start`` (one-hot
+    bits), under its weight in ``weights`` and norm ``p``.
+
+    Rows are kept on ``compiled`` (``CompiledRules.cost_rows``), keyed by the
+    value's bit position, the weight and p, so equal weights share a row
+    (``1`` and ``1.0`` too) and a call under other weights builds its own.
+    A row holds no answer: it depends only on the compiled program and its
+    key, so a dataset keeps at most one per bit, distinct weight and norm.
+    """
+    rows = compiled.cost_rows
+    out = []
+    for fi, (spec, m) in enumerate(zip(compiled.config.features, compiled.feature_masks)):
+        key = ((start & m).bit_length() - 1, weights[spec.name], p)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _cost_row(compiled, fi, *key)
+        out.append(row)
+    return out
+
+
 def cost_terms(
-    config: DatasetConfig, instance: State, weights: Mapping[str, float], p: int
+    compiled: CompiledRules, start: int, weights: Mapping[str, float], p: int
 ) -> list[float]:
-    """The ``lp_term`` from the instance's value of each feature to every
-    value of its domain, indexed by bit: feature i's value with domain index
-    j is at ``CompiledRules.offsets[i] + j``."""
-    terms: list[float] = []
-    for spec, cur in zip(config.features, instance.values):
-        w = weights[spec.name]
-        terms += (lp_term(spec, w, cur, v, p) for v in spec.domain)
-    return terms
+    """The ``lp_term`` from the value of each feature in ``start`` (one-hot
+    bits) to every value of its domain, indexed by bit: feature i's value
+    with domain index j is at ``CompiledRules.offsets[i] + j``.  The rows'
+    terms of :func:`cost_rows`, concatenated."""
+    return [t for row in cost_rows(compiled, start, weights, p) for t in row.terms]
 
 
 def goal_price(
@@ -223,8 +293,8 @@ def _plausible(spec: FeatureSpec, ci: int, head: bool) -> range:
 
 
 def _stream_candidates(
-    dataset: Dataset,
-    instance: State,
+    compiled: CompiledRules,
+    start: int,
     weights: Mapping[str, float],
     p: int,
     mode: str,
@@ -236,10 +306,13 @@ def _stream_candidates(
     The search is best-first over boxes of the non-head features, the walk
     of ``CompiledRules.walk``.  A box is one int in a state's bit layout:
     bit ``offsets[i] + j`` is set when it allows walk feature i's value with
-    domain index j.  Per call, each feature gets only what the instance, the
-    weights and p decide: its plausible bits, and its cost order (those bits
-    by :func:`cost_terms`, the ``lp_term`` to each value, then by position).
-    A box's cheapest vector takes, per walk feature, the first bit of its
+    domain index j.  A call looks up, per feature, the :class:`CostRow` of
+    the start's value under its weight and p (:func:`cost_rows`): its
+    plausible bits, and its cost order (those bits by the ``lp_term`` to
+    each value, then by position).  It builds only lists over those rows:
+    the terms by bit, each walk feature's step (``CompiledRules.walk_steps``
+    and the row's order) and each group's head options.  A box's cheapest
+    vector takes, per walk feature, the first bit of its
     cost order that the box allows; the box's bound is the sum of those
     bits' terms in bit order (walk order) from ``0.0``, so it never exceeds
     the cost of a goal in the box.  A heap entry is ``(bound, rank, vector,
@@ -279,8 +352,10 @@ def _stream_candidates(
     the child allows, so its rank moves by the two bits' rank parts.  When
     the decision rules name the favourable label, every goal lies in some
     body's box (restricted by its literals), so the search starts from
-    disjoint pieces of those boxes instead of the whole space.  Boxes are
-    disjoint, so each goal is found once and no seen-set is kept.
+    ``CompiledRules.seed_pieces``, disjoint boxes over the whole walk that
+    cover those boxes, each cut to the plausible box (a box meets a box in
+    a box) and dropped when empty.  Boxes are disjoint, so each goal is
+    found once and no seen-set is kept.
 
     Once k goals are held, the search stops at the first box whose bound
     (its square root for p = 2, since distinct sums can share one root) is
@@ -289,36 +364,21 @@ def _stream_candidates(
     each feature, is at most the k-th rank: a sum can absorb a larger term,
     so a goal may tie the bound without being the box's cheapest vector.
     """
-    compiled = dataset.compiled
     goal_test = compiled.is_goal if compiled.cyclic else compiled.escapes
-    offsets, masks, parts = compiled.offsets, compiled.feature_masks, compiled.rank_parts
-    heads = dataset.causal_head_features
-    index = map(tuple.index, compiled.domains, instance.values)
-    terms = cost_terms(dataset.config, instance, weights, p)
-    # per feature: its plausible bits, and its cost order (bit positions by term, then position)
-    plausible, orders = 0, []
-    for spec, ci, off in zip(dataset.config.features, index, offsets):
-        span = _plausible(spec, ci, spec.name in heads)
-        plausible |= (1 << span.stop) - (1 << span.start) << off
-        orders.append(sorted(range(off + span.start, off + span.stop), key=terms.__getitem__))
-    # per walk feature: its mask, the bits below and above it, its cost order as bits
-    steps = []
-    for i in compiled.walk:
-        low = 1 << offsets[i]
-        steps.append((masks[i], low - 1, -low & ~masks[i], [1 << b for b in orders[i]]))
+    parts = compiled.rank_parts
+    rows = cost_rows(compiled, start, weights, p)
+    terms = [t for row in rows for t in row.terms]
+    # per walk feature: its mask, the bits below and above it, its cost order
+    steps = [step + (rows[i].order,) for step, i in zip(compiled.walk_steps, compiled.walk)]
     walk_masks = [m for m, _, _, _ in steps]
     # per group, in head order: (bit, rank part) of each plausible head value
-    derive = [
-        (g, decidable, tuple((1 << b, parts[b]) for b in orders[g.fi]))
-        for g, decidable in compiled.head_order
-    ]
-    head_floor = sum(parts[min(orders[g.fi])] for g, _ in compiled.head_order)
-    start = compiled.bits(instance)
+    derive = [(g, decidable, rows[g.fi].options) for g, decidable in compiled.head_order]
+    head_floor = sum(rows[g.fi].floor for g, _ in compiled.head_order)
     undesired = compiled.undesired
     root = math.sqrt if p == 2 else float
     heappush = heapq.heappush
 
-    def cheapest(order: list[int], m: int) -> int:
+    def cheapest(order: Sequence[int], m: int) -> int:
         """The first bit of a cost order that ``m`` allows (it allows one)."""
         for bit in order:
             if m & bit:
@@ -341,13 +401,6 @@ def _stream_candidates(
         lows = (box & m & -(box & m) for m in walk_masks)
         return sum(parts[low.bit_length() - 1] for low in lows)
 
-    def lawler(box: int, cut: int) -> list[int]:
-        """Lawler's partition of ``box`` minus ``cut`` (a sub-box of it) into
-        disjoint boxes: child i holds the cut's values on the walk features
-        before i, the box minus the cut on i, and the box's values after i."""
-        rest = box & ~cut
-        return [cut & below | rest & m | box & above for m, below, above, _ in steps if rest & m]
-
     # (bound, rank of the cheapest vector, its bits, box); ranks are distinct
     heap: list = []
 
@@ -357,23 +410,14 @@ def _stream_candidates(
             vec |= cheapest(order, box)
         heappush(heap, (price(vec), low_rank(vec), vec, box))
 
-    def minus(box: int, other: int) -> list[int]:
-        meet = box & other
-        return lawler(box, meet) if full(meet) else [box]
-
-    space = plausible & sum(walk_masks)
+    space = sum(row.plausible for row in rows) & sum(walk_masks)
     if undesired:
         push(space)
     else:
-        pieces: list[int] = []
-        for allowed, _ in compiled.decision_boxes:
-            box = space & allowed
-            fresh = [box] if full(box) else []
-            for old in pieces:
-                fresh = [piece for part in fresh for piece in minus(part, old)]
-            pieces += fresh
-        for box in pieces:
-            push(box)
+        # a piece meets the plausible box in a box, so the pieces left stay disjoint
+        for piece in compiled.seed_pieces:
+            if full(box := piece & space):
+                push(box)
     # the k best goals: (cost, rank, bits, freed feature indices)
     found: list[tuple] = []
     while heap:
@@ -462,8 +506,9 @@ def _nearest(
     check_norm(p)
     check_weights(config, weights)
     _check_initial(dataset, instance, on_inconsistent)
+    compiled = dataset.compiled
 
-    found = _stream_candidates(dataset, instance, weights, p, mode, k)
+    found = _stream_candidates(compiled, compiled.bits(instance), weights, p, mode, k)
     if not found:
         raise NoCounterfactualError(
             "no causally consistent counterfactual exists in the admissible space"

@@ -164,7 +164,9 @@ def test_criterion_06_cars_rule_fidelity(cars, data_dir):
 def _search_work(monkeypatch):
     """Count what ``min_cf`` does: goal tests (``CompiledRules.escapes`` and
     ``is_goal``) and values priced (``search.lp_term``).  Returns a function
-    that runs ``min_cf`` and gives ``(values priced, goal tests)``."""
+    that runs ``min_cf`` and gives ``(values priced, goal tests)``.  A search
+    prices a value once per dataset (``CompiledRules.cost_rows``), so the
+    rows are dropped first: the count is every value the search reads."""
     counts = [0, 0]
 
     def counted(original, slot):
@@ -179,6 +181,7 @@ def _search_work(monkeypatch):
 
     def work(dataset, raw) -> tuple[int, int]:
         counts[:] = [0, 0]
+        dataset.compiled.cost_rows.clear()
         min_cf(dataset, validate_state(dataset.config, raw), on_inconsistent="allow")
         return counts[0], counts[1]
 

@@ -189,6 +189,10 @@ def _reshape(config, change):
         config["features"][0]["weight"] = 10**400
     elif change == "range_huge":
         config["features"][0]["numeric_range"] = [1, 10**400]
+    elif change == "default_string":
+        config["instance_defaults"]["age"] = "50"
+    elif change == "default_huge":
+        config["instance_defaults"]["age"] = 10**400
     return config
 
 
@@ -220,6 +224,8 @@ def _reshape(config, change):
     ("range_text", "feature 'age' needs numeric_range [lo, hi] of two numbers, got '19'"),
     ("weight_huge", "feature 'age': weight must be finite, got inf"),
     ("range_huge", "feature 'age': numeric_range must be finite, got 1.0, inf"),
+    ("default_string", "instance default for numeric feature 'age' is not a number: '50'"),
+    ("default_huge", "instance default for numeric feature 'age' must be finite, got inf"),
 ])
 def test_config_of_the_wrong_shape_is_an_error_line(capsys, bundle_copy, change, named):
     path = bundle_copy / "config.json"

@@ -333,8 +333,9 @@ def plan_to_s_star_cost(ds, start, p):
     cost = compute_weighted_lp(ds.config, start, path.end, adjusted, p)
     assert abs(cost - best.cost) <= 1e-9
     compiled = ds.compiled
-    priced, _ = goal_price(compiled, compiled.bits(start), compiled.bits(path.end),
-                           cost_terms(ds.config, start, weights, p), p, "p2c")
+    start_bits = compiled.bits(start)
+    priced, _ = goal_price(compiled, start_bits, compiled.bits(path.end),
+                           cost_terms(compiled, start_bits, weights, p), p, "p2c")
     assert repr(priced) == repr(cost)
     assert_legal_as_reference(ds, path)
     assert_legal_as_reference(ds, naive_find_path(ds, start, best.target))

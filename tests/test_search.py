@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,23 +27,28 @@ from oracles import (
     exhaustive_min_cf,
     knearest_trimmed,
 )
-from p2c.dataset import consolidate_dataset
+from p2c.dataset import build_dataset, consolidate_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
 from p2c.errors import (
     AlreadyCounterfactualError,
     CausalProgramError,
     InconsistentInitialStateError,
     NoCounterfactualError,
+    SearchExhaustedError,
 )
+import p2c.search
 from p2c.masks import CompiledRules
 from p2c.planner import find_path
 from p2c.search import (
+    MODES,
     CostReport,
     _plausible,
     compute_weighted_lp,
+    cost_rows,
     cost_terms,
     goal_knearest,
     goal_price,
+    lp_term,
     min_cf,
 )
 
@@ -373,13 +379,15 @@ WEIGHTED = {
     ({"bank_balance": -1.0}, "weight of feature 'bank_balance' must be finite and >= 0, got -1.0"),
     ({"bank_balance": float("inf")},
      "weight of feature 'bank_balance' must be finite and >= 0, got inf"),
+    ({"bank_balance": True}, "weight of feature 'bank_balance' must be finite and >= 0, got True"),
     ({"salary": 1.0}, "weights name 'salary', which is not a feature"),
-], ids=["missing", "negative", "infinite", "unknown"])
+], ids=["missing", "negative", "infinite", "bool", "unknown"])
 @pytest.mark.parametrize("call", WEIGHTED.values(), ids=WEIGHTED.keys())
 def test_weights_argument_is_checked(example1, call, bad, message):
     """A weights mapping must give every feature, and no other name, a finite
-    weight >= 0: a missing one is no bare KeyError, and a negative or
-    infinite one cannot price a goal below the bound the search stops on."""
+    weight >= 0: a missing one is no bare KeyError, a negative or infinite
+    one cannot price a goal below the bound the search stops on, and a bool
+    is refused as a config's weight is."""
     weights = {**example1.config.weights(), **bad}
     weights = {name: w for name, w in weights.items() if w is not None}
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -650,9 +658,9 @@ def test_goal_price_is_compute_weighted_lp_bit_for_bit():
         spans = [_plausible(spec, ci, spec.name in ds.causal_head_features)
                  for spec, ci in zip(config.features, index)]
         skewed = {f.name: f.weight * (1 + 0.1 * i) for i, f in enumerate(config.features)}
-        sources = [(weights, [cost_terms(config, start, weights, p) for p in (0, 1, 2)])
-                   for weights in (config.weights(), skewed)]
         start_bits = compiled.bits(start)
+        sources = [(weights, [cost_terms(compiled, start_bits, weights, p) for p in (0, 1, 2)])
+                   for weights in (config.weights(), skewed)]
         for state in enumerate_states(config):
             if not ds.consistent(state):
                 continue
@@ -864,3 +872,224 @@ def test_box_cuts_match_exhaustive_oracle(monkeypatch, cut_programs, case):
             taken += 1
             checked += 1
     assert checked >= 50
+
+
+# ---------------------------------------------------------------------------
+# Cost rows: built once per (value, weight, p) on the compiled program
+# ---------------------------------------------------------------------------
+
+
+def _positive_starts(ds, n: int) -> list[State]:
+    """Up to ``n`` decision-positive states, spread over enumeration order."""
+    starts = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
+    return starts[::max(1, len(starts) // n)][:n]
+
+
+def _weight_sets(config) -> list[dict]:
+    """The config's weights, skewed ones, and the config's with a zero on
+    its first feature."""
+    plain = config.weights()
+    skewed = {f.name: f.weight * (1 + 0.1 * i) + 0.25 * (i % 2) for i, f in
+              enumerate(config.features)}
+    return [plain, skewed, {**plain, config.features[0].name: 0.0}]
+
+
+def _answers(ds, start, weights, p) -> list:
+    """``min_cf`` and ``goal_knearest(k=5, 20)`` in both modes, as (target,
+    cost, causal-free features), or the error raised."""
+    out = []
+    for mode in MODES:
+        for k in (None, 5, 20):
+            try:
+                got = ([min_cf(ds, start, weights=weights, p=p, mode=mode,
+                               on_inconsistent="allow")] if k is None else
+                       goal_knearest(ds, start, k, weights=weights, p=p, mode=mode,
+                                     on_inconsistent="allow"))
+            except (AlreadyCounterfactualError, NoCounterfactualError) as exc:
+                out.append(type(exc).__name__)
+                continue
+            out.append([(r.target, r.cost, r.causal_free_features) for r in got])
+    return out
+
+
+def _counting_lp_term(monkeypatch) -> list[int]:
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return lp_term(*args)
+
+    monkeypatch.setattr(p2c.search, "lp_term", counted)
+    return calls
+
+
+def _mixed(ds, start: State) -> tuple[State, State] | None:
+    """``other``, ``start`` with two features moved, and ``mixed``, ``start``
+    with the first of them moved: every value of ``mixed`` is one of theirs."""
+    movable = [i for i, spec in enumerate(ds.config.features) if len(spec.domain) > 1]
+    if len(movable) < 2:
+        return None
+    values = list(start.values)
+    for i in movable[:2]:
+        domain = ds.config.features[i].domain
+        values[i] = domain[(domain.index(values[i]) + 1) % len(domain)]
+    other = State(tuple(values))
+    return other, start.replace_value(movable[0], values[movable[0]])
+
+
+def test_cost_rows_are_exact_and_shared(monkeypatch, example1, example2, cars, german, adult):
+    """On random_dataset(0..59), tie_dataset(0..19) and the five bundles,
+    at p = 0, 1 and 2, under the config's weights, skewed ones and a zero
+    weight: every ``cost_terms`` entry is ``lp_term`` on its bit (``repr``),
+    each row's order is its plausible bits sorted by term, and its options
+    (a head's only) and floor are those bits' rank parts.  A fresh dataset's first search
+    prices each domain value once; a start whose every (value, weight, p)
+    has a row prices none, and neither do weights ``1`` after ``1.0``, which
+    answer alike."""
+    cases = [made for made in map(random_dataset, range(60)) if made]
+    cases += [tie_dataset(seed) for seed in range(20)]
+    cases += [(ds, _positive_starts(ds, 1)[0]) for ds in (example1, example2, cars, german, adult)]
+    calls = _counting_lp_term(monkeypatch)
+    shared = 0
+    for ds, start in cases:
+        ds = replace(ds)  # rows of its own
+        config, compiled = ds.config, ds.compiled
+        parts, heads = compiled.rank_parts, ds.causal_head_features
+        bits = compiled.bits(start)
+        for weights in _weight_sets(config):
+            for p in (0, 1, 2):
+                calls[0] = 0
+                terms = cost_terms(compiled, bits, weights, p)
+                for spec, off, cur in zip(config.features, compiled.offsets, start.values):
+                    for j, v in enumerate(spec.domain):
+                        want = lp_term(spec, weights[spec.name], cur, v, p)
+                        assert repr(terms[off + j]) == repr(want), (config.name, spec.name, p)
+                assert calls[0] <= len(terms)  # rows shared with earlier weights are not rebuilt
+                calls[0] = 0
+                rows = cost_rows(compiled, bits, weights, p)
+                assert calls[0] == 0
+                for spec, off, cur, row in zip(config.features, compiled.offsets,
+                                               start.values, rows):
+                    span = _plausible(spec, spec.index_of(cur), spec.name in heads)
+                    order = sorted(range(off + span.start, off + span.stop),
+                                   key=terms.__getitem__)
+                    assert row.order == tuple(1 << b for b in order)
+                    want = tuple((1 << b, parts[b]) for b in order) if spec.name in heads else ()
+                    assert row.options == want
+                    assert row.plausible == sum(1 << b for b in order)
+                    assert row.floor == parts[min(order)]
+        # a first search on a fresh copy prices every domain value once
+        fresh = replace(ds)
+        calls[0] = 0
+        ones = _answers(fresh, start, {f.name: 1.0 for f in config.features}, 1)
+        assert calls[0] == len(terms)
+        assert _answers(fresh, start, {f.name: 1 for f in config.features}, 1) == ones
+        if ones[0] != "NoCounterfactualError":  # a plan toward s* reads the same rows
+            try:
+                find_path(fresh, start, ones[0][0][0], p=1, on_inconsistent="repair",
+                          weights={f.name: 1 for f in config.features})
+            except SearchExhaustedError:
+                pass
+        assert calls[0] == len(terms)
+        made = _mixed(ds, start)
+        if made is not None:
+            other, mixed = made
+            weights = config.weights()
+            for p in (0, 1, 2):
+                cost_rows(compiled, compiled.bits(other), weights, p)
+                calls[0] = 0
+                cost_rows(compiled, compiled.bits(mixed), weights, p)
+                _answers(ds, mixed, weights, p)
+                assert calls[0] == 0, (config.name, mixed, p)
+                shared += mixed not in (start, other)
+    assert shared > 200
+
+
+def _warm_cases(example1, example2, cars, german, adult) -> list[tuple]:
+    """(dataset, starts): random_dataset(0..59), tie_dataset(0..19),
+    cyclic_dataset(), the favourable-label rich_dataset(0..299) programs
+    that compile, and each bundle consolidated for three decision-positive
+    starts of its full space."""
+    cases = [(made[0], [made[1]]) for made in map(random_dataset, range(60)) if made]
+    cases += [(ds, [start]) for ds, start in map(tie_dataset, range(20))]
+    cyclic = cyclic_dataset()
+    cases.append((cyclic, _positive_starts(cyclic, 3)))
+    for ds in map(rich_dataset, range(300)):
+        if ds is None or ds.decision.describes_undesired:
+            continue
+        try:
+            ds.compiled
+        except CausalProgramError:
+            continue
+        if starts := _positive_starts(ds, 2):
+            cases.append((ds, starts))
+    for full in (example1, example2, cars, german, adult):
+        for start in _positive_starts(full, 3):
+            raw = full.config.state_dict(start)
+            reduced = consolidate_dataset(full, raw)
+            cases.append((reduced, [validate_state(reduced.config, raw)]))
+    return cases
+
+
+def test_warmed_dataset_answers_like_a_fresh_one(example1, example2, cars, german, adult):
+    """A dataset already queried with other starts, weights and p gives the
+    same ``min_cf`` and ``goal_knearest(k=5, 20)`` answers, in both modes,
+    as a freshly built copy; a ``weights`` dict edited between two calls
+    gets the second weights' answers."""
+    cases = _warm_cases(example1, example2, cars, german, adult)
+    assert sum(not ds.decision.describes_undesired for ds, _ in cases) >= 20
+    compared = moved = 0
+    for ds, starts in cases:
+        queries = [(start, weights, p) for start in starts
+                   for weights in _weight_sets(ds.config)[:2] for p in (0, 1, 2)]
+        warm = replace(ds)
+        for start, weights, p in reversed(queries):
+            _answers(warm, start, weights, p)
+        for start, weights, p in queries:
+            assert _answers(warm, start, weights, p) == _answers(replace(ds), start, weights, p)
+            compared += 1
+        start = starts[0]
+        weights = ds.config.weights()
+        before = _answers(warm, start, weights, 1)
+        for name in weights:
+            weights[name] = weights[name] * 3 + 1 if name < "m" else weights[name] / 4
+        after = _answers(warm, start, weights, 1)
+        assert after == _answers(replace(ds), start, dict(weights), 1)
+        moved += after != before
+    assert compared > 1000 and moved > 10
+
+
+PLAUSIBILITY = (
+    {}, {"mutable": False}, {"directly_actionable": False},
+    {"monotone": "nondecreasing"}, {"monotone": "nonincreasing"},
+)
+
+
+def test_favourable_seed_pieces_are_cut_to_the_plausible_box():
+    """A favourable-label search starts from the bodies' boxes compiled over
+    the whole walk, cut to each call's plausible box.  On the
+    favourable-label rich_dataset(0..299) programs, with immutable,
+    non-actionable and monotone features drawn in, min_cf and
+    goal_knearest equal the exhaustive oracle from two decision-positive
+    starts each, and some start's plausible box leaves out a piece."""
+    rng = random.Random(21)
+    checked = dropped = 0
+    for made in map(rich_dataset, range(300)):
+        if made is None or made.decision.describes_undesired:
+            continue
+        features = tuple(replace(spec, **rng.choice(PLAUSIBILITY))
+                         for spec in made.config.features)
+        try:
+            ds = build_dataset(replace(made.config, features=features), made.decision,
+                               made.causal)
+            compiled = ds.compiled
+        except CausalProgramError:
+            continue
+        for start in _positive_starts(ds, 2):
+            rows = cost_rows(compiled, compiled.bits(start), ds.config.weights(), 1)
+            space = sum(row.plausible for row in rows)
+            dropped += any(not all(piece & space & m for m, _, _ in compiled.walk_steps)
+                           for piece in compiled.seed_pieces)
+            assert_matches_oracle(ds, start, on_inconsistent="allow")
+            checked += 1
+    assert checked >= 100 and dropped >= 20
