@@ -38,12 +38,26 @@ raw decision-positive starts of its full space, and two raw instances it
 must refuse (a feature missing, an unknown value).  Per space it hashes the
 reduced domains and placeholders, and, for p in {0, 1, 2}, ``min_cf``,
 ``goal_knearest(k=20)`` in both modes and ``find_path`` toward s*.
+
+The third line hashes what a person reads.  First the ``p2c`` CLI's answers
+on each bundle: ``validate`` (exit code and output), then ``mincf --k 20`` in
+both cost modes and ``path`` with both planners, at the configured instance
+and 8 decision-positive starts of the full space (``--repair-inconsistent``
+for an inconsistent one).  A JSON report is parsed and hashed without its
+``timing_ms``, so its layout does not count; an error is its exit code and
+stderr.  Then the outcome of parsing each bundled rule file after each of
+60 seeded one-character edits (replace, insert or delete): the clause count,
+or the error's type and message, with line and column for a syntax error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
+import random
 import sys
 from pathlib import Path
 
@@ -256,6 +270,70 @@ def consolidated_answers():
                                              on_inconsistent="repair"))
 
 
+def cli_answer(argv) -> tuple:
+    from p2c.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if argv[0] != "validate" and code == 0:
+        report = json.loads(out.getvalue())
+        report.pop("timing_ms")
+        return code, json.dumps(report, sort_keys=True)
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_answers():
+    """The CLI's answers on every bundle, at its configured instance and 8
+    decision-positive starts."""
+    from conftest import DATA
+    from p2c import load_dataset
+    from p2c.domain import enumerate_states
+
+    for name in ("example1", "example2", "cars", "german", "adult"):
+        bundle = str(DATA / name)
+        yield cli_answer(["validate", "--config", bundle])
+        full = load_dataset(bundle)
+        positive = [s for s in enumerate_states(full.config) if full.decision_positive(s)]
+        for start in [None] + spread(positive, 8):
+            argv = ["--config", bundle, "--output", "json"]
+            if start is not None:
+                pairs = full.config.state_dict(start).items()
+                argv += ["--instance", ",".join(f"{k}={v}" for k, v in pairs)]
+                if not full.consistent(start):
+                    argv.append("--repair-inconsistent")
+            for mode in ("p2c", "all-changes"):
+                yield cli_answer(["mincf", *argv, "--k", "20", "--cost-mode", mode])
+            for planner in ("causal", "naive"):
+                yield cli_answer(["path", *argv, "--planner", planner])
+
+
+def syntax_answers():
+    """The outcome of parsing each bundled rule file after seeded
+    one-character edits."""
+    from conftest import DATA
+    from p2c.errors import RuleSyntaxError
+    from p2c.rules import parse_rule_program
+
+    alphabet = "()',.:-=<% \nXNa_1\u0663\u00e9"
+    for path in sorted(DATA.glob("*/*.rules")):
+        text = path.read_text(encoding="utf-8")
+        kind = "causal" if path.name.startswith("causal") else "decision"
+        rng = random.Random(f"{path.parent.name}/{path.name}")
+        for _ in range(60):
+            i = rng.randrange(len(text))
+            edit = rng.choice(("replace", "insert", "delete"))
+            char = rng.choice(alphabet)
+            head, tail = text[:i], text[i + (edit != "insert"):]
+            corrupted = head + ("" if edit == "delete" else char) + tail
+            try:
+                yield ("parsed", len(parse_rule_program(corrupted, kind).clauses))
+            except RuleSyntaxError as exc:
+                yield ("raised", type(exc).__name__, str(exc), exc.line, exc.column)
+            except Exception as exc:  # the error is the answer
+                yield ("raised", type(exc).__name__, str(exc))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(REPO / "src"), help="directory holding p2c")
@@ -263,7 +341,8 @@ def main() -> None:
     sys.path.insert(0, str(REPO / "tests"))
     sys.path.insert(0, str(Path(args.src).resolve()))
     for parts, label in (((search_answers(), plan_answers()), ""),
-                         ((consolidated_answers(),), " on per-instance consolidated spaces")):
+                         ((consolidated_answers(),), " on per-instance consolidated spaces"),
+                         ((cli_answers(), syntax_answers()), " on CLI reports and rule syntax")):
         digest = hashlib.sha256()
         count = 0
         for part in parts:

@@ -11,8 +11,11 @@ import json
 import sys
 import time
 from functools import cache
+from typing import Callable
 
-from .dataset import bundle_dataset, consolidate_dataset, load_dataset, read_config, rule_file
+from .dataset import bundle_dataset, consolidated_size, load_dataset, read_config, rule_file
+# not called here, but perfbench/tracing.py patches every entry point on this module
+from .dataset import consolidate_dataset  # noqa: F401
 from .domain import NORM_NAMES, search_space_size, validate_state
 from .errors import (
     AlreadyCounterfactualError,
@@ -97,14 +100,15 @@ def _load_for_search(args):
     return dataset
 
 
-def _emit(report: dict, text: str, output: str) -> None:
-    blob = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if output == "json":
-        print(blob)
-    else:
-        print(text)
+def _emit(report: dict, output: str, text: Callable[[], str]) -> None:
+    """Print ``report`` as one compact JSON line with sorted keys, after
+    ``text()`` and a header line under ``--output text``.  Without ``indent``
+    json encodes in C."""
+    blob = json.dumps(report, sort_keys=True, default=str)
+    if output == "text":
+        print(text())
         print("--- report (json) ---")
-        print(blob)
+    print(blob)
 
 
 def cmd_validate(args) -> int:
@@ -144,7 +148,6 @@ def cmd_validate(args) -> int:
 
 
 def _base_report(args, dataset, raw_instance) -> dict:
-    reduced = consolidate_dataset(dataset, raw_instance).config
     return {
         "command": args.command,
         "dataset": dataset.config.name,
@@ -152,7 +155,7 @@ def _base_report(args, dataset, raw_instance) -> dict:
         "instance": raw_instance,
         "search_space": {
             "full": search_space_size(dataset.config),
-            "consolidated": search_space_size(reduced),
+            "consolidated": consolidated_size(dataset, raw_instance),
         },
         "timing_ms": {},
     }
@@ -173,25 +176,32 @@ def cmd_mincf(args) -> int:
     else:
         reports = [min_cf(dataset, instance, **kw)]
     report["timing_ms"]["mincf"] = (time.perf_counter() - t1) * 1000.0
+    report["s_star"] = reports[0].to_json(dataset.config)
+    if args.k > 1:
+        report["knearest"] = [r.to_json(dataset.config) for r in reports]
+    _emit(report, args.output, lambda: _mincf_text(args, dataset.config, instance, reports))
+    return 0
+
+
+def _mincf_text(args, config, instance, reports) -> str:
     result = reports[0]
-    report["s_star"] = result.to_json(dataset.config)
     lines = [
-        f"minimal counterfactual for {dataset.config.name} "
+        f"minimal counterfactual for {config.name} "
         f"(norm {args.norm}, mode {args.cost_mode}):",
         f"  cost: {result.cost}",
     ]
-    for name, value in dataset.config.state_dict(result.target).items():
-        was = dataset.config.state_dict(instance)[name]
-        marker = ""
-        if value != was:
+    start = config.state_dict(instance)
+    for name, value in config.state_dict(result.target).items():
+        was = start[name]
+        if value == was:
+            lines.append(f"  {name}: {value!r}")
+        else:
             marker = " (causal, free)" if name in result.causal_free_features else " (changed)"
-        lines.append(f"  {name}: {was!r} -> {value!r}{marker}" if value != was else f"  {name}: {value!r}")
+            lines.append(f"  {name}: {was!r} -> {value!r}{marker}")
     if args.k > 1:
-        report["knearest"] = [r.to_json(dataset.config) for r in reports]
         lines.append(f"  {len(reports)} nearest goal states: costs "
                      f"{[round(r.cost, 6) for r in reports]}")
-    _emit(report, "\n".join(lines), args.output)
-    return 0
+    return "\n".join(lines)
 
 
 def cmd_path(args) -> int:
@@ -201,8 +211,9 @@ def cmd_path(args) -> int:
     report = _base_report(args, dataset, raw)
     report["timing_ms"]["load"] = (time.perf_counter() - t0) * 1000.0
     on_inc_search = "allow" if args.repair_inconsistent else "error"
+    p = NORM_P[args.norm]
     t1 = time.perf_counter()
-    result = min_cf(dataset, instance, p=NORM_P[args.norm], on_inconsistent=on_inc_search)
+    result = min_cf(dataset, instance, p=p, on_inconsistent=on_inc_search)
     report["timing_ms"]["mincf"] = (time.perf_counter() - t1) * 1000.0
     report["s_star"] = result.to_json(dataset.config)
     t2 = time.perf_counter()
@@ -211,6 +222,7 @@ def cmd_path(args) -> int:
             dataset,
             instance,
             result.target,
+            p=p,
             max_dpl=args.max_dpl,
             on_inconsistent="repair" if args.repair_inconsistent else "error",
         )
@@ -223,18 +235,22 @@ def cmd_path(args) -> int:
     report["path_legal"] = legal
     report["path_violations"] = violations
     report["path_ends_at_target"] = path.end == result.target
-    lines = [f"path ({args.planner} planner, {path.direct_action_count()} direct action(s)):"]
-    for step in path.to_json(dataset.config):
+    _emit(report, args.output, lambda: _path_text(report, path.direct_action_count()))
+    return 0
+
+
+def _path_text(report: dict, direct_actions: int) -> str:
+    lines = [f"path ({report['planner']} planner, {direct_actions} direct action(s)):"]
+    for step in report["path"]:
         for act in step["actions"]:
             lines.append(f"  {act['kind']}: {act['feature']} -> {act['new_value']!r}")
-    lines.append(f"  legal: {legal}")
-    if not legal:
-        for v in violations:
+    lines.append(f"  legal: {report['path_legal']}")
+    if not report["path_legal"]:
+        for v in report["path_violations"]:
             lines.append(f"    violation: {v}")
     if not report["path_ends_at_target"]:
         lines.append("  note: path ends at a goal state of the same cost as s*, not at s* itself")
-    _emit(report, "\n".join(lines), args.output)
-    return 0
+    return "\n".join(lines)
 
 
 def cmd_bench(args) -> int:
@@ -251,7 +267,7 @@ def cmd_bench(args) -> int:
     if not args.per_instance:
         for row in summary["rows"]:
             row.pop("per_instance", None)
-    _emit(summary, bench_mod.format_summary(summary), args.output)
+    _emit(summary, args.output, lambda: bench_mod.format_summary(summary))
     return 0
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .consistency import CausalGroup, build_causal_groups
 from .domain import (
@@ -418,22 +418,14 @@ def consolidate_dataset(dataset: Dataset, instance_raw: Mapping | None = None) -
     for every instance in it.  Its config keeps ``dataset``'s
     ``instance_defaults``.
     """
-    raw = (dataset.config.instance_defaults if instance_raw is None else instance_raw) or {}
-    key = tuple(
-        v if name in raw and (v := str(raw[name])) in free else None
-        for name, free in dataset.unmentioned
-    )
+    key = _partition(dataset, instance_raw)
     reduced = dataset.consolidated.get(key)
     if reduced is None:
         config = dataset.config
         features = list(config.features)
-        for (name, free), kept in zip(dataset.unmentioned, key):
-            i = config.feature_index(name)
+        for i, merge in _merges(dataset, key):
             spec = features[i]
-            merge = [v for v in spec.domain if v in free and v != kept]
-            if len(merge) < 2:
-                continue
-            placeholder = f"ph_{name}"
+            placeholder = f"ph_{spec.name}"
             merged = {v: raws for v, raws in spec.merged.items() if v not in merge}
             merged[placeholder] = tuple(r for v in merge for r in spec.merged.get(v, (v,)))
             domain = tuple(v for v in spec.domain if v not in merge) + (placeholder,)
@@ -443,3 +435,35 @@ def consolidate_dataset(dataset: Dataset, instance_raw: Mapping | None = None) -
     if instance_raw is not None:
         validate_state(reduced.config, instance_raw)
     return reduced
+
+
+def consolidated_size(dataset: Dataset, instance_raw: Mapping | None = None) -> int:
+    """The size of :func:`consolidate_dataset`'s reduced space for
+    ``instance_raw``, counted without building it.  ``instance_raw`` is taken
+    as valid on ``dataset``."""
+    sizes = [len(spec.domain) for spec in dataset.config.features]
+    for i, merge in _merges(dataset, _partition(dataset, instance_raw)):
+        sizes[i] -= len(merge) - 1
+    return math.prod(sizes)
+
+
+def _partition(dataset: Dataset, instance_raw: Mapping | None) -> tuple[str | None, ...]:
+    """The instance's placeholder partition: per categorical feature, its
+    value when no program mentions it, else None."""
+    raw = (dataset.config.instance_defaults if instance_raw is None else instance_raw) or {}
+    return tuple(
+        v if name in raw and (v := str(raw[name])) in free else None
+        for name, free in dataset.unmentioned
+    )
+
+
+def _merges(dataset: Dataset, key: tuple[str | None, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Per categorical feature that consolidation for the partition ``key``
+    reduces: its index and the values that merge into its placeholder, which
+    are the unmentioned values but the instance's, when two or more."""
+    config = dataset.config
+    for (name, free), kept in zip(dataset.unmentioned, key):
+        i = config.feature_index(name)
+        merge = [v for v in config.features[i].domain if v in free and v != kept]
+        if len(merge) >= 2:
+            yield i, merge

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from itertools import islice
 
 from .errors import RuleProgramError, RuleSyntaxError
 
@@ -104,54 +104,59 @@ class RuleProgram:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# Whitespace and ``%`` comments: skipped, and the only text that holds a newline.
+_SKIP = r"(?:\s+|%[^\n]*)*"
+_SKIP_RE = re.compile(_SKIP)
+# One token and the skipped text after it.  ``.`` takes any character no token
+# starts with, so each match starts where the one before it ended.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<WS>\s+)
-    | (?P<COMMENT>%[^\n]*)
-    | (?P<NUMBER>-?\d+(?:\.\d+)?)
-    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<QSTRING>'[^'\n]*')
-    | (?P<ARROW>:-)
-    | (?P<LEQ>=<)
-    | (?P<LPAREN>\()
-    | (?P<RPAREN>\))
-    | (?P<COMMA>,)
-    | (?P<DOT>\.)
-    """,
-    re.VERBOSE,
+    r"(-?\d+(?:\.\d+)?"  # NUMBER
+    r"|[A-Za-z_][A-Za-z0-9_]*"  # IDENT
+    r"|'[^'\n]*'"  # QSTRING
+    r"|:-|=<|.)" + _SKIP  # ARROW, LEQ, punctuation, or a stray character
 )
+# A token's kind: by its whole text for punctuation, else by its first
+# character.  A lone '-' or quote starts no number or string: it is stray.
+_KIND_OF_TEXT = {
+    ":-": "ARROW", "=<": "LEQ", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT",
+    "-": None, "'": None,
+}
+_KIND_OF_LEAD = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "IDENT"),
+    **dict.fromkeys("0123456789-", "NUMBER"),
+    "'": "QSTRING",
+}
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of ``text``'s tokens, ``EOF`` last.
+
+    One ``findall`` splits the text into tokens, skipping whitespace and
+    comments; each kind is a dict lookup on the token's text.  Positions are
+    not kept: :func:`_position` rescans for one when an error needs it.  A
+    stray character raises a :class:`RuleSyntaxError` at its line and column.
+    """
+    texts = _TOKEN_RE.findall(text, _SKIP_RE.match(text).end())
+    kind_of_text, kind_of_lead = _KIND_OF_TEXT.get, _KIND_OF_LEAD.get
+    kinds = [kind_of_text(t, kind_of_lead(t[0])) for t in texts]
+    if None in kinds:
+        for i, t in enumerate(texts):
+            if kinds[i] is None:
+                if not t[0].isdecimal():  # \d takes every Unicode decimal digit
+                    raise RuleSyntaxError(f"unexpected character {t!r}", *_position(text, i))
+                kinds[i] = "NUMBER"
+    kinds.append("EOF")
+    texts.append("")
+    return kinds, texts
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    match = _TOKEN_RE.match
-    pos, end = 0, len(text)
-    line, line_start = 1, 0
-    while pos < end:
-        m = match(text, pos)
-        if m is None:
-            raise RuleSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        if kind == "WS" or kind == "COMMENT":  # only skipped tokens hold newlines
-            value = m.group()
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + value.rfind("\n") + 1
-        else:
-            tokens.append(_Token(kind, m.group(), line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
-    return tokens
+def _position(text: str, index: int) -> tuple[int, int]:
+    """The line and column of token ``index`` of :func:`_tokenize`'s split of
+    ``text``, both from 1; the last index is ``EOF`` at the end of the text."""
+    matches = _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end())
+    token = next(islice(matches, index, None), None)
+    offset = len(text) if token is None else token.start()
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _is_variable(name: str) -> bool:
@@ -159,37 +164,35 @@ def _is_variable(name: str) -> bool:
 
 
 class _Parser:
+    """Recursive descent over the token kinds; tokens are named by index."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.kinds[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
+    def advance(self) -> int:
         self.i += 1
-        return tok
+        return self.i - 1
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise RuleSyntaxError(
-                f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}",
-                tok.line,
-                tok.column,
-            )
+    def expect(self, kind: str, what: str) -> int:
+        if self.kinds[self.i] != kind:
+            found = self.texts[self.i]
+            raise self.fail(f"expected {what}, found {found!r}" if found else f"expected {what}")
         return self.advance()
 
-    def fail(self, message: str) -> RuleSyntaxError:
-        tok = self.peek()
-        return RuleSyntaxError(message, tok.line, tok.column)
+    def fail(self, message: str, index: int | None = None) -> RuleSyntaxError:
+        """A syntax error at token ``index``, by default the current one."""
+        return RuleSyntaxError(message, *_position(self.text, self.i if index is None else index))
 
     # grammar ---------------------------------------------------------------
 
     def parse_program(self) -> list[Rule]:
         rules = []
-        while self.peek().kind != "EOF":
+        while self.peek() != "EOF":
             rules.append(self.parse_rule())
         return rules
 
@@ -197,128 +200,105 @@ class _Parser:
         head, subject = self.parse_head()
         body: list[BodyLiteral] = []
         bound: set[str] = set()
-        if self.peek().kind == "ARROW":
+        if self.peek() == "ARROW":
             self.advance()
             body.append(self.parse_literal(subject, bound))
-            while self.peek().kind == "COMMA":
+            while self.peek() == "COMMA":
                 self.advance()
                 body.append(self.parse_literal(subject, bound))
         self.expect("DOT", "'.' terminating the rule")
         return Rule(head=head, body=tuple(body))
 
     def parse_head(self) -> tuple[Atom, str]:
-        tok = self.expect("IDENT", "a head predicate")
-        if _is_variable(tok.text):
-            raise RuleSyntaxError("head predicate must be lowercase", tok.line, tok.column)
-        predicate = tok.text
+        pred = self.expect("IDENT", "a head predicate")
+        predicate = self.texts[pred]
+        if _is_variable(predicate):
+            raise self.fail("head predicate must be lowercase", pred)
         self.expect("LPAREN", "'('")
         subj = self.expect("IDENT", "the subject variable")
-        if not _is_variable(subj.text):
-            raise RuleSyntaxError("subject must be a variable", subj.line, subj.column)
+        subject = self.texts[subj]
+        if not _is_variable(subject):
+            raise self.fail("subject must be a variable", subj)
         self.expect("COMMA", "','")
-        val_tok = self.advance()
-        if val_tok.kind == "QSTRING":
-            value: str | float = val_tok.text[1:-1]
-        elif val_tok.kind == "NUMBER":
-            value = float(val_tok.text)
-        elif val_tok.kind == "IDENT" and not _is_variable(val_tok.text):
-            value = val_tok.text
+        val = self.advance()
+        kind, text = self.kinds[val], self.texts[val]
+        if kind == "QSTRING":
+            value: str | float = text[1:-1]
+        elif kind == "NUMBER":
+            value = float(text)
+        elif kind == "IDENT" and not _is_variable(text):
+            value = text
         else:
-            raise RuleSyntaxError(
-                "rule heads take a constant value, not a variable",
-                val_tok.line,
-                val_tok.column,
-            )
+            raise self.fail("rule heads take a constant value, not a variable", val)
         self.expect("RPAREN", "')'")
-        return Atom(predicate, value), subj.text
+        return Atom(predicate, value), subject
 
     def parse_literal(self, subject: str, bound_vars: set[str]) -> BodyLiteral:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "not":
+        kind, text = self.kinds[self.i], self.texts[self.i]
+        if kind == "IDENT" and text == "not":
             self.advance()
-            if self.peek().kind == "LPAREN":
+            if self.peek() == "LPAREN":
                 # not(N1=<bound)
                 self.advance()
                 var = self.expect("IDENT", "a numeric variable")
-                if not _is_variable(var.text):
-                    raise RuleSyntaxError(
-                        "comparisons apply to numeric variables", var.line, var.column
-                    )
-                if var.text not in bound_vars:
-                    raise RuleSyntaxError(
-                        f"numeric variable {var.text} used before being bound",
-                        var.line,
-                        var.column,
-                    )
+                name = self.texts[var]
+                if not _is_variable(name):
+                    raise self.fail("comparisons apply to numeric variables", var)
+                if name not in bound_vars:
+                    raise self.fail(f"numeric variable {name} used before being bound", var)
                 self.expect("LEQ", "'=<'")
                 num = self.expect("NUMBER", "a numeric bound")
                 self.expect("RPAREN", "')'")
-                return BodyLiteral(
-                    NEG_COMPARISON, variable=var.text, bound=float(num.text)
-                )
+                return BodyLiteral(NEG_COMPARISON, variable=name, bound=float(self.texts[num]))
             inner = self._parse_atomlike(subject, bound_vars)
             if inner.kind == NUMERIC_BINDING:
                 raise self.fail("numeric bindings cannot be negated")
             negated = {FEATURE_TEST: NEG_FEATURE_TEST, AUX_CALL: NEG_AUX_CALL}[inner.kind]
             return BodyLiteral(negated, predicate=inner.predicate, value=inner.value)
-        if tok.kind == "IDENT" and _is_variable(tok.text):
+        if kind == "IDENT" and _is_variable(text):
             # N1 =< bound
             var = self.advance()
-            if var.text not in bound_vars:
-                raise RuleSyntaxError(
-                    f"numeric variable {var.text} used before being bound",
-                    var.line,
-                    var.column,
-                )
+            if text not in bound_vars:
+                raise self.fail(f"numeric variable {text} used before being bound", var)
             self.expect("LEQ", "'=<' (the only supported comparator)")
             num = self.expect("NUMBER", "a numeric bound")
-            return BodyLiteral(COMPARISON, variable=var.text, bound=float(num.text))
-        if tok.kind == "IDENT":
+            return BodyLiteral(COMPARISON, variable=text, bound=float(self.texts[num]))
+        if kind == "IDENT":
             return self._parse_atomlike(subject, bound_vars)
         raise self.fail("expected a body literal")
 
     def _parse_atomlike(self, subject: str, bound_vars: set[str]) -> BodyLiteral:
         pred = self.expect("IDENT", "a predicate")
-        if _is_variable(pred.text):
-            raise RuleSyntaxError("predicates must be lowercase", pred.line, pred.column)
+        predicate = self.texts[pred]
+        if _is_variable(predicate):
+            raise self.fail("predicates must be lowercase", pred)
         self.expect("LPAREN", "'('")
         subj = self.expect("IDENT", "the subject variable")
-        if subj.text != subject:
-            raise RuleSyntaxError(
-                f"subject variable {subj.text!r} differs from the head's {subject!r}",
-                subj.line,
-                subj.column,
+        if self.texts[subj] != subject:
+            raise self.fail(
+                f"subject variable {self.texts[subj]!r} differs from the head's {subject!r}", subj
             )
         self.expect("COMMA", "','")
-        val_tok = self.advance()
+        val = self.advance()
         self.expect("RPAREN", "')'")
-        aux = is_aux_predicate(pred.text)
-        if val_tok.kind == "QSTRING":
-            value: str | float = val_tok.text[1:-1]
-        elif val_tok.kind == "NUMBER":
-            value = float(val_tok.text)
-        elif val_tok.kind == "IDENT" and _is_variable(val_tok.text):
+        kind, text = self.kinds[val], self.texts[val]
+        aux = is_aux_predicate(predicate)
+        if kind == "QSTRING":
+            value: str | float = text[1:-1]
+        elif kind == "NUMBER":
+            value = float(text)
+        elif kind == "IDENT" and _is_variable(text):
             if aux:
-                raise RuleSyntaxError(
-                    "exception predicates take constants, not variables",
-                    val_tok.line,
-                    val_tok.column,
-                )
-            if val_tok.text in bound_vars:
-                raise RuleSyntaxError(
-                    f"numeric variable {val_tok.text} bound twice in one body",
-                    val_tok.line,
-                    val_tok.column,
-                )
-            bound_vars.add(val_tok.text)
-            return BodyLiteral(NUMERIC_BINDING, predicate=pred.text, variable=val_tok.text)
-        elif val_tok.kind == "IDENT":
-            value = val_tok.text
+                raise self.fail("exception predicates take constants, not variables", val)
+            if text in bound_vars:
+                raise self.fail(f"numeric variable {text} bound twice in one body", val)
+            bound_vars.add(text)
+            return BodyLiteral(NUMERIC_BINDING, predicate=predicate, variable=text)
+        elif kind == "IDENT":
+            value = text
         else:
-            raise RuleSyntaxError(
-                "expected a constant or numeric variable", val_tok.line, val_tok.column
-            )
-        return BodyLiteral(AUX_CALL if aux else FEATURE_TEST, predicate=pred.text, value=value)
+            raise self.fail("expected a constant or numeric variable", val)
+        return BodyLiteral(AUX_CALL if aux else FEATURE_TEST, predicate=predicate, value=value)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import re
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -36,7 +37,6 @@ from p2c.rules import (
     NEG_COMPARISON,
     NEG_FEATURE_TEST,
     NUMERIC_BINDING,
-    _TOKEN_RE,
     RuleProgram,
     mentioned_values,
     unparse_rule,
@@ -45,9 +45,26 @@ from p2c.search import compute_weighted_lp, lp_term
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer: the reference for p2c.rules._tokenize (one frozen dataclass per
-# token, newlines counted in every token)
+# Tokenizer: the reference for p2c.rules._tokenize (one named-group match and
+# one frozen dataclass per token, newlines counted in every token)
 # ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<WS>\s+)
+    | (?P<COMMENT>%[^\n]*)
+    | (?P<NUMBER>-?\d+(?:\.\d+)?)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<QSTRING>'[^'\n]*')
+    | (?P<ARROW>:-)
+    | (?P<LEQ>=<)
+    | (?P<LPAREN>\()
+    | (?P<RPAREN>\))
+    | (?P<COMMA>,)
+    | (?P<DOT>\.)
+    """,
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,13 @@ import sys
 import pytest
 
 from conftest import make_dataset
+from oracles import adjust_weights
 from p2c.bench import SAMPLE_CAP, bench_dataset, run_benchmark, sample_decision_positive
 from p2c.cli import main
 from p2c.dataset import consolidate_dataset, load_dataset
-from p2c.domain import enumerate_states, search_space_size
+from p2c.domain import enumerate_states, search_space_size, validate_state
 from p2c.errors import SpaceTooLargeError
+from p2c.search import compute_weighted_lp
 
 
 def run_cli(capsys, *argv):
@@ -438,12 +440,81 @@ def test_path_max_dpl_below_one_is_rejected(capsys, data_dir, cap):
     assert f"argument --max-dpl: must be at least 1, got {cap}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("norm, p", [("l0", 0), ("l1", 1), ("l2", 2)])
+def test_path_norm_reaches_the_planner(capsys, monkeypatch, data_dir, norm, p):
+    """example2's config sets norm_p 1: ``path --norm`` prices both s* and
+    the planner's goals under the norm asked for, so the plan ends at a goal
+    no costlier than s* under it."""
+    import p2c.cli
+
+    received = {}
+    for name in ("min_cf", "find_path"):
+        def recording(*args, _name=name, _fn=getattr(p2c.cli, name), **kwargs):
+            received[_name] = kwargs.get("p")
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(p2c.cli, name, recording)
+    code, out, _ = run_cli(capsys, "path", "--config", str(data_dir / "example2"),
+                           "--norm", norm, "--output", "json")
+    assert code == 0
+    assert received == {"min_cf": p, "find_path": p}
+    report = json.loads(out)
+    ds = load_dataset(data_dir / "example2")
+    start = ds.default_instance()
+    end = validate_state(ds.config, report["path"][-1]["state"])
+    assert ds.is_goal(end)
+    weights, _ = adjust_weights(ds, start, end, ds.config.weights())
+    assert compute_weighted_lp(ds.config, start, end, weights, p) <= report["s_star"]["cost"] + 1e-9
+
+
 def test_path_max_dpl_too_small_exit_2(capsys, data_dir):
     code, _, err = run_cli(
         capsys, "path", "--config", str(data_dir / "example2"), "--max-dpl", "1"
     )
     assert code == 2
     assert "no plan within 1 direct action" in err
+
+
+# ---------------------------------------------------------------------------
+# report encoding
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def c_encoder_only(monkeypatch):
+    """json's pure-Python encoder raises: only its C encoder may write."""
+    import json.encoder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report went through json's pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+
+
+def test_json_reports_are_one_line_from_the_c_encoder(capsys, data_dir, c_encoder_only):
+    bundle = str(data_dir / "example2")
+    for argv in (["mincf", "--config", bundle, "--k", "20"], ["path", "--config", bundle],
+                 ["bench", bundle, "--instances", "3", "--k", "5"]):
+        code, out, err = run_cli(capsys, *argv, "--output", "json")
+        assert code == 0, err
+        assert len(out.splitlines()) == 1 and out.endswith("\n")
+        assert isinstance(json.loads(out), dict)
+
+
+@pytest.mark.parametrize("command", [["mincf", "--k", "20"], ["path"]])
+def test_text_output_ends_with_the_json_report(capsys, data_dir, c_encoder_only, command):
+    argv = [command[0], "--config", str(data_dir / "example2"), *command[1:], "--output"]
+    code, text, _ = run_cli(capsys, *argv, "text")
+    assert code == 0
+    code, blob, _ = run_cli(capsys, *argv, "json")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[-2] == "--- report (json) ---"
+    as_text, as_json = json.loads(lines[-1]), json.loads(blob)
+    assert as_text.pop("timing_ms").keys() == as_json.pop("timing_ms").keys()
+    command = as_json.pop("command")
+    assert as_text.pop("command") == command.replace("--output json", "--output text")
+    assert as_text == as_json
 
 
 # ---------------------------------------------------------------------------

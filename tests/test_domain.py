@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from oracles import consolidate_placeholders
-from p2c.dataset import build_dataset, consolidate_dataset, load_dataset
+from p2c.dataset import build_dataset, consolidate_dataset, consolidated_size, load_dataset
 from p2c.domain import (
     FeatureSpec,
     build_numeric_domain,
@@ -253,6 +253,7 @@ def test_consolidate_dataset_keeps_one_dataset_per_partition(data_dir, bundle):
                  for s in positive[:: max(1, len(positive) // 24)]]
     for raw in raws:
         reduced = consolidate_dataset(full, raw)
+        assert consolidated_size(full, raw) == search_space_size(reduced.config)
         key = _partition(full, raw)
         assert by_partition.setdefault(key, reduced) is reduced
         assert reduced.config.instance_defaults == full.config.instance_defaults

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -12,6 +12,7 @@ from p2c.rules import (
     COMPARISON,
     NEG_FEATURE_TEST,
     NUMERIC_BINDING,
+    _position,
     _tokenize,
     canonicalize,
     mentioned_values,
@@ -126,16 +127,25 @@ def test_syntax_error_position_is_exact(bad, line, column):
     assert (err.value.line, err.value.column) == (line, column)
 
 
-def _tokens(tokenize, text):
-    """The tokens as (kind, text, line, column), or the error's position."""
+def _tokens(text):
+    """p2c's tokens as (kind, text, line, column), each position found by the
+    rescan errors use, or the error's position."""
     try:
-        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+        kinds, texts = _tokenize(text)
+    except RuleSyntaxError as exc:
+        return ("error", exc.line, exc.column)
+    return [(k, t, *_position(text, i)) for i, (k, t) in enumerate(zip(kinds, texts))]
+
+
+def _reference_tokens(text):
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in reference_tokenize(text)]
     except RuleSyntaxError as exc:
         return ("error", exc.line, exc.column)
 
 
 def _same_tokens(text):
-    return _tokens(_tokenize, text) == _tokens(reference_tokenize, text)
+    return _tokens(text) == _reference_tokens(text)
 
 
 def test_tokenizer_matches_reference_on_rule_files():
@@ -184,6 +194,32 @@ def test_tokenizer_matches_reference_on_generated_programs(monkeypatch):
 )
 def test_tokenizer_matches_reference_on_edge_texts(text):
     assert _same_tokens(text)
+
+
+# Pieces of rule text, among them the Unicode digit '٣' (which \d takes);
+# then at most one stray piece: a lone '-', '=' or quote, an unterminated
+# string, or the letter 'é' (which [A-Za-z_] does not take).
+TOKEN_PIECES = (
+    ":-", "=<", "(", ")", ",", ".", " ", "\t", "\n", "\r\n",
+    "label", "f", "ab1", "X", "N1", "not", "_x", "Ab_2",
+    "'a'", "'it s'", "''", "1", "-2.5", "3.", "07", "\u0663", "-\u0663.5",
+    "% note", "% verified: yes\n", "%",
+)
+STRAY_PIECES = ("-", "=", "'", ":", "'b\n", "\u00e9", "&")
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.sampled_from(TOKEN_PIECES), max_size=24),
+    st.none() | st.tuples(st.integers(0, 24), st.sampled_from(STRAY_PIECES)),
+)
+def test_tokenizer_matches_reference_on_drawn_texts(pieces, stray):
+    """The findall tokenizer and the named-group reference agree on every
+    token's kind, text, line and column, or raise at the same place."""
+    if stray is not None:
+        pieces.insert(*stray)
+    text = "".join(pieces)
+    assert _tokens(text) == _reference_tokens(text)
 
 
 def test_stratification_violations_rejected():
