@@ -43,11 +43,13 @@ The third line hashes what a person reads.  First the ``p2c`` CLI's answers
 on each bundle: ``validate`` (exit code and output), then ``mincf --k 20`` in
 both cost modes and ``path`` with both planners, at the configured instance
 and 8 decision-positive starts of the full space (``--repair-inconsistent``
-for an inconsistent one).  A JSON report is parsed and hashed without its
-``timing_ms``, so its layout does not count; an error is its exit code and
-stderr.  Then the outcome of parsing each bundled rule file after each of
-60 seeded one-character edits (replace, insert or delete): the clause count,
-or the error's type and message, with line and column for a syntax error.
+for an inconsistent one).  The checkout's ``data/`` directory is written
+``DATA`` in their output, so the line does not depend on where the checkout
+lies.  A JSON report is parsed and hashed without its ``timing_ms``, so its
+layout does not count; an error is its exit code and stderr.  Then the
+outcome of parsing each bundled rule file after each of 60 seeded
+one-character edits (replace, insert or delete): the clause count, or the
+error's type and message, with line and column for a syntax error.
 """
 
 from __future__ import annotations
@@ -271,16 +273,18 @@ def consolidated_answers():
 
 
 def cli_answer(argv) -> tuple:
+    from conftest import DATA
     from p2c.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    out, err = (text.getvalue().replace(str(DATA), "DATA") for text in (out, err))
     if argv[0] != "validate" and code == 0:
-        report = json.loads(out.getvalue())
+        report = json.loads(out)
         report.pop("timing_ms")
         return code, json.dumps(report, sort_keys=True)
-    return code, out.getvalue(), err.getvalue()
+    return code, out, err
 
 
 def cli_answers():

@@ -6,9 +6,10 @@ satisfied exactly when one of its bodies fires.  A fired alternative entails
 its head value; an alternative whose bodies all fail excludes it.
 
 This module holds only the groups.  They are read on the one-hot bit masks
-of :class:`p2c.masks.CompiledRules`: one bit per feature value, one
-forbidden mask per rule body, one head mask per causal alternative, and per
-group the values it allows given which alternative fires.  A ``Dataset``
+of :class:`p2c.masks.CompiledRules`: one bit per feature value, each rule
+as the boxes (forbidden masks) it fires on, its exception calls included,
+one head mask per causal alternative, and per group the values it allows
+given which alternative fires.  A ``Dataset``
 compiles its programs once, on its first query; ``consistent`` and
 ``is_goal`` are its per-state API.  The State-level reading of the same
 completion semantics, an interpreter over name->value dicts, is kept as a

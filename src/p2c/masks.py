@@ -1,24 +1,29 @@
 """Rule programs compiled to one-hot bit masks.
 
-Every body literal of the rule language tests exactly one feature, so a rule
-body is a product of per-feature value sets.  :class:`CompiledRules` gives
-each feature value one bit (the feature's offset plus the value's domain
-index), so a state is an int with one bit set per feature.  Each body
-compiles to one *forbidden* mask, the union of the values that fail its
-literals (numeric ``=<`` tests become masks over the feature's finite
-domain).  The body fires iff ``bits & forbidden == 0`` and its
-exception-predicate calls hold; those are compiled the same way and keep
-negation as failure.  Each causal alternative gets a head mask of the values
-that satisfy it, direction-aware (``at_least``/``at_most``), so the
-completion semantics of :mod:`p2c.consistency` become a few integer ANDs per
-group.  Compiling also decides, exactly, whether two alternatives of one
-group fire on some state, and rejects such a program: so a group's fired
-alternative is simply the first that fires.  A repair is bits too; the
-text of the rules that forced it (:meth:`CompiledRules.provenance`) is
-rendered for returned answers and errors only, each rule once per group.
+Every body literal of the rule language tests exactly one feature, so the
+states a rule's literals accept are a product of per-feature value sets, a
+*box*.  :class:`CompiledRules` gives each feature value one bit (the
+feature's offset plus the value's domain index), so a state is an int with
+one bit set per feature, and a box is its *forbidden* mask: the union of the
+values that fail its literals (numeric ``=<`` tests become masks over the
+feature's finite domain).  A state lies in the box iff ``bits & box == 0``.
+Each rule compiles to the tuple of boxes it fires on, their union being
+exactly its states: an exception-predicate call joins the body's boxes with
+the boxes of the rules it calls, and a negated call with their complement,
+in which each called box fails on one of the features it tests.  A join
+keeps only nonempty boxes that no other box of the rule contains, and a
+rule may compile to at most :data:`MAX_RULE_BOXES` boxes.  Each causal
+alternative gets a head mask of the values that satisfy it, direction-aware
+(``at_least``/``at_most``), so the completion semantics of
+:mod:`p2c.consistency` become a few integer ANDs per group.  Compiling also
+decides, exactly, whether two alternatives of one group fire on some state
+(two of their boxes meet), and rejects such a program: so a group's fired
+alternative is simply the first that fires.  A repair is bits too; the text
+of the rules that forced it (:meth:`CompiledRules.provenance`) is rendered
+for returned answers and errors only, each rule once per group.
 
 The groups also get a *head order*, fixed at compile time: a group comes
-after every group whose head feature its bodies read (through ``ab`` calls
+after every group whose head feature its rules read (through ``ab`` calls
 too), so a search can derive each head from the features assigned before
 it.  Groups on a cycle of such reads come last, and a group that reads a
 head not yet derived at its place is marked undecidable there.  The same
@@ -30,17 +35,17 @@ For the counterfactual search, compiling also fixes its *walk*, the
 features no causal rule sets (:attr:`CompiledRules.walk`), and each bit's
 part of the rank that reads a state's domain indices as one mixed-radix
 number in feature order (:attr:`CompiledRules.rank_parts`): a state's rank
-is the sum of its bits' parts.  Each decision body gets its cut box over the
+is the sum of its bits' parts.  Each decision box gets its cut box over the
 walk (:attr:`CompiledRules.decision_boxes`), two masks in a state's bit
-layout: the walk values its literals allow, and the whole masks of the walk
-features that decide through ``ab`` calls or derived heads whether the body
-fires, which a search cutting that box away holds at the vector's values.
-The walk's geometry (:attr:`CompiledRules.walk_steps`: per walk feature its
-mask and the bits below and above it) is fixed with it, and on first use a
-favourable-label program gets :attr:`CompiledRules.seed_pieces`, the bodies'
-boxes as disjoint boxes over the whole walk.  ``CompiledRules.cost_rows``
-keeps the search's per-feature cost rows (``search.cost_rows``), built on
-first use per value, weight and norm; it holds no answer.
+layout: the walk values it allows, and the whole masks of the walk features
+that the heads it tests are derived from, which a search cutting that box
+away holds at the vector's values.  The walk's geometry
+(:attr:`CompiledRules.walk_steps`: per walk feature its mask and the bits
+below and above it) is fixed with it, and on first use a favourable-label
+program gets :attr:`CompiledRules.seed_pieces`, the decision boxes as
+disjoint boxes over the whole walk.  ``CompiledRules.cost_rows`` keeps the
+search's per-feature cost rows (``search.cost_rows``), built on first use
+per value, weight and norm; it holds no answer.
 
 The package imports this module on a dataset's first query, not at import.
 """
@@ -54,7 +59,7 @@ from typing import Sequence
 
 from .consistency import CausalGroup
 from .domain import DatasetConfig, State, Value
-from .errors import CausalProgramError, EvaluationError
+from .errors import CausalProgramError, EvaluationError, RuleProgramError
 from .rules import (
     AUX_CALL,
     COMPARISON,
@@ -68,62 +73,22 @@ from .rules import (
     unparse_rule,
 )
 
-
-# A compiled body is an int (its forbidden mask) when it calls no exception
-# predicate, else a tuple (forbidden, positive calls, negated calls); each
-# call is the tuple of compiled bodies of the aux rules with that head.
-
-
-def _any_fires(bits: int, bodies) -> bool:
-    for body in bodies:
-        if body.__class__ is int:
-            if not bits & body:
-                return True
-        elif _fires(bits, body):
-            return True
-    return False
-
-
-def _fires(bits: int, body: tuple) -> bool:
-    forbidden, positive, negated = body
-    if bits & forbidden:
-        return False
-    for call in positive:
-        if not _any_fires(bits, call):
-            return False
-    for call in negated:
-        if _any_fires(bits, call):
-            return False
-    return True
-
-
-def _forbidden_of(body) -> int:
-    return body if body.__class__ is int else body[0]
-
-
-def _support(bodies) -> int:
-    """The OR of the forbidden masks of ``bodies`` and of the exception bodies
-    they call: a bit set in every feature the bodies read."""
-    mask = 0
-    for body in bodies:
-        if body.__class__ is int:
-            mask |= body
-        else:
-            forbidden, positive, negated = body
-            mask |= forbidden
-            for call in positive + negated:
-                mask |= _support(call)
-    return mask
+# The most boxes one rule may compile to: negating rules on disjoint features
+# multiplies a rule's boxes, and absorption cannot shrink them.
+MAX_RULE_BOXES = 512
 
 
 class _ProgramCompiler:
-    """Compiles the bodies of one program's rules against one bit layout."""
+    """Compiles the rules of one program against one bit layout: each to its
+    boxes and to the bits of the features it reads."""
 
-    def __init__(self, config: DatasetConfig, offsets: tuple[int, ...], program: RuleProgram):
+    def __init__(self, config: DatasetConfig, offsets: tuple[int, ...],
+                 feature_masks: tuple[int, ...], program: RuleProgram):
         self.config = config
         self.offsets = offsets
+        self.feature_masks = feature_masks
         self.program = program
-        self.aux: dict[tuple[str, Value], tuple] = {}
+        self.calls: dict[tuple[str, Value], tuple[tuple[int, ...], int]] = {}
 
     def mask(self, fi: int, fails) -> int:
         """Bits of feature ``fi``'s values for which ``fails`` holds."""
@@ -137,27 +102,30 @@ class _ProgramCompiler:
             raise EvaluationError(f"state does not assign feature {name!r}")
         return self.config.feature_index(name)
 
-    def call(self, predicate: str, value: Value) -> tuple:
+    def call(self, predicate: str, value: Value) -> tuple[tuple[int, ...], int]:
+        """The boxes of the aux rules with head ``(predicate, value)`` and the
+        bits they read."""
         key = (predicate, value)
-        if key not in self.aux:
-            self.aux[key] = tuple(
-                self.body(r)
-                for r in self.program.aux_rules
-                if r.head.predicate == predicate and r.head.value == value
-            )
-        return self.aux[key]
+        if key not in self.calls:
+            rules = [self.rule(r) for r in self.program.aux_rules
+                     if r.head.predicate == predicate and r.head.value == value]
+            self.calls[key] = (tuple(box for boxes, _ in rules for box in boxes),
+                               reduce(operator.or_, (reads for _, reads in rules), 0))
+        return self.calls[key]
 
-    def body(self, rule: Rule):
+    def rule(self, rule: Rule) -> tuple[tuple[int, ...], int]:
+        """The boxes ``rule`` fires on, and the bits of the features its
+        literals and the rules it calls read."""
         forbidden = 0
-        positive: list[tuple] = []
-        negated: list[tuple] = []
+        calls: list[tuple[bool, tuple[int, ...]]] = []  # (negated, the called boxes)
+        reads = 0
         bound: dict[str, int] = {}  # numeric variable -> feature index
         for lit in rule.body:
             kind = lit.kind
-            if kind == AUX_CALL:
-                positive.append(self.call(lit.predicate, lit.value))
-            elif kind == NEG_AUX_CALL:
-                negated.append(self.call(lit.predicate, lit.value))
+            if kind == AUX_CALL or kind == NEG_AUX_CALL:
+                boxes, read = self.call(lit.predicate, lit.value)
+                calls.append((kind == NEG_AUX_CALL, boxes))
+                reads |= read
             elif kind == FEATURE_TEST:
                 fi = self.feature_index(lit.predicate)
                 forbidden |= self.mask(fi, lambda v, c=lit.value: not v == c)
@@ -182,53 +150,77 @@ class _ProgramCompiler:
                 forbidden |= self.mask(bound[lit.variable], lambda v, b=lit.bound: float(v) <= b)
             else:
                 raise ValueError(f"unknown literal kind {lit.kind!r}")
-        if not positive and not negated:
-            return forbidden
-        return (forbidden, tuple(positive), tuple(negated))
+        boxes = self.join([0], [forbidden], rule)  # none when two literals contradict
+        for negated, called in calls:
+            if not negated:
+                boxes = self.join(boxes, called, rule)
+                continue
+            for box in called:  # outside ``box``: on some feature it tests, a value it forbids
+                outside = [m & ~box for m in self.feature_masks if box & m]
+                boxes = self.join(boxes, outside, rule)
+        return tuple(boxes), reads | forbidden
+
+    def join(self, boxes: list[int], other: Sequence[int], rule: Rule) -> list[int]:
+        """The nonempty meets of a box of ``boxes`` with a box of ``other``,
+        each kept unless a kept box contains it, and dropping those it
+        contains: a box ``k`` contains ``z`` iff ``k & ~z == 0``."""
+        out: list[int] = []
+        for x in boxes:
+            for y in other:
+                z = x | y
+                free = ~z
+                if not all(map(free.__and__, self.feature_masks)):
+                    continue  # z forbids every value of a feature: it is empty
+                if not all(map(free.__and__, out)):
+                    continue  # a kept box contains z
+                out = [k for k in out if k & z != z]
+                out.append(z)
+                if len(out) > MAX_RULE_BOXES:
+                    raise RuleProgramError(
+                        f"rule {unparse_rule(rule)} compiles to more than {MAX_RULE_BOXES} "
+                        f"boxes through its exception calls"
+                    )
+        return out
 
 
-def _co_firing_state(bodies, feature_masks) -> int | None:
-    """Bits of a state on which bodies of two different alternatives fire,
-    or None.  Within the meet of two bodies' boxes only the features their
-    exception calls read can decide whether they fire, so only those are
-    enumerated; every other feature takes the lowest value in the meet."""
-    for a, b in itertools.combinations(range(len(bodies)), 2):
-        for x, y in itertools.product(bodies[a], bodies[b]):
-            free = [fm & ~(_forbidden_of(x) | _forbidden_of(y)) for fm in feature_masks]
-            if not all(free):
-                continue  # the boxes do not meet
-            calls = [call for xy in (x, y) if xy.__class__ is not int for call in xy[1] + xy[2]]
-            read = _support(body for call in calls for body in call)
-            choices = [
-                [1 << j for j in range(f.bit_length()) if f >> j & 1] if f & read else [f & -f]
-                for f in free
-            ]
-            for bits in map(sum, itertools.product(*choices)):
-                if _any_fires(bits, (x,)) and _any_fires(bits, (y,)):
-                    return bits
+def _co_firing_state(boxes, feature_masks) -> int | None:
+    """Bits of a state on which two different alternatives fire, or None:
+    the lowest value of each feature in the first meet of two of their
+    boxes."""
+    for a, b in itertools.combinations(range(len(boxes)), 2):
+        for x, y in itertools.product(boxes[a], boxes[b]):
+            free = [fm & ~(x | y) for fm in feature_masks]
+            if all(free):
+                return sum(f & -f for f in free)
     return None
 
 
 class _CompiledGroup:
-    """One causal group: per alternative its compiled bodies and the head
-    values that satisfy the group when it fires, ``allowed[fired]``, with
-    ``allowed[-1]`` the values allowed when none fires.  ``first[fired]`` is
-    the bit of the value a repair falls back to: the fired head value when
-    the group allows it, else the lowest allowed value (0 when none is).  A
-    group with a state on which two alternatives fire is a
+    """One causal group: per alternative the boxes its rules fire on, the
+    rule each box comes from (``owner``), and the head values that satisfy
+    the group when it fires, ``allowed[fired]``, with ``allowed[-1]`` the
+    values allowed when none fires.  ``first[fired]`` is the bit of the
+    value a repair falls back to: the fired head value when the group allows
+    it, else the lowest allowed value (0 when none is).  ``reads`` holds the
+    bits of every feature its rules read, through their calls too.  A group
+    with a state on which two alternatives fire is a
     :class:`CausalProgramError` naming the rules that fire there."""
 
-    __slots__ = ("group", "fi", "allowed", "first", "bodies", "texts")
+    __slots__ = ("group", "fi", "allowed", "first", "boxes", "owner", "reads", "texts")
 
-    def __init__(self, group: CausalGroup, fi: int, heads, values, bodies, feature_masks):
+    def __init__(self, group: CausalGroup, fi: int, heads, values, rules, feature_masks):
+        # rules: per alternative, per rule, its (boxes, reads)
         self.group = group
-        self.bodies = bodies
+        self.boxes = tuple(tuple(box for boxes, _ in alt for box in boxes) for alt in rules)
+        self.owner = tuple(tuple(r for r, (boxes, _) in enumerate(alt) for _ in boxes)
+                           for alt in rules)
+        self.reads = reduce(operator.or_, (reads for alt in rules for _, reads in alt), 0)
         self.texts = [[None] * len(alt.rules) for alt in group.alternatives]
-        bits = _co_firing_state(bodies, feature_masks)
+        bits = _co_firing_state(self.boxes, feature_masks)
         if bits is not None:
             raise CausalProgramError(
                 f"two alternatives for feature {group.feature!r} fired simultaneously: "
-                f"{'; '.join(t for a in range(len(bodies)) for t in self.rule_text(a, bits))}"
+                f"{'; '.join(t for a in range(len(rules)) for t in self.rule_text(a, bits))}"
             )
         self.fi = fi
         others = [reduce(operator.or_, heads[:a] + heads[a + 1:], 0) for a in range(len(heads))]
@@ -241,36 +233,33 @@ class _CompiledGroup:
 
     def fired(self, bits: int) -> int:
         """Index of the alternative that fires, or -1."""
-        for a, bodies in enumerate(self.bodies):
-            if _any_fires(bits, bodies):
-                return a
+        for a, boxes in enumerate(self.boxes):
+            for box in boxes:
+                if not bits & box:
+                    return a
         return -1
 
     def rule_text(self, a: int, bits: int) -> tuple[str, ...]:
-        """The text of alternative ``a``'s rules whose bodies fire on
-        ``bits``, in rule order, ``()`` for ``a = -1`` (none fires); each rule
-        is rendered once, on first use."""
+        """The text of alternative ``a``'s rules that fire on ``bits``, in
+        rule order, ``()`` for ``a = -1`` (none fires); each rule is rendered
+        once, on first use."""
         if a < 0:
             return ()
         texts = self.texts[a]
         out = []
-        for r, body in enumerate(self.bodies[a]):
-            if _any_fires(bits, (body,)):
-                if texts[r] is None:
-                    texts[r] = unparse_rule(self.group.alternatives[a].rules[r])
-                out.append(texts[r])
+        for r in sorted({r for box, r in zip(self.boxes[a], self.owner[a]) if not bits & box}):
+            if texts[r] is None:
+                texts[r] = unparse_rule(self.group.alternatives[a].rules[r])
+            out.append(texts[r])
         return tuple(out)
 
 
 def _head_order(groups, feature_masks) -> tuple[tuple[_CompiledGroup, bool], ...]:
     """The groups, each after the groups whose heads it reads, paired with
-    whether it is decidable at its place: whether every head its bodies read
+    whether it is decidable at its place: whether every head its rules read
     is derived before it.  Groups that no such order can place (on or behind
     a cycle) follow in group order."""
-    reads = {}
-    for g in groups:
-        support = _support(body for bodies in g.bodies for body in bodies)
-        reads[g.fi] = {h.fi for h in groups if support & feature_masks[h.fi]}
+    reads = {g.fi: {h.fi for h in groups if g.reads & feature_masks[h.fi]} for g in groups}
     order: list[_CompiledGroup] = []
     placed: set[int] = set()
     pending = list(groups)
@@ -289,14 +278,13 @@ def _head_order(groups, feature_masks) -> tuple[tuple[_CompiledGroup, bool], ...
 
 
 def _decision_boxes(decision, head_order, walk, feature_masks) -> tuple[tuple[int, int], ...]:
-    """Per decision body, ``(allowed, held)``: two masks over the ``walk``
-    features' bits, in a state's layout.  ``allowed`` holds the values its
-    literals allow; ``held`` is the whole mask of each feature that decides,
-    beyond those literals, whether the body fires on a derived state.  These
-    are the features read through an ``ab`` call and those that the heads it
-    reads are derived from, transitively in head order.  A head of an
-    undecidable group takes every value whatever the other features hold, so
-    it is derived from none."""
+    """Per decision box, ``(allowed, held)``: two masks over the ``walk``
+    features' bits, in a state's layout.  ``allowed`` holds the values the
+    box allows; ``held`` is the whole mask of each feature that decides,
+    beyond those values, whether a derived state lies in the box: the
+    features that the heads it tests are derived from, transitively in head
+    order.  A head of an undecidable group takes every value whatever the
+    other features hold, so it is derived from none."""
     head_bits = reduce(operator.or_, (feature_masks[g.fi] for g, _ in head_order), 0)
     walk_bits = reduce(operator.or_, (feature_masks[i] for i in walk), 0)
     derived_from: dict[int, int] = {}  # head feature -> bits of the features it is derived from
@@ -307,15 +295,12 @@ def _decision_boxes(decision, head_order, walk, feature_masks) -> tuple[tuple[in
         ), 0)
 
     for g, decidable in head_order:
-        reads = _support(body for bodies in g.bodies for body in bodies)
-        derived_from[g.fi] = (reads & ~head_bits | through_heads(reads)) if decidable else 0
+        derived_from[g.fi] = (g.reads & ~head_bits | through_heads(g.reads)) if decidable else 0
     out = []
-    for body in decision:
-        calls = () if body.__class__ is int else body[1] + body[2]
-        fixed = reduce(operator.or_, (_support(call) for call in calls), 0) & ~head_bits
-        fixed |= through_heads(_support((body,)))
+    for box in decision:
+        fixed = through_heads(box)
         held = (feature_masks[i] for i in walk if feature_masks[i] & fixed)
-        out.append((walk_bits & ~_forbidden_of(body), reduce(operator.or_, held, 0)))
+        out.append((walk_bits & ~box, reduce(operator.or_, held, 0)))
     return tuple(out)
 
 
@@ -352,7 +337,9 @@ class CompiledRules:
     ``values`` holds each bit's value and ``rank_parts`` its part of the
     state's lexicographic rank, ``j`` times the product of the later
     features' domain sizes; :meth:`bits` encodes a state and :meth:`state`
-    decodes one.  Every test below takes such bits.
+    decodes one.  Every test below takes such bits.  ``decision`` holds
+    the boxes the decision rules fire on, in rule order, and
+    ``decision_rules`` the index of each box's rule in the program.
     :meth:`is_goal` is :meth:`consistent` and :meth:`escapes`; a search that
     derives each head from its group on an acyclic program needs only the
     latter.  ``cost_rows`` is filled by ``search.cost_rows``, one row per
@@ -362,7 +349,7 @@ class CompiledRules:
 
     __slots__ = ("config", "offsets", "domains", "values", "feature_masks", "groups",
                  "head_order", "cyclic", "walk", "walk_steps", "rank_parts", "decision",
-                 "undesired", "decision_boxes", "_seed_pieces", "cost_rows")
+                 "decision_rules", "undesired", "decision_boxes", "_seed_pieces", "cost_rows")
 
     def __init__(
         self,
@@ -384,7 +371,7 @@ class CompiledRules:
             ((1 << len(spec.domain)) - 1) << o for o, spec in zip(offsets, config.features)
         )
 
-        compiler = _ProgramCompiler(config, self.offsets, causal)
+        compiler = _ProgramCompiler(config, self.offsets, feature_masks, causal)
         compiled = []
         for group in groups:
             fi = config.feature_index(group.feature)
@@ -396,10 +383,8 @@ class CompiledRules:
             values = tuple(
                 compiler.mask(fi, lambda v, t=alt.value: v == t) for alt in group.alternatives
             )
-            bodies = tuple(
-                tuple(compiler.body(r) for r in alt.rules) for alt in group.alternatives
-            )
-            compiled.append(_CompiledGroup(group, fi, heads, values, bodies, feature_masks))
+            rules = [[compiler.rule(r) for r in alt.rules] for alt in group.alternatives]
+            compiled.append(_CompiledGroup(group, fi, heads, values, rules, feature_masks))
         self.groups = tuple(compiled)
         self.head_order = _head_order(self.groups, feature_masks)
         self.cyclic = not all(decidable for _, decidable in self.head_order)
@@ -414,8 +399,10 @@ class CompiledRules:
             place[i] = place[i + 1] * len(self.domains[i + 1])
         self.rank_parts = tuple(pl * j for pl, domain in zip(place, self.domains)
                                 for j in range(len(domain)))
-        dc = _ProgramCompiler(config, self.offsets, decision)
-        self.decision = tuple(dc.body(r) for r in decision.rules)
+        dc = _ProgramCompiler(config, self.offsets, feature_masks, decision)
+        rules = [dc.rule(r) for r in decision.rules]
+        self.decision = tuple(box for boxes, _ in rules for box in boxes)
+        self.decision_rules = tuple(r for r, (boxes, _) in enumerate(rules) for _ in boxes)
         self.undesired = decision.describes_undesired
         self.decision_boxes = _decision_boxes(self.decision, self.head_order, self.walk,
                                               feature_masks)
@@ -425,7 +412,7 @@ class CompiledRules:
     @property
     def seed_pieces(self) -> tuple[int, ...]:
         """Disjoint boxes over the whole walk, in a state's bit layout, whose
-        union is the union of the decision bodies' ``allowed`` boxes: where a
+        union is the union of the decision boxes' ``allowed`` masks: where a
         favourable-label program's goals lie.  Built on first use."""
         if self._seed_pieces is None:
             self._seed_pieces = _seed_pieces(self.decision_boxes, self.walk_steps)
@@ -455,12 +442,18 @@ class CompiledRules:
         return True
 
     def decision_positive(self, bits: int) -> bool:
-        return _any_fires(bits, self.decision) == self.undesired
+        for box in self.decision:
+            if not bits & box:  # a decision rule fires
+                return self.undesired
+        return not self.undesired
 
     def escapes(self, bits: int) -> bool:
         """Whether the decision rules do not give ``bits`` the undesired
         label: the decision half of :meth:`is_goal`."""
-        return _any_fires(bits, self.decision) != self.undesired
+        for box in self.decision:
+            if not bits & box:  # a decision rule fires
+                return not self.undesired
+        return self.undesired
 
     def is_goal(self, bits: int) -> bool:
         return self.consistent(bits) and self.escapes(bits)
@@ -470,19 +463,18 @@ class CompiledRules:
         return self.values[(bits & self.feature_masks[fi]).bit_length() - 1]
 
     def common_body(self, states: Sequence[int]) -> int:
-        """Index of the first decision body that fires on every one of
+        """Index of the first decision box that holds every one of
         ``states`` (bits), or -1."""
-        for b, body in enumerate(self.decision):
-            plain = body.__class__ is int
+        for b, box in enumerate(self.decision):
             for bits in states:
-                if bits & body if plain else not _fires(bits, body):
+                if bits & box:
                     break
             else:
                 return b
         return -1
 
     def provenance(self, fi: int, bits: int) -> tuple[str, ...]:
-        """The text of the rules of feature ``fi``'s group whose bodies fire
+        """The text of the rules of feature ``fi``'s group that fire
         on ``bits``, from the alternative that fires, or ``()`` when none
         does: why a repair made on ``bits`` set that feature."""
         g = next(g for g in self.groups if g.fi == fi)

@@ -35,7 +35,7 @@ from .errors import (
     SearchExhaustedError,
     StateValidationError,
 )
-from .search import check_norm, check_weights, cost_terms, goal_price
+from .search import cost_terms, goal_price, resolve_costing
 
 DIRECT = "direct"
 CAUSAL = "causal"
@@ -164,10 +164,7 @@ def find_path(
     star = compiled.bits(s_star)
     if not compiled.consistent(star):
         raise P2CError("find_path target must be causally consistent")
-    weights = config.weights() if weights is None else weights
-    p = config.norm_p if p is None else p
-    check_norm(p)
-    check_weights(config, weights)
+    weights, p = resolve_costing(config, weights, p)
     if compiled.is_goal(start):
         return PlanPath((PathStep(instance, ()),))
 

@@ -175,8 +175,9 @@ class _Parser:
         return self.kinds[self.i]
 
     def advance(self) -> int:
-        self.i += 1
-        return self.i - 1
+        i = self.i
+        self.i += self.kinds[i] != "EOF"  # never past EOF, so every read stays in range
+        return i
 
     def expect(self, kind: str, what: str) -> int:
         if self.kinds[self.i] != kind:

@@ -14,7 +14,7 @@ box is one int in a state's bit layout, the values it allows of each walk
 feature, and its cheapest vector, one bit per walk feature, bounds it by
 the sum of that vector's terms.  What depends only on the rules and the
 config (the walk and its geometry, each bit's part of the rank, each
-decision body's cut box, the disjoint pieces of the bodies' boxes) is
+decision box's cut box, the disjoint pieces of the decision boxes) is
 compiled once, on ``masks.CompiledRules``.  What a feature's value in the
 instance, its weight and p decide is one :class:`CostRow` per such key,
 built on first use and kept there too (:func:`cost_rows`): the
@@ -108,6 +108,18 @@ def check_weights(config: DatasetConfig, weights: Mapping[str, float]) -> None:
     if len(weights) != len(config.features):
         extra = next(name for name in weights if not config.has_feature(name))
         raise ValueError(f"weights name {extra!r}, which is not a feature")
+
+
+def resolve_costing(
+    config: DatasetConfig, weights: Mapping[str, float] | None, p: int | None
+) -> tuple[dict[str, float], int]:
+    """A copy of ``weights`` and ``p``, each the config's own when None,
+    checked by :func:`check_norm` and :func:`check_weights`."""
+    weights = dict(weights) if weights is not None else config.weights()
+    p = config.norm_p if p is None else p
+    check_norm(p)
+    check_weights(config, weights)
+    return weights, p
 
 
 def compute_weighted_lp(
@@ -338,20 +350,19 @@ def _stream_candidates(
     ``DatasetConfig.lex_key`` does.  Only they become a ``State``.
 
     Then the box loses a *cut* that holds no goal.  When no completion is a
-    goal and one rejecting decision body fires on all of them, the cut is
-    that body's box (``CompiledRules.decision_boxes``), ``box & allowed &
-    ~held | vector & held``: its literals restrict the features they test,
-    and the features it reads through an ``ab`` call or through a head's
-    derivation keep the vector's values, so the body fires on every
-    completion of every vector in the cut.  Otherwise the cut is the vector
-    alone.  The rest of the box is pushed as Lawler's partition: child i is
-    ``cut & below_i | box & ~cut & mask_i | box & above_i``, the cut's
-    values on the walk features before i, the box minus the cut on feature
-    i, and the box's values after i.  Its vector differs from the parent's
-    on feature i alone, where it takes the first bit of the cost order that
-    the child allows, so its rank moves by the two bits' rank parts.  When
-    the decision rules name the favourable label, every goal lies in some
-    body's box (restricted by its literals), so the search starts from
+    goal and one rejecting decision box holds all of them, the cut is that
+    box over the walk (``CompiledRules.decision_boxes``), ``box & allowed &
+    ~held | vector & held``: it restricts the walk features it tests, and
+    the features the heads it tests are derived from keep the vector's
+    values, so it holds every completion of every vector in the cut.
+    Otherwise the cut is the vector alone.  The rest of the box is pushed
+    as Lawler's partition: child i is ``cut & below_i | box & ~cut & mask_i
+    | box & above_i``, the cut's values on the walk features before i, the
+    box minus the cut on feature i, and the box's values after i.  Its
+    vector differs from the parent's on feature i alone, where it takes the
+    first bit of the cost order that the child allows, so its rank moves by
+    the two bits' rank parts.  When the decision rules name the favourable
+    label, every goal lies in some decision box, so the search starts from
     ``CompiledRules.seed_pieces``, disjoint boxes over the whole walk that
     cover those boxes, each cut to the plausible box (a box meets a box in
     a box) and dropped when empty.  Boxes are disjoint, so each goal is
@@ -501,10 +512,7 @@ def _nearest(
     if k < 1:
         raise ValueError("k must be >= 1")
     config = dataset.config
-    weights = dict(weights) if weights is not None else config.weights()
-    p = config.norm_p if p is None else p
-    check_norm(p)
-    check_weights(config, weights)
+    weights, p = resolve_costing(config, weights, p)
     _check_initial(dataset, instance, on_inconsistent)
     compiled = dataset.compiled
 

@@ -75,6 +75,20 @@ def test_validate_missing_terminator(capsys, tmp_path, data_dir):
     assert "'.'" in out
 
 
+def test_validate_rule_cut_after_a_comma_is_an_error_line(capsys, bundle_copy):
+    """A rule file that ends right after a body literal's comma is a syntax
+    error at the end of the text, printed as one line, not a traceback."""
+    rules = bundle_copy / "decision.rules"
+    text = rules.read_text(encoding="utf-8").rstrip("\n")
+    cut = "reject(X,'True') :- bank_balance(X,"
+    rules.write_text(f"{text}\n{cut}", encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", "--config", str(bundle_copy))
+    assert code == 1 and err == ""
+    line = text.count("\n") + 2
+    assert out.splitlines() == [f"{rules}: expected ')' (line {line}, column {len(cut) + 1})",
+                                f"{bundle_copy / 'causal.rules'}: ok"]
+
+
 def test_validate_unknown_feature_cross_reference(capsys, tmp_path):
     bundle = tmp_path / "xref"
     bundle.mkdir()

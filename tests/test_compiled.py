@@ -11,13 +11,18 @@ of every bundle and of many random rule programs.  Compiling rejects a
 program exactly when the interpreter finds a state on which two alternatives
 of one causal head fire, with the error text the interpreter gives there.
 The search's compiled tables hold too: ``rank_parts`` sums to a state's
-position in ``enumerate_states``, and each decision body's cut box holds
-every state on which the interpreter fires the body.
+position in ``enumerate_states``, and a decision rule fires exactly on the
+states one of its boxes holds.  Exception calls compile into boxes: a rule
+negating many exception rules fires on its boxes exactly, and one whose
+boxes would pass ``MAX_RULE_BOXES`` is refused when it compiles.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
+import time
 
 import pytest
 
@@ -36,7 +41,9 @@ from oracles import (
 )
 from p2c.dataset import consolidate_dataset, load_dataset
 from p2c.domain import State, enumerate_states, validate_state
-from p2c.errors import CausalProgramError
+from p2c.cli import main
+from p2c.errors import CausalProgramError, RuleProgramError
+from p2c.masks import MAX_RULE_BOXES
 
 BUNDLES = ("cars", "german", "adult", "example1", "example2")
 
@@ -359,11 +366,12 @@ def test_rank_parts_sum_to_the_position_in_enumerate_states():
 
 
 def test_decision_boxes_hold_every_state_the_body_fires_on():
-    """Each decision body's ``(allowed, held)`` lies inside the walk
-    features' bits, ``held`` is a union of whole feature masks, and on every
-    state where the interpreter fires the body, the state's walk bits lie
-    inside ``allowed``: on the consolidated bundles and the
-    ``rich_dataset(0..299)`` programs that compile."""
+    """Each decision box's ``(allowed, held)`` lies inside the walk
+    features' bits, ``held`` is a union of whole feature masks, and the
+    interpreter fires a rule on a state iff one of the rule's boxes
+    (``decision_rules`` maps each box to its rule) holds the state, whose
+    walk bits then lie inside that box's ``allowed``: on the consolidated
+    bundles and the ``rich_dataset(0..299)`` programs that compile."""
     spaces = [consolidate_dataset(load_dataset(DATA / bundle)) for bundle in BUNDLES]
     for seed in range(300):
         ds = rich_dataset(seed)
@@ -377,15 +385,110 @@ def test_decision_boxes_hold_every_state_the_body_fires_on():
     for ds in spaces:
         compiled = ds.compiled
         walk_bits = sum(compiled.feature_masks[i] for i in compiled.walk)
-        assert len(compiled.decision_boxes) == len(ds.decision.rules)
+        assert len(compiled.decision_boxes) == len(compiled.decision)
+        assert len(compiled.decision_rules) == len(compiled.decision)
+        assert list(compiled.decision_rules) == sorted(compiled.decision_rules)
+        assert set(compiled.decision_rules) <= set(range(len(ds.decision.rules)))
         for allowed, held in compiled.decision_boxes:
             assert allowed & ~walk_bits == 0 and held & ~walk_bits == 0
             assert all(held & m in (0, m) for m in compiled.feature_masks)
         for state in enumerate_states(ds.config):
             values = ds.config.state_dict(state)
-            walk_state = compiled.bits(state) & walk_bits
-            for rule, (allowed, _) in zip(ds.decision.rules, compiled.decision_boxes):
-                if rule_fires(rule, values, ds.decision):
-                    assert walk_state & ~allowed == 0, (ds.config.name, state.values)
-                    fired += 1
+            bits = compiled.bits(state)
+            for r, rule in enumerate(ds.decision.rules):
+                holding = [
+                    allowed for box, owner, (allowed, _) in zip(
+                        compiled.decision, compiled.decision_rules, compiled.decision_boxes)
+                    if owner == r and not bits & box
+                ]
+                assert rule_fires(rule, values, ds.decision) == bool(holding), (
+                    ds.config.name, state.values, r)
+                assert all(bits & walk_bits & ~allowed == 0 for allowed in holding)
+                fired += bool(holding)
     assert fired > 5000
+
+
+def exception_stress(r: int):
+    """``label(X,'bad') :- f0(X,'a'), not ab1(X,'True')`` over r seeded
+    ``ab1`` rules, each testing 4 of 11 three-valued features, some
+    negated."""
+    rng = random.Random(r)
+    names = [f"f{i}" for i in range(11)]
+    domain = ("a", "b", "c")
+    aux = []
+    for _ in range(r):
+        lits = [f"{'not ' if rng.random() < 0.3 else ''}{f}(X,'{rng.choice(domain)}')"
+                for f in sorted(rng.sample(names, 4))]
+        aux.append(f"ab1(X,'True') :- {', '.join(lits)}.")
+    decision = "label(X,'bad') :- f0(X,'a'), not ab1(X,'True').\n" + "\n".join(aux)
+    return make_dataset({name: domain for name in names}, decision)
+
+
+@pytest.mark.parametrize("r", [2, 4, 8])
+def test_negated_exceptions_compile_to_exact_boxes(r):
+    """The rule fires on a state iff one of its boxes holds it, on 2000
+    seeded states, and no box of the rule contains another; at r = 8 it
+    compiles in under 50 ms (the fastest of three compiles)."""
+    seconds = []
+    for _ in range(3):
+        ds = exception_stress(r)
+        began = time.perf_counter()
+        compiled = ds.compiled
+        seconds.append(time.perf_counter() - began)
+    if r == 8:
+        assert min(seconds) < 0.05
+    boxes = compiled.decision
+    assert compiled.decision_rules == (0,) * len(boxes) and len(boxes) > 1
+    assert all(x & ~y for x, y in itertools.permutations(boxes, 2))
+    rule = ds.decision.rules[0]
+    rng = random.Random(f"states{r}")
+    fired = 0
+    for _ in range(2000):
+        state = State(tuple(rng.choice(spec.domain) for spec in ds.config.features))
+        bits = compiled.bits(state)
+        fires = rule_fires(rule, ds.config.state_dict(state), ds.decision)
+        assert fires == any(not bits & box for box in boxes), state.values
+        assert ds.decision_positive(state) == fires
+        fired += fires
+    assert 0 < fired < 2000
+
+
+def disjoint_exceptions(r: int) -> tuple[dict, str]:
+    """Domains and decision text of ``label(X,'bad') :- not ab1(X,'True')``
+    over r ``ab1`` rules on disjoint feature pairs: 2^r boxes, none of which
+    contains another."""
+    domains = {f"g{i}": ("a", "b") for i in range(2 * r)}
+    aux = [f"ab1(X,'True') :- g{2 * i}(X,'a'), g{2 * i + 1}(X,'b')." for i in range(r)]
+    return domains, "label(X,'bad') :- not ab1(X,'True').\n" + "\n".join(aux)
+
+
+def test_rule_past_the_box_cap_is_refused(capsys, tmp_path):
+    """A rule that would compile to more than ``MAX_RULE_BOXES`` boxes is a
+    ``RuleProgramError`` naming it, and ``p2c validate`` prints it as the
+    config's error line, exit 1, within a second; one below the cap
+    compiles."""
+    r = MAX_RULE_BOXES.bit_length()  # 2^r > MAX_RULE_BOXES
+    message = (f"rule label(X,'bad') :- not ab1(X,'True'). compiles to more than "
+               f"{MAX_RULE_BOXES} boxes through its exception calls")
+    assert len(make_dataset(*disjoint_exceptions(r - 1)).compiled.decision) == 2 ** (r - 1)
+    with pytest.raises(RuleProgramError) as err:
+        make_dataset(*disjoint_exceptions(r)).compiled
+    assert str(err.value) == message
+
+    domains, decision = disjoint_exceptions(r)
+    bundle = tmp_path / "capped"
+    bundle.mkdir()
+    (bundle / "config.json").write_text(json.dumps({
+        "name": "capped",
+        "undesired_decision": "bad",
+        "features": [{"name": f, "kind": "categorical", "domain": list(domain)}
+                     for f, domain in domains.items()],
+    }))
+    (bundle / "decision.rules").write_text(decision)
+    (bundle / "causal.rules").write_text("")
+    began = time.perf_counter()
+    code = main(["validate", "--config", str(bundle)])
+    assert time.perf_counter() - began < 1.0
+    out = capsys.readouterr()
+    assert code == 1 and out.err == ""
+    assert out.out.splitlines()[-1] == f"{bundle / 'config.json'}: {message}"

@@ -97,6 +97,8 @@ def test_negated_comparison_round_trip():
         ("label(X,'a') :- f(X,N1), N1>=3.0.", "unexpected character"),
         ("label(X,'a') :- f(Y,'b').", "subject variable"),
         ("label(X,'a') :- not f(X,N1).", "negated"),
+        ("label(X,'a') :- f(X,", "expected ')'"),  # cut after a body literal's comma
+        ("label(X,'a') :- not f(X,", "expected ')'"),
     ],
 )
 def test_syntax_errors(bad, fragment):
@@ -119,6 +121,7 @@ def test_syntax_error_carries_position():
         ("\n\n  \nlabel(X,'a') :-\n\n   f(X 'b').", 6, 8),  # after blank lines
         ("label(X,'a') :- f(X,'b'). label(X,'a') :- g(X,'c'), .", 1, 53),  # second rule
         ("label(X,'a') :- f(X,'b).\nlabel(X,'a') :- g(X,'c').", 1, 21),  # unterminated quote
+        ("label(X,'a') :-\n  not f(X,", 2, 11),  # cut after a comma: at the end of the text
     ],
 )
 def test_syntax_error_position_is_exact(bad, line, column):

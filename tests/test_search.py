@@ -807,9 +807,9 @@ def test_deep_ladder_goal_tests_stay_few(monkeypatch):
 
 
 def _decision_reads(ds, b):
-    """Whether decision rule b calls an exception predicate, and whether it
-    tests a causal head."""
-    body = ds.decision.rules[b].body
+    """Whether the decision rule of box b (``decision_rules``) calls an
+    exception predicate, and whether it tests a causal head."""
+    body = ds.decision.rules[ds.compiled.decision_rules[b]].body
     return (
         any(lit.kind in ("aux_call", "negated_aux_call") for lit in body),
         any(lit.predicate in ds.causal_head_features for lit in body),
@@ -817,7 +817,7 @@ def _decision_reads(ds, b):
 
 
 CUT_CASES = {
-    # the only cut is the vector, but the search starts from the bodies' boxes
+    # the only cut is the vector, but the search starts from the decision boxes
     "favourable_label": lambda ds, cuts: not ds.decision.describes_undesired,
     "exception_calls": lambda ds, cuts: any(_decision_reads(ds, b)[0] for b in cuts if b >= 0),
     "causal_heads": lambda ds, cuts: any(_decision_reads(ds, b)[1] for b in cuts if b >= 0),
