@@ -136,6 +136,11 @@ class DatasetConfig:
     instance_defaults: Mapping[str, object] | None = None
     max_dpl: int | None = None
     _index: Mapping[str, int] = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    # weights() once ``search.resolve_costing`` has checked them: a plain dict, so the
+    # config still pickles, of which only read-only views are handed out
+    _checked_weights: dict[str, float] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         names = [f.name for f in self.features]

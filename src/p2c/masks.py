@@ -337,7 +337,9 @@ class CompiledRules:
     ``values`` holds each bit's value and ``rank_parts`` its part of the
     state's lexicographic rank, ``j`` times the product of the later
     features' domain sizes; :meth:`bits` encodes a state and :meth:`state`
-    decodes one.  Every test below takes such bits.  ``decision`` holds
+    decodes one.  ``groups`` holds the compiled causal groups, and
+    ``feature_groups`` each feature's group, or None where no causal rule
+    sets it.  Every test below takes such bits.  ``decision`` holds
     the boxes the decision rules fire on, in rule order, and
     ``decision_rules`` the index of each box's rule in the program.
     :meth:`is_goal` is :meth:`consistent` and :meth:`escapes`; a search that
@@ -348,8 +350,9 @@ class CompiledRules:
     """
 
     __slots__ = ("config", "offsets", "domains", "values", "feature_masks", "groups",
-                 "head_order", "cyclic", "walk", "walk_steps", "rank_parts", "decision",
-                 "decision_rules", "undesired", "decision_boxes", "_seed_pieces", "cost_rows")
+                 "feature_groups", "head_order", "cyclic", "walk", "walk_steps", "rank_parts",
+                 "decision", "decision_rules", "undesired", "decision_boxes", "_seed_pieces",
+                 "cost_rows")
 
     def __init__(
         self,
@@ -386,10 +389,13 @@ class CompiledRules:
             rules = [[compiler.rule(r) for r in alt.rules] for alt in group.alternatives]
             compiled.append(_CompiledGroup(group, fi, heads, values, rules, feature_masks))
         self.groups = tuple(compiled)
+        by_feature = [None] * len(offsets)
+        for g in self.groups:
+            by_feature[g.fi] = g
+        self.feature_groups = tuple(by_feature)
         self.head_order = _head_order(self.groups, feature_masks)
         self.cyclic = not all(decidable for _, decidable in self.head_order)
-        heads = {g.fi for g in self.groups}
-        self.walk = tuple(i for i in range(len(offsets)) if i not in heads)
+        self.walk = tuple(i for i, g in enumerate(self.feature_groups) if g is None)
         self.walk_steps = tuple(
             (feature_masks[i], (1 << offsets[i]) - 1, -(1 << offsets[i]) & ~feature_masks[i])
             for i in self.walk
@@ -477,7 +483,7 @@ class CompiledRules:
         """The text of the rules of feature ``fi``'s group that fire
         on ``bits``, from the alternative that fires, or ``()`` when none
         does: why a repair made on ``bits`` set that feature."""
-        g = next(g for g in self.groups if g.fi == fi)
+        g = self.feature_groups[fi]
         return g.rule_text(g.fired(bits), bits)
 
     def closure(self, bits: int, prefer: int) -> tuple[int, list[tuple[int, Value, int]]] | None:

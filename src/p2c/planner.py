@@ -291,7 +291,6 @@ def path_is_legal(dataset: Dataset, path: PlanPath) -> tuple[bool, list[str]]:
     if not path.steps:
         return True, violations
     compiled = dataset.compiled
-    groups = {g.fi: g for g in compiled.groups}
     current = compiled.bits(path.start)
     for step_no, step in enumerate(path.steps):
         for action in step.actions:
@@ -313,7 +312,7 @@ def path_is_legal(dataset: Dataset, path: PlanPath) -> tuple[bool, list[str]]:
                 if problem:
                     violations.append(f"step {step_no}: {action.describe()}: {problem}")
             elif action.kind == CAUSAL:
-                g = groups.get(i)
+                g = compiled.feature_groups[i]
                 if g is None or not bit & g.allowed[g.fired(current)]:
                     violations.append(
                         f"step {step_no}: {action.describe()}: value is not entailed "

@@ -41,6 +41,14 @@ constructive reading s(CASP) gives ``not label(X, ...)``.  Otherwise the
 cut is the vector alone, which is a plain best-first walk over vectors.
 Boxes, cuts and candidates stay one-hot bits while searched; only the k
 goals returned become a ``State`` and a ``CostReport``.
+
+Per call, the constant work is kept small.  A config's own weights cannot
+change, so :func:`resolve_costing` checks them once and keeps them on the
+config as a plain dict, handing out a read-only view; a caller's
+``weights=`` and every ``p`` are checked on each call.  Each report is
+built in one step, and the reports of one call that free the same
+features share one ``adjusted_weights`` mapping and one
+``causal_free_features`` set.
 """
 
 from __future__ import annotations
@@ -112,14 +120,28 @@ def check_weights(config: DatasetConfig, weights: Mapping[str, float]) -> None:
 
 def resolve_costing(
     config: DatasetConfig, weights: Mapping[str, float] | None, p: int | None
-) -> tuple[dict[str, float], int]:
-    """A copy of ``weights`` and ``p``, each the config's own when None,
-    checked by :func:`check_norm` and :func:`check_weights`."""
-    weights = dict(weights) if weights is not None else config.weights()
+) -> tuple[Mapping[str, float], int]:
+    """A read-only copy of ``weights`` and ``p``, each the config's own when
+    None, checked by :func:`check_norm` and :func:`check_weights`.
+
+    ``p`` and a caller's ``weights`` are checked on every call, and the
+    weights copied, since the caller may edit its mapping between calls.
+    The config's own weights cannot change, so they are checked on first
+    use and kept on the config as a plain dict; a failed check keeps
+    nothing and raises again on the next call.
+    """
     p = config.norm_p if p is None else p
     check_norm(p)
-    check_weights(config, weights)
-    return weights, p
+    if weights is not None:
+        weights = dict(weights)
+        check_weights(config, weights)
+        return MappingProxyType(weights), p
+    own = config._checked_weights
+    if own is None:
+        own = config.weights()
+        check_weights(config, own)
+        object.__setattr__(config, "_checked_weights", own)
+    return MappingProxyType(own), p
 
 
 def compute_weighted_lp(
@@ -254,11 +276,17 @@ def goal_price(
     return (math.sqrt(total) if p == 2 else total), freed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CostReport:
     """A goal and its cost.  ``adjusted_weights``, the weights the cost was
     priced under (``0.0`` on each causal-free feature), is read-only: the
-    reports of one search that free no feature share one mapping."""
+    reports of one search that free the same features share one
+    ``adjusted_weights`` mapping and one ``causal_free_features`` set.
+
+    A frozen dataclass whose ``__init__`` fills the instance's ``__dict__``
+    directly, not one ``object.__setattr__`` per field; equality, ``repr``
+    and ``dataclasses.replace`` are the dataclass's own.
+    """
 
     target: State
     cost: float
@@ -266,6 +294,16 @@ class CostReport:
     mode: str
     adjusted_weights: Mapping[str, float]
     causal_free_features: frozenset[str]
+
+    def __init__(self, target: State, cost: float, p: int, mode: str,
+                 adjusted_weights: Mapping[str, float], causal_free_features: frozenset[str]):
+        fields = self.__dict__
+        fields["target"] = target
+        fields["cost"] = cost
+        fields["p"] = p
+        fields["mode"] = mode
+        fields["adjusted_weights"] = adjusted_weights
+        fields["causal_free_features"] = causal_free_features
 
     def to_json(self, config: DatasetConfig) -> dict:
         return {
@@ -311,8 +349,8 @@ def _stream_candidates(
     p: int,
     mode: str,
     k: int,
-) -> list[tuple[float, State, list[int]]]:
-    """The k cheapest goals in (cost, rank) order, as ``(cost, state,
+) -> list[tuple[float, int, int, list[int]]]:
+    """The k cheapest goals in (cost, rank) order, as ``(cost, rank, bits,
     indices of the causal-free features)``.
 
     The search is best-first over boxes of the non-head features, the walk
@@ -347,7 +385,8 @@ def _stream_candidates(
     best goals by (cost, rank) are held; ``rank`` is the sum of
     ``CompiledRules.rank_parts`` over the candidate's bits, its domain
     indices read as one mixed-radix number, which orders states exactly as
-    ``DatasetConfig.lex_key`` does.  Only they become a ``State``.
+    ``DatasetConfig.lex_key`` does.  They are returned as bits; the caller
+    decodes each into a ``State`` as it builds that goal's report.
 
     Then the box loses a *cut* that holds no goal.  When no completion is a
     goal and one rejecting decision box holds all of them, the cut is that
@@ -389,12 +428,6 @@ def _stream_candidates(
     root = math.sqrt if p == 2 else float
     heappush = heapq.heappush
 
-    def cheapest(order: Sequence[int], m: int) -> int:
-        """The first bit of a cost order that ``m`` allows (it allows one)."""
-        for bit in order:
-            if m & bit:
-                return bit
-
     def price(vec: int) -> float:
         """The sum of the terms of ``vec`` (one bit per walk feature) in bit
         order, from ``0.0``."""
@@ -418,7 +451,10 @@ def _stream_candidates(
     def push(box: int) -> None:
         vec = 0
         for _, _, _, order in steps:
-            vec |= cheapest(order, box)
+            for bit in order:  # the first bit of the cost order that the box allows
+                if box & bit:
+                    vec |= bit
+                    break
         heappush(heap, (price(vec), low_rank(vec), vec, box))
 
     space = sum(row.plausible for row in rows) & sum(walk_masks)
@@ -472,14 +508,17 @@ def _stream_candidates(
         for m, below, above, order in steps:
             part = rest & m
             if part:
-                old, new = vec & m, cheapest(order, part)
+                for new in order:  # the first bit of the cost order that the child allows
+                    if part & new:
+                        break
+                old = vec & m
                 nxt = vec ^ old | new
                 heappush(heap, (
                     price(nxt),
                     rank - parts[old.bit_length() - 1] + parts[new.bit_length() - 1], nxt,
                     cut & below | part | box & above,
                 ))
-    return [(cost, compiled.state(bits), freed) for cost, _, bits, freed in found]
+    return found
 
 
 def _check_initial(dataset: Dataset, instance: State, on_inconsistent: str) -> None:
@@ -521,21 +560,18 @@ def _nearest(
         raise NoCounterfactualError(
             "no causally consistent counterfactual exists in the admissible space"
         )
-    features = config.features
-    plain = MappingProxyType(weights)  # ``weights`` is this call's own copy
+    features, state = config.features, compiled.state
+    # per freed set, its (adjusted_weights, causal_free_features), shared by its reports
+    shared = {(): (weights, frozenset())}
     reports = []
-    for cost, target, freed in found:
-        adjusted = plain
-        if freed:
-            adjusted = MappingProxyType({**weights, **{features[i].name: 0.0 for i in freed}})
-        reports.append(CostReport(
-            target=target,
-            cost=cost,
-            p=p,
-            mode=mode,
-            adjusted_weights=adjusted,
-            causal_free_features=frozenset(features[i].name for i in freed),
-        ))
+    for cost, _, bits, freed in found:
+        pair = shared.get(key := tuple(freed))
+        if pair is None:
+            names = [features[i].name for i in freed]
+            pair = shared[key] = (
+                MappingProxyType({**weights, **dict.fromkeys(names, 0.0)}), frozenset(names)
+            )
+        reports.append(CostReport(state(bits), cost, p, mode, *pair))
     return reports
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DATA,
     absorbed_l2,
     budget,
     chained_ladder,
@@ -27,7 +31,7 @@ from oracles import (
     exhaustive_min_cf,
     knearest_trimmed,
 )
-from p2c.dataset import build_dataset, consolidate_dataset
+from p2c.dataset import build_dataset, consolidate_dataset, load_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
 from p2c.errors import (
     AlreadyCounterfactualError,
@@ -43,6 +47,7 @@ from p2c.search import (
     MODES,
     CostReport,
     _plausible,
+    check_weights,
     compute_weighted_lp,
     cost_rows,
     cost_terms,
@@ -50,6 +55,7 @@ from p2c.search import (
     goal_price,
     lp_term,
     min_cf,
+    resolve_costing,
 )
 
 
@@ -420,6 +426,127 @@ def test_adjusted_weights_are_read_only(example2, german, adult):
                     with pytest.raises(TypeError):
                         r.adjusted_weights[ds.config.features[0].name] = 0.0
     assert shared > 100 and freed > 50
+
+
+def test_reports_share_weights_per_freed_set(example2, german, adult):
+    """The reports of one ``goal_knearest`` call that free the same features
+    share one ``adjusted_weights`` mapping and one ``causal_free_features``
+    set, under the config's weights and a caller's; each mapping is still
+    ``adjust_weights``' in p2c mode and the plain weights in all-changes
+    mode."""
+    cases = [(ds, [ds.default_instance()]) for ds in (example2, german, adult)]
+    cases += [(ds, spread_starts(ds, 3)) for ds in map(consolidate_dataset, (german, adult))]
+    shared_freed = 0
+    for ds, starts in cases:
+        plain = ds.config.weights()
+        for start in starts:
+            for mode in MODES:
+                for p in (0, 1, 2):
+                    for weights in (None, dict(plain)):
+                        reports = goal_knearest(ds, start, 20, p=p, mode=mode, weights=weights,
+                                                on_inconsistent="allow")
+                        first: dict = {}
+                        for r in reports:
+                            twin = first.setdefault(r.causal_free_features, r)
+                            assert r.adjusted_weights is twin.adjusted_weights
+                            assert r.causal_free_features is twin.causal_free_features
+                            shared_freed += twin is not r and bool(r.causal_free_features)
+                            want = plain
+                            if mode == "p2c":
+                                want = adjust_weights(ds, start, r.target, plain)[0]
+                            assert dict(r.adjusted_weights) == want
+                        mappings = [r.adjusted_weights for r in first.values()]
+                        assert len({id(m) for m in mappings}) == len(mappings)
+    assert shared_freed > 100
+
+
+@pytest.mark.parametrize("p", [None, 0, 1, 2])
+def test_config_weights_resolve_equal_and_read_only(example2, p):
+    """``resolve_costing`` with no weights gives the config's own weights,
+    equal and read-only on every call; editing what ``DatasetConfig.weights``
+    returns changes neither them nor the config, which still pickles; ``p``
+    is checked on every call."""
+    config = example2.config
+    got = [resolve_costing(config, None, p) for _ in range(3)]
+    for weights, norm in got:
+        assert weights == config.weights() and norm == (config.norm_p if p is None else p)
+        with pytest.raises(TypeError):
+            weights["age"] = 5.0
+    edited = config.weights()
+    edited["age"] = 5.0
+    assert resolve_costing(config, None, p)[0] == got[0][0] == example2.config.weights()
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config and resolve_costing(copy, None, p)[0] == got[0][0]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="p must be 0, 1 or 2"):
+            resolve_costing(config, None, 3)
+
+
+def test_bool_feature_weight_is_refused_on_every_call():
+    """``FeatureSpec`` accepts ``weight=True`` (it is finite and >= 0), but
+    ``check_weights`` refuses a bool, so ``min_cf`` raises on every call: a
+    failed check of the config's weights is not kept as passed."""
+    flag = FeatureSpec(name="flag", kind="categorical", domain=("a", "b"), weight=True)
+    ds = make_dataset({"x": ("a", "b"), "flag": flag}, "label(X,'no') :- x(X,'a').",
+                      undesired_decision="no")
+    with pytest.raises(ValueError, match="weight of feature 'flag' must be finite"):
+        check_weights(ds.config, ds.config.weights())
+    for _ in range(3):
+        with pytest.raises(ValueError, match="weight of feature 'flag' must be finite"):
+            min_cf(ds, State(("a", "a")))
+    fixed = min_cf(ds, State(("a", "a")), weights={"x": 1.0, "flag": 1.0})
+    assert fixed.target == State(("b", "a"))
+
+
+def test_caller_weights_are_never_cached(german, adult):
+    """A caller that edits its ``weights`` dict between two ``goal_knearest``
+    calls on one dataset gets, from the second, the answers a fresh dataset
+    gives under the edited weights; the first call's reports keep theirs."""
+    moved = 0
+    for name, ds in (("german", german), ("adult", adult)):
+        start = ds.default_instance()
+        for mode in MODES:
+            weights = ds.config.weights()
+            before = goal_knearest(ds, start, 20, mode=mode, weights=weights,
+                                   on_inconsistent="allow")
+            kept = [dict(r.adjusted_weights) for r in before]
+            for i, feature in enumerate(weights):
+                weights[feature] = weights[feature] * 3 + 1 if i % 2 else weights[feature] / 4
+            after = goal_knearest(ds, start, 20, mode=mode, weights=weights,
+                                  on_inconsistent="allow")
+            fresh = goal_knearest(load_dataset(DATA / name), start, 20, mode=mode,
+                                  weights=dict(weights), on_inconsistent="allow")
+            assert after == fresh
+            assert [dict(r.adjusted_weights) for r in before] == kept
+            moved += [r.target for r in after] != [r.target for r in before]
+    assert moved >= 2
+
+
+def test_cost_report_is_a_frozen_dataclass(example2):
+    """``CostReport``'s own ``__init__`` keeps it a frozen dataclass: fields
+    cannot be set or deleted, ``replace`` builds an equal-but-for-its-change
+    report, equality compares fields, and ``to_json`` is as before."""
+    r = min_cf(example2, example2.default_instance())
+    assert dataclasses.is_dataclass(r) and [f.name for f in dataclasses.fields(r)] == [
+        "target", "cost", "p", "mode", "adjusted_weights", "causal_free_features"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.cost = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del r.mode
+    dearer = replace(r, cost=r.cost + 1)
+    assert type(dearer) is CostReport and dearer != r and dearer.cost == r.cost + 1
+    assert replace(dearer, cost=r.cost) == r
+    fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+    assert CostReport(**fields) == r and CostReport(*fields.values()) == r
+    assert CostReport(**{**fields, "mode": "all_changes"}) != r
+    assert repr(r).startswith("CostReport(target=State(values=(31.0, 0.0, 12.0, 60000.0, 620.0)), "
+                              "cost=0.00502, p=1, mode='p2c', adjusted_weights=mappingproxy(")
+    assert json.dumps(r.to_json(example2.config)) == (
+        '{"target": {"age": 31.0, "debt": 0.0, "loan_duration": 12.0, "bank_balance": 60000.0, '
+        '"credit_score": 620.0}, "cost": 0.00502, "p": 1, "mode": "p2c", "adjusted_weights": '
+        '{"age": 1.0, "bank_balance": 1.0, "credit_score": 0.0, "debt": 1.0, "loan_duration": '
+        '1.0}, "causal_free_features": ["credit_score"]}'
+    )
 
 
 # ---------------------------------------------------------------------------
