@@ -8,7 +8,6 @@ actions that reaches it.
 
 import importlib
 
-from .consistency import CausalGroup, build_causal_groups
 from .dataset import Dataset, build_dataset, consolidate_dataset, load_dataset
 from .domain import (
     DatasetConfig,

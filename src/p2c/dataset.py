@@ -20,7 +20,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .consistency import CausalGroup, build_causal_groups
 from .domain import (
     CATEGORICAL,
     NUMERIC,
@@ -44,21 +43,15 @@ class Dataset:
     config: DatasetConfig
     decision: RuleProgram
     causal: RuleProgram
-    groups: tuple[CausalGroup, ...]
-    root: Path | None = None
     warnings: tuple[str, ...] = ()
     digest: str = ""
-
-    @cached_property
-    def causal_head_features(self) -> frozenset[str]:
-        return frozenset(g.feature for g in self.groups)
 
     @cached_property
     def compiled(self) -> CompiledRules:
         """Both rule programs as bit masks over this config's domains."""
         from .masks import CompiledRules
 
-        return CompiledRules(self.config, self.groups, self.causal, self.decision)
+        return CompiledRules(self.config, self.causal, self.decision)
 
     @cached_property
     def unmentioned(self) -> tuple[tuple[str, frozenset[str]], ...]:
@@ -204,6 +197,9 @@ def _feature_from_json(
 
 
 def _cross_validate(config: DatasetConfig, decision: RuleProgram, causal: RuleProgram) -> None:
+    """Check both programs against ``config``: every body literal reads a
+    feature of its kind, the decision label names no feature, and every
+    causal head is a value of a feature that its own rule does not read."""
     label = decision.head_label
     for prog in (decision, causal):
         for rule in prog.clauses:
@@ -235,13 +231,33 @@ def _cross_validate(config: DatasetConfig, decision: RuleProgram, causal: RulePr
         raise ConfigError(
             f"decision predicate {label.predicate!r} collides with a feature name"
         )
+    if causal.kind != "causal":
+        raise ConfigError("expected a causal program")
+    for rule in causal.rules:
+        name, value = rule.head.predicate, rule.head.value
+        if not config.has_feature(name):
+            raise ConfigError(f"causal head {name!r} is not a feature")
+        spec = config.feature(name)
+        if spec.kind == NUMERIC:
+            if not isinstance(value, float):
+                raise ConfigError(
+                    f"causal head for numeric feature {name!r} must be numeric"
+                )
+            lo, hi = spec.numeric_range  # type: ignore[misc]
+            if not lo <= value <= hi:
+                raise ConfigError(f"causal head value {value} outside {name!r} range")
+        elif value not in spec.domain:
+            raise ConfigError(
+                f"causal head value {value!r} is not in the domain of {name!r}"
+            )
+        if any(lit.predicate == name for lit in rule.body):
+            raise ConfigError(f"causal rule for {name!r} reads its own feature")
 
 
 def build_dataset(
     config: DatasetConfig,
     decision: RuleProgram,
     causal: RuleProgram,
-    root: Path | None = None,
     digest: str = "",
 ) -> Dataset:
     _cross_validate(config, decision, causal)
@@ -249,10 +265,9 @@ def build_dataset(
     describes_undesired = label is None or label.value == config.undesired_decision
     if decision.describes_undesired != describes_undesired:
         decision = replace(decision, describes_undesired=describes_undesired)
-    groups = build_causal_groups(config, causal)
 
     warnings = []
-    heads = {g.feature for g in groups}
+    heads = {rule.head.predicate for rule in causal.rules}
     for f in config.features:
         if not f.directly_actionable and f.mutable and f.name not in heads:
             warnings.append(
@@ -268,8 +283,6 @@ def build_dataset(
         config=config,
         decision=decision,
         causal=causal,
-        groups=groups,
-        root=root,
         warnings=tuple(warnings),
         digest=digest,
     )
@@ -323,7 +336,6 @@ def bundle_dataset(
     names ``config_path`` once."""
     import hashlib  # imported here: no search needs it
 
-    root = config_path.parent
     (blob, raw), (decision_text, decision), (causal_text, causal) = config, decision, causal
     try:
         defaults = raw.get("instance_defaults") or {}
@@ -343,7 +355,7 @@ def bundle_dataset(
         if not isinstance(undesired, str):
             raise ConfigError(f"config field 'undesired_decision' is not a string: {undesired!r}")
         config = DatasetConfig(
-            name=raw.get("name", root.name),
+            name=raw.get("name", config_path.parent.name),
             features=features,
             undesired_decision=undesired,
             norm_p=_integer(raw, "norm_p", 1),
@@ -356,7 +368,7 @@ def bundle_dataset(
         digest = hashlib.sha256()
         for part in (blob, decision_text.encode(), causal_text.encode()):
             digest.update(part)
-        return build_dataset(config, decision, causal, root=root, digest=digest.hexdigest())
+        return build_dataset(config, decision, causal, digest=digest.hexdigest())
     except (ConfigError, StateValidationError) as exc:
         raise exc.__class__(f"{config_path}: {exc}") from None
 
@@ -404,8 +416,8 @@ def consolidate_dataset(dataset: Dataset, instance_raw: Mapping | None = None) -
     placeholder ``ph_<feature>`` when two or more do.  Its
     ``FeatureSpec.merged`` entry lists every raw value merged, through
     earlier placeholders too, so consolidating again changes nothing.  Every
-    mentioned value stays, so the programs, causal groups, warnings and
-    digest carry over and only the config is replaced.
+    mentioned value stays, so the programs, warnings and digest carry
+    over and only the config is replaced.
 
     ``instance_raw`` overrides the config's factual instance; its values
     survive consolidation so it stays representable in the reduced space,

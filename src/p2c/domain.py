@@ -289,8 +289,9 @@ def ingest_csv(
     """Read an RFC-4180 CSV (header required) into states.
 
     Extra columns are ignored; the label column, when named here or in the
-    config, is returned alongside.  Row-level validation failures either
-    raise immediately or are collected, per ``on_error``.
+    config, is returned alongside.  A header without a feature column or the
+    label column is a :class:`StateValidationError`.  Row-level validation
+    failures either raise immediately or are collected, per ``on_error``.
     """
     import csv  # imported here: no search needs it
 
@@ -311,6 +312,10 @@ def ingest_csv(
             raise StateValidationError(
                 f"{path}: header is missing feature column(s) "
                 f"{sorted(needed - header)}"
+            )
+        if label_column is not None and label_column not in header:
+            raise StateValidationError(
+                f"{path}: header is missing label column {label_column!r}"
             )
         for row_no, row in enumerate(reader, start=2):
             if None in row or any(v is None for v in row.values()):

@@ -12,10 +12,15 @@ exactly its states: an exception-predicate call joins the body's boxes with
 the boxes of the rules it calls, and a negated call with their complement,
 in which each called box fails on one of the features it tests.  A join
 keeps only nonempty boxes that no other box of the rule contains, and a
-rule may compile to at most :data:`MAX_RULE_BOXES` boxes.  Each causal
-alternative gets a head mask of the values that satisfy it, direction-aware
-(``at_least``/``at_most``), so the completion semantics of
-:mod:`p2c.consistency` become a few integer ANDs per group.  Compiling also
+rule may compile to at most :data:`MAX_RULE_BOXES` boxes.
+
+The causal rules are grouped per head feature, and within a group per head
+value, an *alternative*, both in the order the rules first name them.  A
+group is read under program completion: its "if" rules become "if and only
+if", so a fired alternative entails its head value and one whose rules all
+fail excludes it.  Each alternative gets a head mask of the values that
+satisfy it, direction-aware (``at_least``/``at_most``), so that reading
+becomes a few integer ANDs per group.  Compiling also
 decides, exactly, whether two alternatives of one group fire on some state
 (two of their boxes meet), and rejects such a program: so a group's fired
 alternative is simply the first that fires.  A repair is bits too; the text
@@ -57,7 +62,6 @@ import operator
 from functools import reduce
 from typing import Sequence
 
-from .consistency import CausalGroup
 from .domain import DatasetConfig, State, Value
 from .errors import CausalProgramError, EvaluationError, RuleProgramError
 from .rules import (
@@ -196,33 +200,43 @@ def _co_firing_state(boxes, feature_masks) -> int | None:
 
 
 class _CompiledGroup:
-    """One causal group: per alternative the boxes its rules fire on, the
-    rule each box comes from (``owner``), and the head values that satisfy
-    the group when it fires, ``allowed[fired]``, with ``allowed[-1]`` the
-    values allowed when none fires.  ``first[fired]`` is the bit of the
-    value a repair falls back to: the fired head value when the group allows
-    it, else the lowest allowed value (0 when none is).  ``reads`` holds the
-    bits of every feature its rules read, through their calls too.  A group
-    with a state on which two alternatives fire is a
+    """One causal group: the head ``feature`` (index ``fi``), per alternative
+    its head value (``head_values``), its rules (``rules``), the boxes they
+    fire on and the rule each box comes from (``owner``), and the head
+    values that satisfy the group when it fires, ``allowed[fired]``, with
+    ``allowed[-1]`` the values allowed when none fires.  ``first[fired]`` is
+    the bit of the value a repair falls back to: the fired head value when
+    the group allows it, else the lowest allowed value (0 when none is).
+    ``reads`` holds the bits of every feature its rules read, through their
+    calls too.  A group with a state on which two alternatives fire is a
     :class:`CausalProgramError` naming the rules that fire there."""
 
-    __slots__ = ("group", "fi", "allowed", "first", "boxes", "owner", "reads", "texts")
+    __slots__ = ("feature", "head_values", "rules", "fi", "allowed", "first", "boxes", "owner",
+                 "reads", "texts")
 
-    def __init__(self, group: CausalGroup, fi: int, heads, values, rules, feature_masks):
-        # rules: per alternative, per rule, its (boxes, reads)
-        self.group = group
+    def __init__(self, feature: str, alternatives: dict[Value, list[Rule]],
+                 compiler: _ProgramCompiler):
+        self.feature = feature
+        self.head_values = tuple(alternatives)
+        self.rules = tuple(map(tuple, alternatives.values()))
+        self.fi = fi = compiler.config.feature_index(feature)
+        spec = compiler.config.features[fi]
+        feature_masks = compiler.feature_masks
+        heads = tuple(compiler.mask(fi, lambda v, t=t: spec.satisfies(v, t))
+                      for t in self.head_values)
+        values = tuple(compiler.mask(fi, lambda v, t=t: v == t) for t in self.head_values)
+        rules = [[compiler.rule(r) for r in alt] for alt in self.rules]  # per rule (boxes, reads)
         self.boxes = tuple(tuple(box for boxes, _ in alt for box in boxes) for alt in rules)
         self.owner = tuple(tuple(r for r, (boxes, _) in enumerate(alt) for _ in boxes)
                            for alt in rules)
         self.reads = reduce(operator.or_, (reads for alt in rules for _, reads in alt), 0)
-        self.texts = [[None] * len(alt.rules) for alt in group.alternatives]
+        self.texts = [[None] * len(alt) for alt in self.rules]
         bits = _co_firing_state(self.boxes, feature_masks)
         if bits is not None:
             raise CausalProgramError(
-                f"two alternatives for feature {group.feature!r} fired simultaneously: "
+                f"two alternatives for feature {feature!r} fired simultaneously: "
                 f"{'; '.join(t for a in range(len(rules)) for t in self.rule_text(a, bits))}"
             )
-        self.fi = fi
         others = [reduce(operator.or_, heads[:a] + heads[a + 1:], 0) for a in range(len(heads))]
         self.allowed = tuple(h & ~o for h, o in zip(heads, others)) + (
             feature_masks[fi] & ~reduce(operator.or_, heads, 0),
@@ -249,7 +263,7 @@ class _CompiledGroup:
         out = []
         for r in sorted({r for box, r in zip(self.boxes[a], self.owner[a]) if not bits & box}):
             if texts[r] is None:
-                texts[r] = unparse_rule(self.group.alternatives[a].rules[r])
+                texts[r] = unparse_rule(self.rules[a][r])
             out.append(texts[r])
         return tuple(out)
 
@@ -331,7 +345,8 @@ def _seed_pieces(boxes, steps) -> tuple[int, ...]:
 
 
 class CompiledRules:
-    """A config's causal groups and its decision program as bit masks.
+    """A config's causal program, grouped per head feature, and its decision
+    program as bit masks.
 
     Feature ``i``'s value with domain index ``j`` is bit ``offsets[i] + j``,
     ``values`` holds each bit's value and ``rank_parts`` its part of the
@@ -354,13 +369,7 @@ class CompiledRules:
                  "decision", "decision_rules", "undesired", "decision_boxes", "_seed_pieces",
                  "cost_rows")
 
-    def __init__(
-        self,
-        config: DatasetConfig,
-        groups: Sequence[CausalGroup],
-        causal: RuleProgram,
-        decision: RuleProgram,
-    ):
+    def __init__(self, config: DatasetConfig, causal: RuleProgram, decision: RuleProgram):
         offsets = []
         off = 0
         for spec in config.features:
@@ -374,21 +383,13 @@ class CompiledRules:
             ((1 << len(spec.domain)) - 1) << o for o, spec in zip(offsets, config.features)
         )
 
+        by_head: dict[str, dict[Value, list[Rule]]] = {}
+        for rule in causal.rules:
+            head = rule.head
+            by_head.setdefault(head.predicate, {}).setdefault(head.value, []).append(rule)
         compiler = _ProgramCompiler(config, self.offsets, feature_masks, causal)
-        compiled = []
-        for group in groups:
-            fi = config.feature_index(group.feature)
-            spec = config.features[fi]
-            heads = tuple(
-                compiler.mask(fi, lambda v, t=alt.value: spec.satisfies(v, t))
-                for alt in group.alternatives
-            )
-            values = tuple(
-                compiler.mask(fi, lambda v, t=alt.value: v == t) for alt in group.alternatives
-            )
-            rules = [[compiler.rule(r) for r in alt.rules] for alt in group.alternatives]
-            compiled.append(_CompiledGroup(group, fi, heads, values, rules, feature_masks))
-        self.groups = tuple(compiled)
+        self.groups = tuple(_CompiledGroup(name, alternatives, compiler)
+                            for name, alternatives in by_head.items())
         by_feature = [None] * len(offsets)
         for g in self.groups:
             by_feature[g.fi] = g

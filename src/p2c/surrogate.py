@@ -79,7 +79,7 @@ class RuleBackedModel:
 
         # The raw firing of the rules, whichever label they describe.
         decision = replace(self.program, describes_undesired=True)
-        return CompiledRules(self.config, (), RuleProgram((), "causal"), decision)
+        return CompiledRules(self.config, RuleProgram((), "causal"), decision)
 
     def __call__(self, state: State) -> str:
         head = self.program.head_label

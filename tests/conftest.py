@@ -38,15 +38,14 @@ def compiled_groups(dataset, state) -> dict[str, GroupReading]:
     out = {}
     for g in compiled.groups:
         fired = g.fired(bits)
-        alts = g.group.alternatives
         domain, offset, first = compiled.domains[g.fi], compiled.offsets[g.fi], g.first[fired]
         rest = g.allowed[fired] & ~first
         allowed = (domain[first.bit_length() - 1 - offset],) if first else ()
         allowed += tuple(v for j, v in enumerate(domain) if rest >> (offset + j) & 1)
-        out[g.group.feature] = GroupReading(
-            feature=g.group.feature,
-            required=alts[fired].value if fired >= 0 else None,
-            excluded=tuple(alt.value for a, alt in enumerate(alts) if a != fired),
+        out[g.feature] = GroupReading(
+            feature=g.feature,
+            required=g.head_values[fired] if fired >= 0 else None,
+            excluded=tuple(v for a, v in enumerate(g.head_values) if a != fired),
             provenance=compiled.provenance(g.fi, bits),
             allowed=allowed,
         )

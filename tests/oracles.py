@@ -6,7 +6,8 @@ bookkeeping, so a bug in the compiled masks, the streaming search, the
 causal closure or the planner cannot hide itself.  The rule interpreter
 (:func:`rule_fires`, :func:`program_decides`) walks every literal on a
 name->value dict; ``p2c`` itself evaluates rules only on compiled masks.
-The State-level references built on it (the :class:`Entailment` record,
+The State-level references built on it (the per-head grouping
+:func:`causal_groups`, the :class:`Entailment` record,
 :func:`interpreted_repair_values`, :func:`adjust_weights`), the
 dimension-trimmed :func:`knearest_trimmed` and the config-level
 :func:`consolidate_placeholders` live only here.
@@ -158,6 +159,27 @@ def program_decides(program, state) -> bool:
     return any(rule_fires(rule, state, program) for rule in program.rules)
 
 
+CausalGroup = collections.namedtuple("CausalGroup", "feature alternatives")
+CausalAlternative = collections.namedtuple("CausalAlternative", "value rules")
+
+
+def causal_groups(dataset) -> tuple[CausalGroup, ...]:
+    """The causal rules per head feature, and within it per head value,
+    both in the order the rules first name them."""
+    by_head: dict = {}
+    for rule in dataset.causal.rules:
+        by_head.setdefault(rule.head.predicate, {}).setdefault(rule.head.value, []).append(rule)
+    return tuple(
+        CausalGroup(feature, tuple(CausalAlternative(v, tuple(rs)) for v, rs in alts.items()))
+        for feature, alts in by_head.items()
+    )
+
+
+def causal_head_features(dataset) -> frozenset[str]:
+    """The features some causal rule sets."""
+    return frozenset(rule.head.predicate for rule in dataset.causal.rules)
+
+
 @dataclass(frozen=True)
 class Entailment:
     """What the causal program demands of one feature, given a state.
@@ -209,7 +231,7 @@ def interpreted_entailment(dataset, group, state):
 
 
 def interpreted_entailments(dataset, state):
-    return tuple(interpreted_entailment(dataset, g, state) for g in dataset.groups)
+    return tuple(interpreted_entailment(dataset, g, state) for g in causal_groups(dataset))
 
 
 def interpreted_consistent(dataset, state) -> bool:
@@ -237,7 +259,7 @@ def interpreted_repair_values(dataset, state, feature):
     """Values of ``feature`` that satisfy its own group's interpreted
     entailment, the fired head value first."""
     spec = dataset.config.feature(feature)
-    for group in dataset.groups:
+    for group in causal_groups(dataset):
         if group.feature != feature:
             continue
         ent = interpreted_entailment(dataset, group, state)
@@ -258,7 +280,7 @@ def interpreted_closure(dataset, state, prefer=None):
     for acyclic programs, where each group is repaired at most once.
     """
     config = dataset.config
-    order = [g.group.feature for g, _ in dataset.compiled.head_order]
+    order = [g.feature for g, _ in dataset.compiled.head_order]
     repairs = []
     for _ in range(len(order) + 1):
         ents = {e.feature: e for e in interpreted_entailments(dataset, state)}
@@ -313,7 +335,7 @@ def _priced_goals(dataset, instance, weights, p, mode):
     config = dataset.config
     weights = dict(weights) if weights is not None else config.weights()
     p = config.norm_p if p is None else p
-    heads = dataset.causal_head_features
+    heads = causal_head_features(dataset)
     per_feature = []
     for spec, cur in zip(config.features, instance.values):
         if not spec.mutable:
@@ -645,8 +667,9 @@ def corrupted_plans(dataset, plan: PlanPath) -> list[PlanPath]:
 
     site = next(((n, k, a.feature) for n, step in enumerate(steps[1:], 1)
                  for k, a in enumerate(step.actions) if a.kind == CAUSAL), None)
-    if site is None and dataset.groups:
-        site = (1, None, dataset.groups[0].feature)  # put first in step 1
+    groups = causal_groups(dataset)
+    if site is None and groups:
+        site = (1, None, groups[0].feature)  # put first in step 1
     if site is not None:
         n, k, feature = site
         head = steps[n].actions[:k or 0]

@@ -30,6 +30,7 @@ from conftest import (
     DATA, compiled_groups, cyclic_dataset, make_dataset, random_dataset, rich_dataset,
 )
 from oracles import (
+    causal_groups,
     entailment_satisfied,
     interpreted_consistent,
     interpreted_decision_positive,
@@ -104,7 +105,7 @@ def disagreements(dataset, state) -> list[str]:
          lambda d, s: plain(interpreted_entailments(d, s))),
         ("causal_actions", lambda s: causal_actions(dataset, s), interpreted_causal_actions),
     ]
-    for group in dataset.groups:
+    for group in causal_groups(dataset):
         pairs.append((
             f"repair_values[{group.feature}]",
             lambda s, f=group.feature: compiled_groups(dataset, s)[f].allowed,
@@ -320,12 +321,12 @@ def test_provenance_is_the_fired_rule_text(example2):
 
 
 def head_order(ds):
-    return [(g.group.feature, decidable) for g, decidable in ds.compiled.head_order]
+    return [(g.feature, decidable) for g, decidable in ds.compiled.head_order]
 
 
 def test_head_order_derives_adult_relationship_before_marital_status(adult):
     # marital_status's bodies read relationship, so it is derived second
-    assert [g.feature for g in adult.groups] == ["marital_status", "relationship"]
+    assert [g.feature for g in adult.compiled.groups] == ["marital_status", "relationship"]
     assert head_order(adult) == [("relationship", True), ("marital_status", True)]
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import compiled_groups, make_dataset
-from oracles import interpreted_entailment
+from oracles import causal_groups, interpreted_entailment
 from p2c.domain import enumerate_states, validate_state
 from p2c.errors import CausalProgramError
 
@@ -212,7 +212,7 @@ def test_causal_repair_values_for_excluded_violation(example2):
 def covers_every_state(dataset, feature) -> bool:
     """Whether some alternative of ``feature``'s group fires on every state,
     by the interpreted entailments."""
-    group = next(g for g in dataset.groups if g.feature == feature)
+    group = next(g for g in causal_groups(dataset) if g.feature == feature)
     return all(
         interpreted_entailment(dataset, group, state).required is not None
         for state in enumerate_states(dataset.config)

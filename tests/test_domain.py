@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -9,9 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from oracles import consolidate_placeholders
+from oracles import causal_groups, consolidate_placeholders
 from p2c.dataset import build_dataset, consolidate_dataset, consolidated_size, load_dataset
 from p2c.domain import (
+    DatasetConfig,
     FeatureSpec,
     build_numeric_domain,
     enumerate_states,
@@ -22,7 +24,7 @@ from p2c.domain import (
 )
 from p2c.errors import ConfigError, P2CError, StateValidationError
 from p2c.planner import find_path, path_is_legal
-from p2c.rules import mentioned_values
+from p2c.rules import Atom, BodyLiteral, Rule, RuleProgram, mentioned_values, parse_rule_program
 from p2c.search import goal_knearest, min_cf
 
 
@@ -259,11 +261,11 @@ def test_consolidate_dataset_keeps_one_dataset_per_partition(data_dir, bundle):
         assert reduced.config.instance_defaults == full.config.instance_defaults
         fresh_config = consolidate_placeholders(replace(full.config, instance_defaults=raw),
                                                 programs)
-        fresh = build_dataset(fresh_config, *programs, root=full.root, digest=full.digest)
+        fresh = build_dataset(fresh_config, *programs, digest=full.digest)
         assert [(f.domain, dict(f.merged)) for f in reduced.config.features] == [
             (f.domain, dict(f.merged)) for f in fresh.config.features]
-        assert (reduced.groups, reduced.warnings, reduced.digest) == (
-            fresh.groups, fresh.warnings, fresh.digest)
+        assert (causal_groups(reduced), reduced.warnings, reduced.digest) == (
+            causal_groups(fresh), fresh.warnings, fresh.digest)
         assert _answers(reduced, raw) == _answers(fresh, raw)
     reduced_ids = {id(ds) for ds in by_partition.values()}
     assert len(reduced_ids) == len(by_partition) == len(full.consolidated)
@@ -330,6 +332,23 @@ def test_ingest_missing_column(tmp_path, cars):
         ingest_csv(cars.config, path)
 
 
+@pytest.mark.parametrize("on_error", ["raise", "collect"])
+def test_ingest_missing_label_column_names_file_and_column(tmp_path, cars, data_dir, on_error):
+    """A label column the header lacks, named by the argument or by the
+    config, is refused before any row is read, naming the file and the
+    column, whatever ``on_error`` says."""
+    path = data_dir / "cars" / "car.csv"
+    with pytest.raises(StateValidationError) as excinfo:
+        ingest_csv(cars.config, path, label_column="nope", on_error=on_error)
+    assert str(excinfo.value) == f"{path}: header is missing label column 'nope'"
+    path = tmp_path / "unlabelled.csv"
+    path.write_text("buying,maint,doors,persons,lug_boot,safety\nvhigh,vhigh,2,2,small,low\n")
+    assert cars.config.label_column == "label"
+    with pytest.raises(StateValidationError) as excinfo:
+        ingest_csv(cars.config, path, on_error=on_error)
+    assert str(excinfo.value) == f"{path}: header is missing label column 'label'"
+
+
 def test_ingest_raw_values_resolve_into_consolidated_space(german, tmp_path):
     """Raw rows keep loading after consolidation: merged values map to the
     placeholder."""
@@ -341,3 +360,62 @@ def test_ingest_raw_values_resolve_into_consolidated_space(german, tmp_path):
     raw["credit_history"] = "no_credits_taken"  # merged raw value
     state = validate_state(reduced.config, raw)
     assert state.values[reduced.config.feature_index("credit_history")] == ph[0]
+
+
+# ---------------------------------------------------------------------------
+# causal heads, checked when a dataset is built
+# ---------------------------------------------------------------------------
+
+HEAD_CHECK_CONFIG = DatasetConfig(
+    name="heads",
+    features=(
+        FeatureSpec(name="c", kind="categorical", domain=("a", "b")),
+        FeatureSpec(name="n", kind="numeric", domain=(0.0, 10.0), numeric_range=(0.0, 10.0),
+                    step=10.0),
+    ),
+    undesired_decision="bad",
+)
+HEAD_CHECK_DECISION = parse_rule_program("label(X,'bad') :- c(X,'a').", "decision")
+
+
+def _causal(head: Atom, *body: BodyLiteral) -> RuleProgram:
+    return RuleProgram((Rule(head, body),), "causal")
+
+
+@pytest.mark.parametrize("causal, message", [
+    (HEAD_CHECK_DECISION, "expected a causal program"),
+    (_causal(Atom("zz", "a"), BodyLiteral("feature_test", "c", "a")),
+     "causal head 'zz' is not a feature"),
+    (_causal(Atom("n", "high"), BodyLiteral("feature_test", "c", "a")),
+     "causal head for numeric feature 'n' must be numeric"),
+    (_causal(Atom("n", 20.0), BodyLiteral("feature_test", "c", "a")),
+     "causal head value 20.0 outside 'n' range"),
+    (_causal(Atom("c", "zzz"), BodyLiteral("numeric_binding", "n", variable="N"),
+             BodyLiteral("comparison", variable="N", bound=5.0)),
+     "causal head value 'zzz' is not in the domain of 'c'"),
+    (_causal(Atom("c", "a"), BodyLiteral("feature_test", "c", "b")),
+     "causal rule for 'c' reads its own feature"),
+    # a body that reads no feature is refused before the head is looked at
+    (_causal(Atom("zz", "a"), BodyLiteral("feature_test", "q", "a")),
+     "causal rules reference 'q', which is not a feature"),
+], ids=["not_causal", "head_not_feature", "numeric_head_not_number", "numeric_head_outside_range",
+        "head_value_not_in_domain", "reads_own_head", "body_checked_first"])
+def test_bad_causal_head_is_refused_at_build(causal, message):
+    with pytest.raises(ConfigError) as excinfo:
+        build_dataset(HEAD_CHECK_CONFIG, HEAD_CHECK_DECISION, causal)
+    assert str(excinfo.value) == message
+
+
+def test_bad_causal_head_at_load_names_the_config(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "name": "heads",
+        "undesired_decision": "bad",
+        "features": [{"name": "c", "domain": ["a", "b"]}, {"name": "d", "domain": ["x", "y"]}],
+    }))
+    (tmp_path / "decision.rules").write_text("label(X,'bad') :- c(X,'a').\n")
+    (tmp_path / "causal.rules").write_text("c(X,'zzz') :- d(X,'x').\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_dataset(tmp_path)
+    message = "causal head value 'zzz' is not in the domain of 'c'"
+    assert str(excinfo.value) == f"{config_path}: {message}"

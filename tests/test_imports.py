@@ -21,23 +21,24 @@ LAZY_MODULES = ("p2c.surrogate", "p2c.bench", "p2c.masks", "subprocess", "statis
 
 # The package's public names; each must resolve and be listed by dir().
 PUBLIC_NAMES = """
-Action AlreadyCounterfactualError CausalGroup CausalProgramError ConfigError CostReport
+Action AlreadyCounterfactualError CausalProgramError ConfigError CostReport
 Dataset DatasetConfig EvaluationError ExternalCommandModel FeatureSpec
 InconsistentInitialStateError LabeledDataset NoCounterfactualError P2CError PlanPath
 PredictorError RuleBackedModel RuleFileLearner RuleProgram RuleProgramError RuleSyntaxError
 SearchExhaustedError SpaceTooLargeError State StateValidationError TableModel
-agreement build_causal_groups build_dataset canonicalize compute_weighted_lp
-consistency consolidate_dataset dataset domain enumerate_states
+agreement build_dataset canonicalize compute_weighted_lp
+consolidate_dataset dataset domain enumerate_states
 errors extract_logic find_path goal_knearest ingest_csv label_dataset
 load_dataset mentioned_values min_cf naive_find_path parse_rule_program path_is_legal planner
 rules search search_space_size surrogate unparse_program validate_state
 """.split()
 
 # References that only tests used; they live in tests/oracles.py
-# (apply_action's checks are path_is_legal's, and consolidate_dataset alone
-# builds the reduced space), and the package must not export them again.
+# (apply_action's checks are path_is_legal's, consolidate_dataset alone
+# builds the reduced space, and CompiledRules groups the causal rules
+# itself), and the package must not export them again.
 REMOVED_NAMES = ("Entailment", "adjust_weights", "apply_action", "consolidate_placeholders",
-                 "knearest_trimmed")
+                 "knearest_trimmed", "CausalGroup", "build_causal_groups", "consistency")
 
 
 def _run(code: str, *args: str) -> str:

@@ -26,6 +26,7 @@ from conftest import (
 )
 from oracles import (
     adjust_weights,
+    causal_head_features,
     exhaustive_goal_knearest,
     exhaustive_knearest,
     exhaustive_min_cf,
@@ -746,7 +747,7 @@ def test_cycle_head_freedom_is_settled_on_the_completed_state():
     free is read off the completed goal: some goals change x and are charged
     for it, others change it for free."""
     ds = cyclic_dataset()
-    assert [g.group.feature for g, decidable in ds.compiled.head_order if not decidable] == ["x"]
+    assert [g.feature for g, decidable in ds.compiled.head_order if not decidable] == ["x"]
     starts = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
     charged = freed = 0
     for start in starts:
@@ -782,7 +783,7 @@ def test_goal_price_is_compute_weighted_lp_bit_for_bit():
     for ds, start in cases:
         config, compiled = ds.config, ds.compiled
         index = [spec.index_of(v) for spec, v in zip(config.features, start.values)]
-        spans = [_plausible(spec, ci, spec.name in ds.causal_head_features)
+        spans = [_plausible(spec, ci, spec.name in causal_head_features(ds))
                  for spec, ci in zip(config.features, index)]
         skewed = {f.name: f.weight * (1 + 0.1 * i) for i, f in enumerate(config.features)}
         start_bits = compiled.bits(start)
@@ -939,7 +940,7 @@ def _decision_reads(ds, b):
     body = ds.decision.rules[ds.compiled.decision_rules[b]].body
     return (
         any(lit.kind in ("aux_call", "negated_aux_call") for lit in body),
-        any(lit.predicate in ds.causal_head_features for lit in body),
+        any(lit.predicate in causal_head_features(ds) for lit in body),
     )
 
 
@@ -1081,7 +1082,7 @@ def test_cost_rows_are_exact_and_shared(monkeypatch, example1, example2, cars, g
     for ds, start in cases:
         ds = replace(ds)  # rows of its own
         config, compiled = ds.config, ds.compiled
-        parts, heads = compiled.rank_parts, ds.causal_head_features
+        parts, heads = compiled.rank_parts, causal_head_features(ds)
         bits = compiled.bits(start)
         for weights in _weight_sets(config):
             for p in (0, 1, 2):
