@@ -50,6 +50,13 @@ layout does not count; an error is its exit code and stderr.  Then the
 outcome of parsing each bundled rule file after each of 60 seeded
 one-character edits (replace, insert or delete): the clause count, or the
 error's type and message, with line and column for a syntax error.
+
+The fourth line hashes answers on favourable-label programs large enough
+that their rejecting boxes number 4^r: ``fav_stress(r)`` for r = 2..4, at
+its start and at 5 seeded starts on which no rule fires, ``min_cf`` and
+``goal_knearest(k=20)`` in both modes for p in {0, 1, 2}, and ``find_path``
+toward each ``min_cf`` target.  It was added after the first three, so they
+stay comparable with older trees.
 """
 
 from __future__ import annotations
@@ -338,6 +345,31 @@ def syntax_answers():
                 yield ("raised", type(exc).__name__, str(exc))
 
 
+def fav_answers():
+    """Answers on ``fav_stress(2..4)``."""
+    from conftest import fav_stress
+    from p2c import find_path, goal_knearest, min_cf
+    from p2c.domain import State
+
+    for r in range(2, 5):
+        ds, start = fav_stress(r)
+        rng = random.Random(f"fav-starts:{r}")
+        starts = [start]
+        while len(starts) < 6:
+            drawn = State(tuple(rng.choice(spec.domain) for spec in ds.config.features))
+            if ds.decision_positive(drawn):
+                starts.append(drawn)
+        for start in starts:
+            for p in (0, 1, 2):
+                for mode in ("p2c", "all_changes"):
+                    best = answer(min_cf, ds, start, p=p, mode=mode)
+                    yield best if isinstance(best, tuple) else report_answer(best)
+                    near = answer(goal_knearest, ds, start, 20, p=p, mode=mode)
+                    yield near if isinstance(near, tuple) else tuple(map(report_answer, near))
+                    if not isinstance(best, tuple):
+                        yield plan_answer(ds, answer(find_path, ds, start, best.target, p=p))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(REPO / "src"), help="directory holding p2c")
@@ -346,7 +378,8 @@ def main() -> None:
     sys.path.insert(0, str(Path(args.src).resolve()))
     for parts, label in (((search_answers(), plan_answers()), ""),
                          ((consolidated_answers(),), " on per-instance consolidated spaces"),
-                         ((cli_answers(), syntax_answers()), " on CLI reports and rule syntax")):
+                         ((cli_answers(), syntax_answers()), " on CLI reports and rule syntax"),
+                         ((fav_answers(),), " on favourable-label stress programs")):
         digest = hashlib.sha256()
         count = 0
         for part in parts:

@@ -359,8 +359,6 @@ def bundle_dataset(
             features=features,
             undesired_decision=undesired,
             norm_p=_integer(raw, "norm_p", 1),
-            decision_rules=raw.get("decision_rules", "decision.rules"),
-            causal_rules=raw.get("causal_rules", "causal.rules"),
             label_column=raw.get("label_column"),
             instance_defaults=raw.get("instance_defaults"),
             max_dpl=None if raw.get("max_dpl") is None else _integer(raw, "max_dpl", 0),

@@ -109,6 +109,23 @@ class FeatureSpec:
         return hi - lo
 
 
+def direct_action_problem(spec: FeatureSpec, old: Value, new: Value) -> str | None:
+    """Why a direct old->new change on this feature is implausible, if it
+    is: the one plausibility rule, which the planner, the legality check and
+    the search's plausible values (``search._plausible``) all read."""
+    if not spec.mutable:
+        return "feature is immutable"
+    if not spec.directly_actionable:
+        return "feature is not directly actionable"
+    if spec.monotone != "none":
+        lo, hi = spec.index_of(old), spec.index_of(new)
+        if spec.monotone == "nondecreasing" and hi < lo:
+            return "nondecreasing feature cannot decrease"
+        if spec.monotone == "nonincreasing" and hi > lo:
+            return "nonincreasing feature cannot increase"
+    return None
+
+
 @dataclass(frozen=True)
 class State:
     """A total assignment, positionally aligned with the config's features."""
@@ -130,8 +147,6 @@ class DatasetConfig:
     features: tuple[FeatureSpec, ...]
     undesired_decision: str
     norm_p: int = 1
-    decision_rules: str = "decision.rules"
-    causal_rules: str = "causal.rules"
     label_column: str | None = None
     instance_defaults: Mapping[str, object] | None = None
     max_dpl: int | None = None
@@ -146,8 +161,10 @@ class DatasetConfig:
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise ConfigError("feature names must be unique")
-        if self.norm_p not in NORMS:
-            raise ConfigError(f"norm_p must be 0, 1 or 2, got {self.norm_p}")
+        if type(self.norm_p) is not int or self.norm_p not in NORMS:
+            raise ConfigError(f"norm_p must be 0, 1 or 2, got {self.norm_p!r}")
+        if self.max_dpl is not None and type(self.max_dpl) is not int:
+            raise ConfigError(f"config field 'max_dpl' is not an integer: {self.max_dpl!r}")
         if self.max_dpl is not None and self.max_dpl < 1:
             raise ConfigError(f"config field 'max_dpl' must be at least 1, got {self.max_dpl}")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})

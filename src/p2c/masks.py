@@ -14,6 +14,14 @@ in which each called box fails on one of the features it tests.  A join
 keeps only nonempty boxes that no other box of the rule contains, and a
 rule may compile to at most :data:`MAX_RULE_BOXES` boxes.
 
+The decision program compiles to one polarity, its *rejecting* boxes
+(:attr:`CompiledRules.decision`), which hold exactly the states that get
+the undesired label.  Rules that name the undesired label give their own
+boxes.  Rules that name the favourable label give their complement, read
+constructively as s(CASP) reads ``not label(X, ...)``: from the whole
+space, each rule box is subtracted in turn by Lawler's partition
+(Management Science, 1972), which leaves disjoint boxes and needs no cap.
+
 The causal rules are grouped per head feature, and within a group per head
 value, an *alternative*, both in the order the rules first name them.  A
 group is read under program completion: its "if" rules become "if and only
@@ -40,17 +48,15 @@ For the counterfactual search, compiling also fixes its *walk*, the
 features no causal rule sets (:attr:`CompiledRules.walk`), and each bit's
 part of the rank that reads a state's domain indices as one mixed-radix
 number in feature order (:attr:`CompiledRules.rank_parts`): a state's rank
-is the sum of its bits' parts.  Each decision box gets its cut box over the
+is the sum of its bits' parts.  Each rejecting box gets its cut box over the
 walk (:attr:`CompiledRules.decision_boxes`), two masks in a state's bit
 layout: the walk values it allows, and the whole masks of the walk features
 that the heads it tests are derived from, which a search cutting that box
 away holds at the vector's values.  The walk's geometry
 (:attr:`CompiledRules.walk_steps`: per walk feature its mask and the bits
-below and above it) is fixed with it, and on first use a favourable-label
-program gets :attr:`CompiledRules.seed_pieces`, the decision boxes as
-disjoint boxes over the whole walk.  ``CompiledRules.cost_rows`` keeps the
-search's per-feature cost rows (``search.cost_rows``), built on first use
-per value, weight and norm; it holds no answer.
+below and above it) is fixed with it.  ``CompiledRules.cost_rows`` keeps
+the search's per-feature cost rows (``search.cost_rows``), built on first
+use per value, weight and norm; it holds no answer.
 
 The package imports this module on a dataset's first query, not at import.
 """
@@ -292,13 +298,13 @@ def _head_order(groups, feature_masks) -> tuple[tuple[_CompiledGroup, bool], ...
 
 
 def _decision_boxes(decision, head_order, walk, feature_masks) -> tuple[tuple[int, int], ...]:
-    """Per decision box, ``(allowed, held)``: two masks over the ``walk``
-    features' bits, in a state's layout.  ``allowed`` holds the values the
-    box allows; ``held`` is the whole mask of each feature that decides,
-    beyond those values, whether a derived state lies in the box: the
-    features that the heads it tests are derived from, transitively in head
-    order.  A head of an undecidable group takes every value whatever the
-    other features hold, so it is derived from none."""
+    """Per rejecting box of ``decision``, ``(allowed, held)``: two masks
+    over the ``walk`` features' bits, in a state's layout.  ``allowed``
+    holds the values the box allows; ``held`` is the whole mask of each
+    feature that decides, beyond those values, whether a derived state lies
+    in the box: the features that the heads it tests are derived from,
+    transitively in head order.  A head of an undecidable group takes every
+    value whatever the other features hold, so it is derived from none."""
     head_bits = reduce(operator.or_, (feature_masks[g.fi] for g, _ in head_order), 0)
     walk_bits = reduce(operator.or_, (feature_masks[i] for i in walk), 0)
     derived_from: dict[int, int] = {}  # head feature -> bits of the features it is derived from
@@ -318,29 +324,29 @@ def _decision_boxes(decision, head_order, walk, feature_masks) -> tuple[tuple[in
     return tuple(out)
 
 
-def _seed_pieces(boxes, steps) -> tuple[int, ...]:
-    """The union of the ``allowed`` boxes of ``boxes`` as disjoint boxes:
-    each box minus the pieces before it, by Lawler's partition (child i
-    holds the meet's values on the walk features before i, the box minus the
-    meet on i, and the box's values after i).  ``steps`` is
-    :attr:`CompiledRules.walk_steps`."""
-
-    def full(box: int) -> bool:
-        return all(box & m for m, _, _ in steps)
-
-    def minus(box: int, other: int) -> list[int]:
-        meet = box & other
-        if not full(meet):
-            return [box]
-        rest = box & ~meet
-        return [meet & below | rest & m | box & above for m, below, above in steps if rest & m]
-
-    pieces: list[int] = []
-    for allowed, _ in boxes:
-        fresh = [allowed] if full(allowed) else []
-        for old in pieces:
-            fresh = [piece for part in fresh for piece in minus(part, old)]
-        pieces += fresh
+def _complement(boxes, feature_masks) -> tuple[int, ...]:
+    """Disjoint boxes (forbidden masks) that together hold exactly the
+    states no box of ``boxes`` holds, by Lawler's partition: from the whole
+    space, each box is subtracted from every piece in turn.  A piece that
+    meets the box splits at each feature where the box forbids a value the
+    piece allows: child i holds the meet's values on the features before i,
+    on i the piece's values that the box forbids, and the piece's values
+    after i."""
+    pieces = [0]
+    for box in boxes:
+        tested = [m for m in feature_masks if box & m]
+        out = []
+        for piece in pieces:
+            meet = piece | box
+            if not all(m & ~meet for m in tested):
+                out.append(piece)  # the box does not meet the piece
+                continue
+            cut = box & ~piece  # the piece's values that the box forbids
+            for m in tested:
+                if cut & m:
+                    out.append(piece & ~m | m & ~cut)
+                    piece |= cut & m  # the meet's values on this feature
+        pieces = out
     return tuple(pieces)
 
 
@@ -355,8 +361,11 @@ class CompiledRules:
     decodes one.  ``groups`` holds the compiled causal groups, and
     ``feature_groups`` each feature's group, or None where no causal rule
     sets it.  Every test below takes such bits.  ``decision`` holds
-    the boxes the decision rules fire on, in rule order, and
-    ``decision_rules`` the index of each box's rule in the program.
+    the *rejecting* boxes, whose union is exactly the states the decision
+    rules give the undesired label: for rules that name the undesired label,
+    the boxes they fire on, in rule order; for rules that name the
+    favourable one, their complement, disjoint boxes that hold exactly the
+    states on which no rule fires.
     :meth:`is_goal` is :meth:`consistent` and :meth:`escapes`; a search that
     derives each head from its group on an acyclic program needs only the
     latter.  ``cost_rows`` is filled by ``search.cost_rows``, one row per
@@ -366,8 +375,7 @@ class CompiledRules:
 
     __slots__ = ("config", "offsets", "domains", "values", "feature_masks", "groups",
                  "feature_groups", "head_order", "cyclic", "walk", "walk_steps", "rank_parts",
-                 "decision", "decision_rules", "undesired", "decision_boxes", "_seed_pieces",
-                 "cost_rows")
+                 "decision", "decision_boxes", "cost_rows")
 
     def __init__(self, config: DatasetConfig, causal: RuleProgram, decision: RuleProgram):
         offsets = []
@@ -407,23 +415,12 @@ class CompiledRules:
         self.rank_parts = tuple(pl * j for pl, domain in zip(place, self.domains)
                                 for j in range(len(domain)))
         dc = _ProgramCompiler(config, self.offsets, feature_masks, decision)
-        rules = [dc.rule(r) for r in decision.rules]
-        self.decision = tuple(box for boxes, _ in rules for box in boxes)
-        self.decision_rules = tuple(r for r, (boxes, _) in enumerate(rules) for _ in boxes)
-        self.undesired = decision.describes_undesired
+        fired = tuple(box for r in decision.rules for box in dc.rule(r)[0])
+        self.decision = (fired if decision.describes_undesired
+                         else _complement(fired, feature_masks))
         self.decision_boxes = _decision_boxes(self.decision, self.head_order, self.walk,
                                               feature_masks)
-        self._seed_pieces: tuple[int, ...] | None = None
         self.cost_rows: dict = {}
-
-    @property
-    def seed_pieces(self) -> tuple[int, ...]:
-        """Disjoint boxes over the whole walk, in a state's bit layout, whose
-        union is the union of the decision boxes' ``allowed`` masks: where a
-        favourable-label program's goals lie.  Built on first use."""
-        if self._seed_pieces is None:
-            self._seed_pieces = _seed_pieces(self.decision_boxes, self.walk_steps)
-        return self._seed_pieces
 
     def bits(self, state: State) -> int:
         if len(state.values) != len(self.domains):
@@ -449,18 +446,21 @@ class CompiledRules:
         return True
 
     def decision_positive(self, bits: int) -> bool:
+        """Whether the decision rules give ``bits`` the undesired label: a
+        rejecting box holds it."""
         for box in self.decision:
-            if not bits & box:  # a decision rule fires
-                return self.undesired
-        return not self.undesired
+            if not bits & box:
+                return True
+        return False
 
     def escapes(self, bits: int) -> bool:
-        """Whether the decision rules do not give ``bits`` the undesired
-        label: the decision half of :meth:`is_goal`."""
+        """Whether no rejecting box holds ``bits``, so the decision rules do
+        not give it the undesired label: the decision half of
+        :meth:`is_goal`."""
         for box in self.decision:
-            if not bits & box:  # a decision rule fires
-                return not self.undesired
-        return self.undesired
+            if not bits & box:
+                return False
+        return True
 
     def is_goal(self, bits: int) -> bool:
         return self.consistent(bits) and self.escapes(bits)
@@ -470,7 +470,7 @@ class CompiledRules:
         return self.values[(bits & self.feature_masks[fi]).bit_length() - 1]
 
     def common_body(self, states: Sequence[int]) -> int:
-        """Index of the first decision box that holds every one of
+        """Index of the first rejecting box that holds every one of
         ``states`` (bits), or -1."""
         for b, box in enumerate(self.decision):
             for bits in states:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .dataset import Dataset
-from .domain import DatasetConfig, FeatureSpec, State, Value
+from .domain import DatasetConfig, State, Value, direct_action_problem
 from .errors import (
     EvaluationError,
     InconsistentInitialStateError,
@@ -50,26 +50,6 @@ class Action:
 
     def describe(self) -> str:
         return f"{self.kind}({self.feature} -> {self.new_value!r})"
-
-
-# ---------------------------------------------------------------------------
-# Actions
-# ---------------------------------------------------------------------------
-
-
-def direct_action_problem(spec: FeatureSpec, old: Value, new: Value) -> str | None:
-    """Why a direct old->new change on this feature is implausible, if it is."""
-    if not spec.mutable:
-        return "feature is immutable"
-    if not spec.directly_actionable:
-        return "feature is not directly actionable"
-    if spec.monotone != "none":
-        lo, hi = spec.index_of(old), spec.index_of(new)
-        if spec.monotone == "nondecreasing" and hi < lo:
-            return "nondecreasing feature cannot decrease"
-        if spec.monotone == "nonincreasing" and hi > lo:
-            return "nonincreasing feature cannot increase"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +131,8 @@ def find_path(
     """
     if on_inconsistent not in ("error", "repair"):
         raise ValueError("on_inconsistent must be 'error' or 'repair'")
+    if max_dpl is not None and type(max_dpl) is not int:
+        raise ValueError(f"max_dpl must be an integer, got {max_dpl!r}")
     if max_dpl is not None and max_dpl < 1:
         raise ValueError(f"max_dpl must be at least 1, got {max_dpl}")
     config = dataset.config

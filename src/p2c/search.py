@@ -14,16 +14,17 @@ box is one int in a state's bit layout, the values it allows of each walk
 feature, and its cheapest vector, one bit per walk feature, bounds it by
 the sum of that vector's terms.  What depends only on the rules and the
 config (the walk and its geometry, each bit's part of the rank, each
-decision box's cut box, the disjoint pieces of the decision boxes) is
-compiled once, on ``masks.CompiledRules``.  What a feature's value in the
-instance, its weight and p decide is one :class:`CostRow` per such key,
-built on first use and kept there too (:func:`cost_rows`): the
-``lp_term`` to every value, the plausible bits, a cost order (the bits by
-term) that gives a box's cheapest value, and a head's options.  A call
+rejecting box's cut box) is compiled once, on ``masks.CompiledRules``.
+What a feature's value in the instance, its weight and p decide is one
+:class:`CostRow` per such key, built on first use and kept there too
+(:func:`cost_rows`): the ``lp_term`` to every value, the plausible bits, a
+cost order (the bits by term) that gives a box's cheapest value, and a
+head's options.  A call
 looks its rows up by the start's bits; it still builds the flat list of
-terms by bit (``cost_terms``), the walk steps with their orders, and the
-favourable-label pieces cut to its plausible box.  No answer is kept
-between calls.  Expanding a box derives the
+terms by bit (``cost_terms``) and the walk steps with their orders.  No
+answer is kept between calls.  Every search starts from one box, the
+plausible box, whatever label the decision rules name: compiling gives
+every decision program its rejecting boxes.  Expanding a box derives the
 causal heads of its cheapest vector from their groups, the way
 goal-directed evaluation derives a head from its body, in the
 compile-time head order of ``masks.CompiledRules``, so on an acyclic
@@ -34,11 +35,11 @@ price on bits that the planner shares: it sums the ``cost_terms`` of the
 changed values, bit for bit as ``compute_weighted_lp`` prices the goal, so
 ties in cost are exact and go by rank.  The box then loses a cut that holds
 no goal, and the rest is split by Lawler's partitioning (Management
-Science, 1972), which keeps k-best one loop.  When a rejecting decision
-body fires on every completion, the cut is that body's whole box: escaping
-the rule means moving at least one feature it tests out of its box, the
-constructive reading s(CASP) gives ``not label(X, ...)``.  Otherwise the
-cut is the vector alone, which is a plain best-first walk over vectors.
+Science, 1972), which keeps k-best one loop.  When one rejecting box holds
+every completion, the cut is that whole box: escaping it means moving at
+least one feature it tests out of it, the constructive reading s(CASP)
+gives ``not label(X, ...)``.  Otherwise the cut is the vector alone,
+which is a plain best-first walk over vectors.
 Boxes, cuts and candidates stay one-hot bits while searched; only the k
 goals returned become a ``State`` and a ``CostReport``.
 
@@ -61,7 +62,15 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .dataset import Dataset
-from .domain import NORMS, NUMERIC, DatasetConfig, FeatureSpec, State, Value
+from .domain import (
+    NORMS,
+    NUMERIC,
+    DatasetConfig,
+    FeatureSpec,
+    State,
+    Value,
+    direct_action_problem,
+)
 from .errors import (
     AlreadyCounterfactualError,
     InconsistentInitialStateError,
@@ -96,8 +105,9 @@ def lp_term(spec: FeatureSpec, w: float, a: Value, b: Value, p: int) -> float:
 
 
 def check_norm(p) -> None:
-    """Raise ``ValueError`` unless ``p`` is a norm the cost supports: 0, 1 or 2."""
-    if p not in NORMS:
+    """Raise ``ValueError`` unless ``p`` is a norm the cost supports: the int
+    0, 1 or 2 (not a bool or a float)."""
+    if type(p) is not int or p not in NORMS:
         raise ValueError(f"p must be 0, 1 or 2, got {p!r}")
 
 
@@ -325,21 +335,18 @@ def _plausible(spec: FeatureSpec, ci: int, head: bool) -> range:
     """The domain indices a counterfactual may give this feature, whose
     instance value has index ``ci``.
 
-    Immutable features stay put; non-actionable features move only if some
-    causal rule can move them (``head``); monotone features only move the
-    legal way.
+    A mutable causal head (``head``) may take any value, since the causal
+    rules can move it.  Any other feature keeps its value or takes one that
+    a direct action may reach (``domain.direct_action_problem``): immutable
+    and non-actionable features stay put, and monotone ones move only the
+    legal way, so the plausible indices are one range.
     """
-    if not spec.mutable:
-        return range(ci, ci + 1)
-    if head:
-        return range(len(spec.domain))
-    if not spec.directly_actionable:
-        return range(ci, ci + 1)
-    if spec.monotone == "nondecreasing":
-        return range(ci, len(spec.domain))
-    if spec.monotone == "nonincreasing":
-        return range(ci + 1)
-    return range(len(spec.domain))
+    domain = spec.domain
+    if head and spec.mutable:
+        return range(len(domain))
+    cur = domain[ci]
+    ok = [j for j, v in enumerate(domain) if j == ci or not direct_action_problem(spec, cur, v)]
+    return range(ok[0], ok[-1] + 1)
 
 
 def _stream_candidates(
@@ -389,9 +396,9 @@ def _stream_candidates(
     decodes each into a ``State`` as it builds that goal's report.
 
     Then the box loses a *cut* that holds no goal.  When no completion is a
-    goal and one rejecting decision box holds all of them, the cut is that
-    box over the walk (``CompiledRules.decision_boxes``), ``box & allowed &
-    ~held | vector & held``: it restricts the walk features it tests, and
+    goal and one rejecting box holds all of them, the cut is that box over
+    the walk (``CompiledRules.decision_boxes``), ``box & allowed & ~held |
+    vector & held``: it restricts the walk features it tests, and
     the features the heads it tests are derived from keep the vector's
     values, so it holds every completion of every vector in the cut.
     Otherwise the cut is the vector alone.  The rest of the box is pushed
@@ -400,12 +407,10 @@ def _stream_candidates(
     box minus the cut on feature i, and the box's values after i.  Its
     vector differs from the parent's on feature i alone, where it takes the
     first bit of the cost order that the child allows, so its rank moves by
-    the two bits' rank parts.  When the decision rules name the favourable
-    label, every goal lies in some decision box, so the search starts from
-    ``CompiledRules.seed_pieces``, disjoint boxes over the whole walk that
-    cover those boxes, each cut to the plausible box (a box meets a box in
-    a box) and dropped when empty.  Boxes are disjoint, so each goal is
-    found once and no seen-set is kept.
+    the two bits' rank parts.  The search starts from one box, the
+    plausible box, for either label the decision rules name, since
+    ``CompiledRules.decision`` always holds the rejecting boxes.  Boxes are
+    disjoint, so each goal is found once and no seen-set is kept.
 
     Once k goals are held, the search stops at the first box whose bound
     (its square root for p = 2, since distinct sums can share one root) is
@@ -424,7 +429,6 @@ def _stream_candidates(
     # per group, in head order: (bit, rank part) of each plausible head value
     derive = [(g, decidable, rows[g.fi].options) for g, decidable in compiled.head_order]
     head_floor = sum(rows[g.fi].floor for g, _ in compiled.head_order)
-    undesired = compiled.undesired
     root = math.sqrt if p == 2 else float
     heappush = heapq.heappush
 
@@ -436,35 +440,17 @@ def _stream_candidates(
             total += terms[(vec & m).bit_length() - 1]
         return total
 
-    def full(box: int) -> bool:
-        return all(box & m for m in walk_masks)
-
     def low_rank(box: int) -> int:
         """The sum of the rank parts of the lowest bit ``box`` allows of each
         walk feature: the rank of a vector's bits."""
         lows = (box & m & -(box & m) for m in walk_masks)
         return sum(parts[low.bit_length() - 1] for low in lows)
 
-    # (bound, rank of the cheapest vector, its bits, box); ranks are distinct
-    heap: list = []
-
-    def push(box: int) -> None:
-        vec = 0
-        for _, _, _, order in steps:
-            for bit in order:  # the first bit of the cost order that the box allows
-                if box & bit:
-                    vec |= bit
-                    break
-        heappush(heap, (price(vec), low_rank(vec), vec, box))
-
+    # the plausible box and its cheapest vector: per walk feature, its cheapest plausible bit
     space = sum(row.plausible for row in rows) & sum(walk_masks)
-    if undesired:
-        push(space)
-    else:
-        # a piece meets the plausible box in a box, so the pieces left stay disjoint
-        for piece in compiled.seed_pieces:
-            if full(box := piece & space):
-                push(box)
+    vec = sum(order[0] for _, _, _, order in steps)
+    # (bound, rank of the cheapest vector, its bits, box); ranks are distinct
+    heap = [(price(vec), low_rank(vec), vec, space)]
     # the k best goals: (cost, rank, bits, freed feature indices)
     found: list[tuple] = []
     while heap:
@@ -496,7 +482,7 @@ def _stream_candidates(
                 bisect.insort(found, (cost, r, bits, freed))
                 del found[k:]
         body = -1
-        if undesired and partial and not goal:
+        if partial and not goal:
             body = compiled.common_body([bits for bits, _ in partial])
         if body >= 0:
             allowed, held = compiled.decision_boxes[body]
@@ -548,6 +534,8 @@ def _nearest(
     with the weights its cost was priced under."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     config = dataset.config

@@ -226,6 +226,47 @@ def deep_ladder(n: int):
     return dataset, State(("a",) * n)
 
 
+def fav_stress(r: int):
+    """r favourable rules ``label(X,'good') :- ...``, rule i on its own block
+    of 4 three-valued features ``f(4i)..f(4i+3)``, some literals negated,
+    with seeded weights.  A state gets the undesired label exactly when no
+    rule fires, so the rejecting boxes are the complement of the rules'
+    union, 4^r disjoint boxes.  Returns the dataset and a start on which
+    each rule's first literal fails."""
+    from p2c.domain import State
+
+    rng = random.Random(f"fav-stress:{r}")
+    domain = ("a", "b", "c")
+    features, rules, start = {}, [], []
+    for i in range(r):
+        lits = []
+        for name in (f"f{j}" for j in range(4 * i, 4 * i + 4)):
+            features[name] = FeatureSpec(name=name, kind="categorical", domain=domain,
+                                         weight=rng.choice((0.5, 1.0, 1.5)))
+            v = rng.choice(domain)
+            negated = rng.random() < 0.3
+            lits.append(f"{'not ' if negated else ''}{name}(X,'{v}')")
+            if len(lits) == 1:  # the start fails this literal
+                start.append(v if negated else rng.choice([u for u in domain if u != v]))
+            else:
+                start.append(rng.choice(domain))
+        rules.append(f"label(X,'good') :- {', '.join(lits)}.")
+    dataset = make_dataset(features, "\n".join(rules), name=f"fav{r}")
+    return dataset, State(tuple(start))
+
+
+def decision_rule_boxes(dataset) -> list[tuple[int, ...]]:
+    """Per decision rule, the boxes it fires on, each rule compiled alone
+    against the dataset's bit layout (``CompiledRules.decision`` holds
+    these, in rule order, for a program that names the undesired label)."""
+    from p2c.masks import _ProgramCompiler
+
+    compiled = dataset.compiled
+    compiler = _ProgramCompiler(dataset.config, compiled.offsets, compiled.feature_masks,
+                                dataset.decision)
+    return [compiler.rule(rule)[0] for rule in dataset.decision.rules]
+
+
 def l2_root_tie():
     """Three categorical features weighted 0.6, 0.2 and 0.4 under p = 2, and
     rules that reject f = 'a' unless both g and h leave 'a'.  From all 'a',

@@ -27,7 +27,8 @@ import time
 import pytest
 
 from conftest import (
-    DATA, compiled_groups, cyclic_dataset, make_dataset, random_dataset, rich_dataset,
+    DATA, compiled_groups, cyclic_dataset, decision_rule_boxes, make_dataset, random_dataset,
+    rich_dataset,
 )
 from oracles import (
     causal_groups,
@@ -367,12 +368,15 @@ def test_rank_parts_sum_to_the_position_in_enumerate_states():
 
 
 def test_decision_boxes_hold_every_state_the_body_fires_on():
-    """Each decision box's ``(allowed, held)`` lies inside the walk
-    features' bits, ``held`` is a union of whole feature masks, and the
-    interpreter fires a rule on a state iff one of the rule's boxes
-    (``decision_rules`` maps each box to its rule) holds the state, whose
-    walk bits then lie inside that box's ``allowed``: on the consolidated
-    bundles and the ``rich_dataset(0..299)`` programs that compile."""
+    """Each rejecting box's ``(allowed, held)`` lies inside the walk
+    features' bits, ``held`` is a union of whole feature masks, and a
+    state's walk bits lie inside the ``allowed`` of every box that holds
+    it.  Where the rules name the undesired label, the boxes are the rules'
+    own, in rule order, and the interpreter fires a rule on a state iff one
+    of that rule's boxes holds the state.  Where they name the favourable
+    label, the boxes are pairwise disjoint, and one holds a state iff the
+    interpreter fires no rule there.  On the consolidated bundles and the
+    ``rich_dataset(0..299)`` programs that compile."""
     spaces = [consolidate_dataset(load_dataset(DATA / bundle)) for bundle in BUNDLES]
     for seed in range(300):
         ds = rich_dataset(seed)
@@ -382,31 +386,41 @@ def test_decision_boxes_hold_every_state_the_body_fires_on():
             continue
         spaces.append(ds)
     assert len(spaces) == 5 + 231
-    fired = 0
+    fired = rejected = favourable = 0
     for ds in spaces:
         compiled = ds.compiled
-        walk_bits = sum(compiled.feature_masks[i] for i in compiled.walk)
+        masks = compiled.feature_masks
+        walk_bits = sum(masks[i] for i in compiled.walk)
         assert len(compiled.decision_boxes) == len(compiled.decision)
-        assert len(compiled.decision_rules) == len(compiled.decision)
-        assert list(compiled.decision_rules) == sorted(compiled.decision_rules)
-        assert set(compiled.decision_rules) <= set(range(len(ds.decision.rules)))
         for allowed, held in compiled.decision_boxes:
             assert allowed & ~walk_bits == 0 and held & ~walk_bits == 0
-            assert all(held & m in (0, m) for m in compiled.feature_masks)
+            assert all(held & m in (0, m) for m in masks)
+        undesired = ds.decision.describes_undesired
+        if undesired:
+            per_rule = decision_rule_boxes(ds)
+            assert compiled.decision == tuple(box for boxes in per_rule for box in boxes)
+        else:
+            favourable += 1
+            assert all(not all(m & ~(x | y) for m in masks)
+                       for x, y in itertools.combinations(compiled.decision, 2))
         for state in enumerate_states(ds.config):
             values = ds.config.state_dict(state)
             bits = compiled.bits(state)
-            for r, rule in enumerate(ds.decision.rules):
-                holding = [
-                    allowed for box, owner, (allowed, _) in zip(
-                        compiled.decision, compiled.decision_rules, compiled.decision_boxes)
-                    if owner == r and not bits & box
-                ]
-                assert rule_fires(rule, values, ds.decision) == bool(holding), (
-                    ds.config.name, state.values, r)
-                assert all(bits & walk_bits & ~allowed == 0 for allowed in holding)
-                fired += bool(holding)
-    assert fired > 5000
+            holding = [allowed for box, (allowed, _) in zip(compiled.decision,
+                                                            compiled.decision_boxes)
+                       if not bits & box]
+            assert all(bits & walk_bits & ~allowed == 0 for allowed in holding)
+            fires = [rule_fires(rule, values, ds.decision) for rule in ds.decision.rules]
+            fired += sum(fires)
+            if undesired:
+                for r, boxes in enumerate(per_rule):
+                    assert fires[r] == any(not bits & box for box in boxes), (
+                        ds.config.name, state.values, r)
+            else:
+                assert (not any(fires)) == bool(holding), (ds.config.name, state.values)
+                assert len(holding) <= 1
+                rejected += bool(holding)
+    assert fired > 5000 and rejected > 1000 and favourable > 100
 
 
 def exception_stress(r: int):
@@ -439,7 +453,7 @@ def test_negated_exceptions_compile_to_exact_boxes(r):
     if r == 8:
         assert min(seconds) < 0.05
     boxes = compiled.decision
-    assert compiled.decision_rules == (0,) * len(boxes) and len(boxes) > 1
+    assert len(ds.decision.rules) == 1 and len(boxes) > 1
     assert all(x & ~y for x, y in itertools.permutations(boxes, 2))
     rule = ds.decision.rules[0]
     rng = random.Random(f"states{r}")

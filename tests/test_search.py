@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,9 @@ from conftest import (
     budget,
     chained_ladder,
     cyclic_dataset,
+    decision_rule_boxes,
     deep_ladder,
+    fav_stress,
     l2_root_tie,
     make_dataset,
     random_dataset,
@@ -37,6 +40,7 @@ from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
 from p2c.errors import (
     AlreadyCounterfactualError,
     CausalProgramError,
+    ConfigError,
     InconsistentInitialStateError,
     NoCounterfactualError,
     SearchExhaustedError,
@@ -371,6 +375,36 @@ def test_search_rejects_unknown_norm(example2, search, p):
     compute_weighted_lp refuse it, not priced as an L2 sum without its root."""
     with pytest.raises(ValueError, match=r"p must be 0, 1 or 2, got " + repr(p)):
         search(example2, example2.default_instance(), p=p)
+
+
+INTEGER_ARGUMENTS = {
+    "p": lambda ds, s, v: min_cf(ds, s, p=v),
+    "k": lambda ds, s, v: goal_knearest(ds, s, v),
+    "max_dpl": lambda ds, s, v: find_path(ds, s, min_cf(ds, s).target, max_dpl=v),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("p", True), ("p", False), ("p", 1.0),
+    ("k", True), ("k", 2.0), ("k", "3"),
+    ("max_dpl", True), ("max_dpl", 2.5), ("max_dpl", "2"),
+])
+def test_integer_arguments_refuse_bools_and_non_integers(example2, name, value):
+    """``p``, ``k`` and ``max_dpl`` must be ints: a bool, a float or a
+    string is a ValueError naming the argument, not a report priced under
+    ``p=True``, a TypeError from inside the search or a failed ``range``."""
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        INTEGER_ARGUMENTS[name](example2, example2.default_instance(), value)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("norm_p", True), ("norm_p", 1.0), ("max_dpl", True), ("max_dpl", 2.5),
+])
+def test_config_refuses_bool_and_non_integer_norm_and_max_dpl(name, value):
+    """A config's own ``norm_p`` and ``max_dpl`` follow the same rule, so a
+    config that every search would refuse is refused when it is built."""
+    with pytest.raises(ConfigError, match=name):
+        make_dataset({"f": ("a", "b")}, "label(X,'bad') :- f(X,'a').", **{name: value})
 
 
 WEIGHTED = {
@@ -935,9 +969,16 @@ def test_deep_ladder_goal_tests_stay_few(monkeypatch):
 
 
 def _decision_reads(ds, b):
-    """Whether the decision rule of box b (``decision_rules``) calls an
-    exception predicate, and whether it tests a causal head."""
-    body = ds.decision.rules[ds.compiled.decision_rules[b]].body
+    """Whether a decision rule that rejecting box b comes from calls an
+    exception predicate, and whether one tests a causal head.  Box b comes
+    from its own rule when the rules name the undesired label, and from
+    every rule when they name the favourable one, as it is part of their
+    complement."""
+    rules = ds.decision.rules
+    if ds.decision.describes_undesired:
+        owners = [r for r, boxes in enumerate(decision_rule_boxes(ds)) for _ in boxes]
+        rules = [rules[owners[b]]]
+    body = [lit for rule in rules for lit in rule.body]
     return (
         any(lit.kind in ("aux_call", "negated_aux_call") for lit in body),
         any(lit.predicate in causal_head_features(ds) for lit in body),
@@ -945,7 +986,7 @@ def _decision_reads(ds, b):
 
 
 CUT_CASES = {
-    # the only cut is the vector, but the search starts from the decision boxes
+    # cuts are taken on the complement's boxes, as on any rejecting box
     "favourable_label": lambda ds, cuts: not ds.decision.describes_undesired,
     "exception_calls": lambda ds, cuts: any(_decision_reads(ds, b)[0] for b in cuts if b >= 0),
     "causal_heads": lambda ds, cuts: any(_decision_reads(ds, b)[1] for b in cuts if b >= 0),
@@ -1193,15 +1234,14 @@ PLAUSIBILITY = (
 )
 
 
-def test_favourable_seed_pieces_are_cut_to_the_plausible_box():
-    """A favourable-label search starts from the bodies' boxes compiled over
-    the whole walk, cut to each call's plausible box.  On the
-    favourable-label rich_dataset(0..299) programs, with immutable,
-    non-actionable and monotone features drawn in, min_cf and
-    goal_knearest equal the exhaustive oracle from two decision-positive
-    starts each, and some start's plausible box leaves out a piece."""
+def test_favourable_programs_with_plausibility_flags_match_exhaustive_oracle():
+    """A favourable-label search starts from the plausible box and cuts the
+    complement's boxes, as a rejecting one does.  On the favourable-label
+    rich_dataset(0..299) programs, with immutable, non-actionable and
+    monotone features drawn in, min_cf and goal_knearest equal the
+    exhaustive oracle from two decision-positive starts each."""
     rng = random.Random(21)
-    checked = dropped = 0
+    checked = 0
     for made in map(rich_dataset, range(300)):
         if made is None or made.decision.describes_undesired:
             continue
@@ -1210,14 +1250,55 @@ def test_favourable_seed_pieces_are_cut_to_the_plausible_box():
         try:
             ds = build_dataset(replace(made.config, features=features), made.decision,
                                made.causal)
-            compiled = ds.compiled
+            ds.compiled
         except CausalProgramError:
             continue
         for start in _positive_starts(ds, 2):
-            rows = cost_rows(compiled, compiled.bits(start), ds.config.weights(), 1)
-            space = sum(row.plausible for row in rows)
-            dropped += any(not all(piece & space & m for m, _, _ in compiled.walk_steps)
-                           for piece in compiled.seed_pieces)
             assert_matches_oracle(ds, start, on_inconsistent="allow")
             checked += 1
-    assert checked >= 100 and dropped >= 20
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_fav_stress_matches_exhaustive_oracle(r):
+    """On ``fav_stress(r)``, whose rejecting boxes are the complement of r
+    favourable rules, min_cf and goal_knearest(k=5) equal the exhaustive
+    oracle in both modes for p in {0, 1, 2}, at its start and at two
+    seeded starts on which no rule fires."""
+    ds, start = fav_stress(r)
+    assert len(ds.compiled.decision) == 4 ** r
+    rng = random.Random(r)
+    starts = [start]
+    while len(starts) < 3:
+        drawn = State(tuple(rng.choice(spec.domain) for spec in ds.config.features))
+        if ds.decision_positive(drawn):
+            starts.append(drawn)
+    for start in starts:
+        assert_matches_oracle(ds, start)
+
+
+def test_fav_stress_compiles_and_answers_fast():
+    """The complement of r favourable rules on disjoint blocks has 4^r
+    boxes, built without a cap.  For r = 5, 6 and 7, min_cf costs what the
+    cheapest rule to make fire costs: the weights of its literals the start
+    fails, summed in feature order.  At r = 7 a fresh dataset's compile and
+    first min_cf take under 1 s (the fastest of three)."""
+    seconds = []
+    for r in (5, 6, 7, 7, 7):
+        ds, start = fav_stress(r)
+        began = time.perf_counter()
+        best = min_cf(ds, start)
+        seconds.append(time.perf_counter() - began)
+        assert len(ds.compiled.decision) == 4 ** r
+        values = ds.config.state_dict(start)
+        costs = []
+        for rule in ds.decision.rules:
+            total = 0.0
+            for lit in rule.body:
+                holds = values[lit.predicate] == lit.value
+                if holds == (lit.kind == "negated_feature_test"):
+                    total += ds.config.feature(lit.predicate).weight
+            costs.append(total)
+        assert best.cost == min(costs)
+        assert not ds.decision_positive(best.target)
+    assert min(seconds[2:]) < 1.0
