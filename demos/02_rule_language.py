@@ -19,7 +19,8 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 german = load_dataset(DATA / "german")
 program = german.decision
 print(f"{len(program.rules)} main rule(s), {len(program.aux_rules)} exception rule(s)")
-print("rules describe the undesired label:", program.describes_undesired)
+# which label the rules name is read off the config's undesired_decision
+print("rules name the favourable label:", german.compiled.favourable)
 
 
 def changed(state, **values):

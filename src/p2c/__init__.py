@@ -30,7 +30,6 @@ from .errors import (
     RuleProgramError,
     RuleSyntaxError,
     SearchExhaustedError,
-    SpaceTooLargeError,
     StateValidationError,
 )
 from .planner import (

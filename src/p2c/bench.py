@@ -6,11 +6,16 @@ collects k-nearest goal distances per norm and cost mode, and compares the
 causal planner against the causally blind baseline on action legality.
 Sampling is uniform over decision-positive states of the consolidated space,
 with no causal-consistency filter: factual records that violate the causal
-model are exactly the ones whose recourse must repair them.
+model are exactly the ones whose recourse must repair them.  The sample is
+drawn from disjoint boxes that hold exactly those states, each weighted by
+its size, so no space is enumerated.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 import random
 import statistics
 import time
@@ -18,31 +23,47 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .dataset import Dataset, consolidate_dataset, load_dataset
-from .domain import NORM_NAMES, NORMS, State, enumerate_states, expand_placeholders
-from .domain import search_space_size, validate_state
-from .errors import P2CError, SpaceTooLargeError
+from .domain import NORM_NAMES, NORMS, State, expand_placeholders, search_space_size
+from .domain import validate_state
+from .errors import P2CError
+from .masks import _complement
 from .planner import find_path, naive_find_path, path_is_legal
 from .search import goal_knearest, min_cf
 
-# the most states sample_decision_positive enumerates
-SAMPLE_CAP = 200000
-
 
 def sample_decision_positive(dataset: Dataset, n: int, seed: int) -> list[State]:
-    """Uniform seeded sample of decision-positive states, from a space of at
-    most ``SAMPLE_CAP`` states."""
-    size = search_space_size(dataset.config)
-    if size > SAMPLE_CAP:
-        raise SpaceTooLargeError(
-            f"cannot enumerate {size} states to sample from (cap {SAMPLE_CAP})"
-        )
-    population = [s for s in enumerate_states(dataset.config) if dataset.decision_positive(s)]
-    if not population:
+    """Uniform seeded sample of ``n`` decision-positive states, or all of
+    them in ``enumerate_states`` order when there are at most ``n``.
+
+    The states are numbered through disjoint boxes that hold exactly them: a
+    favourable-label program's rejecting boxes are disjoint already, and
+    other rejecting boxes are made so by complementing them twice.  Box by
+    box, each numbers its states in mixed radix over the values it allows,
+    so only the drawn numbers are decoded and no space is enumerated."""
+    compiled = dataset.compiled
+    masks = compiled.feature_masks
+    boxes = (compiled.decision if compiled.favourable
+             else _complement(_complement(compiled.decision, masks), masks))
+    spans = [range(o, o + len(d)) for o, d in zip(compiled.offsets, compiled.domains)]
+    # per box, per feature, the bits of the values it allows
+    allowed = [[[1 << i for i in span if not box >> i & 1] for span in spans] for box in boxes]
+    *starts, total = itertools.accumulate((math.prod(map(len, a)) for a in allowed), initial=0)
+    if not total:
         raise P2CError(f"dataset {dataset.config.name!r} has no decision-positive states")
-    rng = random.Random(seed)
-    if n >= len(population):
-        return population
-    return rng.sample(population, n)
+
+    def decode(index: int) -> int:
+        b = bisect.bisect_right(starts, index) - 1
+        index -= starts[b]
+        bits = 0
+        for values in reversed(allowed[b]):
+            index, j = divmod(index, len(values))
+            bits |= values[j]
+        return bits
+
+    drawn = [decode(i) for i in random.Random(seed).sample(range(total), min(n, total))]
+    if n >= total:  # all of them, in enumeration order: by each feature's bit, in turn
+        drawn.sort(key=lambda bits: [bits & m for m in masks])
+    return [compiled.state(bits) for bits in drawn]
 
 
 def _timed_mincf(dataset: Dataset, instance: State, repeats: int) -> tuple[float, object]:

@@ -28,7 +28,6 @@ from .errors import (
     RuleProgramError,
     RuleSyntaxError,
     SearchExhaustedError,
-    SpaceTooLargeError,
     StateValidationError,
 )
 from .planner import find_path, naive_find_path, path_is_legal
@@ -48,7 +47,6 @@ SEARCH_ERRORS = (
     AlreadyCounterfactualError,
     InconsistentInitialStateError,
     SearchExhaustedError,
-    SpaceTooLargeError,
 )
 
 NORM_P = {name: p for p, name in NORM_NAMES.items()}
@@ -333,6 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "planner", None) == "naive" and args.max_dpl is not None:
+        parser.error("argument --max-dpl: not allowed with --planner naive, which takes "
+                     "no cap on direct actions")
     args.command = " ".join(sys.argv if argv is None else [parser.prog, *argv])
     try:
         return args.func(args)

@@ -198,8 +198,9 @@ def _feature_from_json(
 
 def _cross_validate(config: DatasetConfig, decision: RuleProgram, causal: RuleProgram) -> None:
     """Check both programs against ``config``: every body literal reads a
-    feature of its kind, the decision label names no feature, and every
-    causal head is a value of a feature that its own rule does not read."""
+    feature of its kind, the decision label names no feature and is told
+    apart by the config's ``undesired_decision``, and every causal head is a
+    value of a feature that its own rule does not read."""
     label = decision.head_label
     for prog in (decision, causal):
         for rule in prog.clauses:
@@ -227,6 +228,11 @@ def _cross_validate(config: DatasetConfig, decision: RuleProgram, causal: RulePr
                         f"numeric constant {lit.value} tested against categorical "
                         f"feature {pred!r}"
                     )
+    if label is not None and not config.undesired_decision:
+        raise ConfigError(
+            f"config {config.name!r} names no 'undesired_decision', so the decision "
+            f"label {label.value!r} could be either outcome"
+        )
     if label is not None and config.has_feature(label.predicate):
         raise ConfigError(
             f"decision predicate {label.predicate!r} collides with a feature name"
@@ -261,11 +267,6 @@ def build_dataset(
     digest: str = "",
 ) -> Dataset:
     _cross_validate(config, decision, causal)
-    label = decision.head_label
-    describes_undesired = label is None or label.value == config.undesired_decision
-    if decision.describes_undesired != describes_undesired:
-        decision = replace(decision, describes_undesired=describes_undesired)
-
     warnings = []
     heads = {rule.head.predicate for rule in causal.rules}
     for f in config.features:

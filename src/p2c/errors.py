@@ -62,10 +62,6 @@ class SearchExhaustedError(P2CError):
         self.diagnostics = diagnostics
 
 
-class SpaceTooLargeError(P2CError):
-    """``bench.sample_decision_positive`` refused to enumerate a space above its cap."""
-
-
 class PredictorError(P2CError):
     """An external or table predictor failed on a specific row."""
 

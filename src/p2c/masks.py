@@ -16,8 +16,11 @@ rule may compile to at most :data:`MAX_RULE_BOXES` boxes.
 
 The decision program compiles to one polarity, its *rejecting* boxes
 (:attr:`CompiledRules.decision`), which hold exactly the states that get
-the undesired label.  Rules that name the undesired label give their own
-boxes.  Rules that name the favourable label give their complement, read
+the undesired label.  Which label the rules name is read at compile time
+off their head and the config's ``undesired_decision``
+(:attr:`CompiledRules.favourable`).  Rules that name the undesired label
+give their own boxes.  Rules that name the favourable label give their
+complement, read
 constructively as s(CASP) reads ``not label(X, ...)``: from the whole
 space, each rule box is subtracted in turn by Lawler's partition
 (Management Science, 1972), which leaves disjoint boxes and needs no cap.
@@ -360,12 +363,14 @@ class CompiledRules:
     features' domain sizes; :meth:`bits` encodes a state and :meth:`state`
     decodes one.  ``groups`` holds the compiled causal groups, and
     ``feature_groups`` each feature's group, or None where no causal rule
-    sets it.  Every test below takes such bits.  ``decision`` holds
-    the *rejecting* boxes, whose union is exactly the states the decision
-    rules give the undesired label: for rules that name the undesired label,
-    the boxes they fire on, in rule order; for rules that name the
-    favourable one, their complement, disjoint boxes that hold exactly the
-    states on which no rule fires.
+    sets it.  Every test below takes such bits.  ``favourable`` is whether
+    the decision rules name a label other than the config's
+    ``undesired_decision``, derived here and never set from outside.
+    ``decision`` holds the *rejecting* boxes, whose union is exactly the
+    states the decision rules give the undesired label: for rules that name
+    the undesired label, the boxes they fire on, in rule order; for rules
+    that name the favourable one, their complement, disjoint boxes that
+    hold exactly the states on which no rule fires.
     :meth:`is_goal` is :meth:`consistent` and :meth:`escapes`; a search that
     derives each head from its group on an acyclic program needs only the
     latter.  ``cost_rows`` is filled by ``search.cost_rows``, one row per
@@ -375,7 +380,7 @@ class CompiledRules:
 
     __slots__ = ("config", "offsets", "domains", "values", "feature_masks", "groups",
                  "feature_groups", "head_order", "cyclic", "walk", "walk_steps", "rank_parts",
-                 "decision", "decision_boxes", "cost_rows")
+                 "favourable", "decision", "decision_boxes", "cost_rows")
 
     def __init__(self, config: DatasetConfig, causal: RuleProgram, decision: RuleProgram):
         offsets = []
@@ -414,10 +419,11 @@ class CompiledRules:
             place[i] = place[i + 1] * len(self.domains[i + 1])
         self.rank_parts = tuple(pl * j for pl, domain in zip(place, self.domains)
                                 for j in range(len(domain)))
+        label = decision.head_label
+        self.favourable = label is not None and label.value != config.undesired_decision
         dc = _ProgramCompiler(config, self.offsets, feature_masks, decision)
         fired = tuple(box for r in decision.rules for box in dc.rule(r)[0])
-        self.decision = (fired if decision.describes_undesired
-                         else _complement(fired, feature_masks))
+        self.decision = _complement(fired, feature_masks) if self.favourable else fired
         self.decision_boxes = _decision_boxes(self.decision, self.head_order, self.walk,
                                               feature_masks)
         self.cost_rows: dict = {}

@@ -241,16 +241,18 @@ def naive_find_path(dataset: Dataset, instance: State, s_star: State) -> PlanPat
     Ignores the causal rules and every plausibility flag and rewrites each
     feature that differs from s* in feature order, which is the shortest
     path of single-feature edits; the legality checker then gets to
-    complain.
+    complain.  Both states are encoded as bits first, as :func:`find_path`
+    encodes them, so a state off the config's features or domains raises
+    before any edit.
     """
+    compiled = dataset.compiled
+    start, star = compiled.bits(instance), compiled.bits(s_star)
     steps = [PathStep(instance, ())]
-    current = instance
-    for fi, (spec, value) in enumerate(zip(dataset.config.features, s_star.values)):
-        if value not in spec.domain:
-            raise SearchExhaustedError("naive planner could not reach the target")
-        if value != current.values[fi]:
-            current = current.replace_value(fi, value)
-            steps.append(PathStep(current, (Action(DIRECT, spec.name, value),)))
+    for fi, (spec, mask) in enumerate(zip(dataset.config.features, compiled.feature_masks)):
+        if (start ^ star) & mask:
+            value = compiled.value(fi, star)
+            instance = instance.replace_value(fi, value)
+            steps.append(PathStep(instance, (Action(DIRECT, spec.name, value),)))
     return PlanPath(tuple(steps))
 
 

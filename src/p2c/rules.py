@@ -75,14 +75,13 @@ class Rule:
 class RuleProgram:
     """An ordered set of clauses plus the aux layer they may call into.
 
-    ``describes_undesired`` records whether the (single) decision head labels
-    the outcome being escaped; dataset loading flips it for rule sets written
-    in terms of the desired label.
+    A decision program's rules share one head label, which may name either
+    outcome: compiling it against a config (``masks.CompiledRules``) reads
+    which from the config's ``undesired_decision``.
     """
 
     clauses: tuple[Rule, ...]
     kind: str  # "decision" | "causal"
-    describes_undesired: bool = True
     verified: bool = False
 
     @cached_property

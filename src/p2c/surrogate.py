@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import subprocess
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
@@ -65,8 +65,10 @@ class TableModel:
 class RuleBackedModel:
     """A predictor that answers with a rule program's verdict.
 
-    Fires -> the program's head label; otherwise ``other_label``.  The
-    program is compiled against ``config`` on the first call.
+    Fires -> the program's head label; otherwise ``other_label``: the raw
+    firing of the rules, whichever label they name, which is the compiled
+    decision read against its polarity.  The program is compiled against
+    ``config`` on the first call.
     """
 
     config: DatasetConfig
@@ -77,15 +79,12 @@ class RuleBackedModel:
     def _compiled(self) -> CompiledRules:
         from .masks import CompiledRules
 
-        # The raw firing of the rules, whichever label they describe.
-        decision = replace(self.program, describes_undesired=True)
-        return CompiledRules(self.config, RuleProgram((), "causal"), decision)
+        return CompiledRules(self.config, RuleProgram((), "causal"), self.program)
 
     def __call__(self, state: State) -> str:
-        head = self.program.head_label
         compiled = self._compiled
-        if head is not None and compiled.decision_positive(compiled.bits(state)):
-            return str(head.value)
+        if compiled.decision_positive(compiled.bits(state)) != compiled.favourable:
+            return str(self.program.head_label.value)
         return self.other_label
 
 

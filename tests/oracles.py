@@ -244,9 +244,18 @@ def interpreted_consistent(dataset, state) -> bool:
     )
 
 
+def names_favourable_label(dataset) -> bool:
+    """Whether the decision rules name a label other than the config's
+    undesired one, so a state gets the undesired label when none fires.
+    Read off the program and the config, never off the compiled rules:
+    compiling a program whose causal alternatives co-fire raises."""
+    label = dataset.decision.head_label
+    return label is not None and label.value != dataset.config.undesired_decision
+
+
 def interpreted_decision_positive(dataset, state) -> bool:
     decided = program_decides(dataset.decision, dataset.config.state_dict(state))
-    return decided if dataset.decision.describes_undesired else not decided
+    return decided != names_favourable_label(dataset)
 
 
 def interpreted_is_goal(dataset, state) -> bool:

@@ -1,18 +1,19 @@
 from __future__ import annotations
 
+import collections
 import json
 import shutil
 import sys
 
 import pytest
 
-from conftest import make_dataset
-from oracles import adjust_weights
-from p2c.bench import SAMPLE_CAP, bench_dataset, run_benchmark, sample_decision_positive
+from conftest import budget, fav_stress, make_dataset
+from oracles import adjust_weights, interpreted_decision_positive
+from p2c.bench import bench_dataset, run_benchmark, sample_decision_positive
 from p2c.cli import main
 from p2c.dataset import consolidate_dataset, load_dataset
 from p2c.domain import enumerate_states, search_space_size, validate_state
-from p2c.errors import SpaceTooLargeError
+from p2c.errors import ConfigError
 from p2c.search import compute_weighted_lp
 
 
@@ -264,6 +265,24 @@ def test_validate_names_the_config_file_once(capsys, bundle_copy):
     assert out.splitlines()[-1] == f"{path}: no features declared"
 
 
+def test_a_labelled_program_without_undesired_decision_is_refused(capsys, bundle_copy):
+    """Without ``undesired_decision`` no label is the undesired one, so
+    example1's ``reject(X,'True')`` rules would read as naming the
+    favourable label and John would already escape them.  Loading refuses
+    the config, naming it and the label, and validate exits 1."""
+    path = bundle_copy / "config.json"
+    config = json.loads(path.read_text())
+    del config["undesired_decision"]
+    path.write_text(json.dumps(config))
+    message = (f"{path}: config 'example1' names no 'undesired_decision', so the decision "
+               f"label 'True' could be either outcome")
+    with pytest.raises(ConfigError) as raised:
+        load_dataset(bundle_copy)
+    assert str(raised.value) == message
+    code, out, err = run_cli(capsys, "validate", "--config", str(bundle_copy))
+    assert (code, err) == (1, "") and out.splitlines()[-1] == message
+
+
 # ---------------------------------------------------------------------------
 # mincf
 # ---------------------------------------------------------------------------
@@ -452,6 +471,17 @@ def test_path_max_dpl_below_one_is_rejected(capsys, data_dir, cap):
         main(["path", "--config", str(data_dir / "example1"), "--max-dpl", cap])
     assert exit_info.value.code == 2
     assert f"argument --max-dpl: must be at least 1, got {cap}" in capsys.readouterr().err
+
+
+def test_path_max_dpl_is_refused_with_the_naive_planner(capsys, data_dir):
+    """The naive planner takes no cap (its plan on example2 has 3 direct
+    actions), so ``--max-dpl`` with it is a usage error naming both flags,
+    not a cap silently ignored."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["path", "--config", str(data_dir / "example2"), "--planner", "naive",
+              "--max-dpl", "1"])
+    assert exit_info.value.code == 2
+    assert "argument --max-dpl: not allowed with --planner naive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("norm, p", [("l0", 0), ("l1", 1), ("l2", 2)])
@@ -761,20 +791,63 @@ def test_counts_below_one_are_usage_errors(capsys, data_dir, argv):
     assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
 
 
-def test_sampler_refuses_a_space_above_its_cap(monkeypatch):
-    """7 features of 6 values make 279936 states, above the cap: the sampler
-    raises before it enumerates any of them."""
-    import p2c.bench
+def _rejecting_program_over_6_to_the_20():
+    return make_dataset(
+        {f"f{i}": tuple(f"v{j}" for j in range(6)) for i in range(20)},
+        "label(X,'bad') :- f0(X,'v0'), not f1(X,'v1'), not ab1(X,'True').\n"
+        "label(X,'bad') :- f2(X,'v2').\n"
+        "ab1(X,'True') :- f3(X,'v3'), f4(X,'v4').",
+    )
+
+
+@pytest.mark.parametrize("make", [lambda: fav_stress(5)[0], _rejecting_program_over_6_to_the_20],
+                         ids=["fav_stress-5", "rejecting-6^20"])
+def test_sampler_draws_from_a_large_space_without_enumerating_it(monkeypatch, make):
+    """fav_stress(5) has 3^20 states and the rejecting program 6^20: the
+    sampler draws 20 distinct decision-positive states from each, by the
+    reference interpreter, in under a second, compile included, and never
+    enumerates the space."""
+    import p2c.domain
 
     def enumerate_states(config):
-        raise AssertionError("enumerated a space above the cap")
+        raise AssertionError("enumerated the whole space")
 
-    monkeypatch.setattr(p2c.bench, "enumerate_states", enumerate_states)
-    ds = make_dataset({f"f{i}": tuple(f"v{j}" for j in range(6)) for i in range(7)},
-                      "label(X,'bad') :- f0(X,'v0').")
-    assert search_space_size(ds.config) == 279936 > SAMPLE_CAP
-    with pytest.raises(SpaceTooLargeError, match="cannot enumerate 279936 states"):
-        sample_decision_positive(ds, 5, seed=0)
+    ds = make()
+    monkeypatch.setattr(p2c.domain, "enumerate_states", enumerate_states)
+    with budget(1.0, f"sample 20 of {search_space_size(ds.config)} states"):
+        sample = sample_decision_positive(ds, 20, seed=3)
+    assert len(set(sample)) == 20
+    assert all(interpreted_decision_positive(ds, s) for s in sample)
+
+
+@pytest.mark.parametrize("bundle", ["example1", "example2", "cars", "german", "adult"])
+def test_sampler_returns_the_whole_population_when_n_covers_it(data_dir, bundle):
+    """Asked for at least as many states as there are decision-positive
+    ones, the sampler returns each once, in enumeration order, on the full
+    and the consolidated space."""
+    full = load_dataset(data_dir / bundle)
+    for ds in (full, consolidate_dataset(full)):
+        population = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
+        for n in (len(population), len(population) + 7):
+            assert sample_decision_positive(ds, n, seed=1) == population
+
+
+def test_sampler_is_uniform_over_consolidated_cars(cars):
+    """Consolidated cars has 288 decision-positive states in boxes of 8 to
+    72 states.  Drawing 36 of them under each of 200 seeds reaches every
+    state, and the counts fit a uniform draw (chi-square 229 on 287
+    degrees of freedom): weighting a box by anything but its size would
+    not."""
+    ds = consolidate_dataset(cars)
+    counts = collections.Counter()
+    for seed in range(200):
+        sample = sample_decision_positive(ds, 36, seed)
+        assert len(set(sample)) == 36
+        counts.update(sample)
+    population = [s for s in enumerate_states(ds.config) if ds.decision_positive(s)]
+    assert len(population) == 288 and set(counts) == set(population)
+    expected = 200 * 36 / 288
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < 360
 
 
 def test_bench_sampling_is_decision_positive(german):

@@ -39,6 +39,7 @@ from oracles import (
     interpreted_entailments,
     interpreted_is_goal,
     interpreted_repair_values,
+    names_favourable_label,
     rule_fires,
 )
 from p2c.dataset import consolidate_dataset, load_dataset
@@ -395,7 +396,8 @@ def test_decision_boxes_hold_every_state_the_body_fires_on():
         for allowed, held in compiled.decision_boxes:
             assert allowed & ~walk_bits == 0 and held & ~walk_bits == 0
             assert all(held & m in (0, m) for m in masks)
-        undesired = ds.decision.describes_undesired
+        undesired = not names_favourable_label(ds)
+        assert compiled.favourable is not undesired
         if undesired:
             per_rule = decision_rule_boxes(ds)
             assert compiled.decision == tuple(box for boxes in per_rule for box in boxes)

@@ -18,10 +18,12 @@ from oracles import (
 from p2c.dataset import consolidate_dataset, load_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
 from p2c.errors import (
+    EvaluationError,
     InconsistentInitialStateError,
     NoCounterfactualError,
     P2CError,
     SearchExhaustedError,
+    StateValidationError,
 )
 from p2c.masks import CompiledRules
 from p2c.planner import (
@@ -471,6 +473,22 @@ def test_naive_path_example2_directly_sets_credit_score(example2):
     legal, violations = path_is_legal(example2, naive)
     assert legal is False
     assert any("credit_score" in v and "actionable" in v for v in violations)
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda values: values[:-1], EvaluationError),  # one value short
+    (lambda values: values[:-1] + (621.5,), StateValidationError),  # off credit_score's domain
+], ids=["short", "off-domain"])
+def test_naive_path_refuses_a_target_off_the_space_as_find_path_does(example2, corrupt, error):
+    """Both planners encode the target as bits first: a target one value
+    short is refused, not planned to a stop short of it and called legal,
+    and an off-domain value is a validation error, not a search failure."""
+    john = example2.default_instance()
+    target = State(corrupt(min_cf(example2, john).target.values))
+    for planner in (naive_find_path, find_path):
+        with pytest.raises(error) as raised:
+            planner(example2, john, target)
+        assert not isinstance(raised.value, SearchExhaustedError)
 
 
 def test_naive_path_example1_matches_causal_planner(example1):

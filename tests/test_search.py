@@ -34,6 +34,7 @@ from oracles import (
     exhaustive_knearest,
     exhaustive_min_cf,
     knearest_trimmed,
+    names_favourable_label,
 )
 from p2c.dataset import build_dataset, consolidate_dataset, load_dataset
 from p2c.domain import FeatureSpec, State, enumerate_states, validate_state
@@ -975,7 +976,7 @@ def _decision_reads(ds, b):
     every rule when they name the favourable one, as it is part of their
     complement."""
     rules = ds.decision.rules
-    if ds.decision.describes_undesired:
+    if not names_favourable_label(ds):
         owners = [r for r, boxes in enumerate(decision_rule_boxes(ds)) for _ in boxes]
         rules = [rules[owners[b]]]
     body = [lit for rule in rules for lit in rule.body]
@@ -987,7 +988,7 @@ def _decision_reads(ds, b):
 
 CUT_CASES = {
     # cuts are taken on the complement's boxes, as on any rejecting box
-    "favourable_label": lambda ds, cuts: not ds.decision.describes_undesired,
+    "favourable_label": lambda ds, cuts: names_favourable_label(ds),
     "exception_calls": lambda ds, cuts: any(_decision_reads(ds, b)[0] for b in cuts if b >= 0),
     "causal_heads": lambda ds, cuts: any(_decision_reads(ds, b)[1] for b in cuts if b >= 0),
 }
@@ -1184,7 +1185,7 @@ def _warm_cases(example1, example2, cars, german, adult) -> list[tuple]:
     cyclic = cyclic_dataset()
     cases.append((cyclic, _positive_starts(cyclic, 3)))
     for ds in map(rich_dataset, range(300)):
-        if ds is None or ds.decision.describes_undesired:
+        if ds is None or not names_favourable_label(ds):
             continue
         try:
             ds.compiled
@@ -1206,7 +1207,7 @@ def test_warmed_dataset_answers_like_a_fresh_one(example1, example2, cars, germa
     as a freshly built copy; a ``weights`` dict edited between two calls
     gets the second weights' answers."""
     cases = _warm_cases(example1, example2, cars, german, adult)
-    assert sum(not ds.decision.describes_undesired for ds, _ in cases) >= 20
+    assert sum(names_favourable_label(ds) for ds, _ in cases) >= 20
     compared = moved = 0
     for ds, starts in cases:
         queries = [(start, weights, p) for start in starts
@@ -1243,7 +1244,7 @@ def test_favourable_programs_with_plausibility_flags_match_exhaustive_oracle():
     rng = random.Random(21)
     checked = 0
     for made in map(rich_dataset, range(300)):
-        if made is None or made.decision.describes_undesired:
+        if made is None or not names_favourable_label(made):
             continue
         features = tuple(replace(spec, **rng.choice(PLAUSIBILITY))
                          for spec in made.config.features)

@@ -9,7 +9,7 @@ import pytest
 
 import p2c
 from conftest import DATA, random_dataset, rich_dataset
-from oracles import program_decides
+from oracles import names_favourable_label, program_decides
 from p2c.dataset import load_dataset
 from p2c.domain import enumerate_states, ingest_csv
 from p2c.errors import P2CError, PredictorError
@@ -169,7 +169,7 @@ def test_rule_backed_model_matches_interpreter_on_bundles(bundle):
     assert 0 < fired < sum(1 for _ in enumerate_states(dataset.config))
     # german's rules describe the favourable label; the model still answers
     # with their raw firing
-    assert dataset.decision.describes_undesired is (bundle != "german")
+    assert names_favourable_label(dataset) is (bundle == "german")
 
 
 def test_rule_backed_model_matches_interpreter_on_random_programs():
@@ -182,7 +182,7 @@ def test_rule_backed_model_matches_interpreter_on_random_programs():
                 continue
             assert_model_matches_interpreter(dataset)
             kinds |= {lit.kind for rule in dataset.decision.clauses for lit in rule.body}
-            kinds.add(dataset.decision.describes_undesired)
+            kinds.add(names_favourable_label(dataset))
             checked += 1
     assert checked >= 300
     assert {"aux_call", "negated_aux_call", "numeric_binding", "comparison",
