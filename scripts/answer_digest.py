@@ -57,6 +57,10 @@ its start and at 5 seeded starts on which no rule fires, ``min_cf`` and
 ``goal_knearest(k=20)`` in both modes for p in {0, 1, 2}, and ``find_path``
 toward each ``min_cf`` target.  It was added after the first three, so they
 stay comparable with older trees.
+
+The fifth line hashes the same answers on rules with many negated exception
+calls: ``exception_stress(r)`` for r in {2, 4, 8, 11}, at 5 seeded
+decision-positive starts.  It was added after the first four.
 """
 
 from __future__ import annotations
@@ -345,20 +349,26 @@ def syntax_answers():
                 yield ("raised", type(exc).__name__, str(exc))
 
 
-def fav_answers():
-    """Answers on ``fav_stress(2..4)``."""
-    from conftest import fav_stress
-    from p2c import find_path, goal_knearest, min_cf
+def seeded_starts(ds, starts, count, seed):
+    """``starts`` followed by seeded decision-positive states, ``count`` in
+    all."""
     from p2c.domain import State
 
-    for r in range(2, 5):
-        ds, start = fav_stress(r)
-        rng = random.Random(f"fav-starts:{r}")
-        starts = [start]
-        while len(starts) < 6:
-            drawn = State(tuple(rng.choice(spec.domain) for spec in ds.config.features))
-            if ds.decision_positive(drawn):
-                starts.append(drawn)
+    rng = random.Random(seed)
+    starts = list(starts)
+    while len(starts) < count:
+        drawn = State(tuple(rng.choice(spec.domain) for spec in ds.config.features))
+        if ds.decision_positive(drawn):
+            starts.append(drawn)
+    return starts
+
+
+def stress_answers(spaces):
+    """``min_cf``, ``goal_knearest(k=20)`` and ``find_path`` toward each
+    ``min_cf`` target at each start of each (dataset, starts) pair."""
+    from p2c import find_path, goal_knearest, min_cf
+
+    for ds, starts in spaces:
         for start in starts:
             for p in (0, 1, 2):
                 for mode in ("p2c", "all_changes"):
@@ -370,6 +380,24 @@ def fav_answers():
                         yield plan_answer(ds, answer(find_path, ds, start, best.target, p=p))
 
 
+def fav_spaces():
+    """``fav_stress(r)`` for r = 2..4, at its start and 5 seeded ones."""
+    from conftest import fav_stress
+
+    for r in range(2, 5):
+        ds, start = fav_stress(r)
+        yield ds, seeded_starts(ds, [start], 6, f"fav-starts:{r}")
+
+
+def exception_spaces():
+    """``exception_stress(r)`` for r in {2, 4, 8, 11}, at 5 seeded starts."""
+    from conftest import exception_stress
+
+    for r in (2, 4, 8, 11):
+        ds = exception_stress(r)
+        yield ds, seeded_starts(ds, [], 5, f"exception-starts:{r}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(REPO / "src"), help="directory holding p2c")
@@ -379,7 +407,10 @@ def main() -> None:
     for parts, label in (((search_answers(), plan_answers()), ""),
                          ((consolidated_answers(),), " on per-instance consolidated spaces"),
                          ((cli_answers(), syntax_answers()), " on CLI reports and rule syntax"),
-                         ((fav_answers(),), " on favourable-label stress programs")):
+                         ((stress_answers(fav_spaces()),),
+                          " on favourable-label stress programs"),
+                         ((stress_answers(exception_spaces()),),
+                          " on exception-heavy programs")):
         digest = hashlib.sha256()
         count = 0
         for part in parts:

@@ -18,6 +18,7 @@ import itertools
 import math
 import random
 import statistics
+import sys
 import time
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -26,7 +27,7 @@ from .dataset import Dataset, consolidate_dataset, load_dataset
 from .domain import NORM_NAMES, NORMS, State, expand_placeholders, search_space_size
 from .domain import validate_state
 from .errors import P2CError
-from .masks import _complement
+from .masks import _subtract
 from .planner import find_path, naive_find_path, path_is_legal
 from .search import goal_knearest, min_cf
 
@@ -37,13 +38,17 @@ def sample_decision_positive(dataset: Dataset, n: int, seed: int) -> list[State]
 
     The states are numbered through disjoint boxes that hold exactly them: a
     favourable-label program's rejecting boxes are disjoint already, and
-    other rejecting boxes are made so by complementing them twice.  Box by
-    box, each numbers its states in mixed radix over the values it allows,
-    so only the drawn numbers are decoded and no space is enumerated."""
+    other rejecting boxes are made so by subtracting them from the whole
+    space twice.  Box by box, each numbers its states in mixed radix over
+    the values it allows, so only the drawn numbers are decoded and no space
+    is enumerated.  Up to ``sys.maxsize`` states the numbers are
+    ``random.Random.sample``'s; past it, which ``sample`` cannot take, they
+    are distinct ``randrange`` draws, as ``sample`` draws from large
+    populations."""
     compiled = dataset.compiled
     masks = compiled.feature_masks
     boxes = (compiled.decision if compiled.favourable
-             else _complement(_complement(compiled.decision, masks), masks))
+             else _subtract((0,), _subtract((0,), compiled.decision, masks), masks))
     spans = [range(o, o + len(d)) for o, d in zip(compiled.offsets, compiled.domains)]
     # per box, per feature, the bits of the values it allows
     allowed = [[[1 << i for i in span if not box >> i & 1] for span in spans] for box in boxes]
@@ -60,7 +65,15 @@ def sample_decision_positive(dataset: Dataset, n: int, seed: int) -> list[State]
             bits |= values[j]
         return bits
 
-    drawn = [decode(i) for i in random.Random(seed).sample(range(total), min(n, total))]
+    rng = random.Random(seed)
+    if total <= sys.maxsize:
+        numbers = rng.sample(range(total), min(n, total))
+    else:
+        picked: dict[int, None] = {}  # the distinct numbers, in draw order
+        while len(picked) < n:
+            picked[rng.randrange(total)] = None
+        numbers = list(picked)
+    drawn = list(map(decode, numbers))
     if n >= total:  # all of them, in enumeration order: by each feature's bit, in turn
         drawn.sort(key=lambda bits: [bits & m for m in masks])
     return [compiled.state(bits) for bits in drawn]

@@ -8,10 +8,9 @@ one bit set per feature, and a box is its *forbidden* mask: the union of the
 values that fail its literals (numeric ``=<`` tests become masks over the
 feature's finite domain).  A state lies in the box iff ``bits & box == 0``.
 Each rule compiles to the tuple of boxes it fires on, their union being
-exactly its states: an exception-predicate call joins the body's boxes with
-the boxes of the rules it calls, and a negated call with their complement,
-in which each called box fails on one of the features it tests.  A join
-keeps only nonempty boxes that no other box of the rule contains, and a
+exactly its states: an exception-predicate call meets the body's boxes with
+the boxes of the rules it calls, keeping the nonempty meets, and a negated
+call subtracts the called boxes from the body's (:func:`_subtract`).  A
 rule may compile to at most :data:`MAX_RULE_BOXES` boxes.
 
 The decision program compiles to one polarity, its *rejecting* boxes
@@ -21,9 +20,9 @@ off their head and the config's ``undesired_decision``
 (:attr:`CompiledRules.favourable`).  Rules that name the undesired label
 give their own boxes.  Rules that name the favourable label give their
 complement, read
-constructively as s(CASP) reads ``not label(X, ...)``: from the whole
-space, each rule box is subtracted in turn by Lawler's partition
-(Management Science, 1972), which leaves disjoint boxes and needs no cap.
+constructively as s(CASP) reads ``not label(X, ...)``: their boxes
+subtracted from the whole space, at most :data:`MAX_REJECTING_BOXES` of
+them.
 
 The causal rules are grouped per head feature, and within a group per head
 value, an *alternative*, both in the order the rules first name them.  A
@@ -67,6 +66,7 @@ The package imports this module on a dataset's first query, not at import.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from functools import reduce
 from typing import Sequence
@@ -87,8 +87,11 @@ from .rules import (
 )
 
 # The most boxes one rule may compile to: negating rules on disjoint features
-# multiplies a rule's boxes, and absorption cannot shrink them.
+# multiplies a rule's boxes.
 MAX_RULE_BOXES = 512
+# The most rejecting boxes a favourable-label program may compile to: the
+# complement of r rules on disjoint features has 4^r boxes or more.
+MAX_REJECTING_BOXES = 1 << 16
 
 
 class _ProgramCompiler:
@@ -163,36 +166,28 @@ class _ProgramCompiler:
                 forbidden |= self.mask(bound[lit.variable], lambda v, b=lit.bound: float(v) <= b)
             else:
                 raise ValueError(f"unknown literal kind {lit.kind!r}")
-        boxes = self.join([0], [forbidden], rule)  # none when two literals contradict
+        refusal = (f"rule {unparse_rule(rule)} compiles to more than {MAX_RULE_BOXES} "
+                   f"boxes through its exception calls") if calls else ""
+        boxes = self.join([0], [forbidden], refusal)  # none when two literals contradict
         for negated, called in calls:
-            if not negated:
-                boxes = self.join(boxes, called, rule)
-                continue
-            for box in called:  # outside ``box``: on some feature it tests, a value it forbids
-                outside = [m & ~box for m in self.feature_masks if box & m]
-                boxes = self.join(boxes, outside, rule)
+            if negated:
+                boxes = _subtract(boxes, called, self.feature_masks, MAX_RULE_BOXES, refusal)
+            else:
+                boxes = self.join(boxes, called, refusal)
         return tuple(boxes), reads | forbidden
 
-    def join(self, boxes: list[int], other: Sequence[int], rule: Rule) -> list[int]:
-        """The nonempty meets of a box of ``boxes`` with a box of ``other``,
-        each kept unless a kept box contains it, and dropping those it
-        contains: a box ``k`` contains ``z`` iff ``k & ~z == 0``."""
+    def join(self, boxes: Sequence[int], other: Sequence[int], refusal: str) -> list[int]:
+        """The nonempty meets of a box of ``boxes`` with a box of ``other``;
+        more than ``MAX_RULE_BOXES`` is a ``RuleProgramError`` reading
+        ``refusal``."""
         out: list[int] = []
         for x in boxes:
             for y in other:
-                z = x | y
-                free = ~z
-                if not all(map(free.__and__, self.feature_masks)):
-                    continue  # z forbids every value of a feature: it is empty
-                if not all(map(free.__and__, out)):
-                    continue  # a kept box contains z
-                out = [k for k in out if k & z != z]
-                out.append(z)
-                if len(out) > MAX_RULE_BOXES:
-                    raise RuleProgramError(
-                        f"rule {unparse_rule(rule)} compiles to more than {MAX_RULE_BOXES} "
-                        f"boxes through its exception calls"
-                    )
+                free = ~(x | y)
+                if all(map(free.__and__, self.feature_masks)):  # else x | y is empty
+                    out.append(x | y)
+                    if len(out) > MAX_RULE_BOXES:
+                        raise RuleProgramError(refusal)
         return out
 
 
@@ -327,15 +322,16 @@ def _decision_boxes(decision, head_order, walk, feature_masks) -> tuple[tuple[in
     return tuple(out)
 
 
-def _complement(boxes, feature_masks) -> tuple[int, ...]:
-    """Disjoint boxes (forbidden masks) that together hold exactly the
-    states no box of ``boxes`` holds, by Lawler's partition: from the whole
-    space, each box is subtracted from every piece in turn.  A piece that
-    meets the box splits at each feature where the box forbids a value the
-    piece allows: child i holds the meet's values on the features before i,
-    on i the piece's values that the box forbids, and the piece's values
-    after i."""
-    pieces = [0]
+def _subtract(pieces, boxes, feature_masks, cap=math.inf, refusal="") -> tuple[int, ...]:
+    """Boxes (forbidden masks) that together hold exactly the states of the
+    boxes ``pieces`` that no box of ``boxes`` holds, by Lawler's partition
+    (Management Science, 1972): each box is subtracted from every piece in
+    turn.  A piece that meets the box splits at each feature where the box
+    forbids a value the piece allows: child i holds the meet's values on the
+    features before i, on i the piece's values that the box forbids, and the
+    piece's values after i.  The children are disjoint, so disjoint pieces
+    stay disjoint.  More than ``cap`` pieces is a ``RuleProgramError``
+    reading ``refusal``."""
     for box in boxes:
         tested = [m for m in feature_masks if box & m]
         out = []
@@ -343,12 +339,14 @@ def _complement(boxes, feature_masks) -> tuple[int, ...]:
             meet = piece | box
             if not all(m & ~meet for m in tested):
                 out.append(piece)  # the box does not meet the piece
-                continue
-            cut = box & ~piece  # the piece's values that the box forbids
-            for m in tested:
-                if cut & m:
-                    out.append(piece & ~m | m & ~cut)
-                    piece |= cut & m  # the meet's values on this feature
+            else:
+                cut = box & ~piece  # the piece's values that the box forbids
+                for m in tested:
+                    if cut & m:
+                        out.append(piece & ~m | m & ~cut)
+                        piece |= cut & m  # the meet's values on this feature
+            if len(out) > cap:
+                raise RuleProgramError(refusal)
         pieces = out
     return tuple(pieces)
 
@@ -369,8 +367,9 @@ class CompiledRules:
     ``decision`` holds the *rejecting* boxes, whose union is exactly the
     states the decision rules give the undesired label: for rules that name
     the undesired label, the boxes they fire on, in rule order; for rules
-    that name the favourable one, their complement, disjoint boxes that
-    hold exactly the states on which no rule fires.
+    that name the favourable one, their complement, at most
+    :data:`MAX_REJECTING_BOXES` disjoint boxes that hold exactly the states
+    on which no rule fires.
     :meth:`is_goal` is :meth:`consistent` and :meth:`escapes`; a search that
     derives each head from its group on an acyclic program needs only the
     latter.  ``cost_rows`` is filled by ``search.cost_rows``, one row per
@@ -423,7 +422,11 @@ class CompiledRules:
         self.favourable = label is not None and label.value != config.undesired_decision
         dc = _ProgramCompiler(config, self.offsets, feature_masks, decision)
         fired = tuple(box for r in decision.rules for box in dc.rule(r)[0])
-        self.decision = _complement(fired, feature_masks) if self.favourable else fired
+        self.decision = _subtract(
+            (0,), fired, feature_masks, MAX_REJECTING_BOXES,
+            f"decision rules for the favourable label {label.value!r} compile to more than "
+            f"{MAX_REJECTING_BOXES} rejecting boxes",
+        ) if self.favourable else fired
         self.decision_boxes = _decision_boxes(self.decision, self.head_order, self.walk,
                                               feature_masks)
         self.cost_rows: dict = {}

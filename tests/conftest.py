@@ -255,6 +255,22 @@ def fav_stress(r: int):
     return dataset, State(tuple(start))
 
 
+def exception_stress(r: int):
+    """``label(X,'bad') :- f0(X,'a'), not ab1(X,'True')`` over r seeded
+    ``ab1`` rules, each testing 4 of 11 three-valued features, some
+    negated."""
+    rng = random.Random(r)
+    names = [f"f{i}" for i in range(11)]
+    domain = ("a", "b", "c")
+    aux = []
+    for _ in range(r):
+        lits = [f"{'not ' if rng.random() < 0.3 else ''}{f}(X,'{rng.choice(domain)}')"
+                for f in sorted(rng.sample(names, 4))]
+        aux.append(f"ab1(X,'True') :- {', '.join(lits)}.")
+    decision = "label(X,'bad') :- f0(X,'a'), not ab1(X,'True').\n" + "\n".join(aux)
+    return make_dataset({name: domain for name in names}, decision)
+
+
 def decision_rule_boxes(dataset) -> list[tuple[int, ...]]:
     """Per decision rule, the boxes it fires on, each rule compiled alone
     against the dataset's bit layout (``CompiledRules.decision`` holds

@@ -820,6 +820,20 @@ def test_sampler_draws_from_a_large_space_without_enumerating_it(monkeypatch, ma
     assert all(interpreted_decision_positive(ds, s) for s in sample)
 
 
+def test_sampler_draws_from_more_states_than_sys_maxsize():
+    """``label(X,'bad') :- not f0(X,'v0')`` over 25 six-valued features has
+    5 * 6^24 decision-positive states, more than ``sys.maxsize``, which
+    ``random.Random.sample`` cannot number: the sampler still draws 3
+    distinct ones, by the reference interpreter, in under a second."""
+    ds = make_dataset({f"f{i}": tuple(f"v{j}" for j in range(6)) for i in range(25)},
+                      "label(X,'bad') :- not f0(X,'v0').")
+    assert 5 * 6 ** 24 > sys.maxsize
+    with budget(1.0, "sample 3 of 5 * 6^24 states"):
+        sample = sample_decision_positive(ds, 3, seed=0)
+    assert len(set(sample)) == 3
+    assert all(interpreted_decision_positive(ds, s) for s in sample)
+
+
 @pytest.mark.parametrize("bundle", ["example1", "example2", "cars", "german", "adult"])
 def test_sampler_returns_the_whole_population_when_n_covers_it(data_dir, bundle):
     """Asked for at least as many states as there are decision-positive

@@ -14,7 +14,9 @@ The search's compiled tables hold too: ``rank_parts`` sums to a state's
 position in ``enumerate_states``, and a decision rule fires exactly on the
 states one of its boxes holds.  Exception calls compile into boxes: a rule
 negating many exception rules fires on its boxes exactly, and one whose
-boxes would pass ``MAX_RULE_BOXES`` is refused when it compiles.
+boxes would pass ``MAX_RULE_BOXES`` is refused when it compiles, as is a
+favourable-label program whose rejecting boxes would pass
+``MAX_REJECTING_BOXES``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import time
 import pytest
 
 from conftest import (
-    DATA, compiled_groups, cyclic_dataset, decision_rule_boxes, make_dataset, random_dataset,
-    rich_dataset,
+    DATA, budget, compiled_groups, cyclic_dataset, decision_rule_boxes, exception_stress,
+    fav_stress, make_dataset, random_dataset, rich_dataset,
 )
 from oracles import (
     causal_groups,
@@ -46,7 +48,8 @@ from p2c.dataset import consolidate_dataset, load_dataset
 from p2c.domain import State, enumerate_states, validate_state
 from p2c.cli import main
 from p2c.errors import CausalProgramError, RuleProgramError
-from p2c.masks import MAX_RULE_BOXES
+from p2c.masks import MAX_REJECTING_BOXES, MAX_RULE_BOXES
+from p2c.rules import unparse_rule
 
 BUNDLES = ("cars", "german", "adult", "example1", "example2")
 
@@ -425,34 +428,18 @@ def test_decision_boxes_hold_every_state_the_body_fires_on():
     assert fired > 5000 and rejected > 1000 and favourable > 100
 
 
-def exception_stress(r: int):
-    """``label(X,'bad') :- f0(X,'a'), not ab1(X,'True')`` over r seeded
-    ``ab1`` rules, each testing 4 of 11 three-valued features, some
-    negated."""
-    rng = random.Random(r)
-    names = [f"f{i}" for i in range(11)]
-    domain = ("a", "b", "c")
-    aux = []
-    for _ in range(r):
-        lits = [f"{'not ' if rng.random() < 0.3 else ''}{f}(X,'{rng.choice(domain)}')"
-                for f in sorted(rng.sample(names, 4))]
-        aux.append(f"ab1(X,'True') :- {', '.join(lits)}.")
-    decision = "label(X,'bad') :- f0(X,'a'), not ab1(X,'True').\n" + "\n".join(aux)
-    return make_dataset({name: domain for name in names}, decision)
-
-
-@pytest.mark.parametrize("r", [2, 4, 8])
+@pytest.mark.parametrize("r", [2, 4, 8, 10, 12, 14])
 def test_negated_exceptions_compile_to_exact_boxes(r):
     """The rule fires on a state iff one of its boxes holds it, on 2000
-    seeded states, and no box of the rule contains another; at r = 8 it
-    compiles in under 50 ms (the fastest of three compiles)."""
+    seeded states, and no box of the rule contains another; from r = 8 on
+    it compiles in under 50 ms (the fastest of three compiles)."""
     seconds = []
     for _ in range(3):
         ds = exception_stress(r)
         began = time.perf_counter()
         compiled = ds.compiled
         seconds.append(time.perf_counter() - began)
-    if r == 8:
+    if r >= 8:
         assert min(seconds) < 0.05
     boxes = compiled.decision
     assert len(ds.decision.rules) == 1 and len(boxes) > 1
@@ -479,29 +466,19 @@ def disjoint_exceptions(r: int) -> tuple[dict, str]:
     return domains, "label(X,'bad') :- not ab1(X,'True').\n" + "\n".join(aux)
 
 
-def test_rule_past_the_box_cap_is_refused(capsys, tmp_path):
-    """A rule that would compile to more than ``MAX_RULE_BOXES`` boxes is a
-    ``RuleProgramError`` naming it, and ``p2c validate`` prints it as the
-    config's error line, exit 1, within a second; one below the cap
-    compiles."""
-    r = MAX_RULE_BOXES.bit_length()  # 2^r > MAX_RULE_BOXES
-    message = (f"rule label(X,'bad') :- not ab1(X,'True'). compiles to more than "
-               f"{MAX_RULE_BOXES} boxes through its exception calls")
-    assert len(make_dataset(*disjoint_exceptions(r - 1)).compiled.decision) == 2 ** (r - 1)
-    with pytest.raises(RuleProgramError) as err:
-        make_dataset(*disjoint_exceptions(r)).compiled
-    assert str(err.value) == message
-
-    domains, decision = disjoint_exceptions(r)
-    bundle = tmp_path / "capped"
+def assert_validate_refuses(ds, message, tmp_path, capsys):
+    """Write ``ds``'s categorical features and decision rules as a bundle:
+    ``p2c validate`` on it prints ``message`` as the config's error line,
+    exit 1, within a second, and nothing to stderr."""
+    bundle = tmp_path / ds.config.name
     bundle.mkdir()
     (bundle / "config.json").write_text(json.dumps({
-        "name": "capped",
-        "undesired_decision": "bad",
-        "features": [{"name": f, "kind": "categorical", "domain": list(domain)}
-                     for f, domain in domains.items()],
+        "name": ds.config.name,
+        "undesired_decision": ds.config.undesired_decision,
+        "features": [{"name": f.name, "kind": "categorical", "domain": list(f.domain)}
+                     for f in ds.config.features],
     }))
-    (bundle / "decision.rules").write_text(decision)
+    (bundle / "decision.rules").write_text("\n".join(map(unparse_rule, ds.decision.clauses)))
     (bundle / "causal.rules").write_text("")
     began = time.perf_counter()
     code = main(["validate", "--config", str(bundle)])
@@ -509,3 +486,39 @@ def test_rule_past_the_box_cap_is_refused(capsys, tmp_path):
     out = capsys.readouterr()
     assert code == 1 and out.err == ""
     assert out.out.splitlines()[-1] == f"{bundle / 'config.json'}: {message}"
+
+
+def test_rule_past_the_box_cap_is_refused(capsys, tmp_path):
+    """A rule that would compile to more than ``MAX_RULE_BOXES`` boxes is a
+    ``RuleProgramError`` naming it, and ``p2c validate`` prints it as the
+    config's error line, exit 1, within a second; one below the cap
+    compiles.  Subtracting the exceptions from the body's boxes checks the
+    cap as pieces are made, so ``disjoint_exceptions(40)``, whose
+    complement alone would hold 2^40 boxes, is refused within a second."""
+    r = MAX_RULE_BOXES.bit_length()  # 2^r > MAX_RULE_BOXES
+    message = (f"rule label(X,'bad') :- not ab1(X,'True'). compiles to more than "
+               f"{MAX_RULE_BOXES} boxes through its exception calls")
+    assert len(make_dataset(*disjoint_exceptions(r - 1)).compiled.decision) == 2 ** (r - 1)
+    for n in (r, 40):
+        with budget(1.0, f"refuse disjoint_exceptions({n})"):
+            with pytest.raises(RuleProgramError) as err:
+                make_dataset(*disjoint_exceptions(n)).compiled
+        assert str(err.value) == message
+    assert_validate_refuses(make_dataset(*disjoint_exceptions(r), name="capped"), message,
+                            tmp_path, capsys)
+
+
+def test_favourable_program_past_the_rejecting_box_cap_is_refused(capsys, tmp_path):
+    """The complement of ``fav_stress(r)``'s rules has 4^r boxes: r = 8
+    compiles to ``MAX_REJECTING_BOXES`` of them, and r = 10 is a
+    ``RuleProgramError`` naming the favourable label within a second, which
+    ``p2c validate`` prints as the config's error line, exit 1."""
+    assert len(fav_stress(8)[0].compiled.decision) == 4 ** 8 == MAX_REJECTING_BOXES
+    message = (f"decision rules for the favourable label 'good' compile to more than "
+               f"{MAX_REJECTING_BOXES} rejecting boxes")
+    ds = fav_stress(10)[0]
+    with budget(1.0, "refuse fav_stress(10)"):
+        with pytest.raises(RuleProgramError) as err:
+            ds.compiled
+    assert str(err.value) == message
+    assert_validate_refuses(ds, message, tmp_path, capsys)

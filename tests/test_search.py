@@ -1280,10 +1280,11 @@ def test_fav_stress_matches_exhaustive_oracle(r):
 
 def test_fav_stress_compiles_and_answers_fast():
     """The complement of r favourable rules on disjoint blocks has 4^r
-    boxes, built without a cap.  For r = 5, 6 and 7, min_cf costs what the
-    cheapest rule to make fire costs: the weights of its literals the start
-    fails, summed in feature order.  At r = 7 a fresh dataset's compile and
-    first min_cf take under 1 s (the fastest of three)."""
+    boxes, within ``MAX_REJECTING_BOXES`` up to r = 8.  For r = 5, 6 and 7,
+    min_cf costs what the cheapest rule to make fire costs: the weights of
+    its literals the start fails, summed in feature order.  At r = 7 a fresh
+    dataset's compile and first min_cf take under 1 s (the fastest of
+    three)."""
     seconds = []
     for r in (5, 6, 7, 7, 7):
         ds, start = fav_stress(r)
