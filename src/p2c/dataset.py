@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
@@ -30,21 +29,31 @@ from .domain import (
     validate_state,
 )
 from .errors import ConfigError, RuleProgramError, RuleSyntaxError, StateValidationError
+from .records import Record, replace
 from .rules import RuleProgram, is_aux_predicate, mentioned_values, parse_rule_program
 
 if TYPE_CHECKING:
     from .masks import CompiledRules
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """A config plus both rule programs, cross-validated and ready to query."""
 
+    _fields = ("config", "decision", "causal", "warnings", "digest")
     config: DatasetConfig
     decision: RuleProgram
     causal: RuleProgram
-    warnings: tuple[str, ...] = ()
-    digest: str = ""
+    warnings: tuple[str, ...]
+    digest: str
+
+    def __init__(self, config: DatasetConfig, decision: RuleProgram, causal: RuleProgram,
+                 warnings: tuple[str, ...] = (), digest: str = ""):
+        fields = self.__dict__
+        fields["config"] = config
+        fields["decision"] = decision
+        fields["causal"] = causal
+        fields["warnings"] = warnings
+        fields["digest"] = digest
 
     @cached_property
     def compiled(self) -> CompiledRules:

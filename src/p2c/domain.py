@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ConfigError, StateValidationError
+from .records import Record
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -32,30 +32,48 @@ NORM_NAMES = {p: f"l{p}" for p in NORMS}  # their names in reports and on the co
 Value = str | float
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
+class FeatureSpec(Record):
     """One feature: its finite domain plus search metadata.
 
     ``merged`` maps a placeholder value to the raw values it absorbed during
     consolidation, so raw data can still be resolved afterwards; a
-    placeholder's own name is not raw data unless it is one of them.
+    placeholder's own name is not raw data unless it is one of them.  It
+    defaults to a fresh empty dict.
     ``causal_direction`` says how a causal head value for this feature is
     satisfied (credit_score >= 620 is encoded as value 620, at_least).
     """
 
+    _fields = ("name", "kind", "domain", "weight", "mutable", "monotone", "directly_actionable",
+               "numeric_range", "step", "causal_direction", "merged")
     name: str
     kind: str
     domain: tuple[Value, ...]
-    weight: float = 1.0
-    mutable: bool = True
-    monotone: str = "none"
-    directly_actionable: bool = True
-    numeric_range: tuple[float, float] | None = None
-    step: float = 1.0
-    causal_direction: str = "exact"
-    merged: Mapping[Value, tuple[Value, ...]] = field(default_factory=dict)
+    weight: float
+    mutable: bool
+    monotone: str
+    directly_actionable: bool
+    numeric_range: tuple[float, float] | None
+    step: float
+    causal_direction: str
+    merged: Mapping[Value, tuple[Value, ...]]
 
-    def __post_init__(self):
+    def __init__(self, name: str, kind: str, domain: tuple[Value, ...], weight: float = 1.0,
+                 mutable: bool = True, monotone: str = "none", directly_actionable: bool = True,
+                 numeric_range: tuple[float, float] | None = None, step: float = 1.0,
+                 causal_direction: str = "exact",
+                 merged: Mapping[Value, tuple[Value, ...]] | None = None):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["kind"] = kind
+        fields["domain"] = domain
+        fields["weight"] = weight
+        fields["mutable"] = mutable
+        fields["monotone"] = monotone
+        fields["directly_actionable"] = directly_actionable
+        fields["numeric_range"] = numeric_range
+        fields["step"] = step
+        fields["causal_direction"] = causal_direction
+        fields["merged"] = {} if merged is None else merged
         if self.kind not in (CATEGORICAL, NUMERIC):
             raise ConfigError(f"feature {self.name!r}: unknown kind {self.kind!r}")
         if self.monotone not in MONOTONE_KINDS:
@@ -126,11 +144,14 @@ def direct_action_problem(spec: FeatureSpec, old: Value, new: Value) -> str | No
     return None
 
 
-@dataclass(frozen=True)
-class State:
+class State(Record):
     """A total assignment, positionally aligned with the config's features."""
 
+    _fields = ("values",)
     values: tuple[Value, ...]
+
+    def __init__(self, values: tuple[Value, ...]):
+        self.__dict__["values"] = values
 
     def __getitem__(self, i: int) -> Value:
         return self.values[i]
@@ -141,23 +162,35 @@ class State:
         return State(tuple(vals))
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(Record):
+    _fields = ("name", "features", "undesired_decision", "norm_p", "label_column",
+               "instance_defaults", "max_dpl")
     name: str
     features: tuple[FeatureSpec, ...]
     undesired_decision: str
-    norm_p: int = 1
-    label_column: str | None = None
-    instance_defaults: Mapping[str, object] | None = None
-    max_dpl: int | None = None
-    _index: Mapping[str, int] = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    norm_p: int
+    label_column: str | None
+    instance_defaults: Mapping[str, object] | None
+    max_dpl: int | None
+    # set in __init__ and not fields, so neither compared nor shown
+    _index: Mapping[str, int]
     # weights() once ``search.resolve_costing`` has checked them: a plain dict, so the
     # config still pickles, of which only read-only views are handed out
-    _checked_weights: dict[str, float] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    _checked_weights: dict[str, float] | None
 
-    def __post_init__(self):
+    def __init__(self, name: str, features: tuple[FeatureSpec, ...], undesired_decision: str,
+                 norm_p: int = 1, label_column: str | None = None,
+                 instance_defaults: Mapping[str, object] | None = None,
+                 max_dpl: int | None = None):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["features"] = features
+        fields["undesired_decision"] = undesired_decision
+        fields["norm_p"] = norm_p
+        fields["label_column"] = label_column
+        fields["instance_defaults"] = instance_defaults
+        fields["max_dpl"] = max_dpl
+        fields["_checked_weights"] = None
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise ConfigError("feature names must be unique")
@@ -167,7 +200,7 @@ class DatasetConfig:
             raise ConfigError(f"config field 'max_dpl' is not an integer: {self.max_dpl!r}")
         if self.max_dpl is not None and self.max_dpl < 1:
             raise ConfigError(f"config field 'max_dpl' must be at least 1, got {self.max_dpl}")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        fields["_index"] = {n: i for i, n in enumerate(names)}
 
     def feature_index(self, name: str) -> int:
         try:
@@ -290,11 +323,18 @@ def expand_placeholders(config: DatasetConfig, state: State) -> dict[str, Value]
     return out
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(Record):
+    _fields = ("states", "labels", "errors")
     states: tuple[State, ...]
     labels: tuple[str, ...]
     errors: tuple[str, ...]
+
+    def __init__(self, states: tuple[State, ...], labels: tuple[str, ...],
+                 errors: tuple[str, ...]):
+        fields = self.__dict__
+        fields["states"] = states
+        fields["labels"] = labels
+        fields["errors"] = errors
 
 
 def ingest_csv(

@@ -71,7 +71,7 @@ import operator
 from functools import reduce
 from typing import Sequence
 
-from .domain import DatasetConfig, State, Value
+from .domain import DatasetConfig, FeatureSpec, State, Value
 from .errors import CausalProgramError, EvaluationError, RuleProgramError
 from .rules import (
     AUX_CALL,
@@ -358,7 +358,9 @@ class CompiledRules:
     Feature ``i``'s value with domain index ``j`` is bit ``offsets[i] + j``,
     ``values`` holds each bit's value and ``rank_parts`` its part of the
     state's lexicographic rank, ``j`` times the product of the later
-    features' domain sizes; :meth:`bits` encodes a state and :meth:`state`
+    features' domain sizes; ``bit_features`` holds each bit's feature
+    index, and ``value_bits`` maps, per feature, each domain value to its
+    bit.  :meth:`bits` encodes a state and :meth:`state`
     decodes one.  ``groups`` holds the compiled causal groups, and
     ``feature_groups`` each feature's group, or None where no causal rule
     sets it.  Every test below takes such bits.  ``favourable`` is whether
@@ -377,9 +379,10 @@ class CompiledRules:
     weight and norm.
     """
 
-    __slots__ = ("config", "offsets", "domains", "values", "feature_masks", "groups",
-                 "feature_groups", "head_order", "cyclic", "walk", "walk_steps", "rank_parts",
-                 "favourable", "decision", "decision_boxes", "cost_rows")
+    __slots__ = ("config", "offsets", "domains", "values", "bit_features", "value_bits",
+                 "feature_masks", "groups", "feature_groups", "head_order", "cyclic", "walk",
+                 "walk_steps", "rank_parts", "favourable", "decision", "decision_boxes",
+                 "cost_rows")
 
     def __init__(self, config: DatasetConfig, causal: RuleProgram, decision: RuleProgram):
         offsets = []
@@ -391,6 +394,9 @@ class CompiledRules:
         self.offsets = tuple(offsets)
         self.domains = tuple(spec.domain for spec in config.features)
         self.values = tuple(v for domain in self.domains for v in domain)
+        self.bit_features = tuple(fi for fi, domain in enumerate(self.domains) for _ in domain)
+        self.value_bits = tuple({v: 1 << o + j for j, v in enumerate(domain)}
+                                for o, domain in zip(offsets, self.domains))
         self.feature_masks = feature_masks = tuple(
             ((1 << len(spec.domain)) - 1) << o for o, spec in zip(offsets, config.features)
         )
@@ -432,16 +438,16 @@ class CompiledRules:
         self.cost_rows: dict = {}
 
     def bits(self, state: State) -> int:
+        """The one-hot bits of ``state``, each value's bit looked up in
+        ``value_bits``; a value off its feature's domain, unhashable ones
+        too, is a :class:`StateValidationError` naming it."""
         if len(state.values) != len(self.domains):
             raise EvaluationError("state does not match the config's feature tuple")
         try:
-            indices = map(tuple.index, self.domains, state.values)
-            positions = map(operator.add, self.offsets, indices)
-            return sum(map(operator.lshift, itertools.repeat(1), positions))
-        except ValueError:
-            for spec, v in zip(self.config.features, state.values):
-                spec.index_of(v)  # raises StateValidationError naming the value
-            raise
+            return sum(map(operator.getitem, self.value_bits, state.values))
+        except (KeyError, TypeError):  # off the domain, or unhashable
+            indices = map(FeatureSpec.index_of, self.config.features, state.values)
+            return sum(1 << o + j for o, j in zip(self.offsets, indices))
 
     def state(self, bits: int) -> State:
         """The state whose bits are ``bits``: the inverse of :meth:`bits`."""

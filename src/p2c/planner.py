@@ -23,7 +23,6 @@ holds ``State``s and the rule text of its causal actions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .dataset import Dataset
@@ -35,18 +34,31 @@ from .errors import (
     SearchExhaustedError,
     StateValidationError,
 )
+from .records import Record
 from .search import cost_terms, goal_price, resolve_costing
 
 DIRECT = "direct"
 CAUSAL = "causal"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
+    """One step's action; ``provenance``, the text of the rules behind a
+    causal one, is not compared."""
+
+    _fields = ("kind", "feature", "new_value", "provenance")
+    _compared = ("kind", "feature", "new_value")
     kind: str
     feature: str
     new_value: Value
-    provenance: tuple[str, ...] = field(default=(), compare=False)
+    provenance: tuple[str, ...]
+
+    def __init__(self, kind: str, feature: str, new_value: Value,
+                 provenance: tuple[str, ...] = ()):
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["feature"] = feature
+        fields["new_value"] = new_value
+        fields["provenance"] = provenance
 
     def describe(self) -> str:
         return f"{self.kind}({self.feature} -> {self.new_value!r})"
@@ -57,15 +69,23 @@ class Action:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(Record):
+    _fields = ("state", "actions")
     state: State
     actions: tuple[Action, ...]  # actions applied since the previous step
 
+    def __init__(self, state: State, actions: tuple[Action, ...]):
+        fields = self.__dict__
+        fields["state"] = state
+        fields["actions"] = actions
 
-@dataclass(frozen=True)
-class PlanPath:
+
+class PlanPath(Record):
+    _fields = ("steps",)
     steps: tuple[PathStep, ...]
+
+    def __init__(self, steps: tuple[PathStep, ...]):
+        self.__dict__["steps"] = steps
 
     @property
     def start(self) -> State:
@@ -283,8 +303,8 @@ def path_is_legal(dataset: Dataset, path: PlanPath) -> tuple[bool, list[str]]:
                 continue
             i = config.feature_index(action.feature)
             try:
-                bit = 1 << (compiled.offsets[i] + compiled.domains[i].index(action.new_value))
-            except ValueError:
+                bit = compiled.value_bits[i][action.new_value]
+            except (KeyError, TypeError):  # off the domain, or unhashable
                 violations.append(
                     f"step {step_no}: {action.describe()}: value outside domain"
                 )

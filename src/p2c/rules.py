@@ -19,11 +19,11 @@ them to bit masks over a config's finite domains, and every per-state test
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
 from .errors import RuleProgramError, RuleSyntaxError
+from .records import Record
 
 AUX_RE = re.compile(r"^ab\d*$")
 
@@ -40,39 +40,57 @@ def is_aux_predicate(name: str) -> bool:
     return AUX_RE.match(name) is not None
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """A predicate applied to the implicit subject plus one constant value."""
 
+    _fields = ("predicate", "value")
     predicate: str
     value: str | float
 
+    def __init__(self, predicate: str, value: str | float):
+        fields = self.__dict__
+        fields["predicate"] = predicate
+        fields["value"] = value
 
-@dataclass(frozen=True)
-class BodyLiteral:
+
+class BodyLiteral(Record):
+    _fields = ("kind", "predicate", "value", "variable", "bound")
     kind: str
-    predicate: str | None = None
-    value: str | float | None = None
-    variable: str | None = None
-    bound: float | None = None
+    predicate: str | None
+    value: str | float | None
+    variable: str | None
+    bound: float | None
+
+    def __init__(self, kind: str, predicate: str | None = None, value: str | float | None = None,
+                 variable: str | None = None, bound: float | None = None):
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["predicate"] = predicate
+        fields["value"] = value
+        fields["variable"] = variable
+        fields["bound"] = bound
 
     @property
     def negated(self) -> bool:
         return self.kind in (NEG_FEATURE_TEST, NEG_COMPARISON, NEG_AUX_CALL)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
+    _fields = ("head", "body")
     head: Atom
-    body: tuple[BodyLiteral, ...] = ()
+    body: tuple[BodyLiteral, ...]
+
+    def __init__(self, head: Atom, body: tuple[BodyLiteral, ...] = ()):
+        fields = self.__dict__
+        fields["head"] = head
+        fields["body"] = body
 
     @property
     def is_aux(self) -> bool:
         return is_aux_predicate(self.head.predicate)
 
 
-@dataclass(frozen=True)
-class RuleProgram:
+class RuleProgram(Record):
     """An ordered set of clauses plus the aux layer they may call into.
 
     A decision program's rules share one head label, which may name either
@@ -80,9 +98,16 @@ class RuleProgram:
     which from the config's ``undesired_decision``.
     """
 
+    _fields = ("clauses", "kind", "verified")
     clauses: tuple[Rule, ...]
     kind: str  # "decision" | "causal"
-    verified: bool = False
+    verified: bool
+
+    def __init__(self, clauses: tuple[Rule, ...], kind: str, verified: bool = False):
+        fields = self.__dict__
+        fields["clauses"] = clauses
+        fields["kind"] = kind
+        fields["verified"] = verified
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:

@@ -57,7 +57,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -77,6 +76,7 @@ from .errors import (
     NoCounterfactualError,
     P2CError,
 )
+from .records import Record
 
 if TYPE_CHECKING:
     from .masks import CompiledRules
@@ -286,18 +286,17 @@ def goal_price(
     return (math.sqrt(total) if p == 2 else total), freed
 
 
-@dataclass(frozen=True, init=False)
-class CostReport:
+class CostReport(Record):
     """A goal and its cost.  ``adjusted_weights``, the weights the cost was
     priced under (``0.0`` on each causal-free feature), is read-only: the
     reports of one search that free the same features share one
     ``adjusted_weights`` mapping and one ``causal_free_features`` set.
 
-    A frozen dataclass whose ``__init__`` fills the instance's ``__dict__``
-    directly, not one ``object.__setattr__`` per field; equality, ``repr``
-    and ``dataclasses.replace`` are the dataclass's own.
+    A record (``records.Record``): equality, hash, repr and
+    ``records.replace`` read its six fields.
     """
 
+    _fields = ("target", "cost", "p", "mode", "adjusted_weights", "causal_free_features")
     target: State
     cost: float
     p: int
@@ -393,7 +392,8 @@ def _stream_candidates(
     ``CompiledRules.rank_parts`` over the candidate's bits, its domain
     indices read as one mixed-radix number, which orders states exactly as
     ``DatasetConfig.lex_key`` does.  They are returned as bits; the caller
-    decodes each into a ``State`` as it builds that goal's report.
+    builds each one's ``State`` from the start's values and the bits the
+    goal changes, as it builds that goal's report.
 
     Then the box loses a *cut* that holds no goal.  When no completion is a
     goal and one rejecting box holds all of them, the cut is that box over
@@ -499,8 +499,11 @@ def _stream_candidates(
                         break
                 old = vec & m
                 nxt = vec ^ old | new
+                total = 0.0  # price(nxt), inlined: this runs on every push
+                for wm in walk_masks:
+                    total += terms[(nxt & wm).bit_length() - 1]
                 heappush(heap, (
-                    price(nxt),
+                    total,
                     rank - parts[old.bit_length() - 1] + parts[new.bit_length() - 1], nxt,
                     cut & below | part | box & above,
                 ))
@@ -542,13 +545,16 @@ def _nearest(
     weights, p = resolve_costing(config, weights, p)
     _check_initial(dataset, instance, on_inconsistent)
     compiled = dataset.compiled
+    start = compiled.bits(instance)
 
-    found = _stream_candidates(compiled, compiled.bits(instance), weights, p, mode, k)
+    found = _stream_candidates(compiled, start, weights, p, mode, k)
     if not found:
         raise NoCounterfactualError(
             "no causally consistent counterfactual exists in the admissible space"
         )
-    features, state = config.features, compiled.state
+    features, values, bit_features = config.features, compiled.values, compiled.bit_features
+    # each target is the start, decoded once, with the values of the bits it changes
+    start_values = compiled.state(start).values
     # per freed set, its (adjusted_weights, causal_free_features), shared by its reports
     shared = {(): (weights, frozenset())}
     reports = []
@@ -559,7 +565,14 @@ def _nearest(
             pair = shared[key] = (
                 MappingProxyType({**weights, **dict.fromkeys(names, 0.0)}), frozenset(names)
             )
-        reports.append(CostReport(state(bits), cost, p, mode, *pair))
+        target = list(start_values)
+        changed = bits & ~start
+        while changed:
+            low = changed & -changed
+            b = low.bit_length() - 1
+            target[bit_features[b]] = values[b]
+            changed ^= low
+        reports.append(CostReport(State(tuple(target)), cost, p, mode, *pair))
     return reports
 
 

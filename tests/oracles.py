@@ -18,7 +18,7 @@ from __future__ import annotations
 import collections
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from p2c.domain import CATEGORICAL, DatasetConfig, State, Value, enumerate_states
@@ -443,6 +443,10 @@ def consolidate_placeholders(
     Numeric domains are already threshold-minimal and are left alone.
     The reference for the reduced space of ``dataset.consolidate_dataset``.
     """
+    # imported here, so that scripts/answer_digest.py, which imports this
+    # module, also runs against a p2c older than its records
+    from p2c.records import replace
+
     defaults = config.instance_defaults or {}
     new_features = []
     for spec in config.features:

@@ -47,8 +47,14 @@ from oracles import (
 from p2c.dataset import consolidate_dataset, load_dataset
 from p2c.domain import State, enumerate_states, validate_state
 from p2c.cli import main
-from p2c.errors import CausalProgramError, RuleProgramError
+from p2c.errors import (
+    CausalProgramError,
+    EvaluationError,
+    RuleProgramError,
+    StateValidationError,
+)
 from p2c.masks import MAX_REJECTING_BOXES, MAX_RULE_BOXES
+from p2c.planner import Action, PathStep, PlanPath, path_is_legal
 from p2c.rules import unparse_rule
 
 BUNDLES = ("cars", "german", "adult", "example1", "example2")
@@ -195,6 +201,54 @@ def test_state_decodes_the_bits_of_every_state():
             assert tuple(compiled.value(i, bits) for i in range(len(state.values))) == state.values
             decoded += 1
     assert decoded > 1000
+
+
+# adult's default instance with one edit, and what encoding it raises
+OFF_STATES = [
+    (lambda v: v[:1] + ("nope",) + v[2:], StateValidationError,
+     "value 'nope' is not in the domain of feature 'sex'"),
+    (lambda v: (12345.5,) + v[1:], StateValidationError,
+     "value 12345.5 is not in the domain of feature 'age'"),
+    (lambda v: v[:1] + (["x"],) + v[2:], StateValidationError,
+     "value ['x'] is not in the domain of feature 'sex'"),
+    (lambda v: ({},) + v[1:], StateValidationError,
+     "value {} is not in the domain of feature 'age'"),
+    (lambda v: ("a", "b") + v[2:], StateValidationError,
+     "value 'a' is not in the domain of feature 'age'"),
+    (lambda v: v[:-1], EvaluationError, "state does not match the config's feature tuple"),
+    (lambda v: v + ("x",), EvaluationError, "state does not match the config's feature tuple"),
+    (lambda v: ("nope",) + v[1:-1], EvaluationError,
+     "state does not match the config's feature tuple"),
+]
+
+
+@pytest.mark.parametrize("edit, error, message", OFF_STATES,
+                         ids=["categorical", "numeric", "list", "dict", "first_of_two",
+                              "short", "long", "short_and_off"])
+def test_bits_refuses_a_state_off_the_space(adult, edit, error, message):
+    """``CompiledRules.bits`` looks values up by hash; an off-domain or
+    unhashable value still raises the ``StateValidationError`` naming the
+    first such value, and a state of the wrong length the
+    ``EvaluationError``, which comes first."""
+    values = edit(adult.default_instance().values)
+    with pytest.raises(error) as raised:
+        adult.compiled.bits(State(values))
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_bits_reads_equal_numbers_alike(adult):
+    """An int equal to a domain float encodes as that float, as a search by
+    equality found it."""
+    compiled, start = adult.compiled, adult.default_instance()
+    assert start.values[0] == 25.0
+    assert compiled.bits(State((25,) + start.values[1:])) == compiled.bits(start)
+
+
+def test_legality_reports_an_unhashable_value(adult):
+    start = adult.default_instance()
+    plan = PlanPath((PathStep(start, ()), PathStep(start, (Action("direct", "sex", ["x"]),))))
+    assert path_is_legal(adult, plan) == (
+        False, ["step 1: direct(sex -> ['x']): value outside domain"])
 
 
 def test_closure_agrees_on_bundles_and_random_datasets():

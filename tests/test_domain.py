@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -24,6 +23,7 @@ from p2c.domain import (
 )
 from p2c.errors import ConfigError, P2CError, StateValidationError
 from p2c.planner import find_path, path_is_legal
+from p2c.records import replace
 from p2c.rules import Atom, BodyLiteral, Rule, RuleProgram, mentioned_values, parse_rule_program
 from p2c.search import goal_knearest, min_cf
 

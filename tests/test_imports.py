@@ -16,8 +16,18 @@ import p2c
 
 # Loaded on first use only: the surrogate layer and its subprocess and csv,
 # ``p2c bench`` and its statistics, the digest's hashlib, the compiled masks.
+# Only the surrogate layer declares dataclasses; the eagerly imported modules
+# declare records (``p2c.records``), so neither ``dataclasses`` nor the
+# ``inspect`` it imports is loaded before that layer is.
 LAZY_MODULES = ("p2c.surrogate", "p2c.bench", "p2c.masks", "subprocess", "statistics",
-                "hashlib", "csv")
+                "hashlib", "csv", "dataclasses", "inspect")
+
+# The package's modules each import loads: nothing is deferred to a later call.
+EAGER_MODULES = {
+    "p2c": ["p2c", "p2c.dataset", "p2c.domain", "p2c.errors", "p2c.planner", "p2c.records",
+            "p2c.rules", "p2c.search"],
+}
+EAGER_MODULES["p2c.cli"] = sorted(EAGER_MODULES["p2c"] + ["p2c.cli"])
 
 # The package's public names; each must resolve and be listed by dir().
 PUBLIC_NAMES = """
@@ -57,6 +67,20 @@ def _run(code: str, *args: str) -> str:
 def test_import_loads_no_lazy_module(module):
     code = f"import sys, {module}; print([m for m in {LAZY_MODULES!r} if m in sys.modules])"
     assert _run(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["p2c", "p2c.cli"])
+def test_import_loads_its_modules_and_no_dataclass(module):
+    """Import loads the same package modules as before records replaced the
+    dataclasses, plus ``p2c.records``, and none of them defines a dataclass."""
+    code = (
+        f"import sys, {module}\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'p2c')\n"
+        "print(loaded)\n"
+        "print(sorted(f'{m}.{name}' for m in loaded for name, v in vars(sys.modules[m]).items()\n"
+        "             if isinstance(v, type) and hasattr(v, '__dataclass_fields__')))\n"
+    )
+    assert _run(code).splitlines() == [repr(EAGER_MODULES[module]), "[]"]
 
 
 def test_lazy_names_resolve_and_are_listed():
