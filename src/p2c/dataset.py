@@ -37,23 +37,43 @@ if TYPE_CHECKING:
 
 
 class Dataset(Record):
-    """A config plus both rule programs, cross-validated and ready to query."""
+    """A config plus both rule programs, cross-validated and ready to query.
 
-    _fields = ("config", "decision", "causal", "warnings", "digest")
+    A dataset read from a bundle keeps the bytes it was read from, which
+    :attr:`digest` hashes on first read; one built in memory, through
+    ``records.replace`` too, keeps none."""
+
+    _fields = ("config", "decision", "causal", "warnings")
     config: DatasetConfig
     decision: RuleProgram
     causal: RuleProgram
     warnings: tuple[str, ...]
-    digest: str
+    # set in __init__ and not a field, so neither compared nor shown: the config's
+    # bytes and both rule texts of the bundle, or None
+    _source: tuple[bytes, str, str] | None
 
     def __init__(self, config: DatasetConfig, decision: RuleProgram, causal: RuleProgram,
-                 warnings: tuple[str, ...] = (), digest: str = ""):
+                 warnings: tuple[str, ...] = ()):
         fields = self.__dict__
         fields["config"] = config
         fields["decision"] = decision
         fields["causal"] = causal
         fields["warnings"] = warnings
-        fields["digest"] = digest
+        fields["_source"] = None
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 over the config's bytes and both rule texts the bundle was
+        read from, or "" for a dataset built in memory."""
+        if self._source is None:
+            return ""
+        import hashlib  # imported here: only a report reads the digest
+
+        blob, decision_text, causal_text = self._source
+        digest = hashlib.sha256(blob)
+        digest.update(decision_text.encode())
+        digest.update(causal_text.encode())
+        return digest.hexdigest()
 
     @cached_property
     def compiled(self) -> CompiledRules:
@@ -273,7 +293,6 @@ def build_dataset(
     config: DatasetConfig,
     decision: RuleProgram,
     causal: RuleProgram,
-    digest: str = "",
 ) -> Dataset:
     _cross_validate(config, decision, causal)
     warnings = []
@@ -294,7 +313,6 @@ def build_dataset(
         decision=decision,
         causal=causal,
         warnings=tuple(warnings),
-        digest=digest,
     )
     if config.instance_defaults is not None:
         validate_state(config, config.instance_defaults)  # fail fast at load
@@ -343,9 +361,8 @@ def bundle_dataset(
     already read: the config as ``(bytes, JSON)`` read from ``config_path``,
     each program as ``(text, parsed)``. :func:`load_dataset` after parsing.
     Every :class:`ConfigError` or :class:`StateValidationError` it raises
-    names ``config_path`` once."""
-    import hashlib  # imported here: no search needs it
-
+    names ``config_path`` once.  The dataset keeps the config's bytes and
+    both texts for its :attr:`Dataset.digest`."""
     (blob, raw), (decision_text, decision), (causal_text, causal) = config, decision, causal
     try:
         defaults = raw.get("instance_defaults") or {}
@@ -373,12 +390,11 @@ def bundle_dataset(
             instance_defaults=raw.get("instance_defaults"),
             max_dpl=None if raw.get("max_dpl") is None else _integer(raw, "max_dpl", 0),
         )
-        digest = hashlib.sha256()
-        for part in (blob, decision_text.encode(), causal_text.encode()):
-            digest.update(part)
-        return build_dataset(config, decision, causal, digest=digest.hexdigest())
+        dataset = build_dataset(config, decision, causal)
     except (ConfigError, StateValidationError) as exc:
         raise exc.__class__(f"{config_path}: {exc}") from None
+    object.__setattr__(dataset, "_source", (blob, decision_text, causal_text))
+    return dataset
 
 
 def read_config(path: str | Path) -> tuple[Path, bytes, dict]:
@@ -424,8 +440,8 @@ def consolidate_dataset(dataset: Dataset, instance_raw: Mapping | None = None) -
     placeholder ``ph_<feature>`` when two or more do.  Its
     ``FeatureSpec.merged`` entry lists every raw value merged, through
     earlier placeholders too, so consolidating again changes nothing.  Every
-    mentioned value stays, so the programs, warnings and digest carry
-    over and only the config is replaced.
+    mentioned value stays, so the programs, warnings and the bytes the
+    digest hashes carry over and only the config is replaced.
 
     ``instance_raw`` overrides the config's factual instance; its values
     survive consolidation so it stays representable in the reduced space,
@@ -452,6 +468,7 @@ def consolidate_dataset(dataset: Dataset, instance_raw: Mapping | None = None) -
             features[i] = replace(spec, domain=domain, merged=merged)
         config = replace(config, features=tuple(features))
         reduced = dataset.consolidated[key] = replace(dataset, config=config)
+        object.__setattr__(reduced, "_source", dataset._source)
     if instance_raw is not None:
         validate_state(reduced.config, instance_raw)
     return reduced

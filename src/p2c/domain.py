@@ -86,11 +86,15 @@ class FeatureSpec(Record):
             raise ConfigError(f"feature {self.name!r}: empty domain")
         if len(set(self.domain)) != len(self.domain):
             raise ConfigError(f"feature {self.name!r}: duplicate domain values")
-        for key, numbers in (("weight", (self.weight,)), ("step", (self.step,)),
-                             ("numeric_range", self.numeric_range or ())):
-            if not all(map(math.isfinite, numbers)):
-                raise ConfigError(f"feature {self.name!r}: {key} must be finite, got "
-                                  f"{', '.join(map(repr, numbers))}")
+        try:
+            for key, numbers in (("weight", (self.weight,)), ("step", (self.step,)),
+                                 ("numeric_range", self.numeric_range or ())):
+                if not all(map(math.isfinite, numbers)):
+                    raise ConfigError(f"feature {self.name!r}: {key} must be finite, got "
+                                      f"{', '.join(map(repr, numbers))}")
+        except OverflowError:  # from math.isfinite
+            raise ConfigError(f"feature {self.name!r}: {key} must be finite, got an int "
+                              f"too large for a float") from None
         if self.weight < 0:
             raise ConfigError(f"feature {self.name!r}: negative weight")
         if self.kind == NUMERIC:
@@ -284,7 +288,11 @@ def validate_state(config: DatasetConfig, raw: Mapping[str, object]) -> State:
                     ) from None
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise StateValidationError(f"feature {spec.name!r}: {v!r} is not numeric")
-            values.append(snap_numeric(spec, float(v)))
+            try:
+                v = float(v)
+            except OverflowError:  # an int too large for a float lies past either bound
+                v = math.inf if v > 0 else -math.inf
+            values.append(snap_numeric(spec, v))
         else:
             sv = str(v)
             if sv in spec.domain and sv not in spec.merged:  # a placeholder is not raw data

@@ -198,6 +198,8 @@ def find_path(
                 return root[0] if cost(root[0]) <= ceiling else None
         seen = {start, *parents}
         for _ in range(cap):
+            if not frontier:  # every state is reached: more depth finds nothing
+                return None
             grown = []
             for bits in frontier:
                 came_from = bits if bits in parents else None

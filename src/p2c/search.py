@@ -114,15 +114,20 @@ def check_norm(p) -> None:
 def check_weights(config: DatasetConfig, weights: Mapping[str, float]) -> None:
     """Raise ``ValueError`` naming the feature unless ``weights`` gives each
     of the config's features, and nothing else, a finite number >= 0 that
-    is not a bool."""
-    for spec in config.features:
-        if spec.name not in weights:
-            raise ValueError(f"weights give no weight to feature {spec.name!r}")
-        w = weights[spec.name]
-        if isinstance(w, bool) or not (
-            isinstance(w, (int, float)) and math.isfinite(w) and w >= 0
-        ):
-            raise ValueError(f"weight of feature {spec.name!r} must be finite and >= 0, got {w!r}")
+    is not a bool; an int too large for a float is not finite."""
+    try:
+        for spec in config.features:
+            if spec.name not in weights:
+                raise ValueError(f"weights give no weight to feature {spec.name!r}")
+            w = weights[spec.name]
+            if isinstance(w, bool) or not (
+                isinstance(w, (int, float)) and math.isfinite(w) and w >= 0
+            ):
+                raise ValueError(
+                    f"weight of feature {spec.name!r} must be finite and >= 0, got {w!r}")
+    except OverflowError:  # from math.isfinite
+        raise ValueError(f"weight of feature {spec.name!r} must be finite and >= 0, got an "
+                         f"int too large for a float") from None
     if len(weights) != len(config.features):
         extra = next(name for name in weights if not config.has_feature(name))
         raise ValueError(f"weights name {extra!r}, which is not a feature")

@@ -25,7 +25,7 @@ from p2c.errors import ConfigError, P2CError, StateValidationError
 from p2c.planner import find_path, path_is_legal
 from p2c.records import replace
 from p2c.rules import Atom, BodyLiteral, Rule, RuleProgram, mentioned_values, parse_rule_program
-from p2c.search import goal_knearest, min_cf
+from p2c.search import compute_weighted_lp, goal_knearest, min_cf
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +44,40 @@ def test_feature_numbers_must_be_finite(field, bad):
     value = (0.0, bad) if field == "numeric_range" else bad
     with pytest.raises(ConfigError, match=f"feature 'balance': {field} must be finite"):
         FeatureSpec(**{**good, field: value})
+
+
+@pytest.mark.parametrize("number", [10**400, -10**400, math.inf, -math.inf],
+                         ids=["huge", "-huge", "inf", "-inf"])
+@pytest.mark.parametrize("entry", ["check_weights", "FeatureSpec", "validate_state"])
+def test_an_int_too_large_for_a_float_is_refused_as_infinite(example1, entry, number):
+    """An int too large for a float gets the error of its infinite
+    counterpart, naming the feature, from each entry point that checks
+    finiteness: the weights' check (through every caller), ``FeatureSpec``
+    (each of its numbers) and ``validate_state``; no bare OverflowError."""
+    config = example1.config
+    john = example1.default_instance()
+    weights = {**config.weights(), "debt": number}
+    spec = dict(name="balance", kind="numeric", domain=(0.0, 5.0), numeric_range=(0.0, 10.0))
+    calls = {
+        "check_weights": (ValueError, "weight of feature 'debt' must be finite", [
+            lambda: min_cf(example1, john, weights=weights),
+            lambda: goal_knearest(example1, john, 3, weights=weights),
+            lambda: find_path(example1, john, john, weights=weights),
+            lambda: compute_weighted_lp(config, john, john, weights, 1),
+        ]),
+        "FeatureSpec": (ConfigError, "feature 'balance': .* must be finite", [
+            lambda: FeatureSpec(**spec, weight=number),
+            lambda: FeatureSpec(**spec, step=number),
+            lambda: FeatureSpec(**{**spec, "numeric_range": (0.0, number)}),
+        ]),
+        "validate_state": (StateValidationError, "feature 'debt': value -?inf outside range", [
+            lambda: validate_state(config, {**config.instance_defaults, "debt": number}),
+        ]),
+    }
+    error, message, raising = calls[entry]
+    for call in raising:
+        with pytest.raises(error, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +295,12 @@ def test_consolidate_dataset_keeps_one_dataset_per_partition(data_dir, bundle):
         assert reduced.config.instance_defaults == full.config.instance_defaults
         fresh_config = consolidate_placeholders(replace(full.config, instance_defaults=raw),
                                                 programs)
-        fresh = build_dataset(fresh_config, *programs, digest=full.digest)
+        fresh = build_dataset(fresh_config, *programs)
         assert [(f.domain, dict(f.merged)) for f in reduced.config.features] == [
             (f.domain, dict(f.merged)) for f in fresh.config.features]
-        assert (causal_groups(reduced), reduced.warnings, reduced.digest) == (
-            causal_groups(fresh), fresh.warnings, fresh.digest)
+        assert (causal_groups(reduced), reduced.warnings) == (
+            causal_groups(fresh), fresh.warnings)
+        assert reduced.digest == full.digest != fresh.digest == ""
         assert _answers(reduced, raw) == _answers(fresh, raw)
     reduced_ids = {id(ds) for ds in by_partition.values()}
     assert len(reduced_ids) == len(by_partition) == len(full.consolidated)

@@ -15,7 +15,8 @@ import pytest
 import p2c
 
 # Loaded on first use only: the surrogate layer and its subprocess and csv,
-# ``p2c bench`` and its statistics, the digest's hashlib, the compiled masks.
+# ``p2c bench`` and its statistics, the compiled masks, and hashlib, which
+# only a report that reads a bundle's digest loads.
 # Only the surrogate layer declares dataclasses; the eagerly imported modules
 # declare records (``p2c.records``), so neither ``dataclasses`` nor the
 # ``inspect`` it imports is loaded before that layer is.
@@ -128,3 +129,53 @@ def test_traced_names_resolve():
                 if not hasattr(Dataset, attr)]
     assert tracing.ENTRY_POINTS and tracing.LEAVES
     assert missing == []
+
+
+# Load and consolidate every bundle, run each search and the planner on its
+# default instance, then ``p2c validate`` and a small ``p2c bench``; print
+# whether hashlib is loaded after the searches and after the CLI calls.
+NO_DIGEST_READ = """
+import contextlib, io, sys
+from pathlib import Path
+from p2c import cli
+from p2c.dataset import consolidate_dataset, load_dataset
+from p2c.planner import find_path
+from p2c.search import goal_knearest, min_cf
+bundles = [Path(sys.argv[1]) / name for name in sys.argv[2:]]
+for bundle in bundles:
+    full = load_dataset(bundle)
+    dataset = consolidate_dataset(full, full.config.instance_defaults)
+    instance = dataset.default_instance()
+    best = min_cf(dataset, instance, on_inconsistent="allow")
+    goal_knearest(dataset, instance, 3, on_inconsistent="allow")
+    find_path(dataset, instance, best.target, on_inconsistent="repair")
+print("hashlib" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["validate", "--config", str(bundle)]) for bundle in bundles]
+    codes.append(cli.main(["bench", *map(str, bundles), "--instances", "2", "--k", "2",
+                           "--output", "json"]))
+print(codes, "hashlib" in sys.modules)
+"""
+BUNDLES = ("example1", "example2", "cars", "german", "adult")
+
+
+def test_no_digest_read_loads_no_hashlib():
+    """Loading, consolidating, the searches, the planner, ``p2c validate``
+    and ``p2c bench`` read no bundle's digest, so hashlib stays unloaded."""
+    data = Path(__file__).resolve().parent.parent / "data"
+    out = _run(NO_DIGEST_READ, str(data), *BUNDLES)
+    assert out.splitlines() == ["False", "[0, 0, 0, 0, 0, 0] False"]
+
+
+def test_a_report_reading_the_digest_loads_hashlib():
+    """``p2c mincf`` reports the bundle's ``config_digest``, and so loads
+    hashlib to take it."""
+    data = Path(__file__).resolve().parent.parent / "data"
+    code = (
+        "import contextlib, io, sys\n"
+        "from p2c import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cli.main(['mincf', '--config', sys.argv[1], '--output', 'json'])\n"
+        "print(code, 'hashlib' in sys.modules, len(out.getvalue()) > 0)\n"
+    )
+    assert _run(code, str(data / "example1")).strip() == "0 True True"

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import DATA, cyclic_dataset, make_dataset, random_dataset
+from conftest import DATA, budget, cyclic_dataset, make_dataset, random_dataset
 from oracles import (
     adjust_weights,
     bfs_naive_path,
@@ -303,6 +303,19 @@ def test_exhaustion_names_the_refused_moves(seed, feature, value, reason):
         assert message.startswith(f"no plan within {len(ds.config.features)} direct action(s)")
         assert f"{feature} -> {value!r}: {reason}" in message
         assert excinfo.value.diagnostics == ((feature, value, reason),)
+
+
+def test_exhaustion_stops_when_no_state_is_left_to_grow():
+    """A cap far past every reachable state costs no more than the default
+    one: the search stops when its frontier is empty and raises the same
+    error, naming the cap it was given."""
+    ds, instance = random_dataset(15)
+    target = min_cf(ds, instance).target
+    with budget(1.0, "find_path exhausts at max_dpl=10**8"):
+        with pytest.raises(SearchExhaustedError) as excinfo:
+            find_path(ds, instance, target, max_dpl=10**8)
+    assert str(excinfo.value).startswith("no plan within 100000000 direct action(s); ")
+    assert excinfo.value.diagnostics == (("f1", "v2", "nonincreasing feature cannot increase"),)
 
 
 def plan_to_s_star_cost(ds, start, p):
