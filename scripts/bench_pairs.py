@@ -9,7 +9,7 @@ come from CHANGE_DIR's ``BENCHMARK.json``), one run after the other, the
 parent first on even pairs (0, 2, ...) and the change first on odd ones.
 Pair ``i`` of a workload runs seed ``--seed + i`` on both.  ``--workload
 NAME[:PAIRS]`` picks the workloads and their pairs (default: every workload
-of ``BENCHMARK.json``, ``--pairs`` pairs each).
+of ``BENCHMARK.json``, 10 pairs each).
 
 For each workload and end-to-end metric it prints both medians and quartile
 ranges, the parent's interquartile range, the pairs the change won and the
@@ -35,6 +35,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10  # a workload's pairs when --workload names none
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
@@ -132,9 +133,7 @@ def main() -> None:
     ap.add_argument("change", type=Path, help="the change's checkout")
     ap.add_argument("--workload", action="append", default=[], metavar="NAME[:PAIRS]",
                     help="a workload and its pairs (repeatable; default: all)")
-    ap.add_argument("--pairs", type=int, default=10, help="pairs of a workload without :PAIRS")
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
-    ap.add_argument("--seconds", type=float, help="run seconds (default: BENCHMARK.json's)")
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
                     help="a metric the change claims to improve (repeatable)")
     ap.add_argument("--json", type=Path, help="write the figures to this file")
@@ -151,14 +150,14 @@ def main() -> None:
         name, _, pairs = entry.partition(":")
         if name not in known:
             ap.error(f"unknown workload {name!r}; BENCHMARK.json has {', '.join(known)}")
-        plan.append((name, int(pairs) if pairs else args.pairs))
+        plan.append((name, int(pairs) if pairs else PAIRS))
     if any(pairs < 1 for _, pairs in plan):
         ap.error("every workload needs at least one pair")
     claims = [c.partition(":")[::2] for c in args.claim]
     for workload, metric in claims:
         if workload not in dict(plan) or metric not in metrics:
             ap.error(f"claim {workload}:{metric} names no benched workload and metric")
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     rows = {name: bench_workload(dirs, bench, name, pairs, args.seed, seconds)
             for name, pairs in plan}

@@ -25,6 +25,7 @@ from .domain import (
     DatasetConfig,
     FeatureSpec,
     State,
+    as_float,
     build_numeric_domain,
     validate_state,
 )
@@ -40,10 +41,11 @@ class Dataset(Record):
     """A config plus both rule programs, cross-validated and ready to query.
 
     A dataset read from a bundle keeps the bytes it was read from, which
-    :attr:`digest` hashes on first read; one built in memory, through
-    ``records.replace`` too, keeps none."""
+    :attr:`digest` hashes on first read, and ``records.replace`` hands them
+    to the rebuilt dataset; one built in memory keeps none."""
 
     _fields = ("config", "decision", "causal", "warnings")
+    _kept = ("_source",)
     config: DatasetConfig
     decision: RuleProgram
     causal: RuleProgram
@@ -126,10 +128,7 @@ def _json_float(value) -> float | None:
     ``FeatureSpec`` refuses as it refuses any infinite number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+    return as_float(value)
 
 
 def _number(obj: Mapping, key: str, default: float, where: str) -> float:
@@ -468,7 +467,6 @@ def consolidate_dataset(dataset: Dataset, instance_raw: Mapping | None = None) -
             features[i] = replace(spec, domain=domain, merged=merged)
         config = replace(config, features=tuple(features))
         reduced = dataset.consolidated[key] = replace(dataset, config=config)
-        object.__setattr__(reduced, "_source", dataset._source)
     if instance_raw is not None:
         validate_state(reduced.config, instance_raw)
     return reduced

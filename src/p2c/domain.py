@@ -252,6 +252,15 @@ def build_numeric_domain(
     return tuple(reps)
 
 
+def as_float(value: int | float) -> float:
+    """``float(value)``; an int too large for a float is infinite, with its
+    sign, so it lies past every bound and is refused as infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def snap_numeric(spec: FeatureSpec, value: float) -> float:
     """Map a raw numeric value to the representative of its interval."""
     lo, hi = spec.numeric_range  # type: ignore[misc]
@@ -288,11 +297,7 @@ def validate_state(config: DatasetConfig, raw: Mapping[str, object]) -> State:
                     ) from None
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise StateValidationError(f"feature {spec.name!r}: {v!r} is not numeric")
-            try:
-                v = float(v)
-            except OverflowError:  # an int too large for a float lies past either bound
-                v = math.inf if v > 0 else -math.inf
-            values.append(snap_numeric(spec, v))
+            values.append(snap_numeric(spec, as_float(v)))
         else:
             sv = str(v)
             if sv in spec.domain and sv not in spec.merged:  # a placeholder is not raw data

@@ -22,7 +22,9 @@ class Record:
 
     ``_fields`` names the constructor's parameters in order; the repr and
     :func:`replace` read them.  ``_compared`` names the fields equality and
-    hash read, in that order: ``_fields`` unless a class names fewer.  An
+    hash read, in that order: ``_fields`` unless a class names fewer.
+    ``_kept`` names entries of ``__dict__`` that are not fields and that
+    :func:`replace` copies onto the rebuilt record.  An
     instance keeps its fields in its ``__dict__``, so it pickles and copies
     as a dataclass does, by that dict and without calling ``__init__``, and
     ``functools.cached_property`` can keep a value there.
@@ -31,6 +33,7 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] = ()
+    _kept: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -65,6 +68,10 @@ class Record:
 def replace(record: R, /, **changes) -> R:
     """A record of ``record``'s class with its fields, but for ``changes``,
     built through that class's ``__init__``: its checks run again, and what
-    the constructor does not set (a cached property's value) is not copied."""
+    the constructor does not set (a cached property's value) is not copied,
+    but for the entries the class names in ``_kept``."""
     fields = record.__dict__
-    return record.__class__(**{**{name: fields[name] for name in record._fields}, **changes})
+    rebuilt = record.__class__(**{**{name: fields[name] for name in record._fields}, **changes})
+    for name in record._kept:
+        rebuilt.__dict__[name] = fields[name]
+    return rebuilt

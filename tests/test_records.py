@@ -11,7 +11,8 @@ import pickle
 
 import pytest
 
-from p2c.dataset import Dataset
+from conftest import DATA
+from p2c.dataset import Dataset, load_dataset
 from p2c.domain import DatasetConfig, FeatureSpec, IngestResult, State
 from p2c.errors import ConfigError
 from p2c.planner import Action, PathStep, PlanPath
@@ -203,7 +204,8 @@ def test_record_behaves_as_its_frozen_dataclass(cls):
 
 def test_replace_rebuilds_through_init():
     """``replace`` runs the constructor's checks again, keeps no cached
-    property or checked weights, and refuses a name that is not a field."""
+    property or checked weights, and refuses a name that is not a field;
+    a bundle dataset rebuilt keeps the bytes its digest hashes."""
     with pytest.raises(ConfigError, match="negative weight"):
         replace(SPEC, weight=-1.0)
     with pytest.raises(TypeError):
@@ -222,3 +224,7 @@ def test_replace_rebuilds_through_init():
     assert "rules" in vars(dataset.decision) and "rules" not in vars(program)
     config = replace(dataset.config)
     assert config == dataset.config and config._checked_weights is None
+    bundle = load_dataset(DATA / "example1")
+    rebuilt = replace(bundle, warnings=("a warning",))
+    assert "digest" not in vars(rebuilt) and rebuilt._source is bundle._source
+    assert rebuilt.digest == bundle.digest != ""
